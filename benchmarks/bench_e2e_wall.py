@@ -6,19 +6,21 @@ selection — twice over the same benchmarks:
 
 * **optimized**: the defaults — fused whole-trace metering
   (:mod:`repro.mica.fused`) and shape-adaptive k-means engine
-  selection (``kmeans_engine="auto"``);
-* **baseline**: the retained per-interval meters and reference Lloyd,
-  forced via ``REPRO_PER_INTERVAL_METERS=1`` and
-  ``REPRO_REFERENCE_KMEANS=1`` — exactly the escape hatches a
-  reproduction run would use.
+  selection (:func:`repro.stats.kmeans_engine.use_accelerated`);
+* **baseline**: the per-interval meters and reference Lloyd, forced by
+  patching the two engine thresholds for the run
+  (:func:`baseline_engines`).
 
 Both runs must be bit-identical (features, PCA space, labels, BIC);
 the ratio of their wall clocks is the pipeline's whole-trace payoff.
 
 The preset (``REPRO_BENCH_PRESET``) sets the scale.  ``paper`` is the
-paper's clustering shape — 77 benchmarks x 1,000 sampled intervals of
-500 instructions, k = 300 — where both optimizations are in their
-winning regime.  ``tiny`` is the CI gate scale: the whole run takes
+paper clustering shape at 500-instruction intervals — 77 benchmarks x
+1,000 sampled intervals, k = 300 — where both optimizations are in
+their winning regime.  It is *not* ``AnalysisConfig.paper()``, whose
+10,000-instruction intervals take the per-interval meters on both
+paths; ``perfbench``'s ``paper-cold`` workload measures that preset.
+``tiny`` is the CI gate scale: the whole run takes
 seconds, the clustering (308 x 8) sits below the engine crossover on
 *both* paths, and the measured ratio isolates fused-vs-per-interval
 metering.
@@ -36,25 +38,28 @@ loses").
 """
 
 import os
+import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
+import repro.mica.fused as fused
+import repro.stats.kmeans_engine as kmeans_engine
 from repro.config import AnalysisConfig
 from repro.core import build_dataset, run_characterization
 from repro.io import format_table
-from repro.mica import PER_INTERVAL_METERS_ENV
 from repro.obs import emit_bench
-from repro.stats.kmeans_engine import REFERENCE_KMEANS_ENV
 from repro.suites import all_benchmarks
 
 #: Timing repeats per path; the minimum wall clock is reported.  One
 #: repeat at paper scale (a run is minutes), three at the test scales.
 REPEATS = {"paper": 1, "small": 2, "tiny": 3}
 
-#: Pipeline scale per preset.  ``paper`` is the paper's clustering
-#: shape (77 benchmarks x 1,000 intervals -> n = 77,000, k = 300) at
-#: the interval size where whole-trace metering operates; the GA is
+#: Pipeline scale per preset.  ``paper`` is the paper clustering shape
+#: at 500-instruction intervals (77 benchmarks x 1,000 intervals ->
+#: n = 77,000, k = 300), the interval size where whole-trace metering
+#: operates — not ``AnalysisConfig.paper()``; the GA is
 #: excluded at every preset (it consumes identical inputs on both
 #: paths, so it would only dilute the measured ratio with
 #: engine-independent work).
@@ -89,8 +94,29 @@ SCALE = {
     ),
 }
 
-#: Environment forcing the baseline (pre-optimization) pipeline.
-BASELINE_ENV = {PER_INTERVAL_METERS_ENV: "1", REFERENCE_KMEANS_ENV: "1"}
+#: What each preset's scale is, for the report table.
+SCALE_LABEL = {
+    "paper": "paper clustering shape at 500-instruction intervals",
+    "small": "reduced clustering shape at 500-instruction intervals",
+    "tiny": "CI gate scale",
+}
+
+
+@contextmanager
+def baseline_engines():
+    """Force the per-interval meters and reference Lloyd, then restore.
+
+    A fused-pass ceiling of 0 instructions sends every interval down
+    the per-interval loop, and a k-means crossover above any ``n * k``
+    keeps every clustering on reference Lloyd.
+    """
+    saved = fused.FUSED_MAX_INTERVAL_INSTRUCTIONS, kmeans_engine.AUTO_CROSSOVER_ENTRIES
+    fused.FUSED_MAX_INTERVAL_INSTRUCTIONS = 0
+    kmeans_engine.AUTO_CROSSOVER_ENTRIES = sys.maxsize
+    try:
+        yield
+    finally:
+        fused.FUSED_MAX_INTERVAL_INSTRUCTIONS, kmeans_engine.AUTO_CROSSOVER_ENTRIES = saved
 
 
 def _run_pipeline(benchmarks, config):
@@ -99,23 +125,14 @@ def _run_pipeline(benchmarks, config):
     return dataset, result
 
 
-def _timed_run(benchmarks, config, env, repeats):
+def _timed_run(benchmarks, config, repeats):
     """Best-of-``repeats`` wall clock of one full pipeline variant."""
-    saved = {key: os.environ.get(key) for key in env}
-    os.environ.update(env)
-    try:
-        best = float("inf")
-        outcome = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            outcome = _run_pipeline(benchmarks, config)
-            best = min(best, time.perf_counter() - start)
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    best = float("inf")
+    outcome = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        outcome = _run_pipeline(benchmarks, config)
+        best = min(best, time.perf_counter() - start)
     return outcome, best
 
 
@@ -125,15 +142,14 @@ def bench_e2e_wall(config, report):
     benchmarks = all_benchmarks()
     repeats = REPEATS[preset]
 
-    (opt_ds, opt_result), optimized_s = _timed_run(
-        benchmarks, e2e_config, {}, repeats
-    )
-    (base_ds, base_result), baseline_s = _timed_run(
-        benchmarks, e2e_config, BASELINE_ENV, repeats
-    )
+    (opt_ds, opt_result), optimized_s = _timed_run(benchmarks, e2e_config, repeats)
+    with baseline_engines():
+        (base_ds, base_result), baseline_s = _timed_run(
+            benchmarks, e2e_config, repeats
+        )
 
-    # The whole point of the flag architecture: the optimized pipeline
-    # is a pure execution-plan change.  Bit for bit, end to end.
+    # The optimized pipeline is a pure execution-plan change.  Bit for
+    # bit, end to end.
     assert np.array_equal(opt_ds.features, base_ds.features)
     assert np.array_equal(opt_result.space, base_result.space)
     assert np.array_equal(
@@ -145,7 +161,7 @@ def bench_e2e_wall(config, report):
     n_rows = len(opt_ds)
     rows = [
         [
-            "optimized (fused meters + auto engine)",
+            "optimized (fused meters + adaptive engine)",
             f"{optimized_s:.2f}",
             f"{n_rows / optimized_s:.0f}",
         ],
@@ -157,7 +173,8 @@ def bench_e2e_wall(config, report):
     ]
     text = format_table(["pipeline", "wall s", "intervals / s"], rows)
     text += (
-        f"\npreset={preset}: {len(benchmarks)} benchmarks, {n_rows} interval rows "
+        f"\npreset={preset} ({SCALE_LABEL[preset]}): "
+        f"{len(benchmarks)} benchmarks, {n_rows} interval rows "
         f"({e2e_config.interval_instructions} instr each), "
         f"k={e2e_config.n_clusters}, best of {repeats}; "
         f"e2e speedup {speedup:.2f}x, results bit-identical\n"

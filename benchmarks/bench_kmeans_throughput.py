@@ -33,7 +33,7 @@ from repro.stats.kmeans_engine import (
     AUTO_CROSSOVER_ENTRIES,
     EngineStats,
     lloyd_accelerated,
-    resolve_engine,
+    use_accelerated,
 )
 
 #: Timing repeats; the minimum is reported.
@@ -162,9 +162,10 @@ def bench_kmeans_auto_crossover(config, report):
 
     This is the experiment :data:`AUTO_CROSSOVER_ENTRIES` was read off:
     both inner loops timed (interleaved, best-of-``REPEATS``) at small
-    shapes bracketing the threshold, alongside the engine ``auto``
-    would select for each.  A drifting machine profile shows up here
-    long before it misroutes the real pipeline.
+    shapes bracketing the threshold, alongside the engine
+    :func:`~repro.stats.kmeans_engine.use_accelerated` selects for
+    each.  A drifting machine profile shows up here long before it
+    misroutes the real pipeline.
     """
     max_iter = config.kmeans_max_iter
     rows = []
@@ -176,7 +177,7 @@ def bench_kmeans_auto_crossover(config, report):
             lambda: _lloyd(points, init, max_iter),
         )
         ratio = reference_s / engine_s
-        selected = resolve_engine("auto", n=n, k=k)
+        selected = "accelerated" if use_accelerated(n, k) else "reference"
         agrees = (selected == "accelerated") == (ratio >= 1.0)
         rows.append(
             [

@@ -35,10 +35,10 @@ from repro.mica import (
     IntervalProfile,
     measure_branch,
     measure_footprint,
-    measure_ilp_kernel,
+    measure_ilp,
     measure_ilp_reference,
     measure_instruction_mix,
-    measure_ppm_kernel,
+    measure_ppm,
     measure_ppm_reference,
     measure_register_traffic,
     measure_strides,
@@ -98,7 +98,7 @@ def bench_meter_throughput(config, report):
 
     # The two rewritten meters, kernel vs retained reference.
     ppm_results, ppm_s = _timed_best(
-        lambda: [measure_ppm_kernel(p, o) for p, o in streams]
+        lambda: [measure_ppm(p, o) for p, o in streams]
     )
     ppm_ref_results, ppm_ref_s = _timed_best(
         lambda: [measure_ppm_reference(p, o) for p, o in streams]
@@ -106,7 +106,7 @@ def bench_meter_throughput(config, report):
     assert ppm_results == ppm_ref_results
     ilp_results, ilp_s = _timed_best(
         lambda: [
-            measure_ilp_kernel(t, sample_instructions=ilp_n, profile=p)
+            measure_ilp(t, sample_instructions=ilp_n, profile=p)
             for t, p in zip(traces, profiles)
         ]
     )

@@ -100,8 +100,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             config = config.replace(n_jobs=args.n_jobs)
         if args.parallel_backend is not None:
             config = config.replace(parallel_backend=args.parallel_backend)
-        if args.kmeans_engine is not None:
-            config = config.replace(kmeans_engine=args.kmeans_engine)
         if args.streaming:
             config = config.replace(streaming=True)
         if args.batch_intervals is not None:
@@ -612,15 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="executor backend for --n-jobs > 1 (default: auto)",
     )
     p.add_argument(
-        "--kmeans-engine",
-        choices=("auto", "accelerated", "reference"),
-        default=None,
-        help="Lloyd inner loop: triangle-inequality engine or reference "
-        "full-distance pass; results are bit-identical (default: auto, "
-        "which honors REPRO_REFERENCE_KMEANS and otherwise adapts to "
-        "the clustering shape)",
-    )
-    p.add_argument(
         "--feature-cache",
         default=None,
         metavar="DIR",
@@ -631,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--streaming",
         action="store_true",
         help="bounded-memory engine: featurize in batches, incremental "
-        "PCA, mini-batch k-means.  Approximate (see docs/methodology.md); "
+        "PCA, exact streaming Lloyd.  Approximate (see docs/methodology.md); "
         "the default exact path pins correctness.  Stage checkpoints do "
         "not apply; the feature spool (on by default) makes every pass "
         "after the first a zero-copy replay",

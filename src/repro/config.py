@@ -49,12 +49,6 @@ class AnalysisConfig:
       restarts; ``-1`` means all cores, ``1`` means serial.
     * ``parallel_backend`` — ``auto`` | ``serial`` | ``thread`` |
       ``process`` (see :mod:`repro.parallel`).
-    * ``kmeans_engine`` — ``auto`` | ``accelerated`` | ``reference``
-      inner Lloyd loop (see :mod:`repro.stats.kmeans_engine`); bit-
-      identical results either way.  ``auto`` honors
-      ``REPRO_REFERENCE_KMEANS``, then adapts to the clustering shape:
-      plain Lloyd below the measured ``n x k`` crossover, the
-      triangle-inequality engine above it.
     * ``spool`` — featurize the streaming plan once and replay every
       later sweep zero-copy from an on-disk memory-mapped store
       (:class:`repro.io.FeatureSpool`); replayed arrays are
@@ -76,7 +70,7 @@ class AnalysisConfig:
     measured approximation gap — so both participate in ``full_key``:
 
     * ``streaming`` — run the bounded-memory engine (incremental PCA +
-      mini-batch k-means over featurization batches) instead of
+      exact streaming Lloyd over featurization batches) instead of
       materializing the full dataset.  The exact path stays the
       default and pins correctness.
     * ``batch_intervals`` — intervals held in memory per streaming
@@ -101,7 +95,6 @@ class AnalysisConfig:
     seed: int = 2008
     n_jobs: int = 1
     parallel_backend: str = "auto"
-    kmeans_engine: str = "auto"
     streaming: bool = False
     batch_intervals: int = 256
     spool: bool = True
@@ -113,7 +106,6 @@ class AnalysisConfig:
     EXECUTION_KNOBS = (
         "n_jobs",
         "parallel_backend",
-        "kmeans_engine",
         "spool",
         "spool_dir",
         "spool_max_bytes",
@@ -134,10 +126,6 @@ class AnalysisConfig:
         if self.parallel_backend not in ("auto", "serial", "thread", "process"):
             raise ValueError(
                 "parallel_backend must be one of auto, serial, thread, process"
-            )
-        if self.kmeans_engine not in ("auto", "accelerated", "reference"):
-            raise ValueError(
-                "kmeans_engine must be one of auto, accelerated, reference"
             )
         if self.batch_intervals < 1:
             raise ValueError("batch_intervals must be >= 1")

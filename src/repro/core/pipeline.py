@@ -143,9 +143,8 @@ def run_characterization(
         dataset: output of :func:`repro.core.dataset.build_dataset`.
         config: methodology parameters; ``config.n_jobs`` /
             ``config.parallel_backend`` fan the k-means restarts across
-            workers and ``config.kmeans_engine`` picks the Lloyd inner
-            loop, none of which changes the result (bit-identical for a
-            fixed seed at any worker count and either engine).
+            workers, which never changes the result (bit-identical for
+            a fixed seed at any worker count).
         select_key: run the GA key-characteristic selection (step 5);
             disable for analyses that only need the clustering.
         progress: optional sink for per-generation GA progress lines
@@ -204,7 +203,6 @@ def run_characterization(
                 rng=rng,
                 n_jobs=config.n_jobs,
                 backend=config.parallel_backend,
-                engine=config.kmeans_engine,
             )
             sp.set(bic=clustering.bic, inertia=clustering.inertia, n_iter=clustering.n_iter)
         emit_progress("analysis", 2, analysis_steps)

@@ -24,12 +24,6 @@ from .features import (
     feature_vector,
     features_in_category,
 )
-from ._dispatch import (
-    PER_INTERVAL_METERS_ENV,
-    REFERENCE_METERS_ENV,
-    fused_meters_enabled,
-    reference_meters_enabled,
-)
 from .footprint import measure_footprint
 from .fused import (
     FUSED_BATCH_INSTRUCTIONS,
@@ -40,7 +34,6 @@ from .fused import (
 from .ilp import (
     WINDOW_SIZES,
     measure_ilp,
-    measure_ilp_kernel,
     measure_ilp_reference,
     producer_indices,
     producer_indices_reference,
@@ -53,7 +46,6 @@ from .ppm import (
     global_histories,
     local_histories,
     measure_ppm,
-    measure_ppm_kernel,
     measure_ppm_reference,
 )
 from .profile import IntervalProfile, match_producers
@@ -79,8 +71,6 @@ __all__ = [
     "IntervalProfile",
     "LOCAL_BUCKETS",
     "N_FEATURES",
-    "PER_INTERVAL_METERS_ENV",
-    "REFERENCE_METERS_ENV",
     "REPORTED_LENGTHS",
     "TRACKED_LENGTHS",
     "WINDOW_SIZES",
@@ -90,23 +80,19 @@ __all__ = [
     "feature_names",
     "feature_vector",
     "features_in_category",
-    "fused_meters_enabled",
     "global_histories",
     "local_histories",
     "match_producers",
     "measure_branch",
     "measure_footprint",
     "measure_ilp",
-    "measure_ilp_kernel",
     "measure_ilp_reference",
     "measure_instruction_mix",
     "measure_ppm",
-    "measure_ppm_kernel",
     "measure_ppm_reference",
     "measure_register_traffic",
     "measure_strides",
     "producer_indices",
     "producer_indices_reference",
-    "reference_meters_enabled",
     "transition_rate",
 ]

@@ -41,11 +41,10 @@ semantics are preserved by construction:
   integers by the same integers the per-interval meters divide, so the
   resulting floats are identical — not merely close.
 
-Dispatch: :func:`characterize_intervals` uses the fused pass unless
-``REPRO_PER_INTERVAL_METERS`` (or ``REPRO_REFERENCE_METERS``) routes it
-through the retained per-interval path; like the kernel/reference meter
-choice, this is purely an execution knob and participates in no cache
-key.
+Dispatch: :func:`characterize_intervals` uses the fused pass for
+intervals up to :data:`FUSED_MAX_INTERVAL_INSTRUCTIONS` and the
+per-interval path above it; the choice rests on interval size alone
+and participates in no cache key.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from ..config import AnalysisConfig
 from ..isa import NO_REG, N_OP_CLASSES, OpClass, Trace, concat, is_memory_op
 from ..obs import active as obs_active
 from ..obs import metrics
-from ._dispatch import fused_meters_enabled
 from .features import FEATURE_INDEX, N_FEATURES
 from .ilp import WINDOW_SIZES
 from .meter import characterize_interval
@@ -97,8 +95,7 @@ FUSED_BATCH_INSTRUCTIONS = 125_000
 #: 10k-instruction intervals the per-interval path wins (its ILP/PPM
 #: subsample caps shrink its big-array work while the fused pass still
 #: sorts the full concatenation).  Both paths are bit-identical, so
-#: the choice is an execution knob — like ``kmeans_engine`` — and
-#: never participates in cache keys.
+#: the choice never participates in cache keys.
 FUSED_MAX_INTERVAL_INSTRUCTIONS = 4_000
 
 
@@ -130,10 +127,9 @@ def characterize_intervals(
         config: supplies the ILP/PPM subsample sizes.
 
     The fused pass runs when it is the faster engine for the batch —
-    interval sizes up to :data:`FUSED_MAX_INTERVAL_INSTRUCTIONS` — and
-    is never used when ``REPRO_PER_INTERVAL_METERS`` or
-    ``REPRO_REFERENCE_METERS`` asks for the per-interval path.  Both
-    produce identical bits, so the selection is invisible to results.
+    interval sizes up to :data:`FUSED_MAX_INTERVAL_INSTRUCTIONS`.  Both
+    paths produce identical bits, so the selection is invisible to
+    results.
 
     Returns:
         A ``(len(traces), 69)`` float64 matrix whose row ``i`` is
@@ -141,9 +137,7 @@ def characterize_intervals(
     """
     if len(traces) == 0:
         return np.empty((0, N_FEATURES), dtype=np.float64)
-    if not fused_meters_enabled() or (
-        max(len(t) for t in traces) > FUSED_MAX_INTERVAL_INSTRUCTIONS
-    ):
+    if max(len(t) for t in traces) > FUSED_MAX_INTERVAL_INSTRUCTIONS:
         return np.vstack([characterize_interval(t, config) for t in traces])
     return _characterize_fused(traces, config)
 
@@ -631,7 +625,7 @@ def _fused_ppm(
 ) -> Dict[str, np.ndarray]:
     """All intervals' PPM miss rates from one grouped-scan kernel run.
 
-    The per-interval kernel (:func:`repro.mica.ppm.measure_ppm_kernel`)
+    The per-interval kernel (:func:`repro.mica.ppm.measure_ppm`)
     sorts one interval's (context key, time) events and evolves each
     context's saturating counter with a segmented clamped-affine scan.
     Here the interval id is tagged into every context key, so the same

@@ -11,9 +11,9 @@ depths)``.  This is the standard window-based inherent-ILP model used by
 microarchitecture-independent characterization tools.
 
 Two implementations live here.  :func:`measure_ilp_reference` is the
-original formulation: one Python re-walk of the block recurrence
+original formulation (the tests' oracle): one Python re-walk of the block recurrence
 ``depth(i) = 1 + max(depth of in-block producers)`` per window size.
-:func:`measure_ilp_kernel` computes the depths for *all* window sizes in
+:func:`measure_ilp` computes the depths for *all* window sizes in
 one vectorized sweep: the per-window producer indices (clipped to block
 boundaries, with a shared sentinel of depth 0 for out-of-block or absent
 producers) are stacked into a single flat array and the depth recurrence
@@ -29,9 +29,6 @@ intervals make the subsample representative.  Producer matching is
 shared with the register-traffic meter through
 :class:`~repro.mica.profile.IntervalProfile` — producers of a prefix
 are a prefix of the producers, so the full-interval arrays slice down.
-
-:func:`measure_ilp` dispatches to the kernel unless the
-``REPRO_REFERENCE_METERS`` environment flag asks for the reference.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..isa import N_REGISTERS, Trace
-from ._dispatch import reference_meters_enabled
 from .profile import IntervalProfile, match_producers
 
 #: The paper's four window sizes.
@@ -121,14 +117,17 @@ def _block_depth_cycles(
     return out
 
 
-def measure_ilp_kernel(
+def measure_ilp(
     trace: Trace,
     *,
     sample_instructions: int = 2_000,
     windows: Sequence[int] = WINDOW_SIZES,
     profile: Optional[IntervalProfile] = None,
 ) -> Dict[str, float]:
-    """Single-sweep ILP meter; bit-identical to the reference walk."""
+    """Return the idealized-IPC features for the paper's window sizes.
+
+    Single-sweep meter; bit-identical to :func:`measure_ilp_reference`.
+    """
     if len(trace) == 0:
         raise ValueError("cannot characterize an empty trace")
     n = min(len(trace), sample_instructions)
@@ -186,19 +185,3 @@ def measure_ilp_reference(
         out[f"ilp_w{w}"] = n / total_cycles
     return out
 
-
-def measure_ilp(
-    trace: Trace,
-    *,
-    sample_instructions: int = 2_000,
-    windows: Sequence[int] = WINDOW_SIZES,
-    profile: Optional[IntervalProfile] = None,
-) -> Dict[str, float]:
-    """Return the idealized-IPC features for the paper's window sizes."""
-    if reference_meters_enabled():
-        return measure_ilp_reference(
-            trace, sample_instructions=sample_instructions, windows=windows
-        )
-    return measure_ilp_kernel(
-        trace, sample_instructions=sample_instructions, windows=windows, profile=profile
-    )

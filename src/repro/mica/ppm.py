@@ -26,9 +26,9 @@ length <= L.
 
 Two implementations live here.  :func:`measure_ppm_reference` is the
 original per-branch table walk — tables update as the stream advances,
-so it is sequential Python.  :func:`measure_ppm_kernel` is the
-grouped-scan formulation that produces identical output from pure array
-operations:
+so it is sequential Python; tests use it as the oracle.
+:func:`measure_ppm` is the grouped-scan formulation that produces
+identical output from pure array operations:
 
 1. Every (organization, tracked length, branch) triple becomes one
    *counter event*, keyed by the integer table context
@@ -47,9 +47,6 @@ operations:
    counter each context held when the branch predicted; the longest
    non-zero context under each reported maximum is selected by a short
    suffix scan over the tracked lengths.
-
-:func:`measure_ppm` dispatches to the kernel unless the
-``REPRO_REFERENCE_METERS`` environment flag asks for the reference.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ from typing import Dict
 
 import numpy as np
 
-from ._dispatch import reference_meters_enabled
 
 #: Context lengths tracked per predictor.  A strict PPM tracks every
 #: length 0..12; tracking this subset keeps the table state tractable
@@ -204,8 +200,19 @@ def measure_ppm_reference(pcs: np.ndarray, outcomes: np.ndarray) -> Dict[str, fl
     return out
 
 
-def measure_ppm_kernel(pcs: np.ndarray, outcomes: np.ndarray) -> Dict[str, float]:
-    """Grouped-scan PPM meter; bit-identical to the reference walk."""
+def measure_ppm(pcs: np.ndarray, outcomes: np.ndarray) -> Dict[str, float]:
+    """PPM miss rates for the 4 organizations x 3 max history lengths.
+
+    Grouped-scan meter; bit-identical to :func:`measure_ppm_reference`.
+
+    Args:
+        pcs: static branch addresses of the sampled conditional branches,
+            in program order.
+        outcomes: their taken/not-taken outcomes.
+
+    Returns:
+        12 features named ``ppm_{gag,pag,gas,pas}_h{4,8,12}``.
+    """
     if len(pcs) != len(outcomes):
         raise ValueError("pcs and outcomes must have equal length")
     n = len(pcs)
@@ -314,18 +321,3 @@ def measure_ppm_kernel(pcs: np.ndarray, outcomes: np.ndarray) -> Dict[str, float
             out[f"ppm_{kind}_h{maxlen}"] = float(np.count_nonzero(miss[org])) / n
     return out
 
-
-def measure_ppm(pcs: np.ndarray, outcomes: np.ndarray) -> Dict[str, float]:
-    """PPM miss rates for the 4 organizations x 3 max history lengths.
-
-    Args:
-        pcs: static branch addresses of the sampled conditional branches,
-            in program order.
-        outcomes: their taken/not-taken outcomes.
-
-    Returns:
-        12 features named ``ppm_{gag,pag,gas,pas}_h{4,8,12}``.
-    """
-    if reference_meters_enabled():
-        return measure_ppm_reference(pcs, outcomes)
-    return measure_ppm_kernel(pcs, outcomes)

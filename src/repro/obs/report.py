@@ -88,9 +88,7 @@ REQUIRED_KEYS = (
 #: Span names of the paper's six methodology stages.
 STAGES = ("mica", "sampling", "pca", "kmeans", "prominent", "ga")
 
-#: Span names a streaming (``--streaming``) run records instead.  The
-#: warmup span (``streaming.warmup``) is excluded: it only exists when
-#: warmup epochs are configured, which the default (0) is not.
+#: Span names a streaming (``--streaming``) run records instead.
 STREAMING_STAGES = ("streaming.pca", "streaming.kmeans", "streaming.score")
 
 #: Root span name marking a streaming run's report.

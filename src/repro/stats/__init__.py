@@ -7,20 +7,13 @@ from .incremental_pca import IncrementalPCA, StreamingProjector
 from .kmeans import Clustering, kmeans
 from .kmeans_engine import (
     AUTO_CROSSOVER_ENTRIES,
-    REFERENCE_KMEANS_ENV,
     EngineStats,
     lloyd_accelerated,
-    reference_kmeans_enabled,
-    resolve_engine,
-)
-from .minibatch_kmeans import (
-    FrozenScorer,
-    MiniBatchKMeans,
-    StreamingLloyd,
-    bic_from_stats,
+    use_accelerated,
 )
 from .normalize import Normalizer, normalize
 from .pca import GramPCA, PCAModel, fit_pca, rescaled_pca_space
+from .streaming_kmeans import FrozenScorer, StreamingLloyd, bic_from_stats
 
 __all__ = [
     "AUTO_CROSSOVER_ENTRIES",
@@ -29,10 +22,8 @@ __all__ = [
     "FrozenScorer",
     "GramPCA",
     "IncrementalPCA",
-    "MiniBatchKMeans",
     "Normalizer",
     "PCAModel",
-    "REFERENCE_KMEANS_ENV",
     "StreamingLloyd",
     "StreamingProjector",
     "bic_from_stats",
@@ -45,7 +36,6 @@ __all__ = [
     "normalize",
     "pairwise_distances",
     "pearson",
-    "reference_kmeans_enabled",
     "rescaled_pca_space",
-    "resolve_engine",
+    "use_accelerated",
 ]

@@ -20,12 +20,11 @@ Two interchangeable inner loops implement one Lloyd semantics:
   computing any distances.
 
 Both produce bit-identical labels, centers, inertia and BIC for any
-seed (pinned by ``tests/stats/test_kmeans_engine.py``); selection is
-the ``engine`` argument / ``AnalysisConfig.kmeans_engine``.  The
-default ``auto`` adapts to the problem shape — reference Lloyd below
-the measured ``n * k`` crossover, the accelerated engine above it —
-with ``REPRO_REFERENCE_KMEANS=1`` forcing the reference at run time.
-Like ``n_jobs``, the engine choice participates in no cache key.
+seed (pinned by ``tests/stats/test_kmeans_engine.py``).  :func:`kmeans`
+picks by problem shape alone — reference Lloyd below the measured
+``n * k`` crossover, the accelerated engine above it (see
+:func:`repro.stats.kmeans_engine.use_accelerated`) — so the choice
+participates in no cache key.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from .kmeans_engine import (
     group_means,
     lloyd_accelerated,
     reseed_empty_clusters,
-    resolve_engine,
+    use_accelerated,
 )
 
 
@@ -197,10 +196,15 @@ def kmeans(
     n_jobs: int = 1,
     backend: str = "auto",
     executor: Optional[Executor] = None,
-    engine: str = "auto",
     engine_stats: Optional[EngineStats] = None,
 ) -> Clustering:
     """Cluster ``points`` into ``k`` clusters, keeping the best-BIC run.
+
+    The inner loop is plain Lloyd below the ``n * k`` crossover, where
+    bound bookkeeping outweighs the skipped distance rows, and the
+    triangle-inequality engine above it (see
+    :data:`repro.stats.kmeans_engine.AUTO_CROSSOVER_ENTRIES`).  Results
+    are bit-identical either way.
 
     Args:
         points: ``(n, d)`` data (typically the rescaled PCA space).
@@ -212,13 +216,6 @@ def kmeans(
         n_jobs: workers to fan the restarts across (1 = serial).
         backend: executor backend for the fan-out.
         executor: override the executor built from ``backend``/``n_jobs``.
-        engine: ``auto`` | ``accelerated`` | ``reference`` inner loop.
-            ``auto`` honors ``REPRO_REFERENCE_KMEANS``, then picks by
-            problem shape — plain Lloyd below the ``n * k`` crossover
-            where bound bookkeeping outweighs the skipped distance
-            rows, the triangle-inequality engine above it (see
-            :data:`repro.stats.kmeans_engine.AUTO_CROSSOVER_ENTRIES`).
-            Results are bit-identical either way.
         engine_stats: accumulate accelerated-engine distance-evaluation
             accounting (serial runs only; ignored when fanned out).
 
@@ -235,7 +232,7 @@ def kmeans(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     k = min(k, len(points))
-    use_reference = resolve_engine(engine, n=len(points), k=k) == "reference"
+    use_reference = not use_accelerated(len(points), k)
     root = int(rng.integers(2**63))
     seeds = task_seeds("km-restart", root, restarts)
     if executor is None:

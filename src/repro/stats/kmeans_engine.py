@@ -48,28 +48,22 @@ floating-point drift of the bound maintenance, so every near-tie is
 re-evaluated with the shared exact kernel.  Skipping can therefore
 only remove redundant work, never change a decision.
 
-The default ``engine="auto"`` resolves per clustering shape: below
-:data:`AUTO_CROSSOVER_ENTRIES` ``n x k`` distance entries the bound
-bookkeeping outweighs the rows it skips and reference Lloyd is used;
-at or above it the accelerated engine wins (see
-:func:`resolve_engine`).  Setting ``REPRO_REFERENCE_KMEANS=1`` routes
-:func:`repro.stats.kmeans` through the reference Lloyd implementation
-regardless of shape (mirroring ``REPRO_REFERENCE_METERS``); because
-both paths are bit-identical the choice participates in no cache key.
+:func:`repro.stats.kmeans` picks the engine by clustering shape alone
+(:func:`use_accelerated`): below :data:`AUTO_CROSSOVER_ENTRIES`
+``n x k`` distance entries the bound bookkeeping outweighs the rows it
+skips and reference Lloyd is used; at or above it the accelerated
+engine wins.  Both paths are bit-identical, so the choice participates
+in no cache key.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .distance import distances_to
-
-#: Environment variable selecting the reference Lloyd implementation.
-REFERENCE_KMEANS_ENV = "REPRO_REFERENCE_KMEANS"
 
 #: Target number of float64 distance entries held per chunk (~16 MB).
 _CHUNK_ENTRIES = 1 << 21
@@ -78,50 +72,25 @@ _CHUNK_ENTRIES = 1 << 21
 #: the lower bound instead of participating in the global drift decay.
 _BIG_MOVERS = 8
 
-#: ``auto`` crossover, in distance-matrix entries (``n x k``) per Lloyd
+#: Engine crossover, in distance-matrix entries (``n x k``) per Lloyd
 #: iteration.  Below it the bound bookkeeping (per-point upper/lower
 #: bounds, drift decay, uncertified gathers) costs more than the
 #: distance rows it skips, so plain Lloyd wins; above it the skipped
 #: rows dominate.  Measured on the interleaved A/B harness in
 #: ``benchmarks/bench_kmeans_throughput.py``: 0.69x at 308 x 8,
 #: 0.89x at 1k x 20, 1.43x at 2k x 40, 3.0x at 7.7k x 120 and 1.8-4x
-#: at the paper's 77k x 300.  Like the engines themselves the choice
-#: is bit-identical either way, so the threshold is an execution knob
-#: that participates in no cache key.
+#: at the paper's 77k x 300.  The engines are bit-identical, so the
+#: threshold participates in no cache key.
 AUTO_CROSSOVER_ENTRIES = 40_000
 
 
-def reference_kmeans_enabled() -> bool:
-    """True when the reference Lloyd implementation is requested."""
-    return os.environ.get(REFERENCE_KMEANS_ENV, "") not in ("", "0")
+def use_accelerated(n: int, k: int) -> bool:
+    """True when an ``n x k`` clustering should take the accelerated engine.
 
-
-def resolve_engine(
-    engine: str = "auto",
-    n: Optional[int] = None,
-    k: Optional[int] = None,
-) -> str:
-    """Resolve an engine request to ``accelerated`` or ``reference``.
-
-    ``auto`` honors the ``REPRO_REFERENCE_KMEANS`` environment flag
-    first, then adapts to the problem shape: when ``n`` and ``k`` are
-    given and ``n * k`` falls below :data:`AUTO_CROSSOVER_ENTRIES`, the
-    reference Lloyd is selected (the bounds cannot amortize their
-    bookkeeping on so small a distance matrix); otherwise — including
-    when the shape is unknown — the accelerated engine is.  An explicit
-    choice wins over both the environment and the shape.
+    Below :data:`AUTO_CROSSOVER_ENTRIES` distance entries the bounds
+    cannot amortize their bookkeeping and reference Lloyd is faster.
     """
-    if engine == "auto":
-        if reference_kmeans_enabled():
-            return "reference"
-        if n is not None and k is not None and n * k < AUTO_CROSSOVER_ENTRIES:
-            return "reference"
-        return "accelerated"
-    if engine not in ("accelerated", "reference"):
-        raise ValueError(
-            "engine must be one of auto, accelerated, reference"
-        )
-    return engine
+    return n * k >= AUTO_CROSSOVER_ENTRIES
 
 
 @dataclass

@@ -6,10 +6,9 @@ number of sampled intervals.  This package runs the same methodology
 in streaming form: traces are generated and featurized
 ``batch_intervals`` rows at a time (:func:`repro.core.iter_feature_batches`),
 PCA is fitted from fixed-size sufficient statistics
-(:class:`repro.stats.IncrementalPCA`), and clustering runs exact Lloyd
-iterations one stream-pass at a time
-(:class:`repro.stats.StreamingLloyd`, with optional
-:class:`repro.stats.MiniBatchKMeans` warmup) under the exact path's
+(:class:`repro.stats.IncrementalPCA`), and clustering runs exact
+streaming Lloyd — one Lloyd iteration per stream pass
+(:class:`repro.stats.StreamingLloyd`) — under the exact path's
 restart/seed-stream/BIC discipline.  Peak memory is ``O(batch)`` plus
 the deliberately-retained per-row label/pick vectors (8 bytes/row),
 regardless of trace length.  By default the plan is featurized exactly
@@ -27,7 +26,6 @@ agreement >= 95%) and its memory contract gated by
 """
 
 from .engine import (
-    STREAMING_WARMUP_EPOCHS,
     StreamingCharacterization,
     run_streaming_characterization,
 )
@@ -35,7 +33,6 @@ from .result import load_streaming_result, save_streaming_result
 from .source import BatchSource, spool_fingerprints
 
 __all__ = [
-    "STREAMING_WARMUP_EPOCHS",
     "BatchSource",
     "StreamingCharacterization",
     "load_streaming_result",

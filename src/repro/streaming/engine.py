@@ -9,20 +9,13 @@ which ever holds the full feature matrix:
    restart seed streams selected as initial centers are captured on
    the way through.  Finalizing yields the retained
    :class:`~repro.stats.PCAModel` and the rescaled-space projector.
-2. **Warmup passes** (``warmup_epochs``, default 0) — optional
-   :class:`~repro.stats.MiniBatchKMeans` blended updates.  Off by
-   default deliberately: the stream arrives benchmark by benchmark,
-   not i.i.d., and the order bias measurably steers mini-batch optima
-   away from Lloyd's (44-85% composition agreement in tuning runs)
-   without even reducing the refinement passes needed.  It exists for
-   shuffled/i.i.d. streams and strict pass budgets.
-3. **Refinement passes** — every restart's
+2. **Refinement passes** — every restart's
    :class:`~repro.stats.StreamingLloyd` runs exact Lloyd, one
    iteration per pass, restarts advancing in lock-step over one shared
    sweep; each stops on its own convergence check, the sweep stops
    when all have (at most ``config.kmeans_max_iter`` passes, typically
    far fewer).
-4. **Scoring + drift pass** — centers frozen, each restart's
+3. **Scoring + drift pass** — centers frozen, each restart's
    :class:`~repro.stats.FrozenScorer` accumulates labels, SSE,
    cluster counts and representatives, and the optional live
    :class:`~repro.analysis.StreamingDriftMonitor` folds the very same
@@ -40,7 +33,7 @@ refinement/scoring/drift skip even the per-pass transform.  Pass
 accounting: with the spool, exactly **one** featurization sweep and
 one transform sweep happen per run (zero of either when a persistent
 ``spool_dir`` already holds this plan's rows); without it, every pass
-featurizes — ``2 + warmup_epochs + refinement passes`` sweeps in all,
+featurizes — ``2 + refinement passes`` sweeps in all,
 the scoring/drift sweep being fused into one.  A corrupt spool is
 quarantined and the engine falls back to recomputation; a spool over
 ``config.spool_max_bytes`` is declined upfront — results are
@@ -76,7 +69,6 @@ from ..stats import (
     Clustering,
     FrozenScorer,
     IncrementalPCA,
-    MiniBatchKMeans,
     StreamingLloyd,
     StreamingProjector,
 )
@@ -85,12 +77,6 @@ from ..synth.rng import generator
 from .source import BatchSource, spool_fingerprints
 
 log = get_logger(__name__)
-
-#: Default mini-batch warmup passes before Lloyd refinement.  Zero:
-#: on the benchmark-ordered stream warmup demonstrably changes which
-#: local optimum the refinement converges to (away from the exact
-#: path's) while saving no refinement passes.
-STREAMING_WARMUP_EPOCHS = 0
 
 
 @dataclass
@@ -110,7 +96,6 @@ class StreamingCharacterization:
             ``None``; there are no materialized points to score).
         prominent: prominent-phase selection over the streamed labels.
         batch_intervals: rows per streamed batch.
-        warmup_epochs: mini-batch warmup passes that were run.
         featurize_sweeps: sweeps that ran trace generation + meters
             (1 with a working spool; 0 when a persistent spool already
             held the plan; one per pass without a spool).
@@ -126,7 +111,6 @@ class StreamingCharacterization:
     clustering: Clustering
     prominent: ProminentPhases
     batch_intervals: int
-    warmup_epochs: int
     featurize_sweeps: int = 0
     replay_sweeps: int = 0
     spool_bytes: int = 0
@@ -192,7 +176,6 @@ def run_streaming_characterization(
     counts: Optional[Dict[str, int]] = None,
     feature_cache=None,
     monitor: Optional[StreamingDriftMonitor] = None,
-    warmup_epochs: int = STREAMING_WARMUP_EPOCHS,
 ) -> StreamingCharacterization:
     """Run the bounded-memory characterization end to end.
 
@@ -215,15 +198,10 @@ def run_streaming_characterization(
         monitor: optional live drift monitor, folded into the scoring
             sweep (one fused pass); query it mid-stream from another
             thread or afterwards.
-        warmup_epochs: mini-batch warmup passes before Lloyd
-            refinement (default :data:`STREAMING_WARMUP_EPOCHS` = 0;
-            see the module docstring for why).
 
     Returns:
         The :class:`StreamingCharacterization`.
     """
-    if warmup_epochs < 0:
-        raise ValueError("warmup_epochs must be >= 0")
     plan = build_sampling_plan(benchmarks, config, counts=counts)
     n = plan.total_rows
     if n < 2:
@@ -237,7 +215,7 @@ def run_streaming_characterization(
     try:
         source = BatchSource(plan, config, feature_cache=feature_cache, spool=spool)
         return _run_passes(
-            source, config, monitor, warmup_epochs, needed, captured, init_rows, k
+            source, config, monitor, needed, captured, init_rows, k
         )
     finally:
         if temp_root is not None:
@@ -248,13 +226,12 @@ def _run_passes(
     source: BatchSource,
     config: AnalysisConfig,
     monitor: Optional[StreamingDriftMonitor],
-    warmup_epochs: int,
     needed: np.ndarray,
     captured: np.ndarray,
     init_rows: List[np.ndarray],
     k: int,
 ) -> StreamingCharacterization:
-    """Steps 1-4 over whatever the source serves (computed or replayed)."""
+    """Steps 1-3 over whatever the source serves (computed or replayed)."""
     n = source.n_rows
     plan = source.plan
     reg = metrics()
@@ -284,14 +261,6 @@ def _run_passes(
 
     init_positions = [np.searchsorted(needed, rows) for rows in init_rows]
     init_centers = [projector.transform(captured[pos]) for pos in init_positions]
-    if warmup_epochs > 0:
-        with span("streaming.warmup", restarts=len(init_centers), epochs=warmup_epochs):
-            warmers = [MiniBatchKMeans(c) for c in init_centers]
-            for _ in range(warmup_epochs):
-                for _, points in source.projected_batches(projector):
-                    for warmer in warmers:
-                        warmer.partial_fit(points)
-            init_centers = [warmer.centers for warmer in warmers]
 
     refiners = [
         StreamingLloyd(c, n, config.kmeans_max_iter) for c in init_centers
@@ -371,7 +340,6 @@ def _run_passes(
         clustering=clustering,
         prominent=prominent,
         batch_intervals=config.batch_intervals,
-        warmup_epochs=warmup_epochs,
         featurize_sweeps=source.featurize_sweeps,
         replay_sweeps=source.replay_sweeps,
         spool_bytes=source.spool_bytes,

@@ -45,7 +45,6 @@ def save_streaming_result(result: StreamingCharacterization, path: PathLike) -> 
         "inertia": result.clustering.inertia,
         "n_iter": result.clustering.n_iter,
         "batch_intervals": result.batch_intervals,
-        "warmup_epochs": result.warmup_epochs,
         "featurize_sweeps": result.featurize_sweeps,
         "replay_sweeps": result.replay_sweeps,
         "spool_bytes": result.spool_bytes,
@@ -79,7 +78,6 @@ def load_streaming_result(path: PathLike) -> StreamingCharacterization:
         clustering=clustering,
         prominent=prominent,
         batch_intervals=int(meta["batch_intervals"]),
-        warmup_epochs=int(meta["warmup_epochs"]),
         # Pass-accounting fields postdate the schema; old artifacts
         # load with the zero defaults.
         featurize_sweeps=int(meta.get("featurize_sweeps", 0)),

@@ -19,9 +19,7 @@ from repro.mica import (
     batch_slices,
     characterize_interval,
     characterize_intervals,
-    fused_meters_enabled,
 )
-from repro.mica._dispatch import PER_INTERVAL_METERS_ENV, REFERENCE_METERS_ENV
 from repro.mica.fused import _characterize_fused
 
 from .test_properties import random_traces
@@ -114,21 +112,21 @@ def test_fused_ppm_key_overflow_falls_back(monkeypatch):
 
 
 def test_characterize_intervals_dispatch(monkeypatch):
+    # The interval-size threshold alone picks the engine; lowering it
+    # below every trace routes the same batch through the per-interval
+    # loop, with identical bits.
+    import repro.mica.fused as fused_mod
+
     traces = [_fixed_trace(seed, n=80 + seed) for seed in range(2)]
     expected = _per_interval(traces)
-
-    monkeypatch.delenv(PER_INTERVAL_METERS_ENV, raising=False)
-    monkeypatch.delenv(REFERENCE_METERS_ENV, raising=False)
-    assert fused_meters_enabled()
     np.testing.assert_array_equal(characterize_intervals(traces, CFG), expected)
 
-    monkeypatch.setenv(PER_INTERVAL_METERS_ENV, "1")
-    assert not fused_meters_enabled()
-    np.testing.assert_array_equal(characterize_intervals(traces, CFG), expected)
-
-    monkeypatch.delenv(PER_INTERVAL_METERS_ENV)
-    monkeypatch.setenv(REFERENCE_METERS_ENV, "1")
-    assert not fused_meters_enabled()
+    monkeypatch.setattr(fused_mod, "FUSED_MAX_INTERVAL_INSTRUCTIONS", 0)
+    monkeypatch.setattr(
+        fused_mod,
+        "_characterize_fused",
+        lambda traces, config: pytest.fail("fused pass above the threshold"),
+    )
     np.testing.assert_array_equal(characterize_intervals(traces, CFG), expected)
 
 

@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.config import AnalysisConfig
-from repro.mica import REFERENCE_METERS_ENV, characterize_interval, feature_names
+from repro.mica import (
+    characterize_interval,
+    feature_names,
+    measure_ilp_reference,
+    measure_ppm_reference,
+)
 from repro.suites import all_benchmarks
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_vectors.npz"
@@ -68,8 +73,22 @@ def test_golden_vectors_bit_identical(golden):
 
 
 def test_golden_vectors_match_reference_meters(golden, monkeypatch):
-    monkeypatch.setenv(REFERENCE_METERS_ENV, "1")
+    # Swap the sequential reference meters in where the per-interval
+    # path calls the ILP and PPM kernels.
+    calls = []
+
+    def ilp_reference(trace, *, sample_instructions, profile=None):
+        calls.append("ilp")
+        return measure_ilp_reference(trace, sample_instructions=sample_instructions)
+
+    def ppm_reference(pcs, outcomes):
+        calls.append("ppm")
+        return measure_ppm_reference(pcs, outcomes)
+
+    monkeypatch.setattr("repro.mica.meter.measure_ilp", ilp_reference)
+    monkeypatch.setattr("repro.mica.branch.measure_ppm", ppm_reference)
     got = _recompute(golden)
+    assert calls.count("ilp") == calls.count("ppm") == len(golden["labels"])
     assert np.array_equal(got, golden["vectors"])
 
 

@@ -1,9 +1,9 @@
 """Kernel/reference equivalence for the vectorized MICA meters.
 
-The grouped-scan PPM kernel and the fused ILP depth kernel must be
-*bit-identical* to the retained sequential reference implementations on
-arbitrary traces — that is the contract that keeps the kernel choice out
-of every cache key.  Hypothesis drives randomized traces through both
+The grouped-scan PPM kernel (``measure_ppm``) and the fused ILP depth
+kernel (``measure_ilp``) must be *bit-identical* to the retained
+sequential reference implementations, which serve as oracles, on
+arbitrary traces.  Hypothesis drives randomized traces through both
 paths; a few directed cases pin the edge conditions.
 """
 
@@ -12,20 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import OpClass
 from repro.mica import (
-    REFERENCE_METERS_ENV,
     IntervalProfile,
     match_producers,
     measure_ilp,
-    measure_ilp_kernel,
     measure_ilp_reference,
     measure_ppm,
-    measure_ppm_kernel,
     measure_ppm_reference,
     producer_indices_reference,
 )
-from tests.conftest import make_trace
 from tests.mica.test_properties import random_traces
 
 SETTINGS = dict(max_examples=25, deadline=None)
@@ -52,7 +47,7 @@ def branch_streams(draw, max_len=300):
 def test_ppm_kernel_matches_reference(stream):
     pcs, outcomes = stream
     ref = measure_ppm_reference(pcs, outcomes)
-    new = measure_ppm_kernel(pcs, outcomes)
+    new = measure_ppm(pcs, outcomes)
     assert set(ref) == set(new)
     for name in ref:
         assert ref[name] == new[name], name
@@ -62,7 +57,7 @@ def test_ppm_kernel_matches_reference(stream):
 @given(random_traces())
 def test_ilp_kernel_matches_reference(trace):
     ref = measure_ilp_reference(trace, sample_instructions=200)
-    new = measure_ilp_kernel(trace, sample_instructions=200)
+    new = measure_ilp(trace, sample_instructions=200)
     assert set(ref) == set(new)
     for name in ref:
         assert new[name] == pytest.approx(ref[name], abs=1e-12), name
@@ -73,7 +68,7 @@ def test_ilp_kernel_matches_reference(trace):
 def test_ilp_kernel_with_profile_matches_reference(trace):
     profile = IntervalProfile.from_trace(trace)
     ref = measure_ilp_reference(trace, sample_instructions=150)
-    new = measure_ilp_kernel(trace, sample_instructions=150, profile=profile)
+    new = measure_ilp(trace, sample_instructions=150, profile=profile)
     for name in ref:
         assert new[name] == pytest.approx(ref[name], abs=1e-12), name
 
@@ -102,7 +97,7 @@ def test_producer_prefix_property(trace):
 def test_ppm_empty_stream():
     empty = np.empty(0, dtype=np.int64)
     ref = measure_ppm_reference(empty, empty.astype(bool))
-    new = measure_ppm_kernel(empty, empty.astype(bool))
+    new = measure_ppm(empty, empty.astype(bool))
     assert ref == new
     assert all(v == 0.0 for v in new.values())
 
@@ -110,46 +105,11 @@ def test_ppm_empty_stream():
 def test_ppm_single_branch():
     pcs = np.array([0x4000], dtype=np.int64)
     outcomes = np.array([True])
-    assert measure_ppm_kernel(pcs, outcomes) == measure_ppm_reference(pcs, outcomes)
+    assert measure_ppm(pcs, outcomes) == measure_ppm_reference(pcs, outcomes)
 
 
 def test_ppm_length_mismatch_raises():
     with pytest.raises(ValueError):
-        measure_ppm_kernel(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=bool))
+        measure_ppm(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=bool))
     with pytest.raises(ValueError):
         measure_ppm_reference(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=bool))
-
-
-def test_reference_flag_routes_dispatch(monkeypatch):
-    calls = []
-
-    def spy_ref(pcs, outcomes):
-        calls.append("reference")
-        return measure_ppm_reference(pcs, outcomes)
-
-    monkeypatch.setattr("repro.mica.ppm.measure_ppm_reference", spy_ref)
-    pcs = np.array([0, 0, 4, 4], dtype=np.int64)
-    outcomes = np.array([True, False, True, True])
-    monkeypatch.setenv(REFERENCE_METERS_ENV, "1")
-    flagged = measure_ppm(pcs, outcomes)
-    assert calls == ["reference"]
-    monkeypatch.delenv(REFERENCE_METERS_ENV)
-    unflagged = measure_ppm(pcs, outcomes)
-    assert calls == ["reference"]  # kernel path did not re-enter the spy
-    assert flagged == unflagged
-
-
-def test_reference_flag_routes_ilp(monkeypatch):
-    trace = make_trace(
-        [
-            (OpClass.IADD, 1, 2, 3),
-            (OpClass.IADD, 3, 1, 4),
-            (OpClass.IMUL, 4, 3, 5),
-            (OpClass.IADD, 5, 5, 1),
-        ]
-    )
-    monkeypatch.setenv(REFERENCE_METERS_ENV, "1")
-    flagged = measure_ilp(trace, sample_instructions=4)
-    monkeypatch.delenv(REFERENCE_METERS_ENV)
-    unflagged = measure_ilp(trace, sample_instructions=4)
-    assert flagged == unflagged

@@ -7,6 +7,7 @@ with an active observation must be bit-identical to one without.
 
 import numpy as np
 
+import repro.stats.kmeans_engine as kmeans_engine
 from repro.config import AnalysisConfig
 from repro.core import build_dataset, run_characterization
 from repro.obs import missing_stages, observe
@@ -25,11 +26,12 @@ def _run(config, benchmarks, observed):
     return dataset, result, None
 
 
-def test_observed_run_is_bit_identical():
+def test_observed_run_is_bit_identical(monkeypatch):
     # Accelerated engine forced: the tiny clustering sits below the
-    # auto crossover, and the skipped-row gauge assertion at the end
+    # shape crossover, and the skipped-row gauge assertion at the end
     # needs the bound accounting the reference path does not collect.
-    config = AnalysisConfig.tiny().replace(kmeans_engine="accelerated")
+    monkeypatch.setattr(kmeans_engine, "AUTO_CROSSOVER_ENTRIES", 0)
+    config = AnalysisConfig.tiny()
     benchmarks = [b for b in all_benchmarks() if b.suite == "BMW"]
 
     dataset_off, result_off, _ = _run(config, benchmarks, observed=False)

@@ -3,30 +3,31 @@
 The triangle-inequality engine must be *bit-identical* to the reference
 Lloyd path — labels, centers, inertia, iteration count and the
 per-point assigned distances — for any input, including the
-empty-cluster reseeding path.  That contract is what keeps the engine
-choice (and ``REPRO_REFERENCE_KMEANS``) out of every cache key.
+empty-cluster reseeding path.  That contract is what keeps the
+shape-based engine choice out of every cache key.
 Hypothesis drives randomized point sets through both paths; directed
 cases pin the degenerate inputs and the reseeding order.
 """
 
+import sys
+from unittest import mock
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.stats.kmeans_engine as kmeans_engine
 from repro.stats import kmeans
 from repro.stats.kmeans import Clustering, _lloyd
 from repro.stats.kmeans_engine import (
     AUTO_CROSSOVER_ENTRIES,
-    REFERENCE_KMEANS_ENV,
     EngineStats,
     assign_points,
     assigned_sq_distances,
     farthest_rows,
     group_means,
     lloyd_accelerated,
-    reference_kmeans_enabled,
-    resolve_engine,
+    use_accelerated,
 )
 from repro.synth import generator
 
@@ -42,6 +43,18 @@ def assert_identical(ref, acc):
     assert r_inertia == a_inertia
     assert r_iter == a_iter
     np.testing.assert_array_equal(r_sq, a_sq)
+
+
+def kmeans_on(engine, *args, **kwargs):
+    """:func:`kmeans` with every restart forced onto one inner loop.
+
+    Moving the shape crossover to 0 (or above any ``n * k``) is the
+    only way to pick the engine, so the restart-level fits of both
+    engines can be compared through the full best-BIC reduction.
+    """
+    entries = 0 if engine == "accelerated" else sys.maxsize
+    with mock.patch.object(kmeans_engine, "AUTO_CROSSOVER_ENTRIES", entries):
+        return kmeans(*args, **kwargs)
 
 
 def run_both(points, k, seed=0, max_iter=50):
@@ -82,8 +95,8 @@ def test_engine_matches_reference(case):
 def test_engine_matches_reference_with_restarts(seed):
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(60, 4))
-    a = kmeans(points, 6, restarts=3, rng=generator("kme", seed), engine="accelerated")
-    b = kmeans(points, 6, restarts=3, rng=generator("kme", seed), engine="reference")
+    a = kmeans_on("accelerated", points, 6, restarts=3, rng=generator("kme", seed))
+    b = kmeans_on("reference", points, 6, restarts=3, rng=generator("kme", seed))
     np.testing.assert_array_equal(a.labels, b.labels)
     np.testing.assert_array_equal(a.centers, b.centers)
     assert a.bic == b.bic
@@ -247,68 +260,29 @@ def test_zero_drift_early_exit():
     assert ref[3] <= 3
 
 
-# -------------------------------------------------------------- dispatching
+# ---------------------------------------------------------------- selection
 
 
-def test_resolve_engine_explicit():
-    assert resolve_engine("accelerated") == "accelerated"
-    assert resolve_engine("reference") == "reference"
-    # Explicit choices ignore the shape entirely.
-    assert resolve_engine("accelerated", n=10, k=2) == "accelerated"
-    assert resolve_engine("reference", n=100_000, k=300) == "reference"
-    with pytest.raises(ValueError):
-        resolve_engine("fast")
-
-
-def test_resolve_engine_auto_honors_env(monkeypatch):
-    monkeypatch.delenv(REFERENCE_KMEANS_ENV, raising=False)
-    assert not reference_kmeans_enabled()
-    assert resolve_engine("auto") == "accelerated"
-    monkeypatch.setenv(REFERENCE_KMEANS_ENV, "1")
-    assert reference_kmeans_enabled()
-    assert resolve_engine("auto") == "reference"
-    # The environment also beats a shape above the crossover.
-    assert resolve_engine("auto", n=77_000, k=300) == "reference"
-    # An explicit choice wins over the environment.
-    assert resolve_engine("accelerated") == "accelerated"
-    monkeypatch.setenv(REFERENCE_KMEANS_ENV, "0")
-    assert not reference_kmeans_enabled()
-
-
-def test_resolve_engine_auto_adapts_to_shape(monkeypatch):
-    monkeypatch.delenv(REFERENCE_KMEANS_ENV, raising=False)
+def test_resolve_engine_auto_adapts_to_shape():
     # Small problems (the tiny preset's 308 x 8 clustering) stay on the
     # plain Lloyd — the bounds cannot amortize their bookkeeping.
-    assert resolve_engine("auto", n=308, k=8) == "reference"
+    assert not use_accelerated(308, 8)
     # The paper-scale clustering lands on the accelerated engine.
-    assert resolve_engine("auto", n=77_000, k=300) == "accelerated"
+    assert use_accelerated(77_000, 300)
     # The boundary itself: strictly-below stays reference.
-    assert resolve_engine("auto", n=AUTO_CROSSOVER_ENTRIES - 1, k=1) == "reference"
-    assert resolve_engine("auto", n=AUTO_CROSSOVER_ENTRIES, k=1) == "accelerated"
-    # Unknown shape keeps the old unconditional default.
-    assert resolve_engine("auto") == "accelerated"
-    assert resolve_engine("auto", n=500) == "accelerated"
+    assert not use_accelerated(AUTO_CROSSOVER_ENTRIES - 1, 1)
+    assert use_accelerated(AUTO_CROSSOVER_ENTRIES, 1)
 
 
 @given(point_sets())
 @settings(max_examples=15, deadline=None)
 def test_auto_bit_identical_to_selected_engine(case):
-    # Whatever ``auto`` selects, the fit is the one both engines agree
+    # Whatever the shape selects, the fit is the one both engines agree
     # on — so adaptive selection can never change a result.
     points, k, seed = case
     auto = kmeans(points, k, restarts=2, rng=generator("kme-auto", seed))
-    explicit = resolve_engine("auto", n=len(points), k=min(k, len(points)))
-    chosen = kmeans(
-        points, k, restarts=2, rng=generator("kme-auto", seed), engine=explicit
-    )
-    other = kmeans(
-        points,
-        k,
-        restarts=2,
-        rng=generator("kme-auto", seed),
-        engine="reference" if explicit == "accelerated" else "accelerated",
-    )
-    for fit in (chosen, other):
+    for engine in ("accelerated", "reference"):
+        fit = kmeans_on(engine, points, k, restarts=2, rng=generator("kme-auto", seed))
         np.testing.assert_array_equal(auto.labels, fit.labels)
         np.testing.assert_array_equal(auto.centers, fit.centers)
         assert auto.bic == fit.bic
@@ -316,32 +290,14 @@ def test_auto_bit_identical_to_selected_engine(case):
         assert auto.n_iter == fit.n_iter
 
 
-def test_kmeans_env_flag_routes_reference(monkeypatch):
-    rng = np.random.default_rng(8)
-    points = rng.normal(size=(40, 3))
-    monkeypatch.setenv(REFERENCE_KMEANS_ENV, "1")
-    via_env = kmeans(points, 4, rng=generator("kme-env", 1))
-    monkeypatch.delenv(REFERENCE_KMEANS_ENV)
-    default = kmeans(points, 4, rng=generator("kme-env", 1))
-    np.testing.assert_array_equal(via_env.labels, default.labels)
-    np.testing.assert_array_equal(via_env.centers, default.centers)
-    assert via_env.bic == default.bic
-
-
-def test_kmeans_collects_engine_stats():
+def test_kmeans_collects_engine_stats(monkeypatch):
     rng = np.random.default_rng(9)
     points = rng.normal(size=(60, 2))
     stats = EngineStats()
-    # Force the accelerated engine: at this size ``auto`` would pick
-    # the reference path, which collects no bound accounting.
-    kmeans(
-        points,
-        5,
-        restarts=3,
-        rng=generator("kme-st", 1),
-        engine="accelerated",
-        engine_stats=stats,
-    )
+    # Force the accelerated engine: at this size the shape picks the
+    # reference path, which collects no bound accounting.
+    monkeypatch.setattr(kmeans_engine, "AUTO_CROSSOVER_ENTRIES", 0)
+    kmeans(points, 5, restarts=3, rng=generator("kme-st", 1), engine_stats=stats)
     assert stats.runs == 3
     assert stats.point_rows_total > 0
 

@@ -1,4 +1,4 @@
-"""Tests for batch-at-a-time k-means: mini-batch, streaming Lloyd, scoring."""
+"""Tests for batch-at-a-time k-means: streaming Lloyd, scoring, streamed BIC."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.stats import (
     Clustering,
     FrozenScorer,
-    MiniBatchKMeans,
     StreamingLloyd,
     bic_from_stats,
     kmeans_bic,
@@ -47,46 +46,6 @@ def test_bic_matches_exact_formula(blobs):
 
 def test_bic_degenerate_n_le_k():
     assert bic_from_stats(3, 2, 1.0, np.array([1, 1, 1])) == float("-inf")
-
-
-# --- MiniBatchKMeans -------------------------------------------------------
-
-
-def test_minibatch_recovers_blobs(blobs):
-    mb = MiniBatchKMeans(_init(blobs, 4, 14))  # init with one row per blob
-    order = np.random.default_rng(5).permutation(len(blobs))  # i.i.d. stream
-    for _ in range(5):
-        for batch in _batches(blobs[order], 32):
-            mb.partial_fit(batch)
-    truth = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0], [8.0, 8.0]])
-    for t in truth:
-        assert np.min(np.linalg.norm(mb.centers - t, axis=1)) < 1.0
-
-
-def test_minibatch_counts_accumulate(blobs):
-    mb = MiniBatchKMeans(_init(blobs, 4, 2))
-    for batch in _batches(blobs, 16):
-        mb.partial_fit(batch)
-    assert mb.counts.sum() == len(blobs)
-    assert mb.n_updates == len(range(0, len(blobs), 16))
-
-
-def test_minibatch_dead_cluster_reseeded(blobs):
-    # A center far from every point attracts nothing and gets re-seeded
-    # from the batch's farthest rows.
-    init = np.vstack([_init(blobs, 3, 3), [[1e6, 1e6]]])
-    mb = MiniBatchKMeans(init)
-    mb.partial_fit(blobs[:64])
-    assert np.linalg.norm(mb.centers[3]) < 1e3
-
-
-def test_minibatch_rejects_bad_input(blobs):
-    with pytest.raises(ValueError):
-        MiniBatchKMeans(np.empty((0, 2)))
-    mb = MiniBatchKMeans(_init(blobs, 2, 4))
-    with pytest.raises(ValueError):
-        mb.partial_fit(np.zeros((3, 5)))
-    assert mb.partial_fit(np.empty((0, 2))) is mb  # no-op
 
 
 # --- StreamingLloyd --------------------------------------------------------

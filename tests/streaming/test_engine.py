@@ -16,10 +16,7 @@ from repro.analysis import StreamingDriftMonitor
 from repro.config import AnalysisConfig
 from repro.core import build_dataset
 from repro.core.pipeline import run_characterization
-from repro.streaming import (
-    STREAMING_WARMUP_EPOCHS,
-    run_streaming_characterization,
-)
+from repro.streaming import run_streaming_characterization
 from repro.suites import SUITE_INT2000, get_suite
 
 
@@ -110,12 +107,6 @@ def test_prominent_selection_matches_exact(exact, streamed):
     )
 
 
-def test_default_warmup_is_zero(streamed):
-    assert STREAMING_WARMUP_EPOCHS == 0
-    assert streamed.warmup_epochs == 0
-    assert streamed.batch_intervals == 7
-
-
 def test_batch_size_does_not_change_labels(cfg, benches, streamed):
     other = run_streaming_characterization(
         benches, cfg.replace(batch_intervals=31)
@@ -134,14 +125,3 @@ def test_drift_monitor_sees_every_row(cfg, benches):
     centroid = monitor.centroid("SPECint2000", benches[0].name)
     assert centroid.shape == (result.n_components,)
     assert all(v is None for v in monitor.drift().values())
-
-
-def test_warmup_epochs_validated(cfg, benches):
-    with pytest.raises(ValueError):
-        run_streaming_characterization(benches, cfg, warmup_epochs=-1)
-
-
-def test_warmup_path_runs(cfg, benches):
-    result = run_streaming_characterization(benches[:2], cfg, warmup_epochs=1)
-    assert result.warmup_epochs == 1
-    assert len(np.unique(result.clustering.labels)) >= 1

@@ -39,7 +39,6 @@ def test_round_trip(result, tmp_path):
     assert loaded.n_components == result.n_components
     assert loaded.explained_variance == result.explained_variance
     assert loaded.batch_intervals == result.batch_intervals
-    assert loaded.warmup_epochs == result.warmup_epochs
     assert loaded.featurize_sweeps == result.featurize_sweeps
     assert loaded.replay_sweeps == result.replay_sweeps
     assert loaded.spool_bytes == result.spool_bytes
@@ -68,6 +67,22 @@ def test_loads_pre_spool_artifacts(result, tmp_path):
     assert loaded.featurize_sweeps == 0
     assert loaded.replay_sweeps == 0
     assert loaded.spool_bytes == 0
+
+
+def test_loads_artifacts_with_warmup_epochs(result, tmp_path):
+    # Artifacts from before the mini-batch warmup was retired carry a
+    # ``warmup_epochs`` meta key; it is ignored on load.
+    from repro.io.artifacts import write_artifact
+
+    path = tmp_path / "old.npz"
+    save_streaming_result(result, path)
+    arrays, meta = read_artifact(path, schema=STREAMING_SCHEMA)
+    assert "warmup_epochs" not in meta
+    meta["warmup_epochs"] = 0
+    write_artifact(path, arrays, schema=STREAMING_SCHEMA, meta=meta)
+    loaded = load_streaming_result(path)
+    np.testing.assert_array_equal(loaded.clustering.labels, result.clustering.labels)
+    assert loaded.batch_intervals == result.batch_intervals
 
 
 def test_schema_tagged(result, tmp_path):

@@ -130,7 +130,7 @@ def test_without_spool_every_pass_featurizes(cfg, benches, monkeypatch):
 
 def test_scoring_and_drift_share_one_sweep(cfg, benches):
     # Satellite pin: the drift monitor rides the scoring sweep; feeding
-    # it fully costs zero extra passes (sweeps == 2 + warmup + refine).
+    # it fully costs zero extra passes (sweeps == 2 + refine).
     monitor = StreamingDriftMonitor()
     with observe() as ob:
         result = run_streaming_characterization(
@@ -138,7 +138,7 @@ def test_scoring_and_drift_share_one_sweep(cfg, benches):
         )
     passes = ob.metrics.gauge_value("streaming.refine_passes")
     assert passes >= 1
-    assert result.featurize_sweeps == 2 + result.warmup_epochs + passes
+    assert result.featurize_sweeps == 2 + passes
     assert monitor.n_rows == len(result)
 
 

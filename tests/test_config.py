@@ -57,17 +57,31 @@ def test_cache_key_sensitive_to_seed():
     assert a.cache_key() != b.cache_key()
 
 
-def test_kmeans_engine_validated():
-    assert AnalysisConfig(kmeans_engine="reference").kmeans_engine == "reference"
-    assert AnalysisConfig(kmeans_engine="accelerated").kmeans_engine == "accelerated"
-    with pytest.raises(ValueError):
-        AnalysisConfig(kmeans_engine="fast")
-
-
 def test_execution_knobs_excluded_from_full_key():
     base = AnalysisConfig.tiny()
-    assert base.full_key() == base.replace(kmeans_engine="reference").full_key()
+    assert base.full_key() == base.replace(parallel_backend="thread").full_key()
     assert base.full_key() == base.replace(n_jobs=4).full_key()
+
+
+#: Keys of the shipped presets, pinned so that adding or removing a
+#: config field never silently re-keys caches or service jobs:
+#: (featurization_key, cache_key, full_key, streaming full_key).
+PRESET_KEYS = {
+    "paper": ("658f7106c9b48813", "8af55aebd11a2172", "89d81047990c39c1", "1031bc859caa955b"),
+    "small": ("dd2bfffecd6e6456", "95304307cba30310", "1d0155b7cf319b23", "659bb4ea5de6ea4c"),
+    "tiny": ("8ea73473e268587a", "88cb6f5dcca2bf84", "382159e812001f87", "b47cc1b5466e2295"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_KEYS))
+def test_preset_keys_pinned(preset):
+    config = getattr(AnalysisConfig, preset)()
+    assert (
+        config.featurization_key(),
+        config.cache_key(),
+        config.full_key(),
+        config.replace(streaming=True).full_key(),
+    ) == PRESET_KEYS[preset]
 
 
 def test_streaming_knobs_validated():
