@@ -7,9 +7,10 @@ selection — twice over the same benchmarks:
 * **optimized**: the defaults — fused whole-trace metering
   (:mod:`repro.mica.fused`) and shape-adaptive k-means engine
   selection (:func:`repro.stats.kmeans_engine.use_accelerated`);
-* **baseline**: the per-interval meters and reference Lloyd, forced by
-  patching the two engine thresholds for the run
-  (:func:`baseline_engines`).
+* **baseline**: the per-interval meters and reference Lloyd, forced for
+  the run by swapping the dataset builder's featurizer for a loop over
+  :func:`~repro.mica.characterize_interval` and lifting the k-means
+  crossover (:func:`baseline_engines`).
 
 Both runs must be bit-identical (features, PCA space, labels, BIC);
 the ratio of their wall clocks is the pipeline's whole-trace payoff.
@@ -17,9 +18,9 @@ the ratio of their wall clocks is the pipeline's whole-trace payoff.
 The preset (``REPRO_BENCH_PRESET``) sets the scale.  ``paper`` is the
 paper clustering shape at 500-instruction intervals — 77 benchmarks x
 1,000 sampled intervals, k = 300 — where both optimizations are in
-their winning regime.  It is *not* ``AnalysisConfig.paper()``, whose
-10,000-instruction intervals take the per-interval meters on both
-paths; ``perfbench``'s ``paper-cold`` workload measures that preset.
+their winning regime.  It is *not* ``AnalysisConfig.paper()`` (10,000-
+instruction intervals); ``perfbench``'s ``paper-cold`` workload
+measures that preset.
 ``tiny`` is the CI gate scale: the whole run takes
 seconds, the clustering (308 x 8) sits below the engine crossover on
 *both* paths, and the measured ratio isolates fused-vs-per-interval
@@ -44,11 +45,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-import repro.mica.fused as fused
+import repro.core.dataset as dataset
 import repro.stats.kmeans_engine as kmeans_engine
 from repro.config import AnalysisConfig
 from repro.core import build_dataset, run_characterization
 from repro.io import format_table
+from repro.mica import characterize_interval
 from repro.obs import emit_bench
 from repro.suites import all_benchmarks
 
@@ -106,17 +108,21 @@ SCALE_LABEL = {
 def baseline_engines():
     """Force the per-interval meters and reference Lloyd, then restore.
 
-    A fused-pass ceiling of 0 instructions sends every interval down
-    the per-interval loop, and a k-means crossover above any ``n * k``
-    keeps every clustering on reference Lloyd.
+    The dataset builder featurizes through a loop over the per-interval
+    meter instead of the fused pass, and a k-means crossover above any
+    ``n * k`` keeps every clustering on reference Lloyd.
     """
-    saved = fused.FUSED_MAX_INTERVAL_INSTRUCTIONS, kmeans_engine.AUTO_CROSSOVER_ENTRIES
-    fused.FUSED_MAX_INTERVAL_INSTRUCTIONS = 0
+
+    def per_interval(traces, config):
+        return np.vstack([characterize_interval(t, config) for t in traces])
+
+    saved = dataset.characterize_intervals, kmeans_engine.AUTO_CROSSOVER_ENTRIES
+    dataset.characterize_intervals = per_interval
     kmeans_engine.AUTO_CROSSOVER_ENTRIES = sys.maxsize
     try:
         yield
     finally:
-        fused.FUSED_MAX_INTERVAL_INSTRUCTIONS, kmeans_engine.AUTO_CROSSOVER_ENTRIES = saved
+        dataset.characterize_intervals, kmeans_engine.AUTO_CROSSOVER_ENTRIES = saved
 
 
 def _run_pipeline(benchmarks, config):

@@ -4,9 +4,14 @@ Times each meter over one interval per suite at the preset's interval
 size, reports instructions/second, and measures the kernel-vs-reference
 speedups for the two rewritten meters (grouped-scan PPM, single-sweep
 ILP) plus the shared :class:`IntervalProfile` build that amortizes
-producer matching across meters.  A second experiment measures the
-feature-block cache hit path: a warm ``build_dataset`` re-run must be
-dominated by block loads, not featurization.
+producer matching across meters.  It also times the production fused
+pass against the per-interval meter on a fixed batch of real intervals
+at each shipped interval size (500, 4,000 and 10,000 instructions,
+whatever the preset) and fails unless the fused pass is at least as
+fast at every size — the check that keeps one MICA path.  A second
+experiment measures the feature-block cache hit path: a warm
+``build_dataset`` re-run must be dominated by block loads, not
+featurization.
 
 Each experiment writes a table under ``benchmarks/output`` and emits one
 ``BENCH {json}`` line (and ``meter_throughput.json``) so the numbers are
@@ -33,6 +38,9 @@ from repro.io import FeatureBlockCache, format_table
 from repro.isa import OpClass
 from repro.mica import (
     IntervalProfile,
+    batch_slices,
+    characterize_interval,
+    characterize_intervals,
     measure_branch,
     measure_footprint,
     measure_ilp,
@@ -48,6 +56,17 @@ from repro.suites import all_benchmarks
 
 #: Timing repeats; the minimum total is reported.
 REPEATS = 3
+
+#: Shipped interval size -> the preset that ships it (its ILP/PPM
+#: subsample sizes), for the fused-vs-per-interval experiment.
+FUSED_SIZES = {
+    500: AnalysisConfig.tiny(),
+    4_000: AnalysisConfig.small(),
+    10_000: AnalysisConfig.paper(),
+}
+
+#: Instructions per size in that experiment's fixed interval batch.
+FUSED_BATCH_TOTAL = 240_000
 
 
 def _timed_best(fn, repeats=REPEATS):
@@ -70,6 +89,52 @@ def _suite_traces(config: AnalysisConfig):
         seen.add(bench.suite)
         traces.append(bench.program.interval_trace(0, config.interval_instructions))
     return traces
+
+
+def _round_robin_traces(count: int, interval_instructions: int):
+    """``count`` real intervals: interval 0 of every benchmark, then 1, ..."""
+    benches = all_benchmarks()
+    traces = []
+    index = 0
+    while len(traces) < count:
+        for bench in benches:
+            if index < bench.program.n_intervals and len(traces) < count:
+                traces.append(
+                    bench.program.interval_trace(index, interval_instructions)
+                )
+        index += 1
+    return traces
+
+
+def fused_vs_per_interval():
+    """Fused pass vs per-interval meter at every shipped interval size.
+
+    Each size measures the same fixed batch both ways — the fused pass
+    in the dataset builder's :func:`batch_slices` batches — checks the
+    matrices bit-identical, and reports per-interval over fused time.
+    """
+    results = {}
+    for size, config in FUSED_SIZES.items():
+        traces = _round_robin_traces(FUSED_BATCH_TOTAL // size, size)
+        per, per_s = _timed_best(
+            lambda: np.vstack([characterize_interval(t, config) for t in traces])
+        )
+        fused, fused_s = _timed_best(
+            lambda: np.vstack(
+                [
+                    characterize_intervals(traces[batch], config)
+                    for batch in batch_slices(len(traces), size)
+                ]
+            )
+        )
+        assert np.array_equal(per, fused)
+        results[size] = {
+            "intervals": len(traces),
+            "per_interval_seconds": round(per_s, 6),
+            "fused_seconds": round(fused_s, 6),
+            "speedup": round(per_s / fused_s, 2),
+        }
+    return results
 
 
 def _branch_streams(traces, config: AnalysisConfig):
@@ -139,6 +204,7 @@ def bench_meter_throughput(config, report):
     }
     ppm_speedup = ppm_ref_s / ppm_s
     ilp_speedup = ilp_ref_s / ilp_s
+    fused = fused_vs_per_interval()
 
     rows = [
         [name, f"{seconds * 1e3:.2f}", f"{total_instructions / seconds / 1e6:.1f}"]
@@ -149,6 +215,19 @@ def bench_meter_throughput(config, report):
         f"\n{len(traces)} intervals x {config.interval_instructions} instructions, "
         f"best of {REPEATS}; ppm speedup {ppm_speedup:.2f}x, "
         f"ilp speedup {ilp_speedup:.2f}x (profile-amortized)\n"
+    )
+    text += format_table(
+        ["interval instr", "intervals", "per-interval ms", "fused ms", "fused speedup"],
+        [
+            [
+                str(size),
+                str(r["intervals"]),
+                f"{r['per_interval_seconds'] * 1e3:.1f}",
+                f"{r['fused_seconds'] * 1e3:.1f}",
+                f"{r['speedup']:.2f}x",
+            ]
+            for size, r in fused.items()
+        ],
     )
     report("meter_throughput.txt", text)
     print("\n" + text)
@@ -163,8 +242,17 @@ def bench_meter_throughput(config, report):
         },
         "ppm_speedup": round(ppm_speedup, 2),
         "ilp_speedup": round(ilp_speedup, 2),
+        "fused_vs_per_interval": {str(size): r for size, r in fused.items()},
     }
     emit_bench("meter_throughput", payload, report=report)
+
+    # Ungated by REPRO_BENCH_REQUIRE_SPEEDUP: the fused pass is the only
+    # production path, so it must never lose at a shipped size.
+    for size, r in fused.items():
+        assert r["speedup"] >= 1.0, (
+            f"fused pass {r['speedup']:.2f}x the per-interval meter "
+            f"at {size}-instruction intervals"
+        )
 
     if os.environ.get("REPRO_BENCH_REQUIRE_SPEEDUP"):
         assert ppm_speedup >= 5.0, f"ppm kernel speedup {ppm_speedup:.2f}x < 5x"

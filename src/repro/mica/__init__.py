@@ -27,7 +27,6 @@ from .features import (
 from .footprint import measure_footprint
 from .fused import (
     FUSED_BATCH_INSTRUCTIONS,
-    FUSED_MAX_INTERVAL_INSTRUCTIONS,
     batch_slices,
     characterize_intervals,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "DEP_DISTANCE_BUCKETS",
     "FEATURES",
     "FUSED_BATCH_INSTRUCTIONS",
-    "FUSED_MAX_INTERVAL_INSTRUCTIONS",
     "FEATURE_CATEGORY",
     "FEATURE_INDEX",
     "Feature",

@@ -23,12 +23,9 @@ bit (pinned by ``tests/mica/test_fused.py``: hypothesis equivalence on
 random interval batches plus the frozen golden vectors).  Per-interval
 semantics are preserved by construction:
 
-* *Producer matching* runs once over the whole trace; a producer that
-  falls before its reader's interval start is re-marked absent
-  (``-1``), which is exactly what matching within the interval would
-  have found (the whole-trace match is the latest earlier write — if
-  that write precedes the interval, the interval contains no earlier
-  write at all).
+* *Producer matching* runs once over the whole trace with the interval
+  id in every sort key, so a read only ever matches an earlier write of
+  its own interval — exactly what matching within the interval finds.
 * *Difference streams* (global strides, local strides, branch
   transitions) mask out pairs that straddle an interval boundary.
 * *Branch histories* (global and per-address) zero every history bit
@@ -41,10 +38,9 @@ semantics are preserved by construction:
   integers by the same integers the per-interval meters divide, so the
   resulting floats are identical — not merely close.
 
-Dispatch: :func:`characterize_intervals` uses the fused pass for
-intervals up to :data:`FUSED_MAX_INTERVAL_INSTRUCTIONS` and the
-per-interval path above it; the choice rests on interval size alone
-and participates in no cache key.
+This is the only production MICA path, at every interval size;
+:func:`~repro.mica.meter.characterize_interval` and the per-interval
+kernels stay as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -61,14 +57,16 @@ from ..obs import active as obs_active
 from ..obs import metrics
 from .features import FEATURE_INDEX, N_FEATURES
 from .ilp import WINDOW_SIZES
-from .meter import characterize_interval
 from .ppm import (
+    ORGANIZATIONS,
     REPORTED_LENGTHS,
-    TRACKED_LENGTHS,
-    _COUNTER_MAX,
     _HISTORY_BITS,
     _LENGTH_BITS,
+    _event_bits,
+    context_keys,
+    local_histories,
     measure_ppm,
+    ppm_misses,
 )
 from .profile import match_producers
 from .register_traffic import DEP_DISTANCE_BUCKETS
@@ -76,27 +74,16 @@ from .strides import GLOBAL_BUCKETS, LOCAL_BUCKETS
 
 #: Soft cap on the instructions concatenated into one fused batch; the
 #: dataset builder slices its interval picks into batches of at most
-#: this many instructions so the concatenated working set stays inside
-#: the cache while the numpy dispatch still amortizes over hundreds of
-#: intervals.  Measured sweep on real 500-instruction traces
-#: (800 intervals, best of 3): 62.5k/125k/250k batches run the fused
-#: pass 3.0-3.1x faster than per-interval, 500k-2M only 2.1x — big
-#: batches stack ~32 MB of ILP window arrays and make the global
-#: Jacobi fixpoint iterate to the max critical path across thousands
-#: of intervals.  125k also wins at 2000- and 4000-instruction
-#: intervals (1.4x vs 0.9-1.3x at 2M).
-FUSED_BATCH_INSTRUCTIONS = 125_000
-
-#: Interval size above which :func:`characterize_intervals` prefers the
-#: per-interval loop.  Measured crossover (see
-#: ``benchmarks/bench_meter_throughput.py``): at 500-instruction
-#: intervals the fused pass is ~2.6x faster (per-interval numpy
-#: dispatch dominates), at ~4000 the two break even, and at
-#: 10k-instruction intervals the per-interval path wins (its ILP/PPM
-#: subsample caps shrink its big-array work while the fused pass still
-#: sorts the full concatenation).  Both paths are bit-identical, so
-#: the choice never participates in cache keys.
-FUSED_MAX_INTERVAL_INSTRUCTIONS = 4_000
+#: this many instructions.  Measured on real intervals (1.5M
+#: instructions per size, best of 3, 2-vCPU Xeon; repeat sweeps moved
+#: by up to ~20%), fused over per-interval CPU time at 20k/30k/50k/
+#: 60k/125k batches: 5.3/6.6/6.8/6.7/4.4x at 500-instruction intervals,
+#: 1.5/1.5/1.4/1.7/1.6x at 4,000 and 1.2/1.3/1.3/1.1/1.3x at 10,000.
+#: 50k is best or within noise at every size, holds one small-preset
+#: benchmark (12 x 4,000) per batch, and keeps a batch's temporaries
+#: near 8 MB (16-22 MB at 125k, which shows in the paper preset's
+#: peak RSS).
+FUSED_BATCH_INSTRUCTIONS = 50_000
 
 
 def batch_slices(n_intervals: int, interval_instructions: int) -> List[slice]:
@@ -126,28 +113,20 @@ def characterize_intervals(
             be non-empty).
         config: supplies the ILP/PPM subsample sizes.
 
-    The fused pass runs when it is the faster engine for the batch —
-    interval sizes up to :data:`FUSED_MAX_INTERVAL_INSTRUCTIONS`.  Both
-    paths produce identical bits, so the selection is invisible to
-    results.
-
     Returns:
         A ``(len(traces), 69)`` float64 matrix whose row ``i`` is
         bit-identical to ``characterize_interval(traces[i], config)``.
     """
     if len(traces) == 0:
         return np.empty((0, N_FEATURES), dtype=np.float64)
-    if max(len(t) for t in traces) > FUSED_MAX_INTERVAL_INSTRUCTIONS:
-        return np.vstack([characterize_interval(t, config) for t in traces])
     return _characterize_fused(traces, config)
 
 
 class _SectionTimer:
     """Accumulates per-meter wall time into the shared meter counters.
 
-    Uses the same ``mica.meter.<name>.seconds`` keys the per-interval
-    timed path uses, so fused and per-interval runs are comparable in a
-    run report.  Inert (no clock reads) when no observation is active.
+    Keys are ``mica.meter.<name>.seconds``, one per meter.  Inert (no
+    clock reads) when no observation is active.
     """
 
     def __init__(self, n_intervals: int) -> None:
@@ -186,9 +165,7 @@ def _characterize_fused(
     columns: Dict[str, np.ndarray] = {}
     timer = _SectionTimer(m)
 
-    # Shared whole-trace facts (the IntervalProfile analog).  The
-    # producer match runs once over the concatenation; clamping against
-    # each reader's interval start restores per-interval semantics.
+    # Shared whole-trace facts (the IntervalProfile analog).
     op = trace.op
     mem_mask = is_memory_op(op)
     branch_mask = op == OpClass.BRANCH
@@ -201,17 +178,14 @@ def _characterize_fused(
     timer.lap("instruction_mix")
 
     # --- ILP (leading subsample per interval) ------------------------
-    p1, p2 = match_producers(trace)
-    clamp = starts[iv]
-    p1 = np.where(p1 >= clamp, p1, np.int64(-1))
-    p2 = np.where(p2 >= clamp, p2, np.int64(-1))
+    p1, p2 = match_producers(trace, iv)
     _ilp_columns(
-        columns, p1, p2, iv, starts, lengths, config.ilp_sample_instructions
+        columns, p1, p2, starts, lengths, config.ilp_sample_instructions
     )
     timer.lap("ilp")
 
     # --- register traffic --------------------------------------------
-    _register_columns(columns, trace, p1, p2, iv, lengths, m)
+    _register_columns(columns, trace, p1, p2, iv, starts, lengths)
     timer.lap("register_traffic")
 
     # --- memory footprint --------------------------------------------
@@ -313,7 +287,6 @@ def _ilp_columns(
     columns: Dict[str, np.ndarray],
     p1: np.ndarray,
     p2: np.ndarray,
-    iv: np.ndarray,
     starts: np.ndarray,
     lengths: np.ndarray,
     sample_instructions: int,
@@ -330,47 +303,43 @@ def _ilp_columns(
     """
     m = len(lengths)
     s = np.minimum(lengths, sample_instructions)
-    total = int(lengths.sum())
-    rel = np.arange(total, dtype=np.int64) - starts[iv]
-    sel = rel < s[iv]
-    iv_s = iv[sel]
-    rel_s = rel[sel]
-    S = len(rel_s)
     sbase = np.zeros(m, dtype=np.int64)
     np.cumsum(s[:-1], out=sbase[1:])
+    S = int(s.sum())
+    iv_s = np.repeat(np.arange(m, dtype=np.int64), s)
+    start_s = starts[iv_s]
+    rel_s = np.arange(S, dtype=np.int64) - sbase[iv_s]
+    sample = start_s + rel_s
     # Producer positions relative to the interval; -1 (absent) maps to
     # any negative value and is caught by the in-block test below.
-    r1 = p1[sel] - starts[iv_s]
-    r2 = p2[sel] - starts[iv_s]
+    r1 = p1[sample] - start_s
+    r2 = p2[sample] - start_s
     windows = WINDOW_SIZES
     n_windows = len(windows)
     sentinel = n_windows * S
-    flat_p1 = np.empty(n_windows * S, dtype=np.int64)
-    flat_p2 = np.empty(n_windows * S, dtype=np.int64)
+    flat = np.empty((2, n_windows * S), dtype=np.int64)
     slot_base = sbase[iv_s]
     for row, w in enumerate(windows):
         block_start = (rel_s // w) * w
         base = row * S
-        flat_p1[base:base + S] = np.where(
-            r1 >= block_start, base + slot_base + r1, sentinel
-        )
-        flat_p2[base:base + S] = np.where(
-            r2 >= block_start, base + slot_base + r2, sentinel
-        )
-    depth = np.ones(sentinel + 1, dtype=np.int32)
+        for slot, r in enumerate((r1, r2)):
+            flat[slot, base:base + S] = np.where(
+                r >= block_start, base + slot_base + r, sentinel
+            )
+    # Depths are at most the largest window, so int16; one take gathers
+    # both producers, and the two depth buffers swap each sweep.
+    depth = np.ones(sentinel + 1, dtype=np.int16)
     depth[sentinel] = 0
-    live = depth[:sentinel]
-    gather1 = np.empty(sentinel, dtype=np.int32)
-    gather2 = np.empty(sentinel, dtype=np.int32)
+    nxt = depth.copy()
+    gathered = np.empty((2, sentinel), dtype=np.int16)
     while True:
-        depth.take(flat_p1, out=gather1, mode="clip")
-        depth.take(flat_p2, out=gather2, mode="clip")
-        np.maximum(gather1, gather2, out=gather1)
-        gather1 += 1
-        if np.array_equal(gather1, live):
+        depth.take(flat, out=gathered, mode="clip")
+        np.maximum(gathered[0], gathered[1], out=nxt[:sentinel])
+        nxt[:sentinel] += 1
+        if np.array_equal(nxt, depth):
             break
-        live[:] = gather1
-    per_window = live.reshape(n_windows, S)
+        depth, nxt = nxt, depth
+    per_window = depth[:sentinel].reshape(n_windows, S)
     for row, w in enumerate(windows):
         nb = -(-s // w)  # ceil-div: blocks per interval
         cum = np.zeros(m, dtype=np.int64)
@@ -392,48 +361,49 @@ def _register_columns(
     p1: np.ndarray,
     p2: np.ndarray,
     iv: np.ndarray,
+    starts: np.ndarray,
     lengths: np.ndarray,
-    m: int,
 ) -> None:
-    n_inputs = np.bincount(iv[trace.src1 != NO_REG], minlength=m) + np.bincount(
-        iv[trace.src2 != NO_REG], minlength=m
+    # Per-interval operand counts are segment sums over the interval
+    # starts (every interval is non-empty) — no gather per interval.
+    def per_interval(flags: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(flags, starts, dtype=np.int64)
+
+    m = len(lengths)
+    n_inputs = per_interval(trace.src1 != NO_REG) + per_interval(
+        trace.src2 != NO_REG
     )
-    n_writes = np.bincount(iv[trace.dst != NO_REG], minlength=m)
+    n_writes = per_interval(trace.dst != NO_REG)
+    # One (interval, clipped distance) histogram per source slot: bin 0
+    # collects the unmatched reads (distances are >= 1, producers
+    # strictly precede readers), anything past the last bucket clips to
+    # one overflow bin, and count(1 <= d <= b) for every bucket reads
+    # straight out of the cumulative histogram.  Exact integer counts.
+    top = DEP_DISTANCE_BUCKETS[-1] + 1
+    offsets = iv * (top + 1)
     positions = np.arange(len(iv), dtype=np.int64)
-    d_parts = []
-    iv_parts = []
+    hist = np.zeros(m * (top + 1), dtype=np.int64)
     for p in (p1, p2):
-        matched = p >= 0
-        if matched.any():
-            d_parts.append(positions[matched] - p[matched])
-            iv_parts.append(iv[matched])
-    if d_parts:
-        distances = np.concatenate(d_parts)
-        iv_matched = np.concatenate(iv_parts)
-    else:
-        distances = np.empty(0, dtype=np.int64)
-        iv_matched = np.empty(0, dtype=np.int64)
-    n_matched = np.bincount(iv_matched, minlength=m)
+        bins = positions - p
+        np.minimum(bins, top, out=bins)
+        bins *= p >= 0
+        bins += offsets
+        hist += np.bincount(bins, minlength=m * (top + 1))
+    hist = hist.reshape(m, top + 1)
+    hist[:, 0] = 0
+    cum = np.cumsum(hist, axis=1)
+    n_matched = cum[:, -1]
     columns["reg_avg_input_operands"] = n_inputs / lengths
     degree = np.zeros(m, dtype=np.float64)
     np.divide(n_matched, n_writes, out=degree, where=n_writes > 0)
     columns["reg_avg_degree_use"] = degree
-    # One (interval, clipped distance) histogram + cumsum instead of one
-    # masked bincount per bucket: count(d <= b) for every bucket b <= 64
-    # reads straight out of the cumulative histogram, and the counts are
-    # exact integers either way.  Distances are >= 1 (producers strictly
-    # precede readers); anything past the last bucket clips to one
-    # overflow bin.
-    top = DEP_DISTANCE_BUCKETS[-1] + 1
-    clipped = np.minimum(distances, np.int64(top))
-    hist = np.bincount(
-        iv_matched * (top + 1) + clipped, minlength=m * (top + 1)
-    ).reshape(m, top + 1)
-    cum = np.cumsum(hist, axis=1)
-    for bucket in DEP_DISTANCE_BUCKETS:
-        frac = np.zeros(m, dtype=np.float64)
-        np.divide(cum[:, bucket], n_matched, out=frac, where=n_matched > 0)
-        columns[f"reg_dep_le{bucket}"] = frac
+    _fraction_columns(
+        columns,
+        "reg_dep",
+        DEP_DISTANCE_BUCKETS,
+        cum[:, list(DEP_DISTANCE_BUCKETS)],
+        n_matched,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -552,12 +522,31 @@ def _cumulative_columns(
     strides: np.ndarray,
     m: int,
 ) -> None:
-    totals = np.bincount(stride_iv, minlength=m)
-    for b in buckets:
-        count = np.bincount(stride_iv[strides <= b], minlength=m)
-        frac = np.zeros(m, dtype=np.float64)
-        np.divide(count, totals, out=frac, where=totals > 0)
-        columns[f"{prefix}_le{b}"] = frac
+    # One (interval, bucket) histogram instead of a masked bincount per
+    # bucket: searchsorted gives each stride the first bucket that holds
+    # it (len(buckets) past the last), so the row-wise cumulative counts
+    # are count(stride <= b) for every bucket — exact integers.
+    width = len(buckets) + 1
+    bins = np.searchsorted(np.asarray(buckets), strides)
+    bins += stride_iv * width
+    cum = np.cumsum(
+        np.bincount(bins, minlength=m * width).reshape(m, width), axis=1
+    )
+    _fraction_columns(columns, prefix, buckets, cum[:, :-1], cum[:, -1])
+
+
+def _fraction_columns(
+    columns: Dict[str, np.ndarray],
+    prefix: str,
+    buckets: Sequence[int],
+    counts: np.ndarray,
+    totals: np.ndarray,
+) -> None:
+    """``{prefix}_le{b}`` columns: ``counts[:, k] / totals``, 0 where empty."""
+    frac = np.zeros(counts.shape, dtype=np.float64)
+    np.divide(counts, totals[:, None], out=frac, where=totals[:, None] > 0)
+    for k, b in enumerate(buckets):
+        columns[f"{prefix}_le{b}"] = frac[:, k]
 
 
 # ----------------------------------------------------------------------
@@ -615,7 +604,7 @@ def _branch_columns(
 def _empty_ppm_columns(m: int) -> Dict[str, np.ndarray]:
     return {
         f"ppm_{kind}_h{length}": np.zeros(m, dtype=np.float64)
-        for kind in ("gag", "pag", "gas", "pas")
+        for kind in ORGANIZATIONS
         for length in REPORTED_LENGTHS
     }
 
@@ -630,14 +619,16 @@ def _fused_ppm(
     context's saturating counter with a segmented clamped-affine scan.
     Here the interval id is tagged into every context key, so the same
     single sort/scan evolves every interval's private tables at once;
-    per-interval miss counts then fall out of one ``bincount``.
+    per-interval miss counts then fall out of running totals.
     """
     n = len(pcs)
     if n == 0:
         return _empty_ppm_columns(m)
 
-    # Per-interval branch sample sizes (denominators of the miss rates).
-    nb = np.bincount(iv_b, minlength=m)
+    # Interval bounds in the (interval-ordered) branch stream, and the
+    # per-interval sample sizes (denominators of the miss rates).
+    bounds = np.searchsorted(iv_b, np.arange(m + 1))
+    nb = np.diff(bounds)
 
     # Per-(interval, pc) group ids; within an interval these equal the
     # per-interval ``np.unique(..., return_inverse=True)`` ids.
@@ -658,105 +649,33 @@ def _fused_ppm(
     pc_local = gid - base_gid[iv_b]
 
     g_hist = _segmented_global_histories(outcomes, iv_b)
-    l_hist = _segmented_local_histories(gid, outcomes)
+    l_hist = local_histories(gid, outcomes)
 
-    n_lengths = len(TRACKED_LENGTHS)
-    m_events = 4 * n_lengths * n
     iv_bits = max(1, int(m - 1).bit_length())
     pcl_bits = max(1, int(max(int(nb.max()) - 1, 1)).bit_length())
-    pos_bits = int(m_events - 1).bit_length()
     key_bits = 2 + iv_bits + pcl_bits + _LENGTH_BITS + _HISTORY_BITS
-    if key_bits + pos_bits > 63:
+    if key_bits + _event_bits(n) > 63:
         # Composite keys would overflow int64: fall back to per-interval
         # kernel calls (identical results, just less fusion).
         return _per_interval_ppm(iv_b, pcs, outcomes, m)
 
-    masks = np.array([(1 << L) - 1 for L in TRACKED_LENGTHS], dtype=np.int64)
-    len_tags = np.arange(n_lengths, dtype=np.int64) << _HISTORY_BITS
     pc_part = pc_local << (_LENGTH_BITS + _HISTORY_BITS)
     iv_shift = pcl_bits + _LENGTH_BITS + _HISTORY_BITS
-    iv_part = iv_b << iv_shift
-    org_shift = iv_bits + iv_shift
-    keys = np.empty((4, n_lengths, n), dtype=np.int64)
-    for org, (hist, per_addr) in enumerate(
-        ((g_hist, False), (l_hist, False), (g_hist, True), (l_hist, True))
-    ):
-        base = (np.int64(org) << org_shift) | iv_part
-        if per_addr:
-            base = base | pc_part
-        keys[org] = (hist[None, :] & masks[:, None]) | len_tags[:, None] | base
-
-    # -- stable (key, time) order via one sort of unique composites ----
-    events = keys.reshape(-1)
-    np.left_shift(events, pos_bits, out=events)
-    np.bitwise_or(events, np.arange(m_events, dtype=np.int64), out=events)
-    events.sort()
-    order_e = events & ((np.int64(1) << pos_bits) - 1)
-    np.right_shift(events, pos_bits, out=events)
-    starts_mask = np.empty(m_events, dtype=bool)
-    starts_mask[0] = True
-    np.not_equal(events[1:], events[:-1], out=starts_mask[1:])
-    idx = np.arange(m_events, dtype=np.int32)
-    seg_first = np.maximum.accumulate(np.where(starts_mask, idx, np.int32(0)))
-    longest_segment = int((idx - seg_first).max()) + 1
-
-    # -- segmented scan over clamped-affine counter maps ---------------
-    deltas = np.where(outcomes, np.int16(1), np.int16(-1))[order_e % n]
-    lo = np.int16(-_COUNTER_MAX)
-    hi = np.int16(_COUNTER_MAX)
-    A = deltas.copy()
-    B = np.full(m_events, lo, dtype=np.int16)
-    C = np.full(m_events, hi, dtype=np.int16)
-    tmp_a = np.empty(m_events, dtype=np.int16)
-    tmp_b = np.empty(m_events, dtype=np.int16)
-    tmp_c = np.empty(m_events, dtype=np.int16)
-    in_segment = np.empty(m_events, dtype=bool)
-    shift = 1
-    while shift < longest_segment:
-        left_a, left_b, left_c = A[:-shift], B[:-shift], C[:-shift]
-        right_a, right_b, right_c = A[shift:], B[shift:], C[shift:]
-        ok = in_segment[shift:]
-        np.less_equal(seg_first[shift:], idx[:-shift], out=ok)
-        new_a, new_b, new_c = tmp_a[shift:], tmp_b[shift:], tmp_c[shift:]
-        np.add(left_a, right_a, out=new_a)
-        np.add(left_b, right_a, out=new_b)
-        np.maximum(new_b, right_b, out=new_b)
-        np.add(left_c, right_a, out=new_c)
-        np.maximum(new_c, right_b, out=new_c)
-        np.minimum(new_c, right_c, out=new_c)
-        np.copyto(right_a, new_a, where=ok)
-        np.copyto(right_b, new_b, where=ok)
-        np.copyto(right_c, new_c, where=ok)
-        shift <<= 1
-    np.maximum(B, A, out=A)
-    np.minimum(A, C, out=A)
-
-    # -- counter seen at prediction time, back in program order --------
-    before_sorted = np.empty(m_events, dtype=np.int16)
-    before_sorted[0] = 0
-    np.copyto(before_sorted[1:], A[:-1])
-    before_sorted[1:][starts_mask[1:]] = 0
-    before = np.empty(m_events, dtype=np.int16)
-    before[order_e] = before_sorted
-    before = before.reshape(4, n_lengths, n)
-
-    chosen = before[:, n_lengths - 1, :].copy()
-    reported_start = {12: 0, 8: 1, 4: 2}
-    chosen_at = {}
-    for j in range(n_lengths - 2, -1, -1):
-        chosen = np.where(before[:, j, :] != 0, before[:, j, :], chosen)
-        if j in reported_start.values():
-            chosen_at[j] = chosen
-    out: Dict[str, np.ndarray] = {}
-    for maxlen in REPORTED_LENGTHS:
-        picked = chosen_at[reported_start[maxlen]]
-        miss = (picked > 0) != outcomes[None, :]
-        for org, kind in enumerate(("gag", "pag", "gas", "pas")):
-            counts = np.bincount(iv_b[miss[org]], minlength=m)
-            rate = np.zeros(m, dtype=np.float64)
-            np.divide(counts, nb, out=rate, where=nb > 0)
-            out[f"ppm_{kind}_h{maxlen}"] = rate
-    return out
+    keys = context_keys(
+        g_hist, l_hist, iv_b << iv_shift, pc_part, iv_bits + iv_shift
+    )
+    misses = ppm_misses(keys, outcomes)
+    # Per-interval miss counts: differences of running totals.
+    running = np.zeros((len(misses), 4, n + 1), dtype=np.int64)
+    np.cumsum(np.stack(list(misses.values())), axis=2, out=running[:, :, 1:])
+    counts = running[:, :, bounds[1:]] - running[:, :, bounds[:-1]]
+    rates = np.zeros(counts.shape, dtype=np.float64)
+    np.divide(counts, nb, out=rates, where=nb > 0)
+    return {
+        f"ppm_{kind}_h{maxlen}": rates[i, org]
+        for i, maxlen in enumerate(misses)
+        for org, kind in enumerate(ORGANIZATIONS)
+    }
 
 
 def _per_interval_ppm(
@@ -789,26 +708,4 @@ def _segmented_global_histories(outcomes: np.ndarray, iv_b: np.ndarray) -> np.nd
             break
         same = iv_b[k + 1:] == iv_b[: n - k - 1]
         hist[k + 1:] |= np.where(same, bits[: n - k - 1] << k, 0)
-    return hist
-
-
-def _segmented_local_histories(gid: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """Per-(interval, pc) 12-bit history before each branch.
-
-    ``gid`` is unique per (interval, pc) pair, so grouping by it is
-    exactly the per-interval meter's per-address grouping.
-    """
-    n = len(outcomes)
-    order = np.argsort(gid, kind="stable")
-    sorted_ids = gid[order]
-    sorted_bits = outcomes[order].astype(np.int64)
-    hist_sorted = np.zeros(n, dtype=np.int64)
-    for k in range(_HISTORY_BITS):
-        if k + 1 >= n:
-            break
-        same = sorted_ids[k + 1:] == sorted_ids[: n - k - 1]
-        contrib = np.where(same, sorted_bits[: n - k - 1] << k, 0)
-        hist_sorted[k + 1:] |= contrib
-    hist = np.empty(n, dtype=np.int64)
-    hist[order] = hist_sorted
     return hist

@@ -1,26 +1,19 @@
-"""The top-level MICA meter: one trace interval -> one 69-dim vector.
+"""The per-interval MICA meter: one trace interval -> one 69-dim vector.
 
-When an observation is active (:mod:`repro.obs`), each of the six
-meters' wall time accumulates into a ``mica.meter.<name>.seconds``
-counter, and ``mica.intervals`` counts intervals (every meter runs
-once per interval, so per-meter intervals-per-second is
-``mica.intervals`` over that meter's seconds).  The
-timing reads a clock around calls the meter makes anyway — measured
-values are untouched — and the disabled path runs the plain sequence
-with zero added work.
+Production featurization runs the fused whole-trace pass
+(:func:`repro.mica.fused.characterize_intervals`), which is
+bit-identical; this meter and the per-interval kernels it calls are the
+oracles that pass is tested against.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict
 
 import numpy as np
 
 from ..config import AnalysisConfig
 from ..isa import Trace
-from ..obs import active as obs_active
-from ..obs import metrics
 from .branch import measure_branch
 from .features import N_FEATURES, feature_vector
 from .footprint import measure_footprint
@@ -47,56 +40,7 @@ def characterize_interval(trace: Trace, config: AnalysisConfig) -> np.ndarray:
     """
     profile = IntervalProfile.from_trace(trace)
     values: Dict[str, float] = {}
-    if obs_active():
-        _characterize_timed(trace, config, profile, values)
-    else:
-        values.update(measure_instruction_mix(trace, profile=profile))
-        values.update(
-            measure_ilp(
-                trace,
-                sample_instructions=config.ilp_sample_instructions,
-                profile=profile,
-            )
-        )
-        values.update(measure_register_traffic(trace, profile=profile))
-        values.update(measure_footprint(trace, profile=profile))
-        values.update(measure_strides(trace, profile=profile))
-        values.update(
-            measure_branch(
-                trace, sample_branches=config.ppm_sample_branches, profile=profile
-            )
-        )
-    vec = feature_vector(values)
-    if len(vec) != N_FEATURES:
-        raise AssertionError("feature vector has wrong dimensionality")
-    return vec
-
-
-#: Counter keys for the timed path, precomputed so the per-interval
-#: cost is seven clock reads and one batched registry update.
-_METER_KEYS = tuple(
-    f"mica.meter.{name}.seconds"
-    for name in (
-        "instruction_mix",
-        "ilp",
-        "register_traffic",
-        "footprint",
-        "strides",
-        "branch",
-    )
-)
-
-
-def _characterize_timed(
-    trace: Trace,
-    config: AnalysisConfig,
-    profile: IntervalProfile,
-    values: Dict[str, float],
-) -> None:
-    """The observed path: same meters, same order, clocks around each."""
-    t0 = time.perf_counter()
     values.update(measure_instruction_mix(trace, profile=profile))
-    t1 = time.perf_counter()
     values.update(
         measure_ilp(
             trace,
@@ -104,21 +48,15 @@ def _characterize_timed(
             profile=profile,
         )
     )
-    t2 = time.perf_counter()
     values.update(measure_register_traffic(trace, profile=profile))
-    t3 = time.perf_counter()
     values.update(measure_footprint(trace, profile=profile))
-    t4 = time.perf_counter()
     values.update(measure_strides(trace, profile=profile))
-    t5 = time.perf_counter()
     values.update(
         measure_branch(
             trace, sample_branches=config.ppm_sample_branches, profile=profile
         )
     )
-    t6 = time.perf_counter()
-    ticks = (t0, t1, t2, t3, t4, t5, t6)
-    updates = [("mica.intervals", 1.0)]
-    for i, seconds_key in enumerate(_METER_KEYS):
-        updates.append((seconds_key, ticks[i + 1] - ticks[i]))
-    metrics().counter_add_many(updates)
+    vec = feature_vector(values)
+    if len(vec) != N_FEATURES:
+        raise AssertionError("feature vector has wrong dimensionality")
+    return vec

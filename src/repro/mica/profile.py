@@ -13,33 +13,38 @@ profile through all six meters.  Every meter still accepts a bare trace
 (``profile=None``) and derives its own views, so direct calls and unit
 tests need no ceremony.
 
-The producer matching here is the batched formulation: instead of one
-``searchsorted`` per architectural register (64 passes), writes are
-encoded as composite ``(register << shift) | position`` keys, sorted
-once, and all reads of both source slots resolve through a single
-``searchsorted``.  Sorting the composite key is equivalent to a lexsort
-by ``(register, position)``, so for each read the predecessor key with
-the same register part is exactly the latest earlier write of that
-register.
+The producer matching here is one sort: every register read and write
+becomes a composite ``(interval, register, position, slot)`` integer
+key, where a read's slot tag sorts before a write at the same
+position.  After ``np.sort``, a running maximum over the write keys
+carries each register's latest write forward, so a read's producer is
+the carried write whenever the two keys share their ``(interval,
+register)`` prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..isa import NO_REG, N_OP_CLASSES, OpClass, Trace, is_memory_op
+from ..isa import NO_REG, N_OP_CLASSES, N_REGISTERS, OpClass, Trace, is_memory_op
 
 
-def match_producers(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
+def match_producers(
+    trace: Trace, iv: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """For each instruction, the trace index that produced each source.
+
+    Args:
+        trace: one interval, or several concatenated.
+        iv: for a concatenation, the non-decreasing interval id of each
+            instruction; producers never cross an interval boundary.
 
     Returns two int64 arrays ``(p1, p2)`` parallel to the trace; entry
     ``-1`` means the source operand is absent or its producing write
-    precedes the interval.  Single-sort batched equivalent of the
-    per-register ``searchsorted`` loop.
+    precedes the interval.
 
     Producers of instruction ``i`` always satisfy ``p < i``, so the
     arrays for any prefix ``trace[:m]`` are exactly ``p1[:m], p2[:m]``
@@ -51,30 +56,51 @@ def match_producers(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    shift = max(1, int(n - 1).bit_length())
-    # Composite keys are (register, position) pairs compared as one
-    # integer; the comparison order is dtype-independent, so use int32
-    # keys whenever they fit (register needs 6 bits, so up to n = 2^25)
-    # — the sort and searchsorted run on half the bytes.
-    key_dtype = np.int32 if shift <= 25 else np.int64
-    positions = np.arange(n, dtype=key_dtype)
-    wmask = trace.dst != NO_REG
-    if not wmask.any():
-        missing = np.full(n, -1, dtype=np.int64)
-        return missing, missing.copy()
-    wkey = (trace.dst[wmask].astype(key_dtype) << shift) | positions[wmask]
-    wkey.sort()
-    srcs = np.concatenate([trace.src1, trace.src2]).astype(key_dtype)
-    rpos = np.concatenate([positions, positions])
-    rmask = srcs != NO_REG
-    rkey = (srcs[rmask] << shift) | rpos[rmask]
-    idx = np.searchsorted(wkey, rkey, side="left") - 1
-    cand = wkey.take(np.maximum(idx, 0))
-    matched = (idx >= 0) & ((cand >> shift) == srcs[rmask])
-    producers = np.full(2 * n, -1, dtype=np.int64)
-    slots = np.flatnonzero(rmask)[matched]
-    producers[slots] = (cand[matched] & ((key_dtype(1) << shift) - 1)).astype(np.int64)
-    return producers[:n], producers[n:]
+    pos_bits = max(1, int(n - 1).bit_length())
+    iv_bits = 0 if iv is None else max(1, int(iv[-1]).bit_length())
+    # Key layout, low to high: slot tag (2 bits: src1 0, src2 1, dst 2,
+    # absent dst 3 — never a write), position, register, interval.  An
+    # absent source masks to the top register; its match is discarded
+    # below.  int32 keys whenever they fit halve the bytes sorted.
+    reg_shift = pos_bits + 2
+    iv_shift = reg_shift + (N_REGISTERS - 1).bit_length()
+    dtype = np.int32 if iv_shift + iv_bits <= 31 else np.int64
+    base = np.arange(n, dtype=dtype) << 2
+    if iv is not None:
+        base |= iv.astype(dtype) << iv_shift
+    keys = np.empty(3 * n, dtype=dtype)
+    for slot, regs in enumerate((trace.src1, trace.src2, trace.dst)):
+        part = keys[slot * n:(slot + 1) * n]
+        np.bitwise_and(regs, N_REGISTERS - 1, out=part, casting="unsafe")
+        part <<= reg_shift
+        part |= base
+        part |= slot
+    np.bitwise_or(keys[2 * n:], trace.dst == NO_REG, out=keys[2 * n:])
+    keys.sort()
+    # (flags.view(int8) - 1) is 0 where a flag is set and -1 (all ones)
+    # where not, so OR-ing it in sets every unflagged entry to -1 — a
+    # cheaper np.where(flags, x, -1).
+    is_write = (keys & 3) == 2
+    last_write = keys | (is_write.view(np.int8) - np.int8(1))
+    np.maximum.accumulate(last_write, out=last_write)
+    # Same (interval, register) prefix: the XOR has no bit at or above
+    # reg_shift (a -1 carry XORs to a huge unsigned value).
+    unsigned = np.uint32 if dtype is np.int32 else np.uint64
+    same = (last_write ^ keys).view(unsigned) < (1 << reg_shift)
+    # A key's low bits, position << 2 | slot, index a (position, slot)
+    # table directly; entries hold the producing write's low bits, or
+    # -1, which the final >> 2 keeps at -1.  The dst slots' entries and
+    # the absent sources' matches are discarded.
+    low_mask = dtype((1 << reg_shift) - 1)
+    found = (last_write & low_mask) | (same.view(np.int8) - np.int8(1))
+    index = keys.astype(np.intp)
+    index &= low_mask
+    producers = np.empty(4 * n, dtype=dtype)
+    producers[index] = found
+    return (
+        np.where(trace.src1 != NO_REG, producers[0::4] >> 2, np.int64(-1)),
+        np.where(trace.src2 != NO_REG, producers[1::4] >> 2, np.int64(-1)),
+    )
 
 
 @dataclass(frozen=True)
