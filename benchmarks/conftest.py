@@ -2,10 +2,14 @@
 
 The benches run the methodology at **paper scale** by default (all 77
 benchmarks, 100 sampled intervals each, k = 300, 100 prominent phases,
-12 key characteristics).  Featurization and characterization results
-are cached under ``benchmarks/.cache`` so the suite featurizes once per
-machine; each bench then regenerates one of the paper's tables/figures
-into ``benchmarks/output`` and asserts its headline shape.
+12 key characteristics).  The characterization goes through
+:func:`repro.core.characterize_to_file` into ``benchmarks/.cache``:
+its stage checkpoints let a later session resume every stage instead
+of recomputing, and the feature blocks under
+``benchmarks/.cache/feature_blocks`` let a changed analysis parameter
+re-cluster without re-featurizing.  Each bench then regenerates one of
+the paper's tables/figures into ``benchmarks/output`` and asserts its
+headline shape.
 
 Set ``REPRO_BENCH_PRESET=small`` to run everything at test scale.
 """
@@ -18,7 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro.config import AnalysisConfig
-from repro.io import cached_characterization
+from repro.core import characterize_to_file
+from repro.io import FeatureBlockCache, feature_block_dir
+from repro.suites import all_benchmarks
 
 CACHE_DIR = Path(__file__).parent / ".cache"
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -43,7 +49,13 @@ def config() -> AnalysisConfig:
 @pytest.fixture(scope="session")
 def result(config):
     """The full paper-scale characterization (featurize/cluster/GA once)."""
-    return cached_characterization(config, CACHE_DIR, tag="paper")
+    return characterize_to_file(
+        all_benchmarks(),
+        config,
+        CACHE_DIR / f"characterization_paper_{config.full_key()}.npz",
+        suite_tag="paper",
+        feature_cache=FeatureBlockCache(feature_block_dir(CACHE_DIR)),
+    )
 
 
 @pytest.fixture(scope="session")

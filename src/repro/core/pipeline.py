@@ -17,20 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-if TYPE_CHECKING:  # import-time cycle: repro.io.cache imports repro.core
-    from ..io.artifacts import StageCheckpoint
-    from ..io.feature_blocks import FeatureBlockCache
-    from ..suites import Benchmark
-
 from ..config import AnalysisConfig
 from ..ga import DistanceCorrelationFitness, GAResult, select_features
+from ..io.artifacts import StageCheckpoint, artifact_lock
+from ..io.feature_blocks import FeatureBlockCache
 from ..mica import N_FEATURES, feature_names
 from ..obs import emit_progress, get_logger, metrics, span
 from ..stats import Clustering, fit_pca, kmeans
+from ..suites import Benchmark
 from ..synth.rng import generator
 from .dataset import WorkloadDataset, build_dataset
 from .prominent import ProminentPhases, select_prominent_phases
@@ -83,7 +81,7 @@ _ANALYSIS_ARRAYS = (
 _ANALYSIS_META = ("n_components", "explained_variance", "bic", "inertia", "n_iter")
 
 
-def _load_analysis_stage(checkpoint: Optional["StageCheckpoint"]):
+def _load_analysis_stage(checkpoint: Optional[StageCheckpoint]):
     """Unpack a checkpointed PCA/clustering/prominent stage, if any."""
     if checkpoint is None:
         return None
@@ -114,7 +112,7 @@ def _load_analysis_stage(checkpoint: Optional["StageCheckpoint"]):
     )
 
 
-def _load_ga_stage(checkpoint: Optional["StageCheckpoint"]) -> Optional[GAResult]:
+def _load_ga_stage(checkpoint: Optional[StageCheckpoint]) -> Optional[GAResult]:
     """Unpack a checkpointed GA stage, if any."""
     if checkpoint is None:
         return None
@@ -135,7 +133,7 @@ def run_characterization(
     *,
     select_key: bool = True,
     progress: Optional[Callable[[str], None]] = None,
-    checkpoint: Optional["StageCheckpoint"] = None,
+    checkpoint: Optional[StageCheckpoint] = None,
 ) -> PhaseCharacterization:
     """Run PCA, clustering, prominent-phase selection and the GA.
 
@@ -287,26 +285,31 @@ DATASET_STAGE_ARRAYS = ("features", "suites", "benchmarks", "interval_indices")
 
 
 def characterize_to_file(
-    benchmarks: Sequence["Benchmark"],
+    benchmarks: Sequence[Benchmark],
     config: AnalysisConfig,
     output: PathLike,
     *,
     suite_tag: str = "all",
     resume: bool = True,
     select_key: bool = True,
-    feature_cache: Optional["FeatureBlockCache"] = None,
+    feature_cache: Optional[FeatureBlockCache] = None,
     span_attrs: Optional[Dict[str, Any]] = None,
 ) -> PhaseCharacterization:
     """Run the whole pipeline crash-safely and save the result to ``output``.
 
-    The stage-orchestration shape every entry point shares — the
-    ``characterize`` CLI and the service workers both call this.  Each
-    completed stage (dataset → analysis → GA) lands atomically in
+    The one way a characterization is persisted: the ``characterize``
+    CLI, the service workers and the benchmark harness all call this.
+    Each completed stage (dataset → analysis → GA) lands atomically in
     ``<output>.stages/`` keyed by ``suite_tag`` + the config's full
     key; with ``resume`` (the default) a re-run of a killed invocation
     — by the same process, a retry, or *a different worker* — picks up
     from the last finished stage, bit-identically, because every stage
     draws from its own seeded RNG stream.
+
+    The stage sequence runs under ``artifact_lock(output)``, so
+    concurrent callers on the same output build once: a caller that
+    waited for the lock finds every stage checkpointed and resumes
+    them all (with ``resume=False`` it recomputes instead).
 
     Args:
         benchmarks: the workloads to characterize.
@@ -325,24 +328,23 @@ def characterize_to_file(
         The complete :class:`PhaseCharacterization` (also saved to
         ``output``).
     """
-    # Lazy imports: results/artifacts both import back into repro.core
-    # and repro.obs at module scope.
-    from ..io.artifacts import StageCheckpoint
+    # Lazy import: repro.core.results imports this module at its top.
     from .results import dataset_arrays, dataset_from_arrays, save_characterization
 
     stage_root = Path(f"{output}.stages")
     run_key = f"{suite_tag}_{config.full_key()}"
     checkpoint = StageCheckpoint(stage_root, run_key, resume=resume)
-    with span("characterize", benchmarks=len(benchmarks), **(span_attrs or {})):
-        loaded = checkpoint.load("dataset", require_arrays=DATASET_STAGE_ARRAYS)
-        if loaded is not None:
-            dataset = dataset_from_arrays(loaded[0])
-            log.info("resumed dataset stage from %s", checkpoint.path("dataset"))
-        else:
-            dataset = build_dataset(benchmarks, config, feature_cache=feature_cache)
-            checkpoint.save("dataset", dataset_arrays(dataset))
-        result = run_characterization(
-            dataset, config, select_key=select_key, checkpoint=checkpoint
-        )
-    save_characterization(result, output)
+    with artifact_lock(output):
+        with span("characterize", benchmarks=len(benchmarks), **(span_attrs or {})):
+            loaded = checkpoint.load("dataset", require_arrays=DATASET_STAGE_ARRAYS)
+            if loaded is not None:
+                dataset = dataset_from_arrays(loaded[0])
+                log.info("resumed dataset stage from %s", checkpoint.path("dataset"))
+            else:
+                dataset = build_dataset(benchmarks, config, feature_cache=feature_cache)
+                checkpoint.save("dataset", dataset_arrays(dataset))
+            result = run_characterization(
+                dataset, config, select_key=select_key, checkpoint=checkpoint
+            )
+        save_characterization(result, output)
     return result

@@ -1,4 +1,4 @@
-"""Persistence helpers: crash-safe artifacts, dataset caching, text tables."""
+"""Persistence helpers: crash-safe artifacts, feature blocks, record logs, text tables."""
 
 from .artifacts import (
     ArtifactError,
@@ -12,14 +12,7 @@ from .artifacts import (
     read_artifact,
     write_artifact,
 )
-from .cache import (
-    cached_characterization,
-    cached_dataset,
-    characterization_cache_path,
-    dataset_cache_path,
-    feature_block_dir,
-)
-from .feature_blocks import FeatureBlockCache
+from .feature_blocks import FeatureBlockCache, feature_block_dir
 from .records import RECORD_SCHEMA_VERSION, RecordLog, canonical_digest, write_json_atomic
 from .spool import FeatureSpool, SpoolWriter
 from .tables import format_table
@@ -36,11 +29,7 @@ __all__ = [
     "SpoolWriter",
     "StageCheckpoint",
     "artifact_lock",
-    "cached_characterization",
     "canonical_digest",
-    "cached_dataset",
-    "characterization_cache_path",
-    "dataset_cache_path",
     "feature_block_dir",
     "format_table",
     "load_or_quarantine",

@@ -23,8 +23,9 @@ guarantees the bare ``np.savez`` + ``path.exists()`` pattern cannot:
   cross-process construction of one artifact with an advisory lock:
   ``fcntl.flock`` where available (the kernel releases it when the
   holder dies, even by SIGKILL), or an exclusive-create pidfile with
-  stale-lock takeover elsewhere.  Concurrent cache misses compute each
-  artifact exactly once instead of racing the write.
+  stale-lock takeover elsewhere.  Concurrent builders of one artifact
+  (a ``characterize_to_file`` output, a feature-block merge) serialize
+  instead of racing the write.
 
 :class:`StageCheckpoint` composes the primitives into stage-level
 resume for the ``characterize`` pipeline (dataset → analysis → GA).

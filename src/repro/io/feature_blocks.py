@@ -1,9 +1,10 @@
 """Granular per-benchmark feature-block cache.
 
-The dataset cache in :mod:`repro.io.cache` is whole-run: any change to
-the sampling configuration misses and re-featurizes all benchmarks.
-Feature blocks cache at the finest level that is still config-stable —
-one **(benchmark, interval index) -> 69-vector** entry, keyed by
+The dataset stage checkpoint of :func:`repro.core.characterize_to_file`
+is whole-run and keyed by the full configuration: any config change
+misses it and re-featurizes all benchmarks.  Feature blocks cache at
+the finest level that is still config-stable — one
+**(benchmark, interval index) -> 69-vector** entry, keyed by
 :meth:`AnalysisConfig.featurization_key` (the subset of the config that
 determines a single interval's vector).  Runs that vary analysis-side
 parameters, the sampling seed, or the interval count therefore reuse
@@ -45,13 +46,21 @@ log = get_logger(__name__)
 #: Artifact schema name for one per-benchmark block file.
 FEATURE_BLOCK_SCHEMA = "feature_block"
 
+#: Seconds :meth:`FeatureBlockCache.store` waits for another process's
+#: merge into the same block.
+LOCK_TIMEOUT_S = 600.0
+
+
+def feature_block_dir(cache_dir: PathLike) -> Path:
+    """Where a cache directory keeps its per-benchmark feature blocks."""
+    return Path(cache_dir) / "feature_blocks"
+
 
 class FeatureBlockCache:
     """Per-benchmark, per-interval feature vectors on disk."""
 
-    def __init__(self, root: PathLike, *, lock_timeout: float = 600.0):
+    def __init__(self, root: PathLike):
         self.root = Path(root)
-        self.lock_timeout = lock_timeout
 
     def path(self, benchmark_key: str, config: AnalysisConfig) -> Path:
         """The block file for one benchmark under one featurization key."""
@@ -110,7 +119,7 @@ class FeatureBlockCache:
             return
         path = self.path(benchmark_key, config)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with artifact_lock(path, timeout=self.lock_timeout):
+        with artifact_lock(path, timeout=LOCK_TIMEOUT_S):
             merged = self.load(benchmark_key, config)
             merged.update(
                 {int(k): np.asarray(v, dtype=np.float64) for k, v in entries.items()}

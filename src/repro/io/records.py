@@ -1,28 +1,31 @@
 """Append-only, checksummed JSON record logs.
 
-The run-history store (:mod:`repro.obs.history`) established the
-envelope discipline for durable JSON records: one file per record,
-written with tmp + fsync + ``os.replace``, stamped with a monotonic
-sequence number allocated under the artifact store's cross-process
-advisory lock, and carrying a SHA-256 digest of its canonical payload
-that is re-verified on every read (failures are quarantined, never
-silently deleted).  :class:`RecordLog` generalizes that discipline so
-other subsystems — first of all the service job queue
-(:mod:`repro.service.queue`) — can append durable facts without
-re-implementing it.
+A :class:`RecordLog` is the one implementation of durable JSON records
+in the package: one file per record, written with tmp + fsync +
+``os.replace``, stamped with a monotonic sequence number allocated
+under the artifact store's cross-process advisory lock, and carrying a
+SHA-256 digest of its canonical payload that is re-verified on every
+read (failures are quarantined, never silently deleted).  Both the
+run-history store (:class:`repro.obs.history.HistoryStore`, one log per
+record kind) and the service job queue
+(:class:`repro.service.queue.JobQueue`) build on it.
 
 Layout::
 
     <root>/
-      COUNTER                     # last allocated sequence number
-      .locks/                     # artifact_lock residue
-      <prefix>-000001-<tag>.json  # one envelope per record
+      COUNTER                          # last allocated sequence number
+      .locks/                          # artifact_lock residue
+      [<directory>/]<prefix>-000001-<tag>.json  # one envelope per record
+
+Logs that share a root share its ``COUNTER`` and lock, and so one
+gap-free sequence: the history store keeps ``runs/`` and ``bench/``
+logs side by side under one root.
 
 Envelope::
 
     {"schema": <schema>, "version": 1, "seq": 1,
      "created": <unix time>, "sha256": <digest of canonical record>,
-     "record": {...}}
+     "record": {...}, ...}     # plus any header fields the caller stamps
 
 A log is *append-only*: records are never rewritten in place.  State
 machines layered on top (the job queue) model transitions as new
@@ -88,13 +91,36 @@ def _safe_tag(tag: str) -> str:
     return re.sub(r"[^A-Za-z0-9._+-]", "_", tag)[:80] or "record"
 
 
-class RecordLog:
-    """One append-only directory of checksummed, seq-stamped JSON records."""
+#: A record file name, ``<prefix>-<seq>-<tag>.json`` (quarantined
+#: ``.corrupt-*`` copies included, so a lost COUNTER skips them too).
+_RECORD_NAME = re.compile(r"^[A-Za-z]+-(\d+)-")
 
-    def __init__(self, root: PathLike, *, schema: str, prefix: str = "rec") -> None:
+
+class RecordLog:
+    """One append-only directory of checksummed, seq-stamped JSON records.
+
+    Args:
+        root: owns the ``COUNTER`` and the lock that allocate sequence
+            numbers.
+        schema: stamped into every envelope and required on read.
+        prefix: record file name prefix.
+        directory: optional subdirectory of ``root`` holding the
+            records, so several logs can share one root and one
+            sequence.
+    """
+
+    def __init__(
+        self,
+        root: PathLike,
+        *,
+        schema: str,
+        prefix: str = "rec",
+        directory: Optional[PathLike] = None,
+    ) -> None:
         self.root = Path(root)
         self.schema = schema
         self.prefix = prefix
+        self.directory = self.root / directory if directory is not None else self.root
 
     def _counter_path(self) -> Path:
         return self.root / "COUNTER"
@@ -102,23 +128,21 @@ class RecordLog:
     def _next_seq_locked(self) -> int:
         """Allocate the next sequence number; caller holds the counter lock.
 
-        A lost COUNTER never reuses a number: the record files themselves
-        are scanned and allocation continues past the highest on disk.
+        A lost COUNTER never reuses a number: every record file in the
+        root and its immediate subdirectories — whichever log of the
+        root wrote it — is scanned, and allocation continues past the
+        highest on disk.
         """
         counter = self._counter_path()
         try:
             last = int(counter.read_text().strip() or 0)
         except (OSError, ValueError):
             last = 0
-        pattern = re.compile(rf"^{re.escape(self.prefix)}-(\d+)-")
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            names = []
-        for name in names:
-            match = pattern.match(name)
-            if match:
-                last = max(last, int(match.group(1)))
+        for directory in [self.root, *(p for p in self.root.iterdir() if p.is_dir())]:
+            for name in os.listdir(directory):
+                match = _RECORD_NAME.match(name)
+                if match:
+                    last = max(last, int(match.group(1)))
         seq = last + 1
         fd, tmp = tempfile.mkstemp(dir=str(self.root), prefix="COUNTER.", suffix=".tmp")
         try:
@@ -135,12 +159,16 @@ class RecordLog:
             raise
         return seq
 
-    def append(self, record: Dict[str, Any], *, tag: str = "record") -> Dict[str, Any]:
+    def append(
+        self, record: Dict[str, Any], *, tag: str = "record", **header: Any
+    ) -> Dict[str, Any]:
         """Append one record; returns its envelope (with ``path`` added).
 
         The sequence number is allocated and the file published under
         the artifact store's advisory lock, so concurrent appenders from
         any process interleave into one gap-free, totally ordered log.
+        ``header`` fields are stamped into the envelope next to ``seq``
+        (they are not covered by the record digest).
         """
         # Lazy import: artifacts imports from repro.obs at module scope;
         # importing it here keeps the io package import-order agnostic.
@@ -150,6 +178,7 @@ class RecordLog:
         with artifact_lock(self._counter_path()):
             seq = self._next_seq_locked()
             envelope = {
+                **header,
                 "schema": self.schema,
                 "version": RECORD_SCHEMA_VERSION,
                 "seq": seq,
@@ -157,7 +186,7 @@ class RecordLog:
                 "sha256": canonical_digest(record),
                 "record": record,
             }
-            path = self.root / f"{self.prefix}-{seq:06d}-{_safe_tag(tag)}.json"
+            path = self.directory / f"{self.prefix}-{seq:06d}-{_safe_tag(tag)}.json"
             write_json_atomic(path, envelope)
         envelope["path"] = str(path)
         return envelope
@@ -192,13 +221,13 @@ class RecordLog:
         wrong schema) is quarantined aside and skipped; the rest of the
         log remains usable.
         """
-        if not self.root.is_dir():
+        if not self.directory.is_dir():
             return []
         out: List[Dict[str, Any]] = []
-        for name in sorted(os.listdir(self.root)):
+        for name in sorted(os.listdir(self.directory)):
             if not name.startswith(f"{self.prefix}-") or not name.endswith(".json"):
                 continue
-            envelope = self._verify(self.root / name)
+            envelope = self._verify(self.directory / name)
             if envelope is not None:
                 out.append(envelope)
         out.sort(key=lambda e: e.get("seq", 0))

@@ -30,22 +30,19 @@ Every record file is one JSON *envelope*::
      "sha256": <hex digest of the canonical record payload>,
      "record": {...}}            # the run report / bench payload itself
 
-Records are written with the same tmp + fsync + ``os.replace``
-discipline as ``.npz`` artifacts, verified against their embedded
-digest on every read, and quarantined (never silently deleted) when
-they fail — the :mod:`repro.io.artifacts` guarantees, applied to JSON.
+Each kind is one :class:`repro.io.records.RecordLog` (``runs/`` and
+``bench/`` under the shared root and ``COUNTER``), so records are
+published atomically, verified against their embedded digest on every
+read, and quarantined (never silently deleted) when they fail.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import re
 import tempfile
-import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 __all__ = [
     "HISTORY_SCHEMA_VERSION",
@@ -58,7 +55,7 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-#: Bump when the record envelope layout changes incompatibly.
+#: The record envelope version (:data:`repro.io.records.RECORD_SCHEMA_VERSION`).
 HISTORY_SCHEMA_VERSION = 1
 
 #: Environment override for the store root (CI jobs, tests).
@@ -107,79 +104,28 @@ def default_history_dir() -> Path:
     return _FALLBACK_HISTORY_DIR
 
 
-def _canonical(record: Any) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), default=str)
-
-
-def _digest(record: Any) -> str:
-    return hashlib.sha256(_canonical(record).encode("utf-8")).hexdigest()
-
-
-def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._+-]", "_", name)[:64] or "record"
-
-
-def _write_json_atomic(path: Path, document: Dict[str, Any]) -> None:
-    """tmp + fsync + ``os.replace``: the artifact-store write discipline."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class HistoryStore:
-    """Append-only, checksummed store of run reports and bench results."""
+    """Append-only, checksummed store of run reports and bench results.
+
+    One :class:`~repro.io.records.RecordLog` per record kind, both
+    rooted at the store root, so runs and bench results share its
+    ``COUNTER``, its lock and one gap-free sequence.
+    """
 
     def __init__(self, root: Optional[PathLike] = None) -> None:
+        # Lazy import: repro.io imports from repro.obs at module scope,
+        # and this module is part of repro.obs.
+        from ..io.records import RecordLog
+
         self.root = Path(root) if root is not None else default_history_dir()
+        self._logs = {
+            kind: RecordLog(
+                self.root, schema=f"history:{kind}", prefix=kind, directory=directory
+            )
+            for kind, directory in _KINDS.items()
+        }
 
     # -- appending ---------------------------------------------------------
-
-    def _counter_path(self) -> Path:
-        return self.root / "COUNTER"
-
-    def _next_seq_locked(self) -> int:
-        counter = self._counter_path()
-        try:
-            last = int(counter.read_text().strip() or 0)
-        except (OSError, ValueError):
-            last = 0
-        # Never reuse a sequence number even if COUNTER was lost: scan
-        # the record files and continue past the highest one on disk.
-        for kind_dir in _KINDS.values():
-            directory = self.root / kind_dir
-            if not directory.is_dir():
-                continue
-            for name in os.listdir(directory):
-                match = re.match(r"^(?:run|bench)-(\d+)-", name)
-                if match:
-                    last = max(last, int(match.group(1)))
-        seq = last + 1
-        fd, tmp = tempfile.mkstemp(dir=str(self.root), prefix="COUNTER.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(str(seq))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, counter)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return seq
 
     def _append(
         self,
@@ -190,33 +136,19 @@ class HistoryStore:
         name: Optional[str],
         git_sha: Optional[str],
     ) -> Path:
-        # Lazy import: io.artifacts imports from repro.obs at module
-        # scope, so importing it while repro.obs is still initializing
-        # (this module is part of it) would cycle.
-        from ..io.artifacts import artifact_lock
-
-        self.root.mkdir(parents=True, exist_ok=True)
         if git_sha is None:
             from .report import git_sha as _git_sha
 
             git_sha = _git_sha()
-        with artifact_lock(self._counter_path()):
-            seq = self._next_seq_locked()
-            suffix = _safe_name(name if name else (run_id or "run"))
-            path = self.root / _KINDS[kind] / f"{kind}-{seq:06d}-{suffix}.json"
-            envelope = {
-                "schema": f"history:{kind}",
-                "version": HISTORY_SCHEMA_VERSION,
-                "seq": seq,
-                "run_id": run_id,
-                "name": name,
-                "created": time.time(),
-                "git_sha": git_sha,
-                "sha256": _digest(record),
-                "record": record,
-            }
-            _write_json_atomic(path, envelope)
-        return path
+        # History file names have always carried at most 64 tag characters.
+        envelope = self._logs[kind].append(
+            record,
+            tag=(name or run_id or "run")[:64],
+            run_id=run_id,
+            name=name,
+            git_sha=git_sha,
+        )
+        return Path(envelope["path"])
 
     def append_run(self, report: Dict[str, Any]) -> Path:
         """Append one completed run report; returns the record path."""
@@ -241,48 +173,13 @@ class HistoryStore:
 
     # -- reading -----------------------------------------------------------
 
-    def _verify(self, path: Path) -> Optional[Dict[str, Any]]:
-        from ..io.artifacts import quarantine
-
-        try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            envelope = None
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("version") != HISTORY_SCHEMA_VERSION
-            or not str(envelope.get("schema", "")).startswith("history:")
-            or _digest(envelope.get("record")) != envelope.get("sha256")
-        ):
-            from .log import get_logger
-
-            dest = quarantine(path)
-            get_logger(__name__).warning(
-                "history record %s failed verification; quarantined to %s",
-                path,
-                dest.name if dest else "(already removed)",
-            )
-            return None
-        envelope["path"] = str(path)
-        return envelope
-
     def records(self, kind: str = "run", *, name: Optional[str] = None) -> List[Dict[str, Any]]:
         """All verified records of one kind, oldest first (by ``seq``)."""
-        directory = self.root / _KINDS[kind]
-        if not directory.is_dir():
-            return []
-        out = []
-        for filename in sorted(os.listdir(directory)):
-            if not filename.endswith(".json"):
-                continue
-            envelope = self._verify(directory / filename)
-            if envelope is None:
-                continue
-            if name is not None and envelope.get("name") != name:
-                continue
-            out.append(envelope)
-        out.sort(key=lambda e: e.get("seq", 0))
-        return out
+        return [
+            envelope
+            for envelope in self._logs[kind].read()
+            if name is None or envelope.get("name") == name
+        ]
 
     def get(self, ref: str, kind: str = "run") -> Optional[Dict[str, Any]]:
         """Resolve one record by ``latest``, sequence number, or run-id prefix."""
@@ -311,7 +208,9 @@ class HistoryStore:
         record matching the just-appended payload is skipped and the
         previous run becomes the baseline.
         """
-        current_digest = _digest(current) if current is not None else None
+        from ..io.records import canonical_digest
+
+        current_digest = canonical_digest(current) if current is not None else None
         for envelope in reversed(self.records("bench", name=name)):
             if current_digest is not None and envelope.get("sha256") == current_digest:
                 continue

@@ -65,9 +65,68 @@ def test_lost_counter_never_reuses_a_seq(tmp_path):
     store = HistoryStore(tmp_path)
     store.append_run(_report("r1"))
     store.append_run(_report("r2"))
-    os.unlink(store._counter_path())  # simulate a lost COUNTER file
+    os.unlink(tmp_path / "COUNTER")  # simulate a lost COUNTER file
     store.append_run(_report("r3"))
     assert [e["seq"] for e in store.records("run")] == [1, 2, 3]
+
+
+def test_lost_counter_never_reuses_a_seq_across_kinds(tmp_path):
+    store = HistoryStore(tmp_path)
+    store.append_run(_report("r1"))
+    store.append_bench("e2e_wall", {"speedup": 2.0})  # bench #2
+    os.unlink(tmp_path / "COUNTER")
+    path = store.append_run(_report("r2"))
+    assert path.name.startswith("run-000003-")
+    assert [e["seq"] for e in store.records("run")] == [1, 3]
+
+
+def _envelope(kind, seq, record, *, run_id, name, git_sha):
+    from repro.io import canonical_digest
+
+    return {
+        "schema": f"history:{kind}",
+        "version": 1,
+        "seq": seq,
+        "run_id": run_id,
+        "name": name,
+        "created": 1700000000.0 + seq,
+        "git_sha": git_sha,
+        "sha256": canonical_digest(record),
+        "record": record,
+    }
+
+
+def test_store_written_in_the_original_layout_still_reads(tmp_path):
+    """A store laid out by hand in the on-disk format keeps reading.
+
+    ``runs/`` and ``bench/`` envelopes plus a root ``COUNTER``: the
+    records come back unchanged, and the next append continues the
+    shared sequence.
+    """
+    run = _envelope(
+        "run", 1, {"run_id": "old1", "spans": {}}, run_id="old1", name=None, git_sha="abc"
+    )
+    bench = _envelope(
+        "bench", 2, {"speedup": 2.5}, run_id=None, name="e2e_wall", git_sha="def"
+    )
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "runs" / "run-000001-old1.json").write_text(
+        json.dumps(run, indent=2, sort_keys=True) + "\n"
+    )
+    (tmp_path / "bench" / "bench-000002-e2e_wall.json").write_text(
+        json.dumps(bench, indent=2, sort_keys=True) + "\n"
+    )
+    (tmp_path / "COUNTER").write_text("2")
+    store = HistoryStore(tmp_path)
+    [read_run] = store.records("run")
+    [read_bench] = store.records("bench", name="e2e_wall")
+    assert {k: v for k, v in read_run.items() if k != "path"} == run
+    assert {k: v for k, v in read_bench.items() if k != "path"} == bench
+    path = store.append_bench("e2e_wall", {"speedup": 2.6})
+    assert path.name == "bench-000003-e2e_wall.json"
+    assert (tmp_path / "COUNTER").read_text() == "3"
+    assert [e["seq"] for e in store.records("bench")] == [2, 3]
 
 
 def test_corrupt_record_is_quarantined_not_served(tmp_path):
