@@ -71,6 +71,16 @@ class WorkloadDataset:
         return (self.suites == suite) & (self.benchmarks == name)
 
 
+def _batch_traces(bench: Benchmark, chunk, config: AnalysisConfig) -> list:
+    """Generate one fused batch's interval traces, under a ``synth.generate`` span.
+
+    ``chunk`` holds ``(row, interval index)`` pairs.
+    """
+    n = config.interval_instructions
+    with span("synth.generate", intervals=len(chunk), instructions=len(chunk) * n):
+        return list(bench.program.iter_interval_traces([idx for _, idx in chunk], n))
+
+
 def _characterize_benchmark(payload, index: int):
     """Sample and characterize one benchmark (executor task body).
 
@@ -105,11 +115,7 @@ def _characterize_benchmark(payload, index: int):
         # FUSED_BATCH_INSTRUCTIONS) instead of one meter run each.
         for batch in batch_slices(len(to_compute), config.interval_instructions):
             chunk = to_compute[batch]
-            traces = [
-                bench.program.interval_trace(idx, config.interval_instructions)
-                for _, idx in chunk
-            ]
-            matrix = characterize_intervals(traces, config)
+            matrix = characterize_intervals(_batch_traces(bench, chunk, config), config)
             for (j, interval_idx), vec in zip(chunk, matrix):
                 fresh[interval_idx] = vec
                 vectors[j] = vec
@@ -337,12 +343,7 @@ def _featurize_segment(
             vectors[j] = vec
     for batch in batch_slices(len(to_compute), config.interval_instructions):
         chunk = to_compute[batch]
-        traces = list(
-            bench.program.iter_interval_traces(
-                [idx for _, idx in chunk], config.interval_instructions
-            )
-        )
-        matrix = characterize_intervals(traces, config)
+        matrix = characterize_intervals(_batch_traces(bench, chunk, config), config)
         for (j, interval_idx), vec in zip(chunk, matrix):
             fresh[interval_idx] = vec
             vectors[j] = vec

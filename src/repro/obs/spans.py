@@ -125,7 +125,7 @@ class Span:
 class _ActiveSpan:
     """Context manager recording one span on an observation's stack."""
 
-    __slots__ = ("_ob", "_span", "_wall0", "_cpu0")
+    __slots__ = ("_ob", "_span", "_stack", "_wall0", "_cpu0")
 
     def __init__(self, ob: "Observation", node: Span) -> None:
         self._ob = ob
@@ -133,11 +133,12 @@ class _ActiveSpan:
 
     def __enter__(self) -> Span:
         ob = self._ob
-        ob._stack[-1].children.append(self._span)
-        ob._stack.append(self._span)
+        stack = self._stack = ob._thread_stack()
+        stack[-1].children.append(self._span)
+        stack.append(self._span)
         emitter = ob.emitter
         if emitter is not None:
-            emitter.span_open(self._span, len(ob._stack) - 1)
+            emitter.span_open(self._span, len(stack) - 1)
         self._cpu0 = time.process_time()
         self._wall0 = time.perf_counter()
         return self._span
@@ -148,11 +149,11 @@ class _ActiveSpan:
         if exc_type is not None:
             self._span.attrs.setdefault("error", exc_type.__name__)
         ob = self._ob
-        popped = ob._stack.pop()
+        popped = self._stack.pop()
         assert popped is self._span, "span stack corrupted"
         emitter = ob.emitter
         if emitter is not None:
-            emitter.span_close(self._span, len(ob._stack))
+            emitter.span_close(self._span, len(self._stack))
         return False
 
 
@@ -241,8 +242,25 @@ class Observation:
         self.metrics = MetricsRegistry()
         self.emitter = emitter
         self._stack: List[Span] = [self.root]
+        self._owner = threading.get_ident()
+        self._foreign = threading.local()
         self._wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
+
+    def _thread_stack(self) -> List[Span]:
+        """The open spans of the calling thread, innermost last.
+
+        Another thread (the streaming prefetch producer) keeps a stack
+        of its own, based at the span this observation's thread has
+        open when that thread opens its first span, so neither thread
+        ever pops a span the other opened.
+        """
+        if threading.get_ident() == self._owner:
+            return self._stack
+        stack = getattr(self._foreign, "stack", None)
+        if stack is None:
+            stack = self._foreign.stack = [self._stack[-1]]
+        return stack
 
     def span(self, name: str, **attrs: Any) -> _ActiveSpan:
         """A context manager timing ``name`` under the current span."""
@@ -292,12 +310,12 @@ class Observation:
         events: Optional[List[Dict[str, Any]]] = None
         dropped = 0
         if isinstance(snap, Observation):
-            self._stack[-1].children.append(snap.root)
+            self._thread_stack()[-1].children.append(snap.root)
             self.metrics.merge_registry(snap.metrics)
             if snap.emitter is not None and hasattr(snap.emitter, "drain"):
                 events, dropped = snap.emitter.drain()
         else:
-            self._stack[-1].children.append(Span.from_dict(snap.span))
+            self._thread_stack()[-1].children.append(Span.from_dict(snap.span))
             self.metrics.merge(snap.metrics)
             events, dropped = snap.events, snap.events_dropped
         if events and self.emitter is not None and hasattr(self.emitter, "replay"):

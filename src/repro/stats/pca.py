@@ -113,16 +113,20 @@ class GramPCA:
 
     def _rescale(self, cols: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
         """Project Z[:, cols] onto the retained components and z-score."""
-        stds = np.sqrt(np.clip(eigvals, 0.0, None) / (self.n - 1))
+        stds = np.sqrt(np.maximum(eigvals, 0.0) / (self.n - 1))
         keep = stds > self.min_std
         if not keep.any():
             # Always keep the most significant component (eigh returns
             # eigenvalues ascending, so that is the last one).
             keep[-1] = True
         scores = self.z[:, cols] @ eigvecs[:, keep]
-        std = scores.std(axis=0)
+        # Centre once and take the population std from the centred copy.
+        # These are the reductions ``scores.mean(axis=0)`` and
+        # ``scores.std(axis=0)`` run inside, so the result is bit-identical.
+        centred = scores - np.add.reduce(scores, axis=0) / self.n
+        std = np.sqrt(np.add.reduce(centred * centred, axis=0) / self.n)
         scale = np.where(std > 0, std, 1.0)
-        return (scores - scores.mean(axis=0)) / scale
+        return centred / scale
 
     def space(self, mask: np.ndarray) -> np.ndarray:
         """Rescaled PCA space of the columns selected by boolean ``mask``."""

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import repro.mica.fused as fused
 from repro.config import AnalysisConfig
 from repro.core import WorkloadDataset, build_dataset
-from repro.mica import N_FEATURES
+from repro.mica import N_FEATURES, batch_slices
+from repro.obs import observe
 from repro.suites import get_benchmark
 
 
@@ -78,6 +80,33 @@ def test_progress_callback_invoked(cfg):
     build_dataset([get_benchmark("BMW", "gait")], cfg, progress=messages.append)
     assert len(messages) == 1
     assert "BMW/gait" in messages[0]
+
+
+def _walk(span):
+    yield span
+    for child in span.children:
+        yield from _walk(child)
+
+
+def test_synth_generate_span_per_fused_batch(cfg, monkeypatch):
+    # Two intervals per fused batch, so each benchmark takes several.
+    monkeypatch.setattr(fused, "FUSED_BATCH_INSTRUCTIONS", 2 * cfg.interval_instructions)
+    benches = [get_benchmark("BMW", "face"), get_benchmark("BioPerf", "grappa")]
+    with observe() as ob:
+        build_dataset(benches, cfg)
+    mica = [s for s in _walk(ob.root) if s.name == "mica"]
+    nested = [c for m in mica for c in m.children if c.name == "synth.generate"]
+    every = [s for s in _walk(ob.root) if s.name == "synth.generate"]
+    assert len(nested) == len(every)
+    characterized = [m.attrs["characterized"] for m in mica]
+    n_batches = sum(len(batch_slices(n, cfg.interval_instructions)) for n in characterized)
+    assert n_batches > len(benches)
+    assert len(every) == n_batches
+    assert sum(s.attrs["intervals"] for s in every) == sum(characterized)
+    counters = ob.metrics.snapshot()["counters"]
+    assert sum(characterized) == counters["dataset.intervals_characterized"]
+    for s in every:
+        assert s.attrs["instructions"] == s.attrs["intervals"] * cfg.interval_instructions
 
 
 def test_dataset_field_validation():

@@ -3,7 +3,52 @@
 import numpy as np
 import pytest
 
-from repro.ga import DistanceCorrelationFitness
+from repro.config import AnalysisConfig
+from repro.ga import DistanceCorrelationFitness, select_features
+from repro.stats import GramPCA, condensed_distances, pearson
+from repro.synth import generator
+
+
+class OracleFitness:
+    """Scores a mask with the unhoisted formulation the fast path replaces.
+
+    One ``eigh`` of the mask's Gram block, rescaled with separate
+    ``std``/``mean`` calls, then ``pearson(condensed_distances(space),
+    reference_distances)`` — the full distance matrix and every
+    reference term recomputed per mask.
+    """
+
+    def __init__(self, fitness: DistanceCorrelationFitness) -> None:
+        self.reference = fitness.reference_distances
+        self.gram_pca = GramPCA(fitness.phase_matrix, min_std=fitness.pca_min_std)
+
+    def space(self, mask: np.ndarray) -> np.ndarray:
+        g = self.gram_pca
+        cols = np.flatnonzero(mask)
+        eigvals, eigvecs = np.linalg.eigh(g.gram[np.ix_(cols, cols)])
+        stds = np.sqrt(np.clip(eigvals, 0.0, None) / (g.n - 1))
+        keep = stds > g.min_std
+        if not keep.any():
+            keep[-1] = True
+        scores = g.z[:, cols] @ eigvecs[:, keep]
+        std = scores.std(axis=0)
+        scale = np.where(std > 0, std, 1.0)
+        return (scores - scores.mean(axis=0)) / scale
+
+    def __call__(self, mask: np.ndarray) -> float:
+        mask = np.asarray(mask, dtype=bool)
+        if not mask.any():
+            return -1.0
+        return pearson(condensed_distances(self.space(mask)), self.reference)
+
+
+@pytest.fixture
+def wide():
+    """A seeded 100-phase, 69-characteristic matrix (the paper's shape)."""
+    rng = np.random.default_rng(2008)
+    signal = rng.normal(size=(100, 8))
+    mixed = signal @ rng.normal(size=(8, 69))
+    return mixed + 0.3 * rng.normal(size=(100, 69))
 
 
 @pytest.fixture
@@ -88,7 +133,50 @@ def test_batch_matches_sequential(phases):
     batch = DistanceCorrelationFitness(phases).evaluate_population(masks)
     fresh = DistanceCorrelationFitness(phases)
     sequential = [fresh(m) for m in masks]
-    assert batch == pytest.approx(sequential, abs=1e-12)
+    assert batch == sequential
+
+
+def test_fast_path_bit_identical_every_cardinality(phases):
+    fitness = DistanceCorrelationFitness(phases)
+    oracle = OracleFitness(fitness)
+    rng = np.random.default_rng(5)
+    for size in range(1, 11):
+        mask = np.zeros(10, dtype=bool)
+        mask[rng.choice(10, size=size, replace=False)] = True
+        assert fitness(mask) == oracle(mask)
+
+
+@pytest.mark.parametrize("size", [1, 12, 40, 69])
+def test_fast_path_bit_identical_on_paper_shape(wide, size):
+    fitness = DistanceCorrelationFitness(wide)
+    oracle = OracleFitness(fitness)
+    rng = np.random.default_rng(size)
+    masks = []
+    for _ in range(60):
+        mask = np.zeros(69, dtype=bool)
+        mask[rng.choice(69, size=size, replace=False)] = True
+        masks.append(mask)
+    # One batch exercises the stacked eigh path as the GA does.
+    assert fitness.evaluate_population(masks) == [oracle(m) for m in masks]
+
+
+def test_ga_run_identical_to_oracle_fitness(wide):
+    cfg = AnalysisConfig.tiny().replace(
+        ga_populations=2, ga_population_size=16, ga_generations=8
+    )
+    fast = select_features(
+        DistanceCorrelationFitness(wide), 69, 12, config=cfg, rng=generator("ga", 16)
+    )
+    oracle = select_features(
+        OracleFitness(DistanceCorrelationFitness(wide)),
+        69,
+        12,
+        config=cfg,
+        rng=generator("ga", 16),
+    )
+    assert (fast.mask == oracle.mask).all()
+    assert fast.fitness == oracle.fitness
+    assert fast.history == oracle.history
 
 
 def test_cache_hit_counters(phases):

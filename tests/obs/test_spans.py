@@ -1,6 +1,7 @@
 """Span nesting, no-op inertness, and worker snapshot merging."""
 
 import pickle
+import threading
 
 import pytest
 
@@ -133,6 +134,41 @@ def test_capture_isolates_and_merges_under_current_span():
     assert task.attrs["label"] == "BMW/gait"
     assert [c.name for c in task.children] == ["mica"]
     assert ob.metrics.counter_value("rows") == 4
+
+
+def test_other_thread_spans_keep_their_own_stack():
+    # A producer thread holds a span open while the observing thread
+    # opens and closes its own; neither may pop the other's span.
+    opened, release = threading.Event(), threading.Event()
+    errors = []
+
+    def produce():
+        try:
+            with span("synth.generate"):
+                opened.set()
+                release.wait(timeout=10)
+                with span("inner"):
+                    pass
+        except Exception as exc:  # relayed to the assertion below
+            errors.append(exc)
+
+    with observe() as ob:
+        with span("streaming.pca"):
+            worker = threading.Thread(target=produce)
+            worker.start()
+            assert opened.wait(timeout=10)
+            with span("main.step"):
+                pass
+            release.set()
+            worker.join(timeout=10)
+        with span("after"):
+            pass
+    assert not worker.is_alive()
+    assert errors == []
+    pca = ob.root.children[0]
+    assert [c.name for c in pca.children] == ["synth.generate", "main.step"]
+    assert [c.name for c in pca.children[0].children] == ["inner"]
+    assert [c.name for c in ob.root.children] == ["streaming.pca", "after"]
 
 
 def test_snapshot_pickles():
