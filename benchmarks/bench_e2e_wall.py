@@ -7,13 +7,13 @@ selection — twice over the same benchmarks:
 * **optimized**: the defaults — fused whole-trace metering
   (:mod:`repro.mica.fused`) and shape-adaptive k-means engine
   selection (:func:`repro.stats.kmeans_engine.use_accelerated`);
-* **baseline**: the per-interval meters and reference Lloyd, forced for
-  the run by swapping the dataset builder's featurizer for a loop over
-  :func:`~repro.mica.characterize_interval` and lifting the k-means
-  crossover (:func:`baseline_engines`).
+* **baseline**: one interval per MICA call and reference Lloyd, forced
+  for the run by swapping the dataset builder's featurizer for a loop of
+  one-interval production calls, ``characterize_intervals([t], config)``,
+  and lifting the k-means crossover (:func:`baseline_engines`).
 
 Both runs must be bit-identical (features, PCA space, labels, BIC);
-the ratio of their wall clocks is the pipeline's whole-trace payoff.
+the ratio of their wall clocks is the pipeline's batching payoff.
 
 The preset (``REPRO_BENCH_PRESET``) sets the scale.  ``paper`` is the
 paper clustering shape at 500-instruction intervals — 77 benchmarks x
@@ -23,7 +23,7 @@ instruction intervals); ``perfbench``'s ``paper-cold`` workload
 measures that preset.
 ``tiny`` is the CI gate scale: the whole run takes
 seconds, the clustering (308 x 8) sits below the engine crossover on
-*both* paths, and the measured ratio isolates fused-vs-per-interval
+*both* paths, and the measured ratio isolates batched-vs-one-at-a-time
 metering.
 
 Writes ``e2e_wall.txt``/``e2e_wall.json`` and the CI artifact
@@ -50,7 +50,7 @@ import repro.stats.kmeans_engine as kmeans_engine
 from repro.config import AnalysisConfig
 from repro.core import build_dataset, run_characterization
 from repro.io import format_table
-from repro.mica import characterize_interval
+from repro.mica import characterize_intervals
 from repro.obs import emit_bench
 from repro.suites import all_benchmarks
 
@@ -106,18 +106,19 @@ SCALE_LABEL = {
 
 @contextmanager
 def baseline_engines():
-    """Force the per-interval meters and reference Lloyd, then restore.
+    """Force one interval per MICA call and reference Lloyd, then restore.
 
-    The dataset builder featurizes through a loop over the per-interval
-    meter instead of the fused pass, and a k-means crossover above any
-    ``n * k`` keeps every clustering on reference Lloyd.
+    The dataset builder featurizes through a loop of one-interval calls
+    to the fused pass instead of one call per batch, and a k-means
+    crossover above any ``n * k`` keeps every clustering on reference
+    Lloyd.
     """
 
-    def per_interval(traces, config):
-        return np.vstack([characterize_interval(t, config) for t in traces])
+    def one_at_a_time(traces, config):
+        return np.vstack([characterize_intervals([t], config) for t in traces])
 
     saved = dataset.characterize_intervals, kmeans_engine.AUTO_CROSSOVER_ENTRIES
-    dataset.characterize_intervals = per_interval
+    dataset.characterize_intervals = one_at_a_time
     kmeans_engine.AUTO_CROSSOVER_ENTRIES = sys.maxsize
     try:
         yield
@@ -172,7 +173,7 @@ def bench_e2e_wall(config, report):
             f"{n_rows / optimized_s:.0f}",
         ],
         [
-            "baseline (per-interval + reference Lloyd)",
+            "baseline (one interval per call + reference Lloyd)",
             f"{baseline_s:.2f}",
             f"{n_rows / baseline_s:.0f}",
         ],

@@ -1,29 +1,24 @@
-"""E11 — Throughput of the vectorized MICA meter kernels.
+"""E11 — Per-meter throughput of the fused MICA pass.
 
-Times each meter over one interval per suite at the preset's interval
-size, reports instructions/second, and measures the kernel-vs-reference
-speedups for the two rewritten meters (grouped-scan PPM, single-sweep
-ILP) plus the shared :class:`IntervalProfile` build that amortizes
-producer matching across meters.  It also times the production fused
-pass against the per-interval meter on a fixed batch of real intervals
-at each shipped interval size (500, 4,000 and 10,000 instructions,
-whatever the preset) and fails unless the fused pass is at least as
-fast at every size — the check that keeps one MICA path.  A second
-experiment measures the feature-block cache hit path: a warm
-``build_dataset`` re-run must be dominated by block loads, not
-featurization.
+Runs the production pass (:func:`repro.mica.characterize_intervals`, in
+the dataset builder's :func:`~repro.mica.batch_slices` batches) under
+an observation over a fixed batch of real intervals at each shipped
+interval size — 500, 4,000 and 10,000 instructions, with the ILP/PPM
+subsample sizes of the preset that ships each, whatever
+``REPRO_BENCH_PRESET`` says — and reports each meter's time from the
+``mica.meter.<name>.seconds`` counters the pass records, as
+instructions per second.  A second experiment measures the
+feature-block cache hit path: a warm ``build_dataset`` re-run must be
+dominated by block loads, not featurization.
 
 Each experiment writes a table under ``benchmarks/output`` and emits one
-``BENCH {json}`` line (and ``meter_throughput.json``) so the numbers are
-machine-collectable across runs.
+``BENCH {json}`` line (and ``meter_throughput.json`` /
+``feature_cache_hit_path.json``) so the numbers are machine-collectable
+across runs.  Neither experiment gates on speed.
 
 Run it alone (it does not touch the session-scoped paper cache)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_meter_throughput.py -q
-
-Set ``REPRO_BENCH_REQUIRE_SPEEDUP=1`` to fail when the PPM kernel lands
-under 5x or the ILP kernel under 3x (meant for the paper/default preset;
-tiny intervals are overhead-dominated and are not gated).
 """
 
 import os
@@ -35,38 +30,33 @@ import numpy as np
 from repro.config import AnalysisConfig
 from repro.core import build_dataset
 from repro.io import FeatureBlockCache, format_table
-from repro.isa import OpClass
-from repro.mica import (
-    IntervalProfile,
-    batch_slices,
-    characterize_interval,
-    characterize_intervals,
-    measure_branch,
-    measure_footprint,
-    measure_ilp,
-    measure_ilp_reference,
-    measure_instruction_mix,
-    measure_ppm,
-    measure_ppm_reference,
-    measure_register_traffic,
-    measure_strides,
-)
-from repro.obs import emit_bench
+from repro.mica import batch_slices, characterize_intervals
+from repro.obs import emit_bench, observe
 from repro.suites import all_benchmarks
 
-#: Timing repeats; the minimum total is reported.
+#: Timing repeats; the minimum per meter is reported.
 REPEATS = 3
 
+#: The six meters, by their ``mica.meter.<name>.seconds`` counter name.
+METERS = (
+    "instruction_mix",
+    "ilp",
+    "register_traffic",
+    "footprint",
+    "strides",
+    "branch",
+)
+
 #: Shipped interval size -> the preset that ships it (its ILP/PPM
-#: subsample sizes), for the fused-vs-per-interval experiment.
-FUSED_SIZES = {
+#: subsample sizes).
+SIZES = {
     500: AnalysisConfig.tiny(),
     4_000: AnalysisConfig.small(),
     10_000: AnalysisConfig.paper(),
 }
 
-#: Instructions per size in that experiment's fixed interval batch.
-FUSED_BATCH_TOTAL = 240_000
+#: Instructions per size in the fixed interval batch.
+BATCH_TOTAL = 240_000
 
 
 def _timed_best(fn, repeats=REPEATS):
@@ -77,18 +67,6 @@ def _timed_best(fn, repeats=REPEATS):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return result, best
-
-
-def _suite_traces(config: AnalysisConfig):
-    """One representative interval trace per suite at the preset size."""
-    traces = []
-    seen = set()
-    for bench in all_benchmarks():
-        if bench.suite in seen:
-            continue
-        seen.add(bench.suite)
-        traces.append(bench.program.interval_trace(0, config.interval_instructions))
-    return traces
 
 
 def _round_robin_traces(count: int, interval_instructions: int):
@@ -106,157 +84,60 @@ def _round_robin_traces(count: int, interval_instructions: int):
     return traces
 
 
-def fused_vs_per_interval():
-    """Fused pass vs per-interval meter at every shipped interval size.
+def _meter_seconds(traces, config, size):
+    """Each meter's seconds in one observed pass over ``traces``."""
+    slices = batch_slices(len(traces), size)
+    with observe() as ob:
+        for batch in slices:
+            characterize_intervals(traces[batch], config)
+    reg = ob.metrics
+    assert reg.counter_value("mica.fused_batches") == len(slices)
+    assert reg.counter_value("mica.intervals") == len(traces)
+    return {m: reg.counter_value(f"mica.meter.{m}.seconds") for m in METERS}
 
-    Each size measures the same fixed batch both ways — the fused pass
-    in the dataset builder's :func:`batch_slices` batches — checks the
-    matrices bit-identical, and reports per-interval over fused time.
-    """
+
+def bench_meter_throughput(report):
     results = {}
-    for size, config in FUSED_SIZES.items():
-        traces = _round_robin_traces(FUSED_BATCH_TOTAL // size, size)
-        per, per_s = _timed_best(
-            lambda: np.vstack([characterize_interval(t, config) for t in traces])
-        )
-        fused, fused_s = _timed_best(
-            lambda: np.vstack(
-                [
-                    characterize_intervals(traces[batch], config)
-                    for batch in batch_slices(len(traces), size)
-                ]
-            )
-        )
-        assert np.array_equal(per, fused)
+    for size, config in SIZES.items():
+        traces = _round_robin_traces(BATCH_TOTAL // size, size)
+        runs = [_meter_seconds(traces, config, size) for _ in range(REPEATS)]
+        seconds = {m: min(run[m] for run in runs) for m in METERS}
+        seconds["total"] = sum(seconds.values())
+        instructions = sum(len(t) for t in traces)
         results[size] = {
             "intervals": len(traces),
-            "per_interval_seconds": round(per_s, 6),
-            "fused_seconds": round(fused_s, 6),
-            "speedup": round(per_s / fused_s, 2),
+            "instructions": instructions,
+            "seconds": {m: round(v, 6) for m, v in seconds.items()},
+            "instructions_per_second": {
+                m: round(instructions / v) for m, v in seconds.items()
+            },
         }
-    return results
 
-
-def _branch_streams(traces, config: AnalysisConfig):
-    streams = []
-    for trace in traces:
-        mask = trace.op == OpClass.BRANCH
-        pcs = trace.pc[mask][: config.ppm_sample_branches]
-        outcomes = trace.taken[mask][: config.ppm_sample_branches]
-        streams.append((pcs, outcomes))
-    return streams
-
-
-def bench_meter_throughput(config, report):
-    traces = _suite_traces(config)
-    streams = _branch_streams(traces, config)
-    profiles = [IntervalProfile.from_trace(t) for t in traces]
-    total_instructions = sum(len(t) for t in traces)
-    ilp_n = config.ilp_sample_instructions
-
-    def sweep(fn):
-        def run():
-            for trace in traces:
-                fn(trace)
-
-        return _timed_best(run)[1]
-
-    # The two rewritten meters, kernel vs retained reference.
-    ppm_results, ppm_s = _timed_best(
-        lambda: [measure_ppm(p, o) for p, o in streams]
-    )
-    ppm_ref_results, ppm_ref_s = _timed_best(
-        lambda: [measure_ppm_reference(p, o) for p, o in streams]
-    )
-    assert ppm_results == ppm_ref_results
-    ilp_results, ilp_s = _timed_best(
-        lambda: [
-            measure_ilp(t, sample_instructions=ilp_n, profile=p)
-            for t, p in zip(traces, profiles)
-        ]
-    )
-    ilp_ref_results, ilp_ref_s = _timed_best(
-        lambda: [
-            measure_ilp_reference(t, sample_instructions=ilp_n) for t in traces
-        ]
-    )
-    for got, want in zip(ilp_results, ilp_ref_results):
-        assert got.keys() == want.keys()
-        assert all(abs(got[k] - want[k]) < 1e-9 for k in got)
-
-    _, profile_s = _timed_best(
-        lambda: [IntervalProfile.from_trace(t) for t in traces]
-    )
-
-    timings = {
-        "ppm (kernel)": ppm_s,
-        "ppm (reference)": ppm_ref_s,
-        "ilp (kernel)": ilp_s,
-        "ilp (reference)": ilp_ref_s,
-        "profile build": profile_s,
-        "instruction mix": sweep(measure_instruction_mix),
-        "footprint": sweep(measure_footprint),
-        "strides": sweep(measure_strides),
-        "register traffic": sweep(measure_register_traffic),
-        "branch (incl. ppm)": sweep(
-            lambda t: measure_branch(t, sample_branches=config.ppm_sample_branches)
-        ),
-    }
-    ppm_speedup = ppm_ref_s / ppm_s
-    ilp_speedup = ilp_ref_s / ilp_s
-    fused = fused_vs_per_interval()
-
+    names = list(METERS) + ["total"]
     rows = [
-        [name, f"{seconds * 1e3:.2f}", f"{total_instructions / seconds / 1e6:.1f}"]
-        for name, seconds in timings.items()
+        [name]
+        + [
+            f"{r['seconds'][name] * 1e3:.1f} / "
+            f"{r['instructions_per_second'][name] / 1e6:.1f}"
+            for r in results.values()
+        ]
+        for name in names
     ]
-    text = format_table(["meter", "ms / interval set", "Minstr/s"], rows)
-    text += (
-        f"\n{len(traces)} intervals x {config.interval_instructions} instructions, "
-        f"best of {REPEATS}; ppm speedup {ppm_speedup:.2f}x, "
-        f"ilp speedup {ilp_speedup:.2f}x (profile-amortized)\n"
+    text = format_table(
+        ["meter"] + [f"{size}-instr: ms / Minstr/s" for size in results], rows
     )
-    text += format_table(
-        ["interval instr", "intervals", "per-interval ms", "fused ms", "fused speedup"],
-        [
-            [
-                str(size),
-                str(r["intervals"]),
-                f"{r['per_interval_seconds'] * 1e3:.1f}",
-                f"{r['fused_seconds'] * 1e3:.1f}",
-                f"{r['speedup']:.2f}x",
-            ]
-            for size, r in fused.items()
-        ],
+    text += (
+        f"\nfused pass over {BATCH_TOTAL} instructions of real intervals per "
+        f"size, in batch_slices batches; per-meter counters, best of {REPEATS}\n"
     )
     report("meter_throughput.txt", text)
     print("\n" + text)
 
-    payload = {
-        "preset": os.environ.get("REPRO_BENCH_PRESET", "paper"),
-        "interval_instructions": config.interval_instructions,
-        "n_intervals": len(traces),
-        "seconds": {k: round(v, 6) for k, v in timings.items()},
-        "instructions_per_second": {
-            k: round(total_instructions / v) for k, v in timings.items()
-        },
-        "ppm_speedup": round(ppm_speedup, 2),
-        "ilp_speedup": round(ilp_speedup, 2),
-        "fused_vs_per_interval": {str(size): r for size, r in fused.items()},
-    }
-    emit_bench("meter_throughput", payload, report=report)
-
-    # Ungated by REPRO_BENCH_REQUIRE_SPEEDUP: the fused pass is the only
-    # production path, so it must never lose at a shipped size.
-    for size, r in fused.items():
-        assert r["speedup"] >= 1.0, (
-            f"fused pass {r['speedup']:.2f}x the per-interval meter "
-            f"at {size}-instruction intervals"
-        )
-
-    if os.environ.get("REPRO_BENCH_REQUIRE_SPEEDUP"):
-        assert ppm_speedup >= 5.0, f"ppm kernel speedup {ppm_speedup:.2f}x < 5x"
-        assert ilp_speedup >= 3.0, f"ilp kernel speedup {ilp_speedup:.2f}x < 3x"
+    emit_bench(
+        "meter_throughput",
+        {"per_size": {str(size): r for size, r in results.items()}},
+        report=report,
+    )
 
 
 def bench_feature_cache_hit_path(config, report):

@@ -38,7 +38,8 @@ class AnalysisConfig:
     * ``n_key_characteristics`` — GA-selected characteristics used for the
       kiviat axes (paper: 12).
     * ``ilp_sample_instructions`` / ``ppm_sample_branches`` — per-interval
-      subsample sizes for the two inherently sequential meters.
+      subsample sizes for the two inherently sequential meters
+      (``ppm_sample_branches`` at most ``2**20``).
 
     Execution knobs control how the hot stages run without affecting
     what they compute (results are bit-identical for a fixed seed at any
@@ -135,6 +136,10 @@ class AnalysisConfig:
             raise ValueError("spool_max_bytes must be >= 0 (0 = unlimited)")
         if self.prefetch < 0:
             raise ValueError("prefetch must be >= 0 (0 = no prefetch)")
+        if self.ppm_sample_branches > 2**20:
+            # One interval's PPM context keys and event indices then
+            # still fit one int64 composite (repro.mica.fused).
+            raise ValueError("ppm_sample_branches must be <= 2**20")
 
     @classmethod
     def paper(cls) -> "AnalysisConfig":

@@ -1,9 +1,10 @@
 """The 69 microarchitecture-independent characteristics (Table 1 analog).
 
 This module is the single source of truth for feature names, ordering,
-and category membership.  Every meter returns a dict of named values;
-:func:`feature_vector` assembles them into the canonical 69-element
-vector consumed by the statistics pipeline.
+category membership, and the window, bucket and history-length
+constants the names are built from; the fused pass
+(:mod:`repro.mica.fused`) writes each named column into the canonical
+69-element vector consumed by the statistics pipeline.
 
 See DESIGN.md section 4 for how the per-category counts were chosen
 (the paper's Table 1 is partially illegible in the available text; the
@@ -13,9 +14,7 @@ total of 69 is unambiguous).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
-
-import numpy as np
+from typing import Dict, List
 
 CATEGORY_MIX = "instruction mix"
 CATEGORY_ILP = "ILP"
@@ -32,6 +31,29 @@ CATEGORIES = (
     CATEGORY_STRIDE,
     CATEGORY_BRANCH,
 )
+
+#: ILP instruction-window sizes, as in the paper.
+WINDOW_SIZES = (32, 64, 128, 256)
+
+#: Cumulative register dependency-distance buckets (instructions).
+DEP_DISTANCE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
+
+#: Cumulative ``|stride|`` buckets (bytes) for global and local strides.
+GLOBAL_BUCKETS = (0, 64, 4096, 262144)
+LOCAL_BUCKETS = (0, 8, 64, 512, 4096)
+
+#: PPM predictor organizations (history kind x table kind), in
+#: context-key order.
+ORGANIZATIONS = ("gag", "pag", "gas", "pas")
+
+#: Maximum PPM history lengths reported, as in the paper.
+REPORTED_LENGTHS = (4, 8, 12)
+
+#: Context lengths tracked per PPM predictor, longest first.  A strict
+#: PPM tracks every length 0..12; tracking this subset keeps the table
+#: state tractable while preserving the short/medium/long history
+#: structure that separates workloads.
+TRACKED_LENGTHS = (12, 8, 4, 2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -73,7 +95,7 @@ def _make_features() -> List[Feature]:
         _mix("mix_div", "fraction divides (int + FP)"),
     ]
     # --- ILP (4) ------------------------------------------------------
-    for w in (32, 64, 128, 256):
+    for w in WINDOW_SIZES:
         features.append(
             Feature(
                 f"ilp_w{w}",
@@ -97,7 +119,7 @@ def _make_features() -> List[Feature]:
             "average degree of use (register reads per register write)",
         )
     )
-    for d in (1, 2, 4, 8, 16, 32, 64):
+    for d in DEP_DISTANCE_BUCKETS:
         features.append(
             Feature(
                 f"reg_dep_le{d}",
@@ -114,10 +136,10 @@ def _make_features() -> List[Feature]:
     ]
     # --- data stream strides (18) ----------------------------------------
     for stream, buckets in (
-        ("gl", (0, 64, 4096, 262144)),
-        ("gs", (0, 64, 4096, 262144)),
-        ("ll", (0, 8, 64, 512, 4096)),
-        ("ls", (0, 8, 64, 512, 4096)),
+        ("gl", GLOBAL_BUCKETS),
+        ("gs", GLOBAL_BUCKETS),
+        ("ll", LOCAL_BUCKETS),
+        ("ls", LOCAL_BUCKETS),
     ):
         kind = {
             "gl": "global load",
@@ -138,14 +160,14 @@ def _make_features() -> List[Feature]:
         Feature("br_transition_rate", CATEGORY_BRANCH, "average branch transition rate")
     )
     features.append(Feature("br_taken_rate", CATEGORY_BRANCH, "average branch taken rate"))
-    for kind in ("gag", "pag", "gas", "pas"):
+    for kind in ORGANIZATIONS:
         label = {
             "gag": "global history, global table",
             "pag": "per-address history, global table",
             "gas": "global history, per-address table",
             "pas": "per-address history, per-address table",
         }[kind]
-        for h in (4, 8, 12):
+        for h in REPORTED_LENGTHS:
             features.append(
                 Feature(
                     f"ppm_{kind}_h{h}",
@@ -179,42 +201,3 @@ def features_in_category(category: str) -> List[str]:
     if category not in CATEGORIES:
         raise ValueError(f"unknown category {category!r}")
     return [f.name for f in FEATURES if f.category == category]
-
-
-#: Memoized destination-index permutations, keyed by the exact key
-#: order of the incoming mapping.  The meters always produce the same
-#: key order, so assembly reduces to one fancy-index store.
-_ASSEMBLY_PERMUTATIONS: Dict[tuple, np.ndarray] = {}
-
-
-def _assembly_permutation(names: tuple) -> np.ndarray:
-    extra = set(names) - set(FEATURE_INDEX)
-    if extra:
-        raise ValueError(f"unknown feature names: {sorted(extra)}")
-    if len(names) < N_FEATURES:
-        present = set(names)
-        for name in FEATURE_INDEX:
-            if name not in present:
-                raise KeyError(name)
-    if len(_ASSEMBLY_PERMUTATIONS) > 64:
-        _ASSEMBLY_PERMUTATIONS.clear()
-    perm = np.array([FEATURE_INDEX[name] for name in names], dtype=np.intp)
-    _ASSEMBLY_PERMUTATIONS[names] = perm
-    return perm
-
-
-def feature_vector(values: Mapping[str, float]) -> np.ndarray:
-    """Assemble a canonical 69-element vector from named values.
-
-    Raises ``KeyError`` if any feature is missing and ``ValueError`` on
-    extra keys, so meters cannot silently drift from the schema.  The
-    fill is a single vectorized permuted store; the permutation for a
-    given key order is computed once and memoized.
-    """
-    names = tuple(values)
-    perm = _ASSEMBLY_PERMUTATIONS.get(names)
-    if perm is None:
-        perm = _assembly_permutation(names)
-    vec = np.empty(N_FEATURES, dtype=np.float64)
-    vec[perm] = np.fromiter(values.values(), dtype=np.float64, count=len(perm))
-    return vec

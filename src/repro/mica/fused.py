@@ -1,27 +1,22 @@
 """Fused whole-trace metering: many intervals, one vectorized pass.
 
-:func:`repro.mica.meter.characterize_interval` measures one interval at
-a time: every call rebuilds an :class:`IntervalProfile`, re-sorts the
-branch and memory streams, and re-runs the producer matching — so a
-1,000-interval benchmark pays 1,000 rounds of numpy dispatch and small-
-array setup.  At paper scale that per-interval Python overhead caps the
-vectorized kernels well below their single-big-array throughput.
-
-This module fuses the six meters over a *batch* of intervals: the
-interval traces are concatenated into one whole trace, every shared
-fact (op counts, producer matching, per-kind streams, branch
-histories) is computed **once** for the whole trace, and interval
-boundaries are applied afterwards as segment reductions —
+This is the one MICA implementation.  It measures the six meters over a
+*batch* of intervals: the interval traces are concatenated into one
+whole trace, every shared fact (op counts, producer matching, per-kind
+streams, branch histories) is computed **once** for the whole trace,
+and interval boundaries are applied afterwards as segment reductions —
 ``np.bincount`` over interval ids, ``np.add.reduceat`` /
 ``np.maximum.reduceat`` over boundary indices, and boundary-crossing
-masks on difference streams — instead of a Python loop that rebuilds a
-profile per interval.
+masks on difference streams — instead of a Python loop per interval.
+A one-interval batch is the per-interval case.
 
-**Bit-identity contract.**  The fused pass produces, for every
-interval, exactly the vector the per-interval path produces — bit for
-bit (pinned by ``tests/mica/test_fused.py``: hypothesis equivalence on
-random interval batches plus the frozen golden vectors).  Per-interval
-semantics are preserved by construction:
+**Bit-identity contract.**  For every interval, the fused pass produces
+exactly the vector the sequential per-interval oracle
+(``tests/mica/oracle.py``) produces — bit for bit, pinned by
+``tests/mica/test_fused.py`` (hypothesis equivalence on random interval
+batches, one real interval per suite at the paper preset) and the
+frozen golden vectors.  Per-interval semantics are preserved by
+construction:
 
 * *Producer matching* runs once over the whole trace with the interval
   id in every sort key, so a read only ever matches an earlier write of
@@ -35,42 +30,40 @@ semantics are preserved by construction:
   context key, so one grouped scan evolves every interval's private
   saturating counters at once.
 * All per-interval scalars (fractions, rates, IPC) divide the same
-  integers by the same integers the per-interval meters divide, so the
-  resulting floats are identical — not merely close.
-
-This is the only production MICA path, at every interval size;
-:func:`~repro.mica.meter.characterize_interval` and the per-interval
-kernels stay as the tests' oracles.
+  integers by the same integers the oracle divides, so the resulting
+  floats are identical — not merely close.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import AnalysisConfig
-from ..isa import NO_REG, N_OP_CLASSES, OpClass, Trace, concat, is_memory_op
+from ..isa import NO_REG, N_OP_CLASSES, N_REGISTERS, OpClass, Trace, concat, is_memory_op
 from ..obs import active as obs_active
 from ..obs import metrics
-from .features import FEATURE_INDEX, N_FEATURES
-from .ilp import WINDOW_SIZES
-from .ppm import (
+from .features import (
+    DEP_DISTANCE_BUCKETS,
+    FEATURE_INDEX,
+    GLOBAL_BUCKETS,
+    LOCAL_BUCKETS,
+    N_FEATURES,
     ORGANIZATIONS,
     REPORTED_LENGTHS,
+    WINDOW_SIZES,
+)
+from .ppm import (
     _HISTORY_BITS,
     _LENGTH_BITS,
     _event_bits,
     context_keys,
     local_histories,
-    measure_ppm,
     ppm_misses,
 )
-from .profile import match_producers
-from .register_traffic import DEP_DISTANCE_BUCKETS
-from .strides import GLOBAL_BUCKETS, LOCAL_BUCKETS
 
 #: Soft cap on the instructions concatenated into one fused batch; the
 #: dataset builder slices its interval picks into batches of at most
@@ -114,8 +107,9 @@ def characterize_intervals(
         config: supplies the ILP/PPM subsample sizes.
 
     Returns:
-        A ``(len(traces), 69)`` float64 matrix whose row ``i`` is
-        bit-identical to ``characterize_interval(traces[i], config)``.
+        A ``(len(traces), 69)`` float64 matrix whose row ``i`` depends
+        on ``traces[i]`` alone: ``characterize_intervals([t], config)[0]``
+        measures one interval.
     """
     if len(traces) == 0:
         return np.empty((0, N_FEATURES), dtype=np.float64)
@@ -165,7 +159,7 @@ def _characterize_fused(
     columns: Dict[str, np.ndarray] = {}
     timer = _SectionTimer(m)
 
-    # Shared whole-trace facts (the IntervalProfile analog).
+    # Shared whole-trace facts.
     op = trace.op
     mem_mask = is_memory_op(op)
     branch_mask = op == OpClass.BRANCH
@@ -246,7 +240,7 @@ def _mix_columns(
     def f(opc: OpClass) -> np.ndarray:
         return frac[:, int(opc)]
 
-    # Sums associate left-to-right exactly as the per-interval meter's
+    # Sums associate left-to-right exactly as the oracle's
     # scalar additions do, so every column is bit-identical.
     int_arith = (
         f(OpClass.IADD) + f(OpClass.IMUL) + f(OpClass.IDIV)
@@ -280,6 +274,89 @@ def _mix_columns(
 
 
 # ----------------------------------------------------------------------
+# producer matching (shared by ILP and register traffic)
+
+
+def match_producers(
+    trace: Trace, iv: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """For each instruction, the trace index that produced each source.
+
+    Args:
+        trace: one interval, or several concatenated.
+        iv: for a concatenation, the non-decreasing interval id of each
+            instruction; producers never cross an interval boundary.
+
+    Returns two int64 arrays ``(p1, p2)`` parallel to the trace; entry
+    ``-1`` means the source operand is absent or its producing write
+    precedes the interval.
+
+    Producers of instruction ``i`` always satisfy ``p < i``, so the
+    arrays for any prefix ``trace[:m]`` are exactly ``p1[:m], p2[:m]``
+    — which is what lets one full-interval matching serve both the
+    register-traffic meter (whole interval) and the ILP meter (leading
+    subsample).
+
+    The matching is one sort: every register read and write becomes a
+    composite ``(interval, register, position, slot)`` integer key,
+    where a read's slot tag sorts before a write at the same position.
+    After ``np.sort``, a running maximum over the write keys carries
+    each register's latest write forward, so a read's producer is the
+    carried write whenever the two keys share their ``(interval,
+    register)`` prefix.
+    """
+    n = len(trace)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    pos_bits = max(1, int(n - 1).bit_length())
+    iv_bits = 0 if iv is None else max(1, int(iv[-1]).bit_length())
+    # Key layout, low to high: slot tag (2 bits: src1 0, src2 1, dst 2,
+    # absent dst 3 — never a write), position, register, interval.  An
+    # absent source masks to the top register; its match is discarded
+    # below.  int32 keys whenever they fit halve the bytes sorted.
+    reg_shift = pos_bits + 2
+    iv_shift = reg_shift + (N_REGISTERS - 1).bit_length()
+    dtype = np.int32 if iv_shift + iv_bits <= 31 else np.int64
+    base = np.arange(n, dtype=dtype) << 2
+    if iv is not None:
+        base |= iv.astype(dtype) << iv_shift
+    keys = np.empty(3 * n, dtype=dtype)
+    for slot, regs in enumerate((trace.src1, trace.src2, trace.dst)):
+        part = keys[slot * n:(slot + 1) * n]
+        np.bitwise_and(regs, N_REGISTERS - 1, out=part, casting="unsafe")
+        part <<= reg_shift
+        part |= base
+        part |= slot
+    np.bitwise_or(keys[2 * n:], trace.dst == NO_REG, out=keys[2 * n:])
+    keys.sort()
+    # (flags.view(int8) - 1) is 0 where a flag is set and -1 (all ones)
+    # where not, so OR-ing it in sets every unflagged entry to -1 — a
+    # cheaper np.where(flags, x, -1).
+    is_write = (keys & 3) == 2
+    last_write = keys | (is_write.view(np.int8) - np.int8(1))
+    np.maximum.accumulate(last_write, out=last_write)
+    # Same (interval, register) prefix: the XOR has no bit at or above
+    # reg_shift (a -1 carry XORs to a huge unsigned value).
+    unsigned = np.uint32 if dtype is np.int32 else np.uint64
+    same = (last_write ^ keys).view(unsigned) < (1 << reg_shift)
+    # A key's low bits, position << 2 | slot, index a (position, slot)
+    # table directly; entries hold the producing write's low bits, or
+    # -1, which the final >> 2 keeps at -1.  The dst slots' entries and
+    # the absent sources' matches are discarded.
+    low_mask = dtype((1 << reg_shift) - 1)
+    found = (last_write & low_mask) | (same.view(np.int8) - np.int8(1))
+    index = keys.astype(np.intp)
+    index &= low_mask
+    producers = np.empty(4 * n, dtype=dtype)
+    producers[index] = found
+    return (
+        np.where(trace.src1 != NO_REG, producers[0::4] >> 2, np.int64(-1)),
+        np.where(trace.src2 != NO_REG, producers[1::4] >> 2, np.int64(-1)),
+    )
+
+
+# ----------------------------------------------------------------------
 # ILP
 
 
@@ -293,13 +370,22 @@ def _ilp_columns(
 ) -> None:
     """Idealized IPC per window, all intervals and windows in one sweep.
 
+    The model fills a W-instruction window, issues it in dataflow order
+    (perfect caches and branch prediction, unit latency), then refills:
+    ``IPC_W = N / sum(block depths)`` over each interval's leading
+    ``sample_instructions``, where a block's depth is its register-
+    dependence critical path ``depth(i) = 1 + max(depth of in-block
+    producers)``.
+
     Stacks every (interval, window) pair's producer graph into a single
     flat array (one shared depth-0 sentinel for absent/out-of-block
-    producers) and iterates the dataflow-depth recurrence to its unique
-    fixpoint, exactly as
-    :func:`repro.mica.ilp._block_depth_cycles` does per interval; block
-    maxima and per-interval cycle totals come from ``reduceat`` segment
-    reductions over the concatenated samples.
+    producers) and iterates the recurrence Jacobi-style to its fixpoint.
+    Block depth is a monotone function on a DAG, so the fixpoint is
+    unique, is reached within the longest in-block critical path, and
+    equals the sequential walk's result.  Block maxima and per-interval
+    cycle totals come from ``reduceat`` segment reductions over the
+    concatenated samples.  Producers of a prefix are a prefix of the
+    producers, so the full-interval matching serves the subsample.
     """
     m = len(lengths)
     s = np.minimum(lengths, sample_instructions)
@@ -438,7 +524,7 @@ def _stable_order_by_interval(
     """Permutation sorting by ``(iv, value)``, program order on ties.
 
     Equivalent to ``np.lexsort((values, iv_sub))`` — and to the
-    per-interval meters' stable ``argsort`` within each interval — but
+    oracle's stable ``argsort`` within each interval — but
     computed from one sort of ``(iv, value, position)`` composites when
     they fit 63 bits.
     """
@@ -466,7 +552,7 @@ def _log_unique_sorted(ivs: np.ndarray, vs: np.ndarray, m: int) -> np.ndarray:
         new[1:] = (ivs[1:] != ivs[:-1]) | (vs[1:] != vs[:-1])
         counts = np.bincount(ivs[new], minlength=m)
     # math.log2 per interval (not np.log2 over the array): the scalar
-    # libm call is what the per-interval meter uses, and the two can
+    # libm call is what the oracle uses, and the two can
     # round differently in the last bit.
     return np.array([math.log2(1 + int(c)) for c in counts], dtype=np.float64)
 
@@ -497,7 +583,7 @@ def _stride_columns(
 
     # Local strides: consecutive accesses by the same static instruction
     # within the same interval, in program order within each (interval,
-    # pc) group — the same order the per-interval meter's stable
+    # pc) group — the same order the oracle's stable
     # argsort produces.
     if len(addr) >= 2:
         order = _stable_order_by_interval(iv_k, pc, m)
@@ -614,12 +700,11 @@ def _fused_ppm(
 ) -> Dict[str, np.ndarray]:
     """All intervals' PPM miss rates from one grouped-scan kernel run.
 
-    The per-interval kernel (:func:`repro.mica.ppm.measure_ppm`)
-    sorts one interval's (context key, time) events and evolves each
-    context's saturating counter with a segmented clamped-affine scan.
-    Here the interval id is tagged into every context key, so the same
-    single sort/scan evolves every interval's private tables at once;
-    per-interval miss counts then fall out of running totals.
+    The interval id is tagged into every context key
+    (:func:`repro.mica.ppm.context_keys`), so one sort and one
+    segmented clamped-affine counter scan (:func:`repro.mica.ppm.ppm_misses`)
+    evolve every interval's private tables at once; per-interval miss
+    counts then fall out of running totals.
     """
     n = len(pcs)
     if n == 0:
@@ -655,8 +740,13 @@ def _fused_ppm(
     pcl_bits = max(1, int(max(int(nb.max()) - 1, 1)).bit_length())
     key_bits = 2 + iv_bits + pcl_bits + _LENGTH_BITS + _HISTORY_BITS
     if key_bits + _event_bits(n) > 63:
-        # Composite keys would overflow int64: fall back to per-interval
-        # kernel calls (identical results, just less fusion).
+        # Composite keys would overflow int64: run the intervals one at
+        # a time (identical results, just less fusion).  One interval
+        # always fits: AnalysisConfig caps ppm_sample_branches at 2**20,
+        # where its keys take 2 + 1 + 20 + 3 + 12 = 38 bits and its
+        # event indices 25.
+        if m == 1:
+            raise OverflowError("PPM context keys overflow int64")
         return _per_interval_ppm(iv_b, pcs, outcomes, m)
 
     pc_part = pc_local << (_LENGTH_BITS + _HISTORY_BITS)
@@ -681,24 +771,25 @@ def _fused_ppm(
 def _per_interval_ppm(
     iv_b: np.ndarray, pcs: np.ndarray, outcomes: np.ndarray, m: int
 ) -> Dict[str, np.ndarray]:
-    """Key-overflow fallback: one kernel call per interval."""
+    """Key-overflow fallback: one single-interval PPM run per interval."""
     out = _empty_ppm_columns(m)
+    bounds = np.searchsorted(iv_b, np.arange(m + 1))
     for j in range(m):
-        mask = iv_b == j
-        if not mask.any():
-            continue
-        rates = measure_ppm(pcs[mask], outcomes[mask])
-        for name, rate in rates.items():
-            out[name][j] = rate
+        lo, hi = bounds[j], bounds[j + 1]
+        rates = _fused_ppm(
+            np.zeros(hi - lo, dtype=np.int64), pcs[lo:hi], outcomes[lo:hi], 1
+        )
+        for name, col in rates.items():
+            out[name][j] = col[0]
     return out
 
 
 def _segmented_global_histories(outcomes: np.ndarray, iv_b: np.ndarray) -> np.ndarray:
     """Per-interval 12-bit global history before each branch.
 
-    Like :func:`repro.mica.ppm.global_histories`, but a bit only
-    contributes when the earlier branch belongs to the same interval —
-    each interval's predictor starts with empty history.
+    Bit ``k`` of ``history[i]`` is the outcome of branch ``i - 1 - k``
+    when that branch belongs to the same interval — each interval's
+    predictor starts with empty history.
     """
     n = len(outcomes)
     hist = np.zeros(n, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Prediction-by-partial-match (PPM) branch predictability meter.
+"""Prediction-by-partial-match (PPM) branch predictability kernels.
 
 Implements the theoretical PPM predictor of Chen, Coffey and Mudge
 ("Analysis of branch prediction via data compression", ASPLOS 1996) as
@@ -24,16 +24,17 @@ lengths 4, 8 and 12.  A single pass per organization produces all three:
 the prediction for maximum length L uses the longest matched context of
 length <= L.
 
-Two implementations live here.  :func:`measure_ppm_reference` is the
-original per-branch table walk — tables update as the stream advances,
-so it is sequential Python; tests use it as the oracle.
-:func:`measure_ppm` is the grouped-scan formulation that produces
-identical output from pure array operations:
+The predictor's tables update as the branch stream advances, so the
+natural formulation is a sequential per-branch table walk; that walk is
+the tests' PPM oracle (``tests/mica/oracle.py``).
+The kernels here produce identical output from pure array operations,
+for every interval of a fused batch (:mod:`repro.mica.fused`) at once:
 
 1. Every (organization, tracked length, branch) triple becomes one
    *counter event*, keyed by the integer table context
-   ``org | pc | length | history``.  All 24 keys per branch come from
-   one broadcast over the precomputed history arrays.
+   ``org | interval | pc | length | history`` (:func:`context_keys`).
+   All 24 keys per branch come from one broadcast over the precomputed
+   history arrays.
 2. Events are sorted by ``(key, time)`` — a single ``np.sort`` of
    composite ``(key << pos_bits) | position`` integers, which is stable
    by construction because the composites are unique.
@@ -47,11 +48,7 @@ identical output from pure array operations:
 4. Scattering the counters back to program order gives, per branch, the
    counter each context held when the branch predicted; the longest
    non-zero context under each reported maximum is selected by a short
-   suffix scan over the tracked lengths.
-
-The fused whole-trace pass (:mod:`repro.mica.fused`) builds its keys
-with the interval id as one more key field and shares steps 2-4
-(:func:`ppm_misses`) with :func:`measure_ppm`.
+   suffix scan over the tracked lengths (:func:`ppm_misses`).
 """
 
 from __future__ import annotations
@@ -60,27 +57,16 @@ from typing import Dict
 
 import numpy as np
 
-
-#: Context lengths tracked per predictor.  A strict PPM tracks every
-#: length 0..12; tracking this subset keeps the table state tractable
-#: while preserving the short/medium/long history structure that
-#: separates workloads.
-TRACKED_LENGTHS = (12, 8, 4, 2, 1, 0)
-
-#: Maximum history lengths reported, as in the paper.
-REPORTED_LENGTHS = (4, 8, 12)
+from .features import REPORTED_LENGTHS, TRACKED_LENGTHS
 
 #: Saturating-counter clamp.
 _COUNTER_MAX = 4
 
+#: Bits of branch history kept per context (the longest tracked length).
 _HISTORY_BITS = 12
-_HISTORY_MASK = (1 << _HISTORY_BITS) - 1
 
 #: Bits reserved for the tracked-length tag inside a context key.
 _LENGTH_BITS = 3
-
-#: Predictor organizations in context-key order (the ``org`` field).
-ORGANIZATIONS = ("gag", "pag", "gas", "pas")
 
 #: Events per block of the blocked counter scan.  Measured over every
 #: scan of a paper-preset and a tiny-preset featurization (2-vCPU
@@ -89,27 +75,11 @@ ORGANIZATIONS = ("gag", "pag", "gas", "pas")
 _SCAN_BLOCK = 8
 
 
-def global_histories(outcomes: np.ndarray) -> np.ndarray:
-    """Vectorized 12-bit global history before each branch.
-
-    Bit ``k`` of ``history[i]`` is the outcome of branch ``i - 1 - k``.
-    """
-    n = len(outcomes)
-    hist = np.zeros(n, dtype=np.int64)
-    bits = outcomes.astype(np.int64)
-    for k in range(_HISTORY_BITS):
-        # outcome of branch i-1-k contributes bit k
-        if k + 1 >= n:
-            break
-        hist[k + 1 :] |= bits[: n - k - 1] << k
-    return hist
-
-
 def local_histories(pc_ids: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     """Vectorized 12-bit per-address history before each branch.
 
-    Same encoding as :func:`global_histories`, but only outcomes of the
-    same static branch (same ``pc_id``) participate.
+    Bit ``k`` of ``history[i]`` is the outcome of the ``k + 1``-th
+    previous branch with the same ``pc_id`` (bit 0 is the most recent).
     """
     n = len(outcomes)
     order = np.argsort(pc_ids, kind="stable")
@@ -125,128 +95,6 @@ def local_histories(pc_ids: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     hist = np.empty(n, dtype=np.int64)
     hist[order] = hist_sorted
     return hist
-
-
-def _run_ppm(
-    pc_ids: np.ndarray,
-    outcomes: np.ndarray,
-    histories: np.ndarray,
-    *,
-    per_address_table: bool,
-) -> Dict[int, float]:
-    """One reference PPM pass; returns miss rate per reported max length."""
-    n = len(outcomes)
-    if n == 0:
-        return {length: 0.0 for length in REPORTED_LENGTHS}
-    table: Dict[int, int] = {}
-    misses = {length: 0 for length in REPORTED_LENGTHS}
-    lengths = TRACKED_LENGTHS
-    masks = [(1 << length) - 1 for length in lengths]
-    pc_list = pc_ids.tolist() if per_address_table else None
-    out_list = outcomes.tolist()
-    hist_list = histories.tolist()
-    reported = REPORTED_LENGTHS
-    for i in range(n):
-        taken = out_list[i]
-        hist = hist_list[i]
-        addr_part = (pc_list[i] << 20) if per_address_table else 0
-        # Predict: longest matched context wins; record the first match
-        # whose length fits under each reported maximum.
-        preds = {}
-        keys = []
-        for j, length in enumerate(lengths):
-            key = addr_part | (length << 14) | (hist & masks[j])
-            keys.append(key)
-            counter = table.get(key)
-            if counter is not None and counter != 0:
-                pred = counter > 0
-                for maxlen in reported:
-                    if length <= maxlen and maxlen not in preds:
-                        preds[maxlen] = pred
-                if len(preds) == len(reported):
-                    # Remaining (shorter) contexts only matter for update.
-                    for jj in range(j + 1, len(lengths)):
-                        keys.append(addr_part | (lengths[jj] << 14) | (hist & masks[jj]))
-                    break
-        for maxlen in reported:
-            if preds.get(maxlen, False) != taken:
-                misses[maxlen] += 1
-        # Update all tracked context lengths.
-        delta = 1 if taken else -1
-        for key in keys:
-            counter = table.get(key, 0) + delta
-            if counter > _COUNTER_MAX:
-                counter = _COUNTER_MAX
-            elif counter < -_COUNTER_MAX:
-                counter = -_COUNTER_MAX
-            table[key] = counter
-    return {length: misses[length] / n for length in reported}
-
-
-def _empty_result() -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for kind in ORGANIZATIONS:
-        for length in REPORTED_LENGTHS:
-            out[f"ppm_{kind}_h{length}"] = 0.0
-    return out
-
-
-def measure_ppm_reference(pcs: np.ndarray, outcomes: np.ndarray) -> Dict[str, float]:
-    """Reference PPM meter: the original sequential table walk."""
-    if len(pcs) != len(outcomes):
-        raise ValueError("pcs and outcomes must have equal length")
-    if len(pcs) == 0:
-        return _empty_result()
-    _, pc_ids = np.unique(pcs, return_inverse=True)
-    g_hist = global_histories(outcomes)
-    l_hist = local_histories(pc_ids, outcomes)
-    configs = (
-        ("gag", g_hist, False),
-        ("pag", l_hist, False),
-        ("gas", g_hist, True),
-        ("pas", l_hist, True),
-    )
-    out: Dict[str, float] = {}
-    for kind, hist, per_addr in configs:
-        rates = _run_ppm(pc_ids, outcomes, hist, per_address_table=per_addr)
-        for length, rate in rates.items():
-            out[f"ppm_{kind}_h{length}"] = rate
-    return out
-
-
-def measure_ppm(pcs: np.ndarray, outcomes: np.ndarray) -> Dict[str, float]:
-    """PPM miss rates for the 4 organizations x 3 max history lengths.
-
-    Grouped-scan meter; bit-identical to :func:`measure_ppm_reference`.
-
-    Args:
-        pcs: static branch addresses of the sampled conditional branches,
-            in program order.
-        outcomes: their taken/not-taken outcomes.
-
-    Returns:
-        12 features named ``ppm_{gag,pag,gas,pas}_h{4,8,12}``.
-    """
-    if len(pcs) != len(outcomes):
-        raise ValueError("pcs and outcomes must have equal length")
-    n = len(pcs)
-    if n == 0:
-        return _empty_result()
-    _, pc_ids = np.unique(pcs, return_inverse=True)
-    g_hist = global_histories(outcomes)
-    l_hist = local_histories(pc_ids, outcomes)
-    pc_bits = max(1, int(n - 1).bit_length())
-    key_bits = 2 + pc_bits + _LENGTH_BITS + _HISTORY_BITS
-    if key_bits + _event_bits(n) > 63:  # pragma: no cover - needs n ~ 2**21
-        return measure_ppm_reference(pcs, outcomes)
-    pc_part = pc_ids.astype(np.int64) << (_LENGTH_BITS + _HISTORY_BITS)
-    org_shift = pc_bits + _LENGTH_BITS + _HISTORY_BITS
-    keys = context_keys(g_hist, l_hist, np.int64(0), pc_part, org_shift)
-    out: Dict[str, float] = {}
-    for maxlen, miss in ppm_misses(keys, outcomes).items():
-        for org, kind in enumerate(ORGANIZATIONS):
-            out[f"ppm_{kind}_h{maxlen}"] = float(np.count_nonzero(miss[org])) / n
-    return out
 
 
 def _event_bits(n: int) -> int:

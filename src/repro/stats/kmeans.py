@@ -196,7 +196,6 @@ def kmeans(
     n_jobs: int = 1,
     backend: str = "auto",
     executor: Optional[Executor] = None,
-    engine_stats: Optional[EngineStats] = None,
 ) -> Clustering:
     """Cluster ``points`` into ``k`` clusters, keeping the best-BIC run.
 
@@ -216,8 +215,6 @@ def kmeans(
         n_jobs: workers to fan the restarts across (1 = serial).
         backend: executor backend for the fan-out.
         executor: override the executor built from ``backend``/``n_jobs``.
-        engine_stats: accumulate accelerated-engine distance-evaluation
-            accounting (serial runs only; ignored when fanned out).
 
     Returns:
         The :class:`Clustering` with the highest BIC score (ties broken
@@ -237,29 +234,20 @@ def kmeans(
     seeds = task_seeds("km-restart", root, restarts)
     if executor is None:
         executor = get_executor(backend, n_jobs)
-    if engine_stats is not None and not use_reference:
-        # Stats accumulation is only well-defined in-process.
-        runs = [
-            _run_restart_with_stats((points, k, max_iter), seed, engine_stats)
-            for seed in seeds
-        ]
-    else:
-        # Process workers read one physical copy of the points through
-        # shared memory instead of duplicating fork-inherited pages (or
-        # re-pickling the matrix); other backends see the live array.
-        shared = (
-            share_array(points) if executor.backend == "process" else points
+    # Process workers read one physical copy of the points through
+    # shared memory instead of duplicating fork-inherited pages (or
+    # re-pickling the matrix); other backends see the live array.
+    shared = share_array(points) if executor.backend == "process" else points
+    try:
+        runs = executor.map(
+            _run_restart,
+            seeds,
+            payload=(shared, k, max_iter, use_reference),
+            labels=[f"restart {i}" for i in range(restarts)],
+            on_result=lambda i, _res: emit_progress("kmeans", i + 1, restarts),
         )
-        try:
-            runs = executor.map(
-                _run_restart,
-                seeds,
-                payload=(shared, k, max_iter, use_reference),
-                labels=[f"restart {i}" for i in range(restarts)],
-                on_result=lambda i, _res: emit_progress("kmeans", i + 1, restarts),
-            )
-        finally:
-            dispose_shared(shared)
+    finally:
+        dispose_shared(shared)
     best: Optional[Clustering] = None
     for centers, labels, inertia, n_iter, bic, assigned_sq in runs:
         if best is None or bic > best.bic:
@@ -283,14 +271,3 @@ def kmeans(
     reg.gauge_set("kmeans.best_bic", best.bic)
     return best
 
-
-def _run_restart_with_stats(payload, seed: int, stats: EngineStats):
-    """Serial restart through the accelerated engine, collecting stats."""
-    points, k, max_iter = payload
-    rng = generator_from_seed(seed)
-    init_idx = rng.choice(len(points), size=k, replace=False)
-    centers, labels, inertia, n_iter, assigned_sq = lloyd_accelerated(
-        points, points[init_idx], max_iter, stats=stats
-    )
-    bic = kmeans_bic(points, labels, centers, assigned_sq=assigned_sq)
-    return centers, labels, inertia, n_iter, bic, assigned_sq

@@ -4,7 +4,7 @@ The model combines:
 
 * a base issue component — dataflow-limited IPC within a finite
   instruction window, clipped by the machine width (computed by the
-  same scheduler as :mod:`repro.mica.ilp`, but this time it is one
+  same block scheduler as the MICA ILP meter, but this time it is one
   *particular* machine, not an idealized characterization);
 * simulated L1/L2 data-cache misses with per-level penalties;
 * simulated L1 instruction-cache misses;
@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..isa import OpClass, Trace, is_memory_op
-from ..mica.ilp import producer_indices
+from ..mica import match_producers
 from .branch_predictor import BimodalPredictor, GSharePredictor
 from .cache import CacheConfig, CacheHierarchy, Cache
 
@@ -94,7 +94,7 @@ def _base_cycles(trace: Trace, config: MachineConfig) -> float:
         if n <= config.ilp_sample_instructions
         else trace.slice(0, config.ilp_sample_instructions)
     )
-    p1_arr, p2_arr = producer_indices(sample)
+    p1_arr, p2_arr = match_producers(sample)
     p1, p2 = p1_arr.tolist(), p2_arr.tolist()
     m = len(sample)
     w = config.window

@@ -8,6 +8,7 @@ import pytest
 from repro.config import AnalysisConfig
 from repro.core import build_dataset, run_characterization
 from repro.isa import NO_ADDR, NO_REG, OpClass, Trace
+from repro.mica import characterize_intervals, feature_names
 from repro.suites import all_benchmarks
 
 
@@ -29,6 +30,17 @@ def make_trace(rows):
         pc=np.array(cols[5], dtype=np.int64),
         taken=np.array(cols[6], dtype=bool),
     )
+
+
+def measure(trace, **config_fields):
+    """The production MICA features of one interval, by name.
+
+    ``config_fields`` override :meth:`AnalysisConfig.tiny` (e.g. the
+    ``ilp_sample_instructions`` / ``ppm_sample_branches`` subsamples).
+    """
+    config = AnalysisConfig.tiny().replace(**config_fields)
+    row = characterize_intervals([trace], config)[0]
+    return dict(zip(feature_names(), row.tolist()))
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,12 @@
-"""Tests for taken/transition rates and the branch meter wrapper."""
+"""Tests for taken/transition rates and the branch oracle meter."""
 
 import numpy as np
 import pytest
 
 from repro.isa import NO_ADDR, NO_REG, OpClass, Trace
-from repro.mica import measure_branch, transition_rate
 
 from ..conftest import make_trace
+from .oracle import measure_branch, transition_rate
 
 
 def branch_row(pc, taken):

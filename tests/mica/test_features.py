@@ -15,9 +15,10 @@ from repro.mica import (
     FEATURES,
     N_FEATURES,
     feature_names,
-    feature_vector,
     features_in_category,
 )
+
+from .oracle import feature_vector
 
 
 def test_exactly_69_features():

@@ -1,13 +1,13 @@
-"""Known-answer tests for the memory-footprint meter."""
+"""Known-answer tests for the memory-footprint oracle meter."""
 
 import math
 
 import pytest
 
 from repro.isa import NO_REG, OpClass, Trace
-from repro.mica import measure_footprint
 
 from ..conftest import make_trace
+from .oracle import measure_footprint
 
 
 def loads_at(addresses, pc=0x1000):

@@ -1,11 +1,11 @@
 """Bit-identity of the fused whole-trace metering pass.
 
 The fused pass (:mod:`repro.mica.fused`) must produce, for every
-interval in a batch, exactly the vector the per-interval path produces
-— bit for bit, not approximately.  Hypothesis drives random interval
-batches (mixed lengths, shared and disjoint PC/address ranges); the
-golden test pins the fused path to the same frozen vectors that pin the
-per-interval meters.
+interval in a batch, exactly the vector the sequential oracle
+(:mod:`tests.mica.oracle`) produces — bit for bit, not approximately.
+Hypothesis drives random interval batches (mixed lengths, shared and
+disjoint PC/address ranges); the golden test pins both to the same
+frozen vectors.
 """
 
 import numpy as np
@@ -14,15 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import AnalysisConfig
-from repro.mica import (
-    N_FEATURES,
-    batch_slices,
-    characterize_interval,
-    characterize_intervals,
-)
+from repro.isa import OpClass
+from repro.mica import N_FEATURES, batch_slices, characterize_intervals
 from repro.mica.fused import _characterize_fused
 from repro.suites import all_benchmarks
 
+from .oracle import characterize_interval
 from .test_properties import random_traces
 
 CFG = AnalysisConfig.tiny()
@@ -100,16 +97,52 @@ def test_fused_rejects_empty_trace():
         _characterize_fused([trace, trace.slice(0, 0)], CFG)
 
 
+def _branch_counts(traces, config=CFG):
+    return [
+        min(int(np.count_nonzero(t.op == OpClass.BRANCH)), config.ppm_sample_branches)
+        for t in traces
+    ]
+
+
 def test_fused_ppm_key_overflow_falls_back(monkeypatch):
-    # Force the composite-key budget check to fail so the per-interval
-    # PPM fallback runs; results must be unchanged.
+    # Make the composite-key budget fail for the whole batch's branch
+    # stream only: every interval still fits on its own, so the PPM
+    # runs one interval at a time.  Results must be unchanged.
     import repro.mica.fused as fused_mod
 
-    traces = [_fixed_trace(seed, n=50 + 10 * seed) for seed in range(3)]
+    traces = [_fixed_trace(seed, n=150 + 10 * seed) for seed in range(3)]
+    counts = _branch_counts(traces)
+    assert sum(counts) > max(counts)  # the batch is bigger than any interval
     expected = _characterize_fused(traces, CFG)
-    monkeypatch.setattr(fused_mod, "_HISTORY_BITS", 60)
+    real_event_bits = fused_mod._event_bits
+    monkeypatch.setattr(
+        fused_mod,
+        "_event_bits",
+        lambda n: 64 if n > max(counts) else real_event_bits(n),
+    )
+    fallbacks = []
+    real_fallback = fused_mod._per_interval_ppm
+    monkeypatch.setattr(
+        fused_mod,
+        "_per_interval_ppm",
+        lambda *args: fallbacks.append(args[-1]) or real_fallback(*args),
+    )
     overflowed = _characterize_fused(traces, CFG)
+    assert fallbacks == [len(traces)]
     np.testing.assert_array_equal(overflowed, expected)
+    np.testing.assert_array_equal(overflowed, _per_interval(traces))
+
+
+def test_fused_ppm_single_interval_overflow_raises(monkeypatch):
+    # A one-interval key overflow has nowhere smaller to go: it raises
+    # instead of recursing.
+    import repro.mica.fused as fused_mod
+
+    monkeypatch.setattr(fused_mod, "_event_bits", lambda n: 64)
+    trace = _fixed_trace(0, n=150)
+    assert _branch_counts([trace]) != [0]
+    with pytest.raises(OverflowError):
+        _characterize_fused([trace], CFG)
 
 
 def _count_fused_calls(monkeypatch):

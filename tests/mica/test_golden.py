@@ -3,11 +3,13 @@
 ``tests/data/golden_vectors.npz`` pins the full 69-feature vector of six
 fixed benchmark intervals, captured from the original sequential meter
 implementations before the vectorized kernels landed.  Any change that
-shifts a single bit of any characteristic fails here.
+shifts a single bit of any characteristic fails here.  The production
+pass (one interval at a time and as one fused batch) and the sequential
+oracle (:mod:`tests.mica.oracle`) must all reproduce them.
 
 Regenerate (only when an intentional semantic change is made) by
-re-running ``characterize_interval`` for the stored labels at the stored
-subsample sizes and saving the same arrays.
+re-running the oracle's ``characterize_interval`` for the stored labels
+at the stored subsample sizes and saving the same arrays.
 """
 
 from pathlib import Path
@@ -16,13 +18,11 @@ import numpy as np
 import pytest
 
 from repro.config import AnalysisConfig
-from repro.mica import (
-    characterize_interval,
-    feature_names,
-    measure_ilp_reference,
-    measure_ppm_reference,
-)
+from repro.mica import characterize_intervals, feature_names
+from repro.mica.fused import _characterize_fused
 from repro.suites import all_benchmarks
+
+from .oracle import characterize_interval
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_vectors.npz"
 
@@ -42,17 +42,20 @@ def golden():
         }
 
 
-def _recompute(golden):
+def _traces(golden):
     by_key = {b.key: b for b in all_benchmarks()}
     config = golden["config"]
-    rows = []
+    traces = []
     for label in golden["labels"]:
         key, idx = label.rsplit("@", 1)
-        trace = by_key[key].program.interval_trace(
-            int(idx), config.interval_instructions
+        traces.append(
+            by_key[key].program.interval_trace(int(idx), config.interval_instructions)
         )
-        rows.append(characterize_interval(trace, config))
-    return np.vstack(rows)
+    return traces
+
+
+def _recompute(golden, measure_one):
+    return np.vstack([measure_one(t, golden["config"]) for t in _traces(golden)])
 
 
 def test_feature_schema_unchanged(golden):
@@ -61,7 +64,8 @@ def test_feature_schema_unchanged(golden):
 
 
 def test_golden_vectors_bit_identical(golden):
-    got = _recompute(golden)
+    # The production pass, one interval per call.
+    got = _recompute(golden, lambda t, config: characterize_intervals([t], config)[0])
     mismatch = got != golden["vectors"]
     if mismatch.any():
         names = feature_names()
@@ -72,37 +76,13 @@ def test_golden_vectors_bit_identical(golden):
         raise AssertionError(f"golden vectors drifted at {detail}")
 
 
-def test_golden_vectors_match_reference_meters(golden, monkeypatch):
-    # Swap the sequential reference meters in where the per-interval
-    # path calls the ILP and PPM kernels.
-    calls = []
-
-    def ilp_reference(trace, *, sample_instructions, profile=None):
-        calls.append("ilp")
-        return measure_ilp_reference(trace, sample_instructions=sample_instructions)
-
-    def ppm_reference(pcs, outcomes):
-        calls.append("ppm")
-        return measure_ppm_reference(pcs, outcomes)
-
-    monkeypatch.setattr("repro.mica.meter.measure_ilp", ilp_reference)
-    monkeypatch.setattr("repro.mica.branch.measure_ppm", ppm_reference)
-    got = _recompute(golden)
-    assert calls.count("ilp") == calls.count("ppm") == len(golden["labels"])
+def test_golden_vectors_match_reference_meters(golden):
+    # The sequential oracle, built from the reference meters.
+    got = _recompute(golden, characterize_interval)
     assert np.array_equal(got, golden["vectors"])
 
 
 def test_golden_vectors_match_fused_pass(golden):
     # All six pinned intervals characterized in one fused batch.
-    from repro.mica.fused import _characterize_fused
-
-    by_key = {b.key: b for b in all_benchmarks()}
-    config = golden["config"]
-    traces = []
-    for label in golden["labels"]:
-        key, idx = label.rsplit("@", 1)
-        traces.append(
-            by_key[key].program.interval_trace(int(idx), config.interval_instructions)
-        )
-    got = _characterize_fused(traces, config)
+    got = _characterize_fused(_traces(golden), golden["config"])
     assert np.array_equal(got, golden["vectors"])

@@ -1,11 +1,15 @@
-"""Known-answer tests for the inherent-ILP meter."""
+"""Known-answer tests for the inherent-ILP meter (the fused pass's ILP)."""
 
 import pytest
 
 from repro.isa import NO_REG, OpClass, Trace
-from repro.mica import WINDOW_SIZES, measure_ilp, producer_indices
+from repro.mica import WINDOW_SIZES, match_producers
 
-from ..conftest import make_trace
+from ..conftest import make_trace, measure
+
+
+def measure_ilp(trace, sample_instructions=2_000):
+    return measure(trace, ilp_sample_instructions=sample_instructions)
 
 
 def chain_trace(n):
@@ -71,7 +75,7 @@ def test_producer_indices_simple_chain():
             (OpClass.IADD, 5, 6, 7),
         ]
     )
-    p1, p2 = producer_indices(t)
+    p1, p2 = match_producers(t)
     assert p1.tolist() == [-1, 0, 0]
     assert p2.tolist() == [-1, -1, 1]
 
@@ -84,13 +88,13 @@ def test_producer_indices_respects_overwrites():
             (OpClass.IADD, 5, NO_REG, 6),
         ]
     )
-    p1, _ = producer_indices(t)
+    p1, _ = match_producers(t)
     assert p1[2] == 1  # reads the most recent write
 
 
 def test_window_boundary_resets_dependences():
     # A chain of length 64: with window 32, each block's internal depth
     # is 32 (producers in the previous block are "ready").
-    ilp = measure_ilp(chain_trace(64), windows=(32,))
+    ilp = measure_ilp(chain_trace(64))
     # 64 instructions / (32 + 32) cycles = 1.0
     assert ilp["ilp_w32"] == pytest.approx(1.0)

@@ -1,11 +1,11 @@
-"""Known-answer tests for the instruction-mix meter."""
+"""Known-answer tests for the instruction-mix oracle meter."""
 
 import pytest
 
 from repro.isa import NO_ADDR, NO_REG, OpClass, Trace
-from repro.mica import measure_instruction_mix
 
 from ..conftest import make_trace
+from .oracle import measure_instruction_mix
 
 
 def test_rejects_empty_trace():

@@ -1,10 +1,10 @@
-"""Kernel/reference equivalence for the vectorized MICA meters.
+"""Fused-pass kernels against the sequential references, bit for bit.
 
-The grouped-scan PPM kernel (``measure_ppm``) and the fused ILP depth
-kernel (``measure_ilp``) must be *bit-identical* to the retained
-sequential reference implementations, which serve as oracles, on
-arbitrary traces.  Hypothesis drives randomized traces through both
-paths; a few directed cases pin the edge conditions.
+The fused pass's grouped-scan PPM (``_fused_ppm``), its ILP depth sweep
+and the tagged producer matching (``match_producers``) must equal the
+sequential references of :mod:`tests.mica.oracle` exactly, on arbitrary
+traces.  Hypothesis drives randomized traces through both paths; a few
+directed cases pin the edge conditions.
 """
 
 import numpy as np
@@ -12,18 +12,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import AnalysisConfig
 from repro.isa import NO_ADDR, OpClass, Trace, concat
 from repro.mica import (
-    IntervalProfile,
+    WINDOW_SIZES,
+    characterize_intervals,
+    feature_names,
     match_producers,
-    measure_ilp,
+)
+from repro.mica.ppm import _COUNTER_MAX, _SCAN_BLOCK, counters_before
+from tests.mica.oracle import (
     measure_ilp_reference,
-    measure_ppm,
     measure_ppm_reference,
     producer_indices_reference,
 )
-from repro.mica.ppm import _COUNTER_MAX, _SCAN_BLOCK, counters_before
+from tests.mica.test_ppm import fused_ppm
 from tests.mica.test_properties import random_traces
+
+from ..conftest import measure
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -48,31 +54,30 @@ def branch_streams(draw, max_len=300):
 @given(branch_streams())
 def test_ppm_kernel_matches_reference(stream):
     pcs, outcomes = stream
-    ref = measure_ppm_reference(pcs, outcomes)
-    new = measure_ppm(pcs, outcomes)
-    assert set(ref) == set(new)
-    for name in ref:
-        assert ref[name] == new[name], name
+    assert fused_ppm(pcs, outcomes) == measure_ppm_reference(pcs, outcomes)
+
+
+def _ilp(values):
+    return {f"ilp_w{w}": values[f"ilp_w{w}"] for w in WINDOW_SIZES}
 
 
 @settings(**SETTINGS)
 @given(random_traces())
 def test_ilp_kernel_matches_reference(trace):
     ref = measure_ilp_reference(trace, sample_instructions=200)
-    new = measure_ilp(trace, sample_instructions=200)
-    assert set(ref) == set(new)
-    for name in ref:
-        assert new[name] == pytest.approx(ref[name], abs=1e-12), name
+    assert _ilp(measure(trace, ilp_sample_instructions=200)) == ref
 
 
 @settings(**SETTINGS)
-@given(random_traces())
-def test_ilp_kernel_with_profile_matches_reference(trace):
-    profile = IntervalProfile.from_trace(trace)
-    ref = measure_ilp_reference(trace, sample_instructions=150)
-    new = measure_ilp(trace, sample_instructions=150, profile=profile)
-    for name in ref:
-        assert new[name] == pytest.approx(ref[name], abs=1e-12), name
+@given(st.lists(random_traces(), min_size=2, max_size=4))
+def test_ilp_kernel_with_profile_matches_reference(traces):
+    # One multi-interval fused batch: each interval's leading sample
+    # comes out of the batch-wide producer matching and depth sweep.
+    config = AnalysisConfig.tiny().replace(ilp_sample_instructions=150)
+    rows = characterize_intervals(traces, config)
+    for row, trace in zip(rows, traces):
+        got = _ilp(dict(zip(feature_names(), row.tolist())))
+        assert got == measure_ilp_reference(trace, sample_instructions=150)
 
 
 @settings(**SETTINGS)
@@ -98,21 +103,18 @@ def test_producer_prefix_property(trace):
 
 def test_ppm_empty_stream():
     empty = np.empty(0, dtype=np.int64)
-    ref = measure_ppm_reference(empty, empty.astype(bool))
-    new = measure_ppm(empty, empty.astype(bool))
-    assert ref == new
+    new = fused_ppm(empty, empty.astype(bool))
+    assert new == measure_ppm_reference(empty, empty.astype(bool))
     assert all(v == 0.0 for v in new.values())
 
 
 def test_ppm_single_branch():
     pcs = np.array([0x4000], dtype=np.int64)
     outcomes = np.array([True])
-    assert measure_ppm(pcs, outcomes) == measure_ppm_reference(pcs, outcomes)
+    assert fused_ppm(pcs, outcomes) == measure_ppm_reference(pcs, outcomes)
 
 
 def test_ppm_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        measure_ppm(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=bool))
     with pytest.raises(ValueError):
         measure_ppm_reference(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=bool))
 

@@ -1,14 +1,17 @@
-"""Tests for the PPM branch predictability meter."""
+"""Tests for the PPM branch predictability meter (the fused pass's PPM)."""
 
 import numpy as np
 import pytest
 
-from repro.mica import (
-    REPORTED_LENGTHS,
-    global_histories,
-    local_histories,
-    measure_ppm,
-)
+from repro.mica import REPORTED_LENGTHS, local_histories
+from repro.mica.fused import _fused_ppm
+from tests.mica.oracle import global_histories, measure_ppm_reference
+
+
+def fused_ppm(pcs, outcomes):
+    """The fused pass's 12 PPM miss rates for one interval's branch stream."""
+    iv = np.zeros(len(pcs), dtype=np.int64)
+    return {name: float(col[0]) for name, col in _fused_ppm(iv, pcs, outcomes, 1).items()}
 
 
 def outcomes_from(bits):
@@ -37,20 +40,20 @@ def test_local_histories_per_pc():
 
 
 def test_measure_ppm_empty():
-    out = measure_ppm(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
+    out = fused_ppm(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
     assert len(out) == 12
     assert all(v == 0.0 for v in out.values())
 
 
 def test_measure_ppm_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        measure_ppm(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=bool))
+        measure_ppm_reference(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=bool))
 
 
 def test_constant_branch_nearly_perfect():
     pcs = np.zeros(500, dtype=np.int64)
     out = np.ones(500, dtype=bool)
-    rates = measure_ppm(pcs, out)
+    rates = fused_ppm(pcs, out)
     for name, rate in rates.items():
         assert rate < 0.05, name
 
@@ -58,7 +61,7 @@ def test_constant_branch_nearly_perfect():
 def test_alternating_branch_learned_with_history():
     pcs = np.zeros(1000, dtype=np.int64)
     out = np.tile([True, False], 500)
-    rates = measure_ppm(pcs, out)
+    rates = fused_ppm(pcs, out)
     # History-based PPM learns the period-2 pattern quickly.
     assert rates["ppm_gag_h12"] < 0.1
     assert rates["ppm_pas_h4"] < 0.1
@@ -68,7 +71,7 @@ def test_random_branch_is_hard():
     rng = np.random.default_rng(7)
     pcs = np.zeros(2000, dtype=np.int64)
     out = rng.random(2000) < 0.5
-    rates = measure_ppm(pcs, out)
+    rates = fused_ppm(pcs, out)
     assert rates["ppm_gag_h12"] > 0.3
     assert rates["ppm_pas_h12"] > 0.3
 
@@ -79,7 +82,7 @@ def test_longer_history_helps_long_patterns():
     pattern = [True] * 9 + [False]
     pcs = np.zeros(3000, dtype=np.int64)
     out = np.tile(pattern, 300)
-    rates = measure_ppm(pcs, out)
+    rates = fused_ppm(pcs, out)
     assert rates["ppm_gag_h12"] < rates["ppm_gag_h4"]
 
 
@@ -90,7 +93,7 @@ def test_per_address_tables_separate_conflicting_branches():
     n = 600
     pcs = np.tile([10, 20], n // 2).astype(np.int64)
     out = np.tile([True, False], n // 2)
-    rates = measure_ppm(pcs, out)
+    rates = fused_ppm(pcs, out)
     assert rates["ppm_pas_h4"] <= rates["ppm_gag_h4"] + 0.02
 
 
@@ -106,7 +109,7 @@ def test_correlated_branches_favor_global_history():
     pcs[1::2] = 2
     out[0::2] = a
     out[1::2] = a  # B mirrors A
-    rates = measure_ppm(pcs, out)
+    rates = fused_ppm(pcs, out)
     assert rates["ppm_gag_h12"] < rates["ppm_pag_h12"]
 
 
@@ -115,7 +118,7 @@ def test_simple_pattern_learned_at_every_max_length():
     # every reported maximum history length once tables are warm.
     pcs = np.zeros(3000, dtype=np.int64)
     pattern = np.tile([True, True, False], 1000)
-    rates = measure_ppm(pcs, pattern)
+    rates = fused_ppm(pcs, pattern)
     for kind in ("gag", "pag", "gas", "pas"):
         for h in REPORTED_LENGTHS:
             assert rates[f"ppm_{kind}_h{h}"] < 0.15, (kind, h)

@@ -1,7 +1,7 @@
-"""Property-based tests for the MICA meters.
+"""Property-based tests for the MICA pass.
 
-Hypothesis generates random (but valid) traces; every meter must return
-finite values with the documented ranges and internal consistencies.
+Hypothesis generates random (but valid) traces; every characteristic
+must be finite, within its documented range, and internally consistent.
 """
 
 import numpy as np
@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 
 from repro.config import AnalysisConfig
 from repro.isa import NO_ADDR, N_REGISTERS, OpClass, Trace
-from repro.mica import (
-    characterize_interval,
-    feature_names,
-    measure_instruction_mix,
-    measure_register_traffic,
-    measure_strides,
-)
+from repro.mica import characterize_intervals, feature_names
+
+from ..conftest import measure
 
 CFG = AnalysisConfig.tiny()
 SETTINGS = dict(max_examples=25, deadline=None)
@@ -47,7 +43,7 @@ def random_traces(draw, min_len=4, max_len=400):
 @settings(**SETTINGS)
 @given(random_traces())
 def test_feature_vector_always_finite_and_in_range(trace):
-    vec = characterize_interval(trace, CFG)
+    vec = characterize_intervals([trace], CFG)[0]
     assert np.isfinite(vec).all()
     names = feature_names()
     for i, name in enumerate(names):
@@ -63,7 +59,7 @@ def test_feature_vector_always_finite_and_in_range(trace):
 @settings(**SETTINGS)
 @given(random_traces())
 def test_mix_components_sum_to_one(trace):
-    mix = measure_instruction_mix(trace)
+    mix = measure(trace)
     disjoint = (
         mix["mix_mem"]
         + mix["mix_branch"]
@@ -79,7 +75,7 @@ def test_mix_components_sum_to_one(trace):
 @settings(**SETTINGS)
 @given(random_traces())
 def test_register_dep_cdf_monotone(trace):
-    out = measure_register_traffic(trace)
+    out = measure(trace)
     values = [out[f"reg_dep_le{b}"] for b in (1, 2, 4, 8, 16, 32, 64)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert out["reg_avg_input_operands"] <= 2.0
@@ -88,7 +84,7 @@ def test_register_dep_cdf_monotone(trace):
 @settings(**SETTINGS)
 @given(random_traces())
 def test_stride_cdfs_monotone(trace):
-    out = measure_strides(trace)
+    out = measure(trace)
     for prefix, buckets in (
         ("stride_gl", (0, 64, 4096, 262144)),
         ("stride_gs", (0, 64, 4096, 262144)),
@@ -113,8 +109,7 @@ def test_characterization_invariant_under_pc_translation(trace):
         pc=trace.pc + (1 << 22),
         taken=trace.taken,
     )
-    a = characterize_interval(trace, CFG)
-    b = characterize_interval(shifted, CFG)
+    a, b = characterize_intervals([trace, shifted], CFG)
     # Instruction footprint can shift block alignment by at most one
     # block/page; everything else must be identical.
     names = feature_names()
@@ -128,6 +123,6 @@ def test_characterization_invariant_under_pc_translation(trace):
 @settings(**SETTINGS)
 @given(random_traces(min_len=8, max_len=200))
 def test_characterization_deterministic(trace):
-    a = characterize_interval(trace, CFG)
-    b = characterize_interval(trace, CFG)
+    a = characterize_intervals([trace], CFG)[0]
+    b = characterize_intervals([trace], CFG)[0]
     assert np.array_equal(a, b)

@@ -1,11 +1,12 @@
-"""Known-answer tests for the register-traffic meter."""
+"""Known-answer tests for the register-traffic oracle meter."""
 
 import pytest
 
 from repro.isa import NO_REG, OpClass, Trace
-from repro.mica import DEP_DISTANCE_BUCKETS, measure_register_traffic
+from repro.mica import DEP_DISTANCE_BUCKETS
 
 from ..conftest import make_trace
+from .oracle import measure_register_traffic
 
 
 def test_rejects_empty():

@@ -1,11 +1,11 @@
-"""Known-answer tests for the stride meter."""
+"""Known-answer tests for the stride oracle meter."""
 
 import pytest
 
 from repro.isa import NO_REG, OpClass, Trace
-from repro.mica import measure_strides
 
 from ..conftest import make_trace
+from .oracle import measure_strides
 
 
 def test_rejects_empty():

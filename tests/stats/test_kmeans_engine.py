@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.stats.kmeans_engine as kmeans_engine
+from repro.obs import observe
 from repro.stats import kmeans
 from repro.stats.kmeans import Clustering, _lloyd
 from repro.stats.kmeans_engine import (
@@ -293,13 +294,14 @@ def test_auto_bit_identical_to_selected_engine(case):
 def test_kmeans_collects_engine_stats(monkeypatch):
     rng = np.random.default_rng(9)
     points = rng.normal(size=(60, 2))
-    stats = EngineStats()
     # Force the accelerated engine: at this size the shape picks the
     # reference path, which collects no bound accounting.
     monkeypatch.setattr(kmeans_engine, "AUTO_CROSSOVER_ENTRIES", 0)
-    kmeans(points, 5, restarts=3, rng=generator("kme-st", 1), engine_stats=stats)
-    assert stats.runs == 3
-    assert stats.point_rows_total > 0
+    with observe() as ob:
+        kmeans(points, 5, restarts=3, rng=generator("kme-st", 1))
+    counters = ob.metrics.snapshot()["counters"]
+    assert counters["kmeans.restarts"] == 3
+    assert counters["kmeans.point_rows_total"] > 0
 
 
 # ------------------------------------------------------------ reused values

@@ -11,6 +11,8 @@ import pytest
 from repro.suites import archetypes as arch
 from repro.synth import BlendKernel, generator
 
+from ..conftest import measure
+
 FIXED_ARCHETYPES = [
     arch.video_motion_estimation,
     arch.video_entropy_decode,
@@ -56,12 +58,7 @@ def test_parameterized_archetypes_differ_by_parameters():
     large = arch.pointer_graph(nodes_k=1024, entropy=0.2)
     ts = small.generate(4000, generator("pg", 1))
     tl = large.generate(4000, generator("pg", 1))
-    from repro.mica import measure_strides
-
-    assert (
-        measure_strides(ts)["stride_gl_le262144"]
-        > measure_strides(tl)["stride_gl_le262144"]
-    )
+    assert measure(ts)["stride_gl_le262144"] > measure(tl)["stride_gl_le262144"]
 
 
 def test_parameterized_archetype_same_params_identical():
@@ -73,12 +70,10 @@ def test_parameterized_archetype_same_params_identical():
 
 
 def test_game_tree_entropy_changes_predictability():
-    from repro.mica import measure_branch
-
     tame = arch.game_tree(entropy=0.1)
     wild = arch.game_tree(entropy=0.5)
-    bt = measure_branch(tame.generate(5000, generator("gt", 1)), sample_branches=500)
-    bw = measure_branch(wild.generate(5000, generator("gt", 1)), sample_branches=500)
+    bt = measure(tame.generate(5000, generator("gt", 1)), ppm_sample_branches=500)
+    bw = measure(wild.generate(5000, generator("gt", 1)), ppm_sample_branches=500)
     assert bw["ppm_gag_h12"] > bt["ppm_gag_h12"]
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import AnalysisConfig
 from repro.isa import OpClass
-from repro.mica import characterize_interval
+from repro.mica import characterize_intervals
 from repro.suites import all_benchmarks, get_benchmark
 
 CFG = AnalysisConfig.tiny()
@@ -55,7 +55,7 @@ def test_int_suites_have_no_fp_in_core_phases():
 
 def _vector(bench, interval=0, n=3000):
     trace = bench.program.interval_trace(interval, n)
-    return characterize_interval(trace, CFG)
+    return characterize_intervals([trace], CFG)[0]
 
 
 def _normalized_distances(vectors):

@@ -7,13 +7,6 @@ models rely on.
 
 import pytest
 
-from repro.mica import (
-    measure_branch,
-    measure_footprint,
-    measure_ilp,
-    measure_instruction_mix,
-    measure_strides,
-)
 from repro.synth import (
     branchy_kernel,
     compress_kernel,
@@ -30,6 +23,8 @@ from repro.synth import (
     streaming_kernel,
     string_match_kernel,
 )
+
+from ..conftest import measure
 
 N = 8000
 
@@ -71,28 +66,28 @@ def test_family_is_deterministic_per_seed(factory):
 
 
 def test_streaming_is_fp_heavy_when_fp():
-    mix = measure_instruction_mix(trace_of(streaming_kernel(seed=1, fp=True)))
+    mix = measure(trace_of(streaming_kernel(seed=1, fp=True)))
     assert mix["mix_fp_arith"] > 0.3
     assert mix["mix_int_mul"] == 0.0
 
 
 def test_streaming_int_variant_has_no_fp():
-    mix = measure_instruction_mix(trace_of(streaming_kernel(seed=1, fp=False)))
+    mix = measure(trace_of(streaming_kernel(seed=1, fp=False)))
     assert mix["mix_fp_arith"] == 0.0
 
 
 def test_streaming_short_global_strides():
-    s = measure_strides(trace_of(streaming_kernel(seed=2, unroll=8)))
+    s = measure(trace_of(streaming_kernel(seed=2, unroll=8)))
     assert s["stride_gl_le64"] > 0.5
 
 
 def test_streaming_predictable_branches():
-    b = measure_branch(trace_of(streaming_kernel(seed=3)), sample_branches=500)
+    b = measure(trace_of(streaming_kernel(seed=3)), ppm_sample_branches=500)
     assert b["ppm_gag_h12"] < 0.05
 
 
 def test_stencil_mixes_short_and_row_strides():
-    s = measure_strides(trace_of(stencil_kernel(seed=4, row_bytes=8192)))
+    s = measure(trace_of(stencil_kernel(seed=4, row_bytes=8192)))
     # Local strides of the row streams are small; the column streams
     # produce strides beyond 4KB, so the local-load CDF at 4K is < 1.
     assert s["stride_ll_le4096"] < 1.0
@@ -100,59 +95,59 @@ def test_stencil_mixes_short_and_row_strides():
 
 
 def test_pointer_chase_low_ilp_vs_matrix():
-    chase = measure_ilp(trace_of(pointer_chase_kernel(seed=5)), sample_instructions=1000)
-    dense = measure_ilp(trace_of(matrix_kernel(seed=5)), sample_instructions=1000)
+    chase = measure(trace_of(pointer_chase_kernel(seed=5)), ilp_sample_instructions=1000)
+    dense = measure(trace_of(matrix_kernel(seed=5)), ilp_sample_instructions=1000)
     assert chase["ilp_w64"] < dense["ilp_w64"]
 
 
 def test_pointer_chase_poor_branch_predictability():
-    b = measure_branch(
+    b = measure(
         trace_of(pointer_chase_kernel(seed=6, branch_entropy=0.5)),
-        sample_branches=800,
+        ppm_sample_branches=800,
     )
     assert b["ppm_gag_h12"] > 0.1
 
 
 def test_pointer_chase_large_data_footprint():
-    small = measure_footprint(trace_of(pointer_chase_kernel(seed=7, n_nodes=1 << 8)))
-    large = measure_footprint(trace_of(pointer_chase_kernel(seed=7, n_nodes=1 << 16)))
+    small = measure(trace_of(pointer_chase_kernel(seed=7, n_nodes=1 << 8)))
+    large = measure(trace_of(pointer_chase_kernel(seed=7, n_nodes=1 << 16)))
     assert large["foot_data_64b"] > small["foot_data_64b"]
 
 
 def test_branchy_is_branch_dense():
-    mix = measure_instruction_mix(trace_of(branchy_kernel(seed=8)))
+    mix = measure(trace_of(branchy_kernel(seed=8)))
     assert mix["mix_branch"] > 0.1
 
 
 def test_branchy_large_instruction_footprint():
-    few = measure_footprint(trace_of(branchy_kernel(seed=9, n_variants=1)))
-    many = measure_footprint(trace_of(branchy_kernel(seed=9, n_variants=32)))
+    few = measure(trace_of(branchy_kernel(seed=9, n_variants=1)))
+    many = measure(trace_of(branchy_kernel(seed=9, n_variants=32)))
     assert many["foot_instr_64b"] > few["foot_instr_64b"]
 
 
 def test_dsp_is_multiply_dense():
-    mix = measure_instruction_mix(trace_of(dsp_kernel(seed=10)))
+    mix = measure(trace_of(dsp_kernel(seed=10)))
     assert mix["mix_mul"] > 0.15
 
 
 def test_dsp_accumulators_raise_ilp():
-    one = measure_ilp(trace_of(dsp_kernel(seed=11, accumulators=1)), sample_instructions=1000)
-    eight = measure_ilp(trace_of(dsp_kernel(seed=11, accumulators=8)), sample_instructions=1000)
+    one = measure(trace_of(dsp_kernel(seed=11, accumulators=1)), ilp_sample_instructions=1000)
+    eight = measure(trace_of(dsp_kernel(seed=11, accumulators=8)), ilp_sample_instructions=1000)
     assert eight["ilp_w64"] > one["ilp_w64"]
 
 
 def test_string_match_integer_add_heavy():
-    mix = measure_instruction_mix(trace_of(string_match_kernel(seed=12, adds_per_byte=8)))
+    mix = measure(trace_of(string_match_kernel(seed=12, adds_per_byte=8)))
     assert mix["mix_int_add"] > 0.3
 
 
 def test_string_match_byte_local_strides():
-    s = measure_strides(trace_of(string_match_kernel(seed=13, byte_stride=1)))
+    s = measure(trace_of(string_match_kernel(seed=13, byte_stride=1)))
     assert s["stride_ll_le8"] > 0.5
 
 
 def test_dynprog_is_cmov_heavy():
-    mix = measure_instruction_mix(trace_of(dynprog_kernel(seed=14, cmov_per_cell=4)))
+    mix = measure(trace_of(dynprog_kernel(seed=14, cmov_per_cell=4)))
     assert mix["mix_cmov"] > 0.1
 
 
@@ -163,46 +158,46 @@ def test_dynprog_states_scale_work():
 
 
 def test_sorting_branches_are_hard():
-    b = measure_branch(trace_of(sorting_kernel(seed=16)), sample_branches=800)
+    b = measure(trace_of(sorting_kernel(seed=16)), ppm_sample_branches=800)
     assert b["ppm_pas_h12"] > 0.1
 
 
 def test_hashing_multiplies_and_random_access():
     t = trace_of(hashing_kernel(seed=17))
-    mix = measure_instruction_mix(t)
+    mix = measure(t)
     assert mix["mix_int_mul"] > 0.02
-    s = measure_strides(t)
+    s = measure(t)
     # Table probes are random over MBs: most load strides are huge.
     assert s["stride_gl_le64"] < 0.9
 
 
 def test_matrix_high_fp_and_ilp():
     t = trace_of(matrix_kernel(seed=18, accumulators=6))
-    mix = measure_instruction_mix(t)
+    mix = measure(t)
     assert mix["mix_fp_arith"] > 0.3
-    ilp = measure_ilp(t, sample_instructions=1000)
+    ilp = measure(t, ilp_sample_instructions=1000)
     assert ilp["ilp_w256"] > 10
 
 
 def test_matrix_divides_show_up():
-    mix = measure_instruction_mix(trace_of(matrix_kernel(seed=19, divides=4)))
+    mix = measure(trace_of(matrix_kernel(seed=19, divides=4)))
     assert mix["mix_fp_div"] > 0.0
     assert mix["mix_fp_sqrt"] > 0.0
 
 
 def test_compress_shift_heavy():
-    mix = measure_instruction_mix(trace_of(compress_kernel(seed=20)))
+    mix = measure(trace_of(compress_kernel(seed=20)))
     assert mix["mix_shift"] > 0.1
 
 
 def test_fsm_logic_heavy_with_cmov():
-    mix = measure_instruction_mix(trace_of(fsm_kernel(seed=21)))
+    mix = measure(trace_of(fsm_kernel(seed=21)))
     assert mix["mix_logic"] > 0.15
     assert mix["mix_cmov"] > 0.0
 
 
 def test_sparse_mixed_stride_profile():
-    s = measure_strides(trace_of(sparse_kernel(seed=22, cluster_len=12)))
+    s = measure(trace_of(sparse_kernel(seed=22, cluster_len=12)))
     # Gathers produce a genuine mix: neither all-small nor all-large.
     assert 0.05 < s["stride_gl_le64"] < 0.95
     assert 0.05 < s["stride_ll_le64"] < 0.95

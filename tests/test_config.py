@@ -47,6 +47,13 @@ def test_validation_rejects_bad_values():
         AnalysisConfig(n_key_characteristics=100)
 
 
+def test_ppm_sample_branches_bounded():
+    # At 2**20 sampled branches one interval's PPM keys still fit int64.
+    assert AnalysisConfig(ppm_sample_branches=2**20).ppm_sample_branches == 2**20
+    with pytest.raises(ValueError):
+        AnalysisConfig(ppm_sample_branches=2**20 + 1)
+
+
 def test_cache_key_is_stable():
     assert AnalysisConfig.paper().cache_key() == AnalysisConfig.paper().cache_key()
 
