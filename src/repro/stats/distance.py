@@ -5,31 +5,56 @@ from __future__ import annotations
 import numpy as np
 
 
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Full symmetric Euclidean distance matrix of the rows.
+#: A squared distance from the expanded-norm identity
+#: ``|x|² + |y|² - 2x·y`` that falls below this fraction of
+#: ``|x|² + |y|²`` has lost about half its digits to cancellation
+#: (``2**-26`` is the square root of float64 epsilon).  Two equal rows
+#: of norm ~200 would otherwise sit ~4e-6 apart instead of 0.
+CANCELLATION_RATIO = 2.0**-26
 
-    Uses the expanded-norm identity with clipping so tiny negative
-    round-off never produces NaNs.
-    """
+
+def _expanded_sq_distances(points: np.ndarray) -> tuple:
+    """``(d2, norm_sums)``: the expanded-norm squared distance matrix
+    of the rows and the ``|x|² + |y|²`` term of each entry."""
     if points.ndim != 2:
         raise ValueError("expected a 2-D matrix of points")
     sq = np.sum(points**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    norm_sums = sq[:, None] + sq[None, :]
+    return norm_sums - 2.0 * (points @ points.T), norm_sums
+
+
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Full symmetric Euclidean distance matrix of the rows.
+
+    Uses the expanded-norm identity, but recomputes the near-duplicate
+    pairs it would cancel away (:data:`CANCELLATION_RATIO`) from their
+    coordinate differences, so equal rows are exactly 0 apart and the
+    diagonal is exactly 0.  Clipping keeps tiny negative round-off from
+    producing NaNs.
+    """
+    d2, norm_sums = _expanded_sq_distances(points)
+    rows, cols = np.nonzero(d2 < CANCELLATION_RATIO * norm_sums)
+    diff = points[rows] - points[cols]
+    d2[rows, cols] = np.add.reduce(diff * diff, axis=1)
     np.clip(d2, 0.0, None, out=d2)
-    d = np.sqrt(d2)
-    np.fill_diagonal(d, 0.0)
-    return d
+    return np.sqrt(d2)
 
 
 def condensed_distances(points: np.ndarray) -> np.ndarray:
     """Upper-triangular (condensed) pairwise distances of the rows.
 
     The condensed form is what the GA fitness correlates: it contains
-    each pair exactly once.
+    each pair exactly once.  It is the plain expanded-norm identity,
+    without :func:`pairwise_distances`' near-duplicate recomputation:
+    the GA's per-mask score reproduces it bit for bit
+    (:meth:`repro.ga.DistanceCorrelationFitness._score_space`), and a
+    near-duplicate pair's error of ~``sqrt(eps) * |x|`` is noise in a
+    correlation over all pairs.
     """
-    full = pairwise_distances(points)
-    iu = np.triu_indices(len(full), k=1)
-    return full[iu]
+    d2, _ = _expanded_sq_distances(points)
+    d2 = d2[np.triu_indices(len(d2), k=1)]
+    np.clip(d2, 0.0, None, out=d2)
+    return np.sqrt(d2)
 
 
 def distances_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
