@@ -7,7 +7,12 @@ interval size — 500, 4,000 and 10,000 instructions, with the ILP/PPM
 subsample sizes of the preset that ships each, whatever
 ``REPRO_BENCH_PRESET`` says — and reports each meter's time from the
 ``mica.meter.<name>.seconds`` counters the pass records, as
-instructions per second.  A second experiment measures the
+instructions per second.  Each batch goes through the shipped in-place
+path: its intervals are synthesized into one reused
+:class:`~repro.mica.workspace.Workspace` and metered there, and the
+minor page faults of each batch (``getrusage`` ``ru_minflt`` deltas
+around synthesis plus metering) are recorded next to the seconds.
+A second experiment measures the
 feature-block cache hit path: a warm ``build_dataset`` re-run must be
 dominated by block loads, not featurization.
 
@@ -22,6 +27,8 @@ Run it alone (it does not touch the session-scoped paper cache)::
 """
 
 import os
+import resource
+import statistics
 import tempfile
 import time
 
@@ -31,6 +38,7 @@ from repro.config import AnalysisConfig
 from repro.core import build_dataset
 from repro.io import FeatureBlockCache, format_table
 from repro.mica import batch_slices, characterize_intervals
+from repro.mica.workspace import Workspace
 from repro.obs import emit_bench, observe
 from repro.suites import all_benchmarks
 
@@ -69,47 +77,64 @@ def _timed_best(fn, repeats=REPEATS):
     return result, best
 
 
-def _round_robin_traces(count: int, interval_instructions: int):
-    """``count`` real intervals: interval 0 of every benchmark, then 1, ..."""
+def _round_robin_picks(count: int, interval_instructions: int):
+    """``count`` real ``(program, interval)`` picks: interval 0 of every benchmark, then 1, ..."""
     benches = all_benchmarks()
-    traces = []
+    picks = []
     index = 0
-    while len(traces) < count:
+    while len(picks) < count:
         for bench in benches:
-            if index < bench.program.n_intervals and len(traces) < count:
-                traces.append(
-                    bench.program.interval_trace(index, interval_instructions)
-                )
+            if index < bench.program.n_intervals and len(picks) < count:
+                picks.append((bench.program, index))
         index += 1
-    return traces
+    return picks
 
 
-def _meter_seconds(traces, config, size):
-    """Each meter's seconds in one observed pass over ``traces``."""
-    slices = batch_slices(len(traces), size)
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _meter_seconds(picks, config, size, ws):
+    """Each meter's seconds, and each batch's minor faults, in one pass."""
+    slices = batch_slices(len(picks), size)
+    faults = []
     with observe() as ob:
-        for batch in slices:
-            characterize_intervals(traces[batch], config)
+        for chunk in slices:
+            before = _minor_faults()
+            batch = ws.batch([size] * (chunk.stop - chunk.start))
+            for k, (program, index) in enumerate(picks[chunk]):
+                program.interval_trace(index, size, out=batch[k])
+            characterize_intervals(batch, config)
+            faults.append(_minor_faults() - before)
     reg = ob.metrics
     assert reg.counter_value("mica.fused_batches") == len(slices)
-    assert reg.counter_value("mica.intervals") == len(traces)
-    return {m: reg.counter_value(f"mica.meter.{m}.seconds") for m in METERS}
+    assert reg.counter_value("mica.intervals") == len(picks)
+    return {m: reg.counter_value(f"mica.meter.{m}.seconds") for m in METERS}, faults
 
 
 def bench_meter_throughput(report):
     results = {}
     for size, config in SIZES.items():
-        traces = _round_robin_traces(BATCH_TOTAL // size, size)
-        runs = [_meter_seconds(traces, config, size) for _ in range(REPEATS)]
-        seconds = {m: min(run[m] for run in runs) for m in METERS}
+        picks = _round_robin_picks(BATCH_TOTAL // size, size)
+        ws = Workspace()
+        runs = [_meter_seconds(picks, config, size, ws) for _ in range(REPEATS)]
+        seconds = {m: min(run[m] for run, _ in runs) for m in METERS}
         seconds["total"] = sum(seconds.values())
-        instructions = sum(len(t) for t in traces)
+        # The first batch provisions the workspace; every later one reuses it.
+        first, *reused = [f for _, batch_faults in runs for f in batch_faults]
+        instructions = len(picks) * size
         results[size] = {
-            "intervals": len(traces),
+            "intervals": len(picks),
             "instructions": instructions,
             "seconds": {m: round(v, 6) for m, v in seconds.items()},
             "instructions_per_second": {
                 m: round(instructions / v) for m, v in seconds.items()
+            },
+            "minor_faults_per_batch": {
+                "batches": len(runs[0][1]),
+                "first": first,
+                "median": statistics.median(reused),
+                "max": max(reused),
             },
         }
 
@@ -123,12 +148,21 @@ def bench_meter_throughput(report):
         ]
         for name in names
     ]
+    rows.append(
+        ["faults/batch"]
+        + [
+            "{first} first, {median:g} median, {max} max".format(**r["minor_faults_per_batch"])
+            for r in results.values()
+        ]
+    )
     text = format_table(
         ["meter"] + [f"{size}-instr: ms / Minstr/s" for size in results], rows
     )
     text += (
         f"\nfused pass over {BATCH_TOTAL} instructions of real intervals per "
-        f"size, in batch_slices batches; per-meter counters, best of {REPEATS}\n"
+        f"size, in batch_slices batches synthesized into one workspace; "
+        f"per-meter counters, best of {REPEATS}; minor faults per batch "
+        f"(synthesis + metering) over all repeats\n"
     )
     report("meter_throughput.txt", text)
     print("\n" + text)

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..config import AnalysisConfig
 from ..mica import N_FEATURES, batch_slices, characterize_intervals
+from ..mica.workspace import Workspace, thread_workspace
 from ..obs import emit_progress, get_logger, metrics, span
 from ..parallel import Executor, get_executor
 from ..suites import Benchmark
@@ -71,14 +72,22 @@ class WorkloadDataset:
         return (self.suites == suite) & (self.benchmarks == name)
 
 
-def _batch_traces(bench: Benchmark, chunk, config: AnalysisConfig) -> list:
-    """Generate one fused batch's interval traces, under a ``synth.generate`` span.
+def _featurize_batch(
+    bench: Benchmark, chunk, config: AnalysisConfig, ws: Workspace
+) -> np.ndarray:
+    """Feature rows of one fused batch, synthesized and metered in ``ws``.
 
-    ``chunk`` holds ``(row, interval index)`` pairs.
+    ``chunk`` holds ``(row, interval index)`` pairs.  Each interval is
+    generated straight into its slice of the workspace's trace columns,
+    under one ``synth.generate`` span, and the fused pass reads the
+    columns in place.
     """
     n = config.interval_instructions
+    batch = ws.batch([n] * len(chunk))
     with span("synth.generate", intervals=len(chunk), instructions=len(chunk) * n):
-        return list(bench.program.iter_interval_traces([idx for _, idx in chunk], n))
+        for k, (_, interval_idx) in enumerate(chunk):
+            bench.program.interval_trace(interval_idx, n, out=batch[k])
+    return characterize_intervals(batch, config)
 
 
 def _characterize_benchmark(payload, index: int):
@@ -101,7 +110,7 @@ def _characterize_benchmark(payload, index: int):
     cached = cached_blocks.get(bench.key) if cached_blocks else None
     vectors = np.empty((len(unique_picks), N_FEATURES), dtype=np.float64)
     fresh = {}
-    with span("mica", benchmark=bench.key) as sp:
+    with span("mica", benchmark=bench.key) as sp, thread_workspace() as ws:
         to_compute = []  # (row, interval index) pairs not served from cache
         for j, interval_idx in enumerate(unique_picks):
             interval_idx = int(interval_idx)
@@ -111,11 +120,12 @@ def _characterize_benchmark(payload, index: int):
             else:
                 vectors[j] = vec
         # Uncached intervals are characterized in fused batches: one
-        # whole-trace pass over many concatenated intervals (bounded by
-        # FUSED_BATCH_INSTRUCTIONS) instead of one meter run each.
+        # whole-trace pass over many intervals stored back to back
+        # (bounded by FUSED_BATCH_INSTRUCTIONS) instead of one meter
+        # run each.
         for batch in batch_slices(len(to_compute), config.interval_instructions):
             chunk = to_compute[batch]
-            matrix = characterize_intervals(_batch_traces(bench, chunk, config), config)
+            matrix = _featurize_batch(bench, chunk, config, ws)
             for (j, interval_idx), vec in zip(chunk, matrix):
                 fresh[interval_idx] = vec
                 vectors[j] = vec
@@ -204,7 +214,8 @@ def build_dataset(
         if progress is not None:
             progress(line)
 
-    with span("dataset.build", benchmarks=len(benchmarks)):
+    # Tasks that run on this thread share its workspace.
+    with span("dataset.build", benchmarks=len(benchmarks)), thread_workspace():
         blocks = executor.map(
             _characterize_benchmark,
             range(len(benchmarks)),
@@ -319,6 +330,7 @@ def _featurize_segment(
     seg_picks: np.ndarray,
     cached: Optional[Dict[int, np.ndarray]],
     fresh: Dict[int, np.ndarray],
+    ws: Workspace,
 ) -> np.ndarray:
     """Feature rows for one benchmark's slice of a streaming batch.
 
@@ -343,7 +355,7 @@ def _featurize_segment(
             vectors[j] = vec
     for batch in batch_slices(len(to_compute), config.interval_instructions):
         chunk = to_compute[batch]
-        matrix = characterize_intervals(_batch_traces(bench, chunk, config), config)
+        matrix = _featurize_batch(bench, chunk, config, ws)
         for (j, interval_idx), vec in zip(chunk, matrix):
             fresh[interval_idx] = vec
             vectors[j] = vec
@@ -369,9 +381,12 @@ def iter_feature_batches(
     each yielded :class:`FeatureBatch` covers the next
     ``batch_intervals`` plan rows (the last one may be shorter), and
     the working set is ``O(batch_intervals)`` — one batch of feature
-    rows plus at most one in-flight interval trace — never the whole
-    matrix.  Batches may span benchmark boundaries; that changes
-    nothing, because intervals are seeded and metered independently.
+    rows plus one :class:`~repro.mica.workspace.Workspace`, the trace
+    columns and fused-pass arena of one fused batch (at most
+    :data:`~repro.mica.FUSED_BATCH_INSTRUCTIONS` instructions), reused
+    by every fused batch of the sweep — never the whole matrix.
+    Batches may span benchmark boundaries; that changes nothing,
+    because intervals are seeded and metered independently.
 
     With a ``feature_cache``, each benchmark's block is loaded when
     the stream enters the benchmark and dropped when it leaves, and
@@ -391,6 +406,9 @@ def iter_feature_batches(
     cached: Optional[Dict[int, np.ndarray]] = None
     fresh: Dict[int, np.ndarray] = {}
     current_bench = -1
+    # One workspace for the sweep; it lives in this generator, so
+    # whichever thread advances it owns the workspace meanwhile.
+    ws = Workspace()
     for start in range(0, total, batch_intervals):
         stop = min(start + batch_intervals, total)
         features = np.empty((stop - start, N_FEATURES), dtype=np.float64)
@@ -412,7 +430,7 @@ def iter_feature_batches(
                 )
             seg_picks = plan.picks[i][lo - int(offsets[i]) : hi - int(offsets[i])]
             features[lo - start : hi - start] = _featurize_segment(
-                bench, config, seg_picks, cached, fresh
+                bench, config, seg_picks, cached, fresh, ws
             )
             suites.extend([bench.suite] * (hi - lo))
             names.extend([bench.name] * (hi - lo))

@@ -67,6 +67,23 @@ class Trace:
         )
 
     @classmethod
+    def allocate(cls, n: int) -> "Trace":
+        """Return an ``n``-instruction trace with uninitialized columns.
+
+        For generators that overwrite every column (see
+        :meth:`repro.synth.kernels.base.Kernel.generate`).
+        """
+        return cls(
+            op=np.empty(n, dtype=np.uint8),
+            src1=np.empty(n, dtype=np.int16),
+            src2=np.empty(n, dtype=np.int16),
+            dst=np.empty(n, dtype=np.int16),
+            addr=np.empty(n, dtype=np.int64),
+            pc=np.empty(n, dtype=np.int64),
+            taken=np.empty(n, dtype=bool),
+        )
+
+    @classmethod
     def zeros(cls, n: int) -> "Trace":
         """Return an ``n``-instruction trace of IADDs with no operands.
 

@@ -1,14 +1,18 @@
 """Fused whole-trace metering: many intervals, one vectorized pass.
 
 This is the one MICA implementation.  It measures the six meters over a
-*batch* of intervals: the interval traces are concatenated into one
-whole trace, every shared fact (op counts, producer matching, per-kind
-streams, branch histories) is computed **once** for the whole trace,
-and interval boundaries are applied afterwards as segment reductions —
-``np.bincount`` over interval ids, ``np.add.reduceat`` /
-``np.maximum.reduceat`` over boundary indices, and boundary-crossing
-masks on difference streams — instead of a Python loop per interval.
-A one-interval batch is the per-interval case.
+*batch* of intervals: the interval traces lie back to back in one
+whole trace (a :class:`~repro.mica.workspace.TraceBatch`, synthesized in
+place, or else their concatenation), every shared fact (op counts,
+producer matching, per-kind streams, branch histories) is computed
+**once** for the whole trace, and interval boundaries are applied
+afterwards as segment reductions — ``np.bincount`` over interval ids,
+``np.add.reduceat`` / ``np.maximum.reduceat`` over boundary indices, and
+boundary-crossing masks on difference streams — instead of a Python
+loop per interval.  A one-interval batch is the per-interval case.  The
+large temporaries come from the batch's workspace arena, one frame per
+section, so a featurizing thread reuses the same memory batch after
+batch.
 
 **Bit-identity contract.**  For every interval, the fused pass produces
 exactly the vector the sequential per-interval oracle
@@ -43,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import AnalysisConfig
-from ..isa import NO_REG, N_OP_CLASSES, N_REGISTERS, OpClass, Trace, concat, is_memory_op
+from ..isa import NO_REG, N_OP_CLASSES, N_REGISTERS, OpClass, Trace, concat
 from ..obs import active as obs_active
 from ..obs import metrics
 from .features import (
@@ -64,18 +68,21 @@ from .ppm import (
     local_histories,
     ppm_misses,
 )
+from .workspace import TraceBatch, Workspace
 
-#: Soft cap on the instructions concatenated into one fused batch; the
-#: dataset builder slices its interval picks into batches of at most
-#: this many instructions.  Measured on real intervals (1.5M
-#: instructions per size, best of 3, 2-vCPU Xeon; repeat sweeps moved
-#: by up to ~20%), fused over per-interval CPU time at 20k/30k/50k/
-#: 60k/125k batches: 5.3/6.6/6.8/6.7/4.4x at 500-instruction intervals,
-#: 1.5/1.5/1.4/1.7/1.6x at 4,000 and 1.2/1.3/1.3/1.1/1.3x at 10,000.
-#: 50k is best or within noise at every size, holds one small-preset
-#: benchmark (12 x 4,000) per batch, and keeps a batch's temporaries
-#: near 8 MB (16-22 MB at 125k, which shows in the paper preset's
-#: peak RSS).
+#: Soft cap on the instructions in one fused batch; the dataset builder
+#: slices its interval picks into batches of at most this many
+#: instructions, and a featurizing thread's workspace grows to one
+#: such batch.  Re-measured with synthesis into a reused workspace (no
+#: page faults in the steady state), real round-robin intervals, 1.5M
+#: instructions per cell, best of 3, two sweeps on a 2-vCPU Xeon:
+#: million instructions per CPU second at 20k/30k/50k/60k/125k batches
+#: were 1.2-1.5/1.1-1.3/1.1-1.4/1.1-1.2/1.1 at 500-instruction
+#: intervals, 2.1-2.2/2.3-2.4/2.3-2.4/2.3-2.4/2.4 at 4,000 and
+#: 2.3-2.5/2.4-2.8/2.3-3.0/2.6-3.1/2.6-2.7 at 10,000.  From 30k up the
+#: sizes are within the sweeps' noise; 50k holds one small-preset
+#: benchmark (12 x 4,000) per batch and a 6.9 MB workspace (17-24 MB
+#: at 125k).
 FUSED_BATCH_INSTRUCTIONS = 50_000
 
 
@@ -85,7 +92,7 @@ def batch_slices(n_intervals: int, interval_instructions: int) -> List[slice]:
     Each batch covers at most :data:`FUSED_BATCH_INSTRUCTIONS`
     instructions (always at least one interval).  Batching cannot
     change results — intervals are measured independently either way —
-    it only bounds the concatenated working set.
+    it only bounds the batch's working set.
     """
     if n_intervals <= 0:
         return []
@@ -103,7 +110,9 @@ def characterize_intervals(
 
     Args:
         traces: the interval traces (need not be equal length; each must
-            be non-empty).
+            be non-empty).  A :class:`~repro.mica.workspace.TraceBatch`
+            is read in place and its workspace serves the pass's
+            temporaries; any other sequence is concatenated first.
         config: supplies the ILP/PPM subsample sizes.
 
     Returns:
@@ -147,76 +156,111 @@ class _SectionTimer:
 def _characterize_fused(
     traces: Sequence[Trace], config: AnalysisConfig
 ) -> np.ndarray:
-    lengths = np.array([len(t) for t in traces], dtype=np.int64)
-    if (lengths == 0).any():
-        raise ValueError("cannot characterize an empty trace")
-    m = len(traces)
-    trace = traces[0] if m == 1 else concat(traces)
+    if isinstance(traces, TraceBatch):
+        lengths = traces.lengths
+        if (lengths == 0).any():
+            raise ValueError("cannot characterize an empty trace")
+        trace, ws = traces.whole, traces.workspace
+    else:
+        lengths = np.array([len(t) for t in traces], dtype=np.int64)
+        if (lengths == 0).any():
+            raise ValueError("cannot characterize an empty trace")
+        trace = traces[0] if len(traces) == 1 else concat(traces)
+        ws = Workspace()
+    with ws.frame():
+        return _fused_pass(trace, lengths, config, ws)
+
+
+def _fused_pass(
+    trace: Trace, lengths: np.ndarray, config: AnalysisConfig, ws: Workspace
+) -> np.ndarray:
+    """The six meters over one whole trace of ``len(lengths)`` intervals.
+
+    Every section takes its large temporaries from ``ws`` inside its own
+    frame, so the sections share one arena.
+    """
+    m = len(lengths)
+    n = len(trace)
     starts = np.zeros(m, dtype=np.int64)
     np.cumsum(lengths[:-1], out=starts[1:])
-    iv = np.repeat(np.arange(m, dtype=np.int64), lengths)
+    iv = ws.empty(n, np.int64)  # interval id per instruction
+    for j in range(m):
+        iv[starts[j]:starts[j] + lengths[j]] = j
 
     columns: Dict[str, np.ndarray] = {}
     timer = _SectionTimer(m)
 
     # Shared whole-trace facts.
     op = trace.op
-    mem_mask = is_memory_op(op)
-    branch_mask = op == OpClass.BRANCH
+    mem_mask = ws.empty(n, bool)
+    branch_mask = ws.empty(n, bool)
+    np.equal(op, OpClass.LOAD, out=mem_mask)
+    np.equal(op, OpClass.STORE, out=branch_mask)
+    mem_mask |= branch_mask
+    np.equal(op, OpClass.BRANCH, out=branch_mask)
 
     # --- instruction mix ---------------------------------------------
-    op_counts = np.bincount(
-        iv * N_OP_CLASSES + op.astype(np.int64), minlength=m * N_OP_CLASSES
-    ).reshape(m, N_OP_CLASSES)
+    with ws.frame():
+        key = ws.empty(n, np.int64)
+        np.multiply(iv, N_OP_CLASSES, out=key)
+        key += op
+        op_counts = np.bincount(key, minlength=m * N_OP_CLASSES).reshape(m, N_OP_CLASSES)
     _mix_columns(columns, op_counts, lengths)
     timer.lap("instruction_mix")
 
-    # --- ILP (leading subsample per interval) ------------------------
-    p1, p2 = match_producers(trace, iv)
-    _ilp_columns(
-        columns, p1, p2, starts, lengths, config.ilp_sample_instructions
-    )
-    timer.lap("ilp")
+    with ws.frame():  # the producer arrays serve the next two sections
+        p1, p2 = match_producers(trace, iv, ws)
 
-    # --- register traffic --------------------------------------------
-    _register_columns(columns, trace, p1, p2, iv, starts, lengths)
+        # --- ILP (leading subsample per interval) --------------------
+        with ws.frame():
+            _ilp_columns(
+                columns, p1, p2, starts, lengths, config.ilp_sample_instructions, ws
+            )
+        timer.lap("ilp")
+
+        # --- register traffic ----------------------------------------
+        with ws.frame():
+            _register_columns(columns, trace, p1, p2, iv, starts, lengths, ws)
     timer.lap("register_traffic")
 
     # --- memory footprint --------------------------------------------
-    mem_iv = iv[mem_mask]
-    mem_addrs = trace.addr[mem_mask]
-    for stream, iv_sub, values in (
-        ("instr", iv, trace.pc),
-        ("data", mem_iv, mem_addrs),
-    ):
-        # One sort serves both granularities: within a (interval,
-        # address-sorted) run, addr >> 6 and addr >> 12 are both
-        # non-decreasing, so unique blocks and pages are boundary counts
-        # of the same ordering.
-        iv_sorted, v_sorted = _sorted_by_interval(iv_sub, values, m)
-        for label, shift in (("64b", 6), ("4k", 12)):
-            columns[f"foot_{stream}_{label}"] = _log_unique_sorted(
-                iv_sorted, v_sorted >> shift, m
-            )
+    with ws.frame():
+        mem_iv, mem_addrs = _select(mem_mask, ws, iv, trace.addr)
+        for stream, iv_sub, values in (
+            ("instr", iv, trace.pc),
+            ("data", mem_iv, mem_addrs),
+        ):
+            # One sort serves both granularities: within a (interval,
+            # address-sorted) run, addr >> 6 and addr >> 12 are both
+            # non-decreasing, so unique blocks and pages are boundary
+            # counts of the same ordering.
+            with ws.frame():
+                iv_sorted, v_sorted = _sorted_by_interval(iv_sub, values, m, ws)
+                shifted = ws.empty(len(v_sorted), np.int64)
+                for label, shift in (("64b", 6), ("4k", 12)):
+                    np.right_shift(v_sorted, shift, out=shifted)
+                    columns[f"foot_{stream}_{label}"] = _log_unique_sorted(
+                        iv_sorted, shifted, m, ws
+                    )
     timer.lap("footprint")
 
     # --- data stream strides -----------------------------------------
     for kind, opc in (("l", OpClass.LOAD), ("s", OpClass.STORE)):
-        mask = op == opc
-        _stride_columns(
-            columns, kind, iv[mask], trace.addr[mask], trace.pc[mask], m
-        )
+        with ws.frame():
+            mask = ws.empty(n, bool)
+            np.equal(op, opc, out=mask)
+            _stride_columns(columns, kind, *_select(mask, ws, iv, trace.addr, trace.pc), m, ws)
     timer.lap("strides")
 
     # --- branch predictability ---------------------------------------
-    _branch_columns(
-        columns,
-        iv[branch_mask],
-        trace.pc[branch_mask],
-        trace.taken[branch_mask],
-        m,
-        config.ppm_sample_branches,
-    )
+    with ws.frame():
+        _branch_columns(
+            columns,
+            *_select(branch_mask, ws, iv, trace.pc, trace.taken),
+            m,
+            config.ppm_sample_branches,
+            ws,
+        )
     timer.lap("branch")
 
     matrix = np.empty((m, N_FEATURES), dtype=np.float64)
@@ -226,6 +270,24 @@ def _characterize_fused(
         raise AssertionError("fused pass produced wrong feature count")
     timer.flush()
     return matrix
+
+
+def _gather(index: np.ndarray, ws: Workspace, *columns: np.ndarray) -> List[np.ndarray]:
+    """``[column[index] for column in columns]``, written into the workspace.
+
+    Each is one clipped ``take`` ("raise" would buffer the output).
+    """
+    picked = []
+    for column in columns:
+        out = ws.empty(len(index), column.dtype)
+        np.take(column, index, out=out, mode="clip")
+        picked.append(out)
+    return picked
+
+
+def _select(mask: np.ndarray, ws: Workspace, *columns: np.ndarray) -> List[np.ndarray]:
+    """``[column[mask] for column in columns]``: one scan of the mask."""
+    return _gather(np.flatnonzero(mask), ws, *columns)
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +340,7 @@ def _mix_columns(
 
 
 def match_producers(
-    trace: Trace, iv: Optional[np.ndarray] = None
+    trace: Trace, iv: Optional[np.ndarray] = None, ws: Optional[Workspace] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """For each instruction, the trace index that produced each source.
 
@@ -286,6 +348,8 @@ def match_producers(
         trace: one interval, or several concatenated.
         iv: for a concatenation, the non-decreasing interval id of each
             instruction; producers never cross an interval boundary.
+        ws: workspace to take the result and the temporaries from; the
+            result then lives until the caller's frame closes.
 
     Returns two int64 arrays ``(p1, p2)`` parallel to the trace; entry
     ``-1`` means the source operand is absent or its producing write
@@ -305,6 +369,8 @@ def match_producers(
     carried write whenever the two keys share their ``(interval,
     register)`` prefix.
     """
+    if ws is None:
+        ws = Workspace()
     n = len(trace)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -318,42 +384,60 @@ def match_producers(
     reg_shift = pos_bits + 2
     iv_shift = reg_shift + (N_REGISTERS - 1).bit_length()
     dtype = np.int32 if iv_shift + iv_bits <= 31 else np.int64
-    base = np.arange(n, dtype=dtype) << 2
-    if iv is not None:
-        base |= iv.astype(dtype) << iv_shift
-    keys = np.empty(3 * n, dtype=dtype)
-    for slot, regs in enumerate((trace.src1, trace.src2, trace.dst)):
-        part = keys[slot * n:(slot + 1) * n]
-        np.bitwise_and(regs, N_REGISTERS - 1, out=part, casting="unsafe")
-        part <<= reg_shift
-        part |= base
-        part |= slot
-    np.bitwise_or(keys[2 * n:], trace.dst == NO_REG, out=keys[2 * n:])
-    keys.sort()
-    # (flags.view(int8) - 1) is 0 where a flag is set and -1 (all ones)
-    # where not, so OR-ing it in sets every unflagged entry to -1 — a
-    # cheaper np.where(flags, x, -1).
-    is_write = (keys & 3) == 2
-    last_write = keys | (is_write.view(np.int8) - np.int8(1))
-    np.maximum.accumulate(last_write, out=last_write)
-    # Same (interval, register) prefix: the XOR has no bit at or above
-    # reg_shift (a -1 carry XORs to a huge unsigned value).
-    unsigned = np.uint32 if dtype is np.int32 else np.uint64
-    same = (last_write ^ keys).view(unsigned) < (1 << reg_shift)
-    # A key's low bits, position << 2 | slot, index a (position, slot)
-    # table directly; entries hold the producing write's low bits, or
-    # -1, which the final >> 2 keeps at -1.  The dst slots' entries and
-    # the absent sources' matches are discarded.
-    low_mask = dtype((1 << reg_shift) - 1)
-    found = (last_write & low_mask) | (same.view(np.int8) - np.int8(1))
-    index = keys.astype(np.intp)
-    index &= low_mask
-    producers = np.empty(4 * n, dtype=dtype)
-    producers[index] = found
-    return (
-        np.where(trace.src1 != NO_REG, producers[0::4] >> 2, np.int64(-1)),
-        np.where(trace.src2 != NO_REG, producers[1::4] >> 2, np.int64(-1)),
-    )
+    p1 = ws.empty(n, np.int64)
+    p2 = ws.empty(n, np.int64)
+    with ws.frame():
+        keys = ws.empty(3 * n, dtype)
+        scratch = ws.empty(3 * n, dtype)
+        flags = ws.empty(3 * n, bool)
+        base = scratch[:n]
+        np.left_shift(ws.positions(n), 2, out=base, casting="unsafe")
+        if iv is not None:
+            np.left_shift(iv, iv_shift, out=keys[:n], casting="unsafe")
+            base |= keys[:n]
+        for slot, regs in enumerate((trace.src1, trace.src2, trace.dst)):
+            part = keys[slot * n:(slot + 1) * n]
+            np.bitwise_and(regs, N_REGISTERS - 1, out=part, casting="unsafe")
+            part <<= reg_shift
+            part |= base
+            part |= slot
+        absent = flags[:n]
+        np.equal(trace.dst, NO_REG, out=absent)
+        np.bitwise_or(keys[2 * n:], absent, out=keys[2 * n:])
+        keys.sort()
+        # A flag's int8 view minus 1 is 0 where the flag is set and -1
+        # (all ones) where not, so OR-ing it in sets every unflagged
+        # entry to -1 — a cheaper np.where(flags, x, -1).
+        unset = flags.view(np.int8)
+        np.bitwise_and(keys, 3, out=scratch)
+        np.equal(scratch, 2, out=flags)  # is a write
+        unset -= 1
+        last_write = ws.empty(3 * n, dtype)
+        np.bitwise_or(keys, unset, out=last_write)
+        np.maximum.accumulate(last_write, out=last_write)
+        # Same (interval, register) prefix: the XOR has no bit at or
+        # above reg_shift (a -1 carry XORs to a huge unsigned value).
+        unsigned = np.uint32 if dtype is np.int32 else np.uint64
+        np.bitwise_xor(last_write, keys, out=scratch)
+        np.less(scratch.view(unsigned), 1 << reg_shift, out=flags)
+        # A key's low bits, position << 2 | slot, index a (position,
+        # slot) table directly; entries hold the producing write's low
+        # bits, or -1, which the final >> 2 keeps at -1.  The dst slots'
+        # entries and the absent sources' matches are discarded.
+        low_mask = dtype((1 << reg_shift) - 1)
+        unset -= 1
+        found = last_write
+        found &= low_mask
+        found |= unset
+        index = ws.empty(3 * n, np.intp)
+        np.bitwise_and(keys, low_mask, out=index, casting="unsafe")
+        producers = ws.empty(4 * n, dtype)
+        producers[index] = found
+        for p, regs, slot in ((p1, trace.src1, 0), (p2, trace.src2, 1)):
+            np.right_shift(producers[slot::4], 2, out=p)
+            np.equal(regs, NO_REG, out=absent)
+            np.copyto(p, -1, where=absent)
+    return p1, p2
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +451,7 @@ def _ilp_columns(
     starts: np.ndarray,
     lengths: np.ndarray,
     sample_instructions: int,
+    ws: Workspace,
 ) -> None:
     """Idealized IPC per window, all intervals and windows in one sweep.
 
@@ -392,32 +477,45 @@ def _ilp_columns(
     sbase = np.zeros(m, dtype=np.int64)
     np.cumsum(s[:-1], out=sbase[1:])
     S = int(s.sum())
-    iv_s = np.repeat(np.arange(m, dtype=np.int64), s)
-    start_s = starts[iv_s]
-    rel_s = np.arange(S, dtype=np.int64) - sbase[iv_s]
-    sample = start_s + rel_s
-    # Producer positions relative to the interval; -1 (absent) maps to
-    # any negative value and is caught by the in-block test below.
-    r1 = p1[sample] - start_s
-    r2 = p2[sample] - start_s
+    # Per sample instruction: its position in the interval (rel) and,
+    # per source, its producer's (r1, r2); -1 (absent) maps to any
+    # negative value and is caught by the in-block test below.
+    rel = ws.empty(S, np.int64)
+    r1 = ws.empty(S, np.int64)
+    r2 = ws.empty(S, np.int64)
+    for j in range(m):
+        lo, hi = sbase[j], sbase[j] + s[j]
+        rel[lo:hi] = ws.positions(int(s[j]))
+        for r, p in ((r1, p1), (r2, p2)):
+            np.subtract(p[starts[j]:starts[j] + s[j]], starts[j], out=r[lo:hi])
     windows = WINDOW_SIZES
     n_windows = len(windows)
     sentinel = n_windows * S
-    flat = np.empty((2, n_windows * S), dtype=np.int64)
-    slot_base = sbase[iv_s]
+    flat = ws.empty((2, n_windows * S), np.int64)
+    block_start = ws.empty(S, np.int64)
+    outside = ws.empty(S, bool)
     for row, w in enumerate(windows):
-        block_start = (rel_s // w) * w
+        np.floor_divide(rel, w, out=block_start)
+        block_start *= w
         base = row * S
         for slot, r in enumerate((r1, r2)):
-            flat[slot, base:base + S] = np.where(
-                r >= block_start, base + slot_base + r, sentinel
-            )
+            # The producer's flat index, base + (its interval's sample
+            # offset, k - rel[k]) + r, or the sentinel when it lies
+            # outside the block.
+            out = flat[slot, base:base + S]
+            np.subtract(ws.positions(S), rel, out=out)
+            out += base
+            out += r
+            np.less(r, block_start, out=outside)
+            np.copyto(out, sentinel, where=outside)
     # Depths are at most the largest window, so int16; one take gathers
     # both producers, and the two depth buffers swap each sweep.
-    depth = np.ones(sentinel + 1, dtype=np.int16)
+    depth = ws.empty(sentinel + 1, np.int16)
+    depth.fill(1)
     depth[sentinel] = 0
-    nxt = depth.copy()
-    gathered = np.empty((2, sentinel), dtype=np.int16)
+    nxt = ws.empty(sentinel + 1, np.int16)
+    nxt[sentinel] = 0
+    gathered = ws.empty((2, sentinel), np.int16)
     while True:
         depth.take(flat, out=gathered, mode="clip")
         np.maximum(gathered[0], gathered[1], out=nxt[:sentinel])
@@ -449,30 +547,34 @@ def _register_columns(
     iv: np.ndarray,
     starts: np.ndarray,
     lengths: np.ndarray,
+    ws: Workspace,
 ) -> None:
     # Per-interval operand counts are segment sums over the interval
     # starts (every interval is non-empty) — no gather per interval.
-    def per_interval(flags: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(flags, starts, dtype=np.int64)
+    present = ws.empty(len(iv), bool)
+
+    def per_interval(regs: np.ndarray) -> np.ndarray:
+        np.not_equal(regs, NO_REG, out=present)
+        return np.add.reduceat(present, starts, dtype=np.int64)
 
     m = len(lengths)
-    n_inputs = per_interval(trace.src1 != NO_REG) + per_interval(
-        trace.src2 != NO_REG
-    )
-    n_writes = per_interval(trace.dst != NO_REG)
+    n_inputs = per_interval(trace.src1) + per_interval(trace.src2)
+    n_writes = per_interval(trace.dst)
     # One (interval, clipped distance) histogram per source slot: bin 0
     # collects the unmatched reads (distances are >= 1, producers
     # strictly precede readers), anything past the last bucket clips to
     # one overflow bin, and count(1 <= d <= b) for every bucket reads
     # straight out of the cumulative histogram.  Exact integer counts.
     top = DEP_DISTANCE_BUCKETS[-1] + 1
-    offsets = iv * (top + 1)
-    positions = np.arange(len(iv), dtype=np.int64)
+    offsets = ws.empty(len(iv), np.int64)
+    np.multiply(iv, top + 1, out=offsets)
+    bins = ws.empty(len(iv), np.int64)
     hist = np.zeros(m * (top + 1), dtype=np.int64)
     for p in (p1, p2):
-        bins = positions - p
+        np.subtract(ws.positions(len(iv)), p, out=bins)
         np.minimum(bins, top, out=bins)
-        bins *= p >= 0
+        np.greater_equal(p, 0, out=present)
+        bins *= present
         bins += offsets
         hist += np.bincount(bins, minlength=m * (top + 1))
     hist = hist.reshape(m, top + 1)
@@ -497,7 +599,7 @@ def _register_columns(
 
 
 def _sorted_by_interval(
-    iv_sub: np.ndarray, values: np.ndarray, m: int
+    iv_sub: np.ndarray, values: np.ndarray, m: int, ws: Workspace
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(iv, value)``-sorted copies of two parallel streams.
 
@@ -509,17 +611,23 @@ def _sorted_by_interval(
     if len(values) == 0:
         return iv_sub, values
     iv_bits = max(1, int(m - 1).bit_length())
-    v_bits = max(1, int(values.max()).bit_length()) if len(values) else 1
+    v_bits = max(1, int(values.max()).bit_length())
     if int(values.min()) >= 0 and iv_bits + v_bits <= 63:
-        comp = (iv_sub << v_bits) | values
+        comp = ws.empty(len(values), np.int64)
+        np.left_shift(iv_sub, v_bits, out=comp)
+        comp |= values
         comp.sort()
-        return comp >> v_bits, comp & ((np.int64(1) << v_bits) - 1)
+        ivs = ws.empty(len(values), np.int64)
+        vs = ws.empty(len(values), np.int64)
+        np.right_shift(comp, v_bits, out=ivs)
+        np.bitwise_and(comp, (np.int64(1) << v_bits) - 1, out=vs)
+        return ivs, vs
     order = np.lexsort((values, iv_sub))
     return iv_sub[order], values[order]
 
 
 def _stable_order_by_interval(
-    iv_sub: np.ndarray, values: np.ndarray, m: int
+    iv_sub: np.ndarray, values: np.ndarray, m: int, ws: Workspace
 ) -> np.ndarray:
     """Permutation sorting by ``(iv, value)``, program order on ties.
 
@@ -536,21 +644,39 @@ def _stable_order_by_interval(
         v_bits = max(1, int(values.max()).bit_length())
         p_bits = max(1, int(n - 1).bit_length())
         if iv_bits + v_bits + p_bits <= 63:
-            comp = ((iv_sub << v_bits) | values) << p_bits
-            comp |= np.arange(n, dtype=np.int64)
+            comp = ws.empty(n, np.int64)
+            np.left_shift(iv_sub, v_bits, out=comp)
+            comp |= values
+            comp <<= p_bits
+            comp |= ws.positions(n)
             comp.sort()
-            return comp & ((np.int64(1) << p_bits) - 1)
+            comp &= (np.int64(1) << p_bits) - 1
+            return comp
     return np.lexsort((values, iv_sub))
 
 
-def _log_unique_sorted(ivs: np.ndarray, vs: np.ndarray, m: int) -> np.ndarray:
+def _starts_of_runs(*keys: np.ndarray, ws: Workspace) -> np.ndarray:
+    """True where any of the parallel sorted ``keys`` changes (and at 0)."""
+    n = len(keys[0])
+    new = ws.empty(n, bool)
+    if n:
+        new[0] = True
+        np.not_equal(keys[0][1:], keys[0][:-1], out=new[1:])
+        with ws.frame():
+            changed = ws.empty(max(n - 1, 0), bool)
+            for key in keys[1:]:
+                np.not_equal(key[1:], key[:-1], out=changed)
+                new[1:] |= changed
+    return new
+
+
+def _log_unique_sorted(ivs: np.ndarray, vs: np.ndarray, m: int, ws: Workspace) -> np.ndarray:
     """``log2(1 + |unique values|)`` per interval from pre-sorted streams."""
     counts = np.zeros(m, dtype=np.int64)
     if len(vs):
-        new = np.empty(len(vs), dtype=bool)
-        new[0] = True
-        new[1:] = (ivs[1:] != ivs[:-1]) | (vs[1:] != vs[:-1])
-        counts = np.bincount(ivs[new], minlength=m)
+        with ws.frame():
+            new = _starts_of_runs(ivs, vs, ws=ws)
+            counts = np.bincount(_select(new, ws, ivs)[0], minlength=m)
     # math.log2 per interval (not np.log2 over the array): the scalar
     # libm call is what the oracle uses, and the two can
     # round differently in the last bit.
@@ -568,36 +694,49 @@ def _stride_columns(
     addr: np.ndarray,
     pc: np.ndarray,
     m: int,
+    ws: Workspace,
 ) -> None:
     # Global strides: consecutive same-kind accesses, minus the pairs
     # that straddle an interval boundary.
-    if len(addr) >= 2:
-        diffs = np.abs(np.diff(addr))
-        same_iv = iv_k[1:] == iv_k[:-1]
-        g_d = diffs[same_iv]
-        g_iv = iv_k[1:][same_iv]
-    else:
-        g_d = np.empty(0, dtype=np.int64)
-        g_iv = np.empty(0, dtype=np.int64)
-    _cumulative_columns(columns, f"stride_g{kind}", GLOBAL_BUCKETS, g_iv, g_d, m)
+    with ws.frame():
+        g_iv, g_d = _strides_within(iv_k, None, addr, ws)
+        _cumulative_columns(columns, f"stride_g{kind}", GLOBAL_BUCKETS, g_iv, g_d, m)
 
     # Local strides: consecutive accesses by the same static instruction
     # within the same interval, in program order within each (interval,
     # pc) group — the same order the oracle's stable
     # argsort produces.
-    if len(addr) >= 2:
-        order = _stable_order_by_interval(iv_k, pc, m)
-        iv_sorted = iv_k[order]
-        pc_sorted = pc[order]
-        addr_sorted = addr[order]
-        diffs = np.abs(np.diff(addr_sorted))
-        same = (iv_sorted[1:] == iv_sorted[:-1]) & (pc_sorted[1:] == pc_sorted[:-1])
-        l_d = diffs[same]
-        l_iv = iv_sorted[1:][same]
-    else:
-        l_d = np.empty(0, dtype=np.int64)
-        l_iv = np.empty(0, dtype=np.int64)
-    _cumulative_columns(columns, f"stride_l{kind}", LOCAL_BUCKETS, l_iv, l_d, m)
+    with ws.frame():
+        if len(addr) >= 2:
+            order = _stable_order_by_interval(iv_k, pc, m, ws)
+            iv_k, pc, addr = _gather(order, ws, iv_k, pc, addr)
+        l_iv, l_d = _strides_within(iv_k, pc, addr, ws)
+        _cumulative_columns(columns, f"stride_l{kind}", LOCAL_BUCKETS, l_iv, l_d, m)
+
+
+def _strides_within(
+    iv_k: np.ndarray, pc: Optional[np.ndarray], addr: np.ndarray, ws: Workspace
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(interval, |stride|)`` of consecutive accesses in one interval.
+
+    With ``pc``, consecutive pairs must also share the static
+    instruction.  Returns empty streams for fewer than two accesses.
+    """
+    if len(addr) < 2:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    k = len(addr) - 1
+    diffs = ws.empty(k, np.int64)
+    np.subtract(addr[1:], addr[:-1], out=diffs)
+    np.abs(diffs, out=diffs)
+    same = ws.empty(k, bool)
+    np.equal(iv_k[1:], iv_k[:-1], out=same)
+    if pc is not None:
+        with ws.frame():
+            same_pc = ws.empty(k, bool)
+            np.equal(pc[1:], pc[:-1], out=same_pc)
+            same &= same_pc
+    iv_same, d_same = _select(same, ws, iv_k[1:], diffs)
+    return iv_same, d_same
 
 
 def _cumulative_columns(
@@ -646,23 +785,27 @@ def _branch_columns(
     outcomes: np.ndarray,
     m: int,
     sample_branches: int,
+    ws: Workspace,
 ) -> None:
     n_br = np.bincount(iv_b, minlength=m)
-    taken_counts = np.bincount(iv_b[outcomes], minlength=m)
+    with ws.frame():
+        taken_counts = np.bincount(_select(outcomes, ws, iv_b)[0], minlength=m)
     taken_rate = np.zeros(m, dtype=np.float64)
     np.divide(taken_counts, n_br, out=taken_rate, where=n_br > 0)
     columns["br_taken_rate"] = taken_rate
 
     # Transition rate: same-PC adjacent outcome flips, per interval.
     if len(pcs) >= 2:
-        order = _stable_order_by_interval(iv_b, pcs, m)
-        iv_sorted = iv_b[order]
-        pc_sorted = pcs[order]
-        out_sorted = outcomes[order]
-        same = (iv_sorted[1:] == iv_sorted[:-1]) & (pc_sorted[1:] == pc_sorted[:-1])
-        changed = out_sorted[1:] != out_sorted[:-1]
-        pairs = np.bincount(iv_sorted[1:][same], minlength=m)
-        flips = np.bincount(iv_sorted[1:][same & changed], minlength=m)
+        with ws.frame():
+            order = _stable_order_by_interval(iv_b, pcs, m, ws)
+            iv_sorted, pc_sorted, out_sorted = _gather(order, ws, iv_b, pcs, outcomes)
+            same = _starts_of_runs(iv_sorted, pc_sorted, ws=ws)[1:]
+            np.logical_not(same, out=same)
+            pairs = np.bincount(_select(same, ws, iv_sorted[1:])[0], minlength=m)
+            changed = ws.empty(len(same), bool)
+            np.not_equal(out_sorted[1:], out_sorted[:-1], out=changed)
+            same &= changed
+            flips = np.bincount(_select(same, ws, iv_sorted[1:])[0], minlength=m)
     else:
         pairs = np.zeros(m, dtype=np.int64)
         flips = np.zeros(m, dtype=np.int64)
@@ -670,20 +813,14 @@ def _branch_columns(
     np.divide(flips, pairs, out=transition, where=pairs > 0)
     columns["br_transition_rate"] = transition
 
-    # PPM on the leading sample_branches of each interval.
-    rank = np.arange(len(iv_b), dtype=np.int64)
-    if len(iv_b):
-        first = np.zeros(m, dtype=np.int64)
-        # first occurrence index of each interval in the branch stream
-        # (branches of an interval are contiguous).
-        boundaries = np.empty(len(iv_b), dtype=bool)
-        boundaries[0] = True
-        boundaries[1:] = iv_b[1:] != iv_b[:-1]
-        first[iv_b[boundaries]] = rank[boundaries]
-        sel = (rank - first[iv_b]) < sample_branches
-    else:
-        sel = np.empty(0, dtype=bool)
-    miss = _fused_ppm(iv_b[sel], pcs[sel], outcomes[sel], m)
+    # PPM on the leading sample_branches of each interval (branches of
+    # an interval are contiguous in the branch stream).
+    bounds = np.searchsorted(iv_b, np.arange(m + 1))
+    sel = ws.empty(len(iv_b), bool)
+    sel.fill(False)
+    for j in range(m):
+        sel[bounds[j]:min(bounds[j + 1], bounds[j] + sample_branches)] = True
+    miss = _fused_ppm(*_select(sel, ws, iv_b, pcs, outcomes), m, ws)
     columns.update(miss)
 
 
@@ -696,7 +833,11 @@ def _empty_ppm_columns(m: int) -> Dict[str, np.ndarray]:
 
 
 def _fused_ppm(
-    iv_b: np.ndarray, pcs: np.ndarray, outcomes: np.ndarray, m: int
+    iv_b: np.ndarray,
+    pcs: np.ndarray,
+    outcomes: np.ndarray,
+    m: int,
+    ws: Optional[Workspace] = None,
 ) -> Dict[str, np.ndarray]:
     """All intervals' PPM miss rates from one grouped-scan kernel run.
 
@@ -709,6 +850,8 @@ def _fused_ppm(
     n = len(pcs)
     if n == 0:
         return _empty_ppm_columns(m)
+    if ws is None:
+        ws = Workspace()
 
     # Interval bounds in the (interval-ordered) branch stream, and the
     # per-interval sample sizes (denominators of the miss rates).
@@ -717,7 +860,7 @@ def _fused_ppm(
 
     # Per-(interval, pc) group ids; within an interval these equal the
     # per-interval ``np.unique(..., return_inverse=True)`` ids.
-    order = _stable_order_by_interval(iv_b, pcs, m)
+    order = _stable_order_by_interval(iv_b, pcs, m, ws)
     iv_sorted = iv_b[order]
     pc_sorted = pcs[order]
     new_group = np.empty(n, dtype=bool)
@@ -752,13 +895,18 @@ def _fused_ppm(
     pc_part = pc_local << (_LENGTH_BITS + _HISTORY_BITS)
     iv_shift = pcl_bits + _LENGTH_BITS + _HISTORY_BITS
     keys = context_keys(
-        g_hist, l_hist, iv_b << iv_shift, pc_part, iv_bits + iv_shift
+        g_hist, l_hist, iv_b << iv_shift, pc_part, iv_bits + iv_shift, ws
     )
-    misses = ppm_misses(keys, outcomes)
-    # Per-interval miss counts: differences of running totals.
-    running = np.zeros((len(misses), 4, n + 1), dtype=np.int64)
-    np.cumsum(np.stack(list(misses.values())), axis=2, out=running[:, :, 1:])
-    counts = running[:, :, bounds[1:]] - running[:, :, bounds[:-1]]
+    misses = ppm_misses(keys, outcomes, ws)
+    # Per-interval miss counts: segment sums from each interval's first
+    # branch.  A zero column past the end keeps every bound a valid
+    # index; an interval with no sampled branch sums a stray element,
+    # which the nb > 0 mask below discards.
+    stacked = ws.empty((len(misses), 4, n + 1), bool)
+    stacked[:, :, n] = False
+    for i, miss in enumerate(misses.values()):
+        stacked[i, :, :n] = miss
+    counts = np.add.reduceat(stacked, bounds[:-1], axis=2, dtype=np.int64)
     rates = np.zeros(counts.shape, dtype=np.float64)
     np.divide(counts, nb, out=rates, where=nb > 0)
     return {

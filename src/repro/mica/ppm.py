@@ -53,11 +53,12 @@ for every interval of a fused batch (:mod:`repro.mica.fused`) at once:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
 from .features import REPORTED_LENGTHS, TRACKED_LENGTHS
+from .workspace import Workspace
 
 #: Saturating-counter clamp.
 _COUNTER_MAX = 4
@@ -108,6 +109,7 @@ def context_keys(
     base: np.ndarray | np.int64,
     pc_part: np.ndarray,
     org_shift: int,
+    ws: Optional[Workspace] = None,
 ) -> np.ndarray:
     """``(4, len(TRACKED_LENGTHS), n)`` integer table contexts.
 
@@ -115,53 +117,73 @@ def context_keys(
     ``org << org_shift | base | [pc_part] | length tag | masked history``;
     ``pc_part`` joins the key only for the per-address tables, and
     ``base`` carries any further tag (the fused pass's interval id).
+    The keys are taken from ``ws`` when given.
     """
     n_lengths = len(TRACKED_LENGTHS)
     masks = np.array([(1 << L) - 1 for L in TRACKED_LENGTHS], dtype=np.int64)
     len_tags = np.arange(n_lengths, dtype=np.int64) << _HISTORY_BITS
-    keys = np.empty((4, n_lengths, len(g_hist)), dtype=np.int64)
+    shape = (4, n_lengths, len(g_hist))
+    keys = np.empty(shape, dtype=np.int64) if ws is None else ws.empty(shape, np.int64)
     for org, (hist, per_addr) in enumerate(
         ((g_hist, False), (l_hist, False), (g_hist, True), (l_hist, True))
     ):
         org_base = (np.int64(org) << org_shift) | base
         if per_addr:
             org_base = org_base | pc_part
-        keys[org] = (hist[None, :] & masks[:, None]) | len_tags[:, None] | org_base
+        np.bitwise_and(hist[None, :], masks[:, None], out=keys[org])
+        keys[org] |= len_tags[:, None]
+        keys[org] |= org_base
     return keys
 
 
-def ppm_misses(keys: np.ndarray, outcomes: np.ndarray) -> Dict[int, np.ndarray]:
+def ppm_misses(
+    keys: np.ndarray, outcomes: np.ndarray, ws: Optional[Workspace] = None
+) -> Dict[int, np.ndarray]:
     """Per reported maximum length, which branches each organization misses.
 
     Args:
         keys: :func:`context_keys` output, shape ``(4, len(TRACKED_LENGTHS), n)``;
             overwritten.
         outcomes: the ``n`` branch outcomes in program order.
+        ws: workspace for the event-sized temporaries.
 
     Returns:
         ``{maxlen: (4, n) bool}`` — entry ``[org, i]`` is True when
         organization ``org`` mispredicts branch ``i``.
     """
+    if ws is None:
+        ws = Workspace()
     n = len(outcomes)
     n_lengths = len(TRACKED_LENGTHS)
     m = keys.size
     pos_bits = _event_bits(n)
 
-    # Stable (key, time) order via one sort of unique composites.
+    # Stable (key, time) order via one sort of unique composites: an
+    # event's position tags its freshly zeroed low bits, so adding it
+    # equals OR-ing it in.
     events = keys.reshape(-1)
     np.left_shift(events, pos_bits, out=events)
-    np.bitwise_or(events, np.arange(m, dtype=np.int64), out=events)
+    rows = events.reshape(-1, n)
+    rows += ws.positions(n)
+    rows += ws.positions(len(rows))[:, None] * n
     events.sort()
-    order = events & ((np.int64(1) << pos_bits) - 1)
+    order = ws.empty(m, np.int64)
+    np.bitwise_and(events, (np.int64(1) << pos_bits) - 1, out=order)
     np.right_shift(events, pos_bits, out=events)  # back to bare keys
-    starts = np.empty(m, dtype=bool)
+    starts = ws.empty(m, bool)
     starts[0] = True
     np.not_equal(events[1:], events[:-1], out=starts[1:])
 
-    # Counter seen at prediction time, back in program order.
-    deltas = np.tile(np.where(outcomes, np.int16(1), np.int16(-1)), m // n)[order]
-    before = np.empty(m, dtype=np.int16)
-    before[order] = counters_before(deltas, starts)
+    # Counter seen at prediction time, back in program order.  Event
+    # e belongs to branch e % n; a tiled gather is far faster than a
+    # "wrap" take.
+    deltas = ws.empty(m, np.int16)
+    with ws.frame():
+        tiled = ws.empty((m // n, n), np.int16)
+        tiled[:] = np.where(outcomes, np.int16(1), np.int16(-1))
+        np.take(tiled.reshape(-1), order, out=deltas, mode="clip")
+    before = ws.empty(m, np.int16)
+    before[order] = counters_before(deltas, starts, ws)
     before = before.reshape(4, n_lengths, n)
 
     # Longest non-zero context per reported maximum: a suffix scan over
@@ -179,7 +201,9 @@ def ppm_misses(keys: np.ndarray, outcomes: np.ndarray) -> Dict[int, np.ndarray]:
     return {L: out[L] for L in REPORTED_LENGTHS}
 
 
-def counters_before(deltas: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def counters_before(
+    deltas: np.ndarray, starts: np.ndarray, ws: Optional[Workspace] = None
+) -> np.ndarray:
     """Saturating counter each event sees, by a blocked segmented scan.
 
     Every segment (``starts`` marks its first event) is one table
@@ -194,23 +218,42 @@ def counters_before(deltas: np.ndarray, starts: np.ndarray) -> np.ndarray:
     blocks; (2) carries each block's total map across blocks by
     segmented Hillis-Steele doubling over the block totals only; and
     (3) applies each event's in-block map to the counter carried into
-    its block.  All arithmetic is int16 and exact.
+    its block.  All arithmetic is int16 and exact.  The result and the
+    temporaries are taken from ``ws`` when given.
     """
+    if ws is None:
+        ws = Workspace()
     m = len(deltas)
     width = _SCAN_BLOCK
     nb = -(-m // width)
+    result = ws.empty((nb, width), np.int16)
+    with ws.frame():
+        _blocked_scan(deltas, starts, nb, result.T, ws)
+    return result.reshape(-1)[:m]
+
+
+def _blocked_scan(
+    deltas: np.ndarray, starts: np.ndarray, nb: int, before: np.ndarray, ws: Workspace
+) -> None:
+    """:func:`counters_before`'s scan, into the lane-major ``before``."""
+    m = len(deltas)
+    width = _SCAN_BLOCK
     # Lane-major layout: maps[j] holds lane j of every block as rows
     # (C, B, A), so one ufunc call steps all three across all blocks.
     # Padding events form their own segments with a zero delta.
-    maps = np.empty((width, 3, nb), dtype=np.int16)
+    maps = ws.empty((width, 3, nb), np.int16)
     maps[:, 0] = _COUNTER_MAX
     maps[:, 1] = -_COUNTER_MAX
-    padded = np.zeros(nb * width, dtype=np.int16)
-    padded[:m] = deltas
-    maps[:, 2] = padded.reshape(nb, width).T
-    flags = np.ones(nb * width, dtype=bool)
-    flags[:m] = starts
-    lane_starts = flags.reshape(nb, width).T.copy()  # C order: rows contiguous
+    lane_starts = ws.empty((width, nb), bool)  # C order: rows contiguous
+    with ws.frame():
+        padded = ws.empty(nb * width, np.int16)
+        padded[:m] = deltas
+        padded[m:] = 0
+        maps[:, 2] = padded.reshape(nb, width).T
+        flags = padded.view(bool)[: nb * width]  # padded is spent
+        flags[:m] = starts
+        flags[m:] = True
+        lane_starts[:] = flags.reshape(nb, width).T
 
     # (1) In-block prefix maps; a segment start restarts the map.
     # Composing (C', B', A') then (c, b, a) gives
@@ -219,8 +262,9 @@ def counters_before(deltas: np.ndarray, starts: np.ndarray) -> np.ndarray:
     # than a masked copy.  keep[j] starts as "lane j starts no segment"
     # and ends as "no segment starts in the block up to lane j" —
     # exactly when the counter carried into the block still counts.
-    keep = (~lane_starts).astype(np.int16)
-    step = np.empty((3, nb), dtype=np.int16)
+    keep = ws.empty((width, nb), np.int16)
+    np.logical_not(lane_starts, out=keep)
+    step = ws.empty((3, nb), np.int16)
     for j in range(1, width):
         lane = maps[j]
         np.add(maps[j - 1], lane[2], out=step)
@@ -234,12 +278,14 @@ def counters_before(deltas: np.ndarray, starts: np.ndarray) -> np.ndarray:
     # (2) Whole-prefix maps at block ends by segmented doubling over
     # the block totals; open_[b] while block b's map does not yet
     # reach back to its segment's start.
-    total = maps[-1].copy()
+    total = ws.empty((3, nb), np.int16)
+    total[:] = maps[-1]
     open_ = keep[-1].copy()
     shift = 1
     while shift < nb and open_.any():
         right = total[:, shift:]
-        new = total[:, :-shift] + right[2]
+        new = step[:, : nb - shift]
+        np.add(total[:, :-shift], right[2], out=new)
         np.maximum(new[:2], right[1], out=new[:2])
         np.minimum(new[0], right[0], out=new[0])
         new -= right
@@ -253,12 +299,12 @@ def counters_before(deltas: np.ndarray, starts: np.ndarray) -> np.ndarray:
     # (3) Counter after each event from the counter carried into its
     # block, then the one before it: the previous event's (the carry
     # for lane 0), or 0 at a segment start.
-    after = keep * carry
+    after = keep
+    after *= carry
     after += maps[:, 2]
     np.maximum(after, maps[:, 1], out=after)
     np.minimum(after, maps[:, 0], out=after)
-    before = np.empty((width, nb), dtype=np.int16)
     before[0] = carry
     before[1:] = after[:-1]
-    before *= ~lane_starts
-    return before.T.reshape(-1)[:m]
+    np.logical_not(lane_starts, out=lane_starts)
+    before *= lane_starts

@@ -20,7 +20,11 @@ assigned, strictly monotonic), ``ts`` (unix time), ``run_id``, and
     run report's), ``pid``.
 ``span.open`` / ``span.close``
     ``span`` (name), ``depth``; close adds ``wall_s``, ``cpu_s`` and
-    the span's final ``attrs``.
+    the span's final ``attrs``.  Spans opened on a thread other than
+    the observing one (the streaming prefetch producer) add
+    ``thread``, a tag naming that thread; their ``depth`` counts from
+    the span the observing thread had open when that thread opened its
+    first span, which is where their subtree hangs.
 ``stage``
     ``stage`` (checkpoint name) and ``action`` — ``"completed"`` when a
     stage checkpoint lands, ``"resumed"`` when one is loaded instead of
@@ -82,6 +86,11 @@ EVENT_SCHEMA_VERSION = 1
 MAX_WORKER_EVENTS = 10_000
 
 PathLike = Union[str, Path]
+
+
+def _thread_field(thread: Optional[str]) -> Dict[str, str]:
+    """The ``thread`` field of a span event; absent on the observing thread."""
+    return {} if thread is None else {"thread": thread}
 
 
 def _json_default(value: Any) -> Any:
@@ -183,10 +192,11 @@ class EventBuffer:
 
     # -- the span-layer emitter protocol ----------------------------------
 
-    def span_open(self, span, depth: int) -> None:
-        self.emit("span.open", span=span.name, depth=depth, attrs=dict(span.attrs))
+    def span_open(self, span, depth: int, thread: Optional[str] = None) -> None:
+        self.emit("span.open", span=span.name, depth=depth, attrs=dict(span.attrs),
+                  **_thread_field(thread))
 
-    def span_close(self, span, depth: int) -> None:
+    def span_close(self, span, depth: int, thread: Optional[str] = None) -> None:
         self.emit(
             "span.close",
             span=span.name,
@@ -194,6 +204,7 @@ class EventBuffer:
             wall_s=span.wall_s,
             cpu_s=span.cpu_s,
             attrs=dict(span.attrs),
+            **_thread_field(thread),
         )
 
     def progress(self, stage: str, done: int, total: int) -> None:
@@ -251,10 +262,11 @@ class EventBus:
 
     # -- the span-layer emitter protocol ----------------------------------
 
-    def span_open(self, span, depth: int) -> None:
-        self.emit("span.open", span=span.name, depth=depth, attrs=dict(span.attrs))
+    def span_open(self, span, depth: int, thread: Optional[str] = None) -> None:
+        self.emit("span.open", span=span.name, depth=depth, attrs=dict(span.attrs),
+                  **_thread_field(thread))
 
-    def span_close(self, span, depth: int) -> None:
+    def span_close(self, span, depth: int, thread: Optional[str] = None) -> None:
         self.emit(
             "span.close",
             span=span.name,
@@ -262,6 +274,7 @@ class EventBus:
             wall_s=span.wall_s,
             cpu_s=span.cpu_s,
             attrs=dict(span.attrs),
+            **_thread_field(thread),
         )
 
     # -- progress ----------------------------------------------------------

@@ -256,8 +256,13 @@ def report_from_events(
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
     root = Span("run")
-    stack: List[Span] = [root]
-    open_ts: List[Optional[float]] = [None]
+    # One stack per thread: the observing thread's (key None) starts at
+    # the root; another thread's starts at the span the observing
+    # thread has open when that thread's first span opens — where the
+    # span layer hangs it — so interleaved threads never nest into each
+    # other.
+    stacks: Dict[Optional[str], List[Span]] = {None: [root]}
+    open_ts: Dict[Optional[str], List[Optional[float]]] = {None: [None]}
     ended = False
 
     for event in events:
@@ -278,15 +283,22 @@ def report_from_events(
         elif etype == "run.end":
             ended = True
         elif etype == "span.open":
+            thread = event.get("thread")
+            if thread not in stacks:
+                stacks[thread] = [stacks[None][-1]]
+                open_ts[thread] = [None]
+            stack = stacks[thread]
             node = Span(str(event.get("span", "?")), dict(event.get("attrs") or {}))
             stack[-1].children.append(node)
             stack.append(node)
-            open_ts.append(ts if isinstance(ts, (int, float)) else None)
+            open_ts[thread].append(ts if isinstance(ts, (int, float)) else None)
         elif etype == "span.close":
+            thread = event.get("thread")
+            stack = stacks.get(thread, [])
             name = str(event.get("span", "?"))
-            # Close the innermost open span with this name; replayed
-            # worker events close in LIFO order within their buffer, so
-            # scanning from the top of the stack is exact.
+            # Close the thread's innermost open span with this name;
+            # replayed worker events close in LIFO order within their
+            # buffer, so scanning from the top of the stack is exact.
             for i in range(len(stack) - 1, 0, -1):
                 if stack[i].name == name:
                     node = stack[i]
@@ -296,7 +308,7 @@ def report_from_events(
                     if isinstance(attrs, dict):
                         node.attrs.update(attrs)
                     del stack[i]
-                    del open_ts[i]
+                    del open_ts[thread][i]
                     break
         elif etype == "metric":
             for cname, delta in (event.get("counters") or {}).items():
@@ -309,15 +321,16 @@ def report_from_events(
     # Spans the kill left open: estimate wall from open-ts to the last
     # event and mark them partial, so the rendered tree says which
     # stage died rather than pretending it took zero time.
-    for i in range(1, len(stack)):
-        node = stack[i]
-        node.attrs.setdefault("partial", True)
-        opened = open_ts[i]
-        if node.wall_s == 0.0 and opened is not None and last_ts is not None:
-            node.wall_s = max(0.0, float(last_ts) - float(opened))
+    left_open = False
+    for thread, stack in stacks.items():
+        for node, opened in zip(stack[1:], open_ts[thread][1:]):
+            left_open = True
+            node.attrs.setdefault("partial", True)
+            if node.wall_s == 0.0 and opened is not None and last_ts is not None:
+                node.wall_s = max(0.0, float(last_ts) - float(opened))
     if created is not None and last_ts is not None:
         root.wall_s = max(0.0, float(last_ts) - float(created))
-    partial = truncated or not ended or len(stack) > 1
+    partial = truncated or not ended or left_open
     report = {
         "schema_version": SCHEMA_VERSION,
         "run_id": run_id or "unknown",

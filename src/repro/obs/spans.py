@@ -32,6 +32,7 @@ knows collection is on.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 import uuid
@@ -125,7 +126,7 @@ class Span:
 class _ActiveSpan:
     """Context manager recording one span on an observation's stack."""
 
-    __slots__ = ("_ob", "_span", "_stack", "_wall0", "_cpu0")
+    __slots__ = ("_ob", "_span", "_stack", "_thread", "_wall0", "_cpu0")
 
     def __init__(self, ob: "Observation", node: Span) -> None:
         self._ob = ob
@@ -138,7 +139,8 @@ class _ActiveSpan:
         stack.append(self._span)
         emitter = ob.emitter
         if emitter is not None:
-            emitter.span_open(self._span, len(stack) - 1)
+            self._thread = ob._thread_tag()
+            emitter.span_open(self._span, len(stack) - 1, self._thread)
         self._cpu0 = time.process_time()
         self._wall0 = time.perf_counter()
         return self._span
@@ -153,7 +155,7 @@ class _ActiveSpan:
         assert popped is self._span, "span stack corrupted"
         emitter = ob.emitter
         if emitter is not None:
-            emitter.span_close(self._span, len(self._stack))
+            emitter.span_close(self._span, len(self._stack), self._thread)
         return False
 
 
@@ -244,6 +246,7 @@ class Observation:
         self._stack: List[Span] = [self.root]
         self._owner = threading.get_ident()
         self._foreign = threading.local()
+        self._thread_ids = itertools.count(1)
         self._wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
 
@@ -260,7 +263,19 @@ class Observation:
         stack = getattr(self._foreign, "stack", None)
         if stack is None:
             stack = self._foreign.stack = [self._stack[-1]]
+            name = threading.current_thread().name
+            self._foreign.tag = f"{name}#{next(self._thread_ids)}"
         return stack
+
+    def _thread_tag(self) -> Optional[str]:
+        """The tag span events of the calling thread carry.
+
+        ``None`` on this observation's own thread; for another thread,
+        a name unique within the observation, fixed when the thread's
+        stack is created.  It lets an event fold give each thread its
+        own stack, based where :meth:`_thread_stack` based it.
+        """
+        return getattr(self._foreign, "tag", None)
 
     def span(self, name: str, **attrs: Any) -> _ActiveSpan:
         """A context manager timing ``name`` under the current span."""

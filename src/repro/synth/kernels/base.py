@@ -22,7 +22,6 @@ Kernel modules in this package (:mod:`streaming`, :mod:`pointer_chase`,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -182,7 +181,17 @@ class Kernel:
         self.code_base = code_base
         self.pc_spacing = pc_spacing
         self.n_variants = n_variants
+        # Everything a call needs that the body fixes, built once.
         self._template = self._build_template()
+        self._streams = self._group_by_stream()
+        self._calls = np.array(
+            [i for i, s in enumerate(self.body) if s.op is OpClass.CALL], dtype=np.int64
+        )
+        self._branches = [
+            (i, s.branch)
+            for i, s in enumerate(self.body)
+            if s.op is not OpClass.CALL and s.branch is not None
+        ]
 
     def _build_template(self) -> Dict[str, np.ndarray]:
         body = self.body
@@ -191,89 +200,10 @@ class Kernel:
             "src1": np.array([s.src1 for s in body], dtype=np.int16),
             "src2": np.array([s.src2 for s in body], dtype=np.int16),
             "dst": np.array([s.dst for s in body], dtype=np.int16),
-            "pc_off": np.arange(len(body), dtype=np.int64) * self.pc_spacing,
+            "pc": self.code_base + np.arange(len(body), dtype=np.int64) * self.pc_spacing,
         }
 
-    def __repr__(self) -> str:
-        return f"Kernel({self.name!r}, body={len(self.body)}, variants={self.n_variants})"
-
-    def generate(self, n: int, rng: np.random.Generator) -> Trace:
-        """Emit ``n`` dynamic instructions.
-
-        The body is tiled ``ceil(n / len(body))`` times; address streams
-        and branch models are consulted per static slot, in program
-        order, so local and global stride behaviour are both faithful.
-        """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if n == 0:
-            return Trace.empty()
-        body_len = len(self.body)
-        reps = math.ceil(n / body_len)
-        total = reps * body_len
-        tmpl = self._template
-        partial_tail = total != n
-
-        # Program counters: per repetition, pick a code variant.  Every
-        # random draw below keeps its full ceil-tiled size even when the
-        # final repetition is cut short, so a length-n trace is
-        # bit-identical to the head of a length-total one — only the
-        # output arrays are built at n, never materialized at total and
-        # copied down.
-        if self.n_variants == 1:
-            variant = np.zeros(reps, dtype=np.int64)
-        else:
-            variant = rng.integers(0, self.n_variants, size=reps, dtype=np.int64)
-        body_span = body_len * self.pc_spacing
-
-        if partial_tail:
-            pos = np.arange(n, dtype=np.int64)
-            body_idx = pos % body_len
-            op = tmpl["op"][body_idx]
-            src1 = tmpl["src1"][body_idx]
-            src2 = tmpl["src2"][body_idx]
-            dst = tmpl["dst"][body_idx]
-            pc = self.code_base + variant[pos // body_len] * body_span + tmpl["pc_off"][body_idx]
-        else:
-            op = np.tile(tmpl["op"], reps)
-            src1 = np.tile(tmpl["src1"], reps)
-            src2 = np.tile(tmpl["src2"], reps)
-            dst = np.tile(tmpl["dst"], reps)
-            pc = (
-                self.code_base
-                + np.repeat(variant * body_span, body_len)
-                + np.tile(tmpl["pc_off"], reps)
-            )
-
-        addr = np.full(n, NO_ADDR, dtype=np.int64)
-        taken = np.zeros(n, dtype=bool)
-
-        # Fill addresses stream by stream, preserving program order.
-        for stream, positions in self._group_by_stream():
-            per_rep = len(positions)
-            seq = stream.addresses(reps * per_rep, rng)
-            flat = (
-                np.arange(reps, dtype=np.int64)[:, None] * body_len
-                + np.asarray(positions, dtype=np.int64)[None, :]
-            ).ravel()
-            if partial_tail:
-                kept = flat < n
-                addr[flat[kept]] = seq[kept]
-            else:
-                addr[flat] = seq
-
-        # Fill branch outcomes slot by slot.
-        for slot_idx, slot in enumerate(self.body):
-            if slot.op is OpClass.CALL:
-                taken[slot_idx::body_len] = True
-            elif slot.branch is not None:
-                outcomes = slot.branch.outcomes(reps, rng)
-                view = taken[slot_idx::body_len]
-                view[:] = outcomes[: len(view)]
-
-        return Trace(op=op, src1=src1, src2=src2, dst=dst, addr=addr, pc=pc, taken=taken)
-
-    def _group_by_stream(self) -> List[Tuple[AddressStream, List[int]]]:
+    def _group_by_stream(self) -> List[Tuple[AddressStream, np.ndarray]]:
         groups: Dict[int, Tuple[AddressStream, List[int]]] = {}
         for idx, slot in enumerate(self.body):
             if slot.stream is None:
@@ -282,7 +212,79 @@ class Kernel:
             if key not in groups:
                 groups[key] = (slot.stream, [])
             groups[key][1].append(idx)
-        return list(groups.values())
+        return [
+            (stream, np.array(positions, dtype=np.int64))
+            for stream, positions in groups.values()
+        ]
+
+    def __repr__(self) -> str:
+        return f"Kernel({self.name!r}, body={len(self.body)}, variants={self.n_variants})"
+
+    def generate(
+        self, n: int, rng: np.random.Generator, out: Optional[Trace] = None
+    ) -> Trace:
+        """Emit ``n`` dynamic instructions, into ``out`` when given.
+
+        The body is tiled ``ceil(n / len(body))`` times; address streams
+        and branch models are consulted per static slot, in program
+        order, so local and global stride behaviour are both faithful.
+        ``out`` is an ``n``-instruction trace (typically a view into a
+        larger one) whose every column is overwritten; the filled trace
+        is returned either way.
+        """
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        if out is None:
+            out = Trace.allocate(n)
+        elif len(out) != n:
+            raise ValueError(f"out holds {len(out)} instructions, expected {n}")
+        if n == 0:
+            return out
+        width = len(self.body)
+        reps = -(-n // width)
+        full = n // width  # complete repetitions
+        head = full * width
+        tail = n - head  # instructions of the cut-short last repetition
+        tmpl = self._template
+
+        # Every random draw below keeps its full ceil-tiled size even
+        # when the final repetition is cut short, so a length-n trace is
+        # bit-identical to the head of a length-(reps * width) one.
+        # Each column is written as a (repetition, slot) grid over the
+        # complete repetitions plus the tail's leading slots.
+        for name in ("op", "src1", "src2", "dst"):
+            col = getattr(out, name)
+            col[:head].reshape(full, width)[:] = tmpl[name]
+            col[head:] = tmpl[name][:tail]
+
+        # Program counters: per repetition, pick a code variant.
+        if self.n_variants == 1:
+            out.pc[:head].reshape(full, width)[:] = tmpl["pc"]
+            out.pc[head:] = tmpl["pc"][:tail]
+        else:
+            variant = rng.integers(0, self.n_variants, size=reps, dtype=np.int64)
+            variant *= width * self.pc_spacing
+            np.add(variant[:full, None], tmpl["pc"], out=out.pc[:head].reshape(full, width))
+            np.add(variant[full:], tmpl["pc"][:tail], out=out.pc[head:])
+
+        # Addresses stream by stream, preserving program order.
+        out.addr.fill(NO_ADDR)
+        addr_grid = out.addr[:head].reshape(full, width)
+        for stream, positions in self._streams:
+            seq = stream.addresses(reps * len(positions), rng).reshape(reps, len(positions))
+            addr_grid[:, positions] = seq[:full]
+            if tail:
+                kept = positions < tail
+                out.addr[head + positions[kept]] = seq[full, kept]
+
+        # Branch outcomes slot by slot; calls are always taken.
+        out.taken.fill(False)
+        out.taken[:head].reshape(full, width)[:, self._calls] = True
+        out.taken[head + self._calls[self._calls < tail]] = True
+        for slot_idx, model in self._branches:
+            view = out.taken[slot_idx::width]
+            view[:] = model.outcomes(reps, rng)[: len(view)]
+        return out
 
 
 def code_base_for(rng: np.random.Generator) -> int:

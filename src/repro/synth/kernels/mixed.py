@@ -10,11 +10,11 @@ produce the "mixed" clusters the paper observes.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...isa import Trace, concat
+from ...isa import Trace
 from .base import Kernel
 
 
@@ -51,24 +51,31 @@ class BlendKernel:
             (kernel, weight / total) for kernel, weight in parts
         ]
         self.chunk = chunk
+        self._kernels = [kernel for kernel, _ in self.parts]
+        self._weights = np.array([weight for _, weight in self.parts])
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k.name}:{w:.2f}" for k, w in self.parts)
         return f"BlendKernel({self.name!r}, [{inner}])"
 
-    def generate(self, n: int, rng: np.random.Generator) -> Trace:
-        """Emit ``n`` instructions, interleaving sub-kernel chunks."""
+    def generate(
+        self, n: int, rng: np.random.Generator, out: Optional[Trace] = None
+    ) -> Trace:
+        """Emit ``n`` instructions, interleaving sub-kernel chunks.
+
+        Each chunk is generated straight into its slice of ``out``
+        (allocated when not given); the filled trace is returned.
+        """
         if n < 0:
             raise ValueError("n must be non-negative")
-        if n == 0:
-            return Trace.empty()
-        weights = np.array([w for _, w in self.parts])
-        pieces: List[Trace] = []
-        remaining = n
-        while remaining > 0:
-            idx = int(rng.choice(len(self.parts), p=weights))
-            kernel = self.parts[idx][0]
-            size = min(self.chunk, remaining)
-            pieces.append(kernel.generate(size, rng))
-            remaining -= size
-        return concat(pieces)
+        if out is None:
+            out = Trace.allocate(n)
+        elif len(out) != n:
+            raise ValueError(f"out holds {len(out)} instructions, expected {n}")
+        pos = 0
+        while pos < n:
+            kernel = self._kernels[int(rng.choice(len(self._kernels), p=self._weights))]
+            size = min(self.chunk, n - pos)
+            kernel.generate(size, rng, out=out.slice(pos, pos + size))
+            pos += size
+        return out

@@ -17,8 +17,8 @@ from typing import List, Sequence, Tuple
 class Phase:
     """One program phase: a kernel active for a fraction of execution.
 
-    ``kernel`` is anything with a ``generate(n, rng) -> Trace`` method
-    and a ``name``; ``fraction`` is its share of the dynamic instruction
+    ``kernel`` is anything with a ``generate(n, rng, out=None) -> Trace``
+    method (filling ``out`` when given) and a ``name``; ``fraction`` is its share of the dynamic instruction
     count (normalized across the schedule).
     """
 

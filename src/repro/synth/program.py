@@ -9,9 +9,9 @@ the same trace regardless of which other intervals were generated.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..isa import Trace, concat
+from ..isa import Trace
 from .phases import PhaseSchedule
 from .rng import generator
 
@@ -42,6 +42,8 @@ class SyntheticProgram:
         self.schedule = schedule
         self.n_intervals = n_intervals
         self.seed = seed
+        # Phase segments of the whole run, per interval size.
+        self._segments: Dict[int, List[Tuple[int, int, object]]] = {}
 
     def __repr__(self) -> str:
         return (
@@ -49,12 +51,17 @@ class SyntheticProgram:
             f"intervals={self.n_intervals})"
         )
 
-    def interval_trace(self, index: int, interval_instructions: int) -> Trace:
-        """Generate the trace of interval ``index``.
+    def interval_trace(
+        self, index: int, interval_instructions: int, out: Optional[Trace] = None
+    ) -> Trace:
+        """Generate the trace of interval ``index``, into ``out`` when given.
 
         Intervals that straddle a phase boundary receive instructions
         from each overlapped phase in order, exactly like a real trace
-        sliced at fixed instruction counts.
+        sliced at fixed instruction counts.  Each phase's piece is
+        generated straight into its slice of ``out`` (an
+        ``interval_instructions``-long trace, typically a view into a
+        batch's columns; allocated when not given), which is returned.
         """
         if not 0 <= index < self.n_intervals:
             raise ValueError(
@@ -62,31 +69,45 @@ class SyntheticProgram:
             )
         if interval_instructions <= 0:
             raise ValueError("interval_instructions must be positive")
-        total = self.n_intervals * interval_instructions
+        if out is None:
+            out = Trace.allocate(interval_instructions)
+        elif len(out) != interval_instructions:
+            raise ValueError(
+                f"out holds {len(out)} instructions, expected {interval_instructions}"
+            )
+        segments = self._segments.get(interval_instructions)
+        if segments is None:
+            segments = self.schedule.segments(self.n_intervals * interval_instructions)
+            self._segments[interval_instructions] = segments
         start = index * interval_instructions
         stop = start + interval_instructions
-        pieces: List[Trace] = []
-        for seg_index, (lo, hi, kernel) in enumerate(
-            self.schedule.overlapping(total, start, stop)
-        ):
+        seg_index = 0
+        filled = 0
+        for seg_start, seg_stop, kernel in segments:
+            lo, hi = max(start, seg_start), min(stop, seg_stop)
+            if hi <= lo:
+                continue
             rng = generator(self.seed, "interval", index, seg_index)
-            pieces.append(kernel.generate(hi - lo, rng))
-        trace = concat(pieces)
-        if len(trace) != interval_instructions:
+            kernel.generate(hi - lo, rng, out=out.slice(lo - start, hi - start))
+            seg_index += 1
+            filled += hi - lo
+        if filled != interval_instructions:
             raise AssertionError(
-                f"generated {len(trace)} instructions, expected {interval_instructions}"
+                f"generated {filled} instructions, expected {interval_instructions}"
             )
-        return trace
+        return out
 
     def iter_interval_traces(
         self, indices: Iterable[int], interval_instructions: int
     ) -> Iterator[Trace]:
         """Lazily generate the traces of the given intervals, in order.
 
-        The generator API behind the streaming path
-        (:mod:`repro.streaming`): traces are produced one at a time as
-        the consumer advances, so at most one interval trace is alive
-        at once and the whole-trace working set never materializes.
+        Each trace is freshly allocated when the consumer advances, so
+        a consumer that drops each trace before the next holds one
+        interval trace at a time.  (Featurization does not come through
+        here: it synthesizes a whole fused batch into a reused
+        :class:`~repro.mica.workspace.Workspace`, one
+        ``interval_trace(..., out=)`` call per interval.)
         Each yielded trace is bit-identical to
         ``interval_trace(index, interval_instructions)`` — intervals
         are seeded independently, so generation order and grouping

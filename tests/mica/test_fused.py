@@ -145,6 +145,40 @@ def test_fused_ppm_single_interval_overflow_raises(monkeypatch):
         _characterize_fused([trace], CFG)
 
 
+def _without_branches(seed, n=150):
+    """A fixed trace whose branches became IADDs (no PPM sample at all)."""
+    from repro.isa import Trace
+
+    t = _fixed_trace(seed, n)
+    op = np.where(t.op == OpClass.BRANCH, np.uint8(OpClass.IADD), t.op)
+    taken = t.taken & (op == OpClass.CALL)
+    return Trace(op=op, src1=t.src1, src2=t.src2, dst=t.dst, addr=t.addr, pc=t.pc, taken=taken)
+
+
+def _first_branch_taken(seed, n=150):
+    """A fixed trace whose first branch is taken (an empty predictor misses it)."""
+    t = _fixed_trace(seed, n)
+    t.taken[np.flatnonzero(t.op == OpClass.BRANCH)[0]] = True
+    return t
+
+
+def test_intervals_without_branches_anywhere_in_a_batch():
+    # Per-interval PPM counts are segment sums from each interval's
+    # first sampled branch; intervals with none (first, middle, last,
+    # consecutive) must still read as the oracle's zero miss rates,
+    # even where the next interval opens with a miss.
+    traces = [
+        _without_branches(1),
+        _first_branch_taken(2),
+        _without_branches(3),
+        _without_branches(4),
+        _first_branch_taken(5),
+        _without_branches(6),
+        _without_branches(7),
+    ]
+    np.testing.assert_array_equal(_characterize_fused(traces, CFG), _per_interval(traces))
+
+
 def _count_fused_calls(monkeypatch):
     """Wrap the fused pass so a test can see which batches reached it."""
     import repro.mica.fused as fused_mod

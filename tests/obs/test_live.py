@@ -223,6 +223,66 @@ def test_report_from_events_keeps_recorded_durations():
     assert node["attrs"]["k"] == 8
 
 
+def _names(node):
+    return (node["name"], [_names(child) for child in node["children"]])
+
+
+def test_report_from_events_folds_each_thread_under_its_base():
+    # A producer thread's spans interleave with the observing thread's:
+    # in event order the producer's "synth.generate" opens before the
+    # observing thread's "pca" and closes while "pca" is still open.
+    # Folded by order alone, "pca" would nest inside "synth.generate";
+    # per thread, both hang under "streaming", as in the live tree.
+    handle = io.StringIO()
+    bus = EventBus(JsonlSink(handle), "r6")
+    producer_open, pca_open, producer_done = (threading.Event() for _ in range(3))
+    errors = []
+
+    def produce():
+        try:
+            with span("synth.generate"):
+                producer_open.set()
+                assert pca_open.wait(10)
+                with span("inner"):
+                    pass
+            producer_done.set()
+        except Exception as exc:  # relayed to the assertion below
+            errors.append(exc)
+
+    with observe(emitter=bus) as ob:
+        with span("streaming"):
+            worker = threading.Thread(target=produce, name="producer")
+            worker.start()
+            assert producer_open.wait(10)
+            with span("pca"):
+                pca_open.set()
+                assert producer_done.wait(10)
+            worker.join(10)
+    bus.close(ok=True)
+    assert errors == [] and not worker.is_alive()
+    events = [json.loads(line) for line in handle.getvalue().splitlines()]
+    spans = [(e["type"], e["span"], e.get("thread")) for e in events if "span" in e]
+    assert spans == [
+        ("span.open", "streaming", None),
+        ("span.open", "synth.generate", "producer#1"),
+        ("span.open", "pca", None),
+        ("span.open", "inner", "producer#1"),
+        ("span.close", "inner", "producer#1"),
+        ("span.close", "synth.generate", "producer#1"),
+        ("span.close", "pca", None),
+        ("span.close", "streaming", None),
+    ]
+    doc = report_from_events(events)
+    assert validate_report(doc) == []
+    assert "partial" not in doc
+    expected = (
+        "run",
+        [("streaming", [("synth.generate", [("inner", [])]), ("pca", [])])],
+    )
+    assert _names(doc["spans"]) == expected
+    assert _names(ob.root.to_dict()) == expected
+
+
 class _HandshakeSink(JsonlSink):
     """Blocks the writer after a trigger event until a reader looked."""
 
