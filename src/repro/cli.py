@@ -158,7 +158,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     finally:
         if bus is not None:
             if observation is not None:
-                bus.emit_metric_deltas(observation.metrics)
+                observation.emit_metric_deltas()
             bus.close(ok=ok)
     dataset = result.dataset
     print(
@@ -211,7 +211,7 @@ def _characterize_streaming(
     finally:
         if bus is not None:
             if observation is not None:
-                bus.emit_metric_deltas(observation.metrics)
+                observation.emit_metric_deltas()
             bus.close(ok=ok)
     print(
         f"saved {args.output}: {len(result)} intervals (streamed), "
@@ -299,7 +299,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"invalid run report: {problem}", file=sys.stderr)
         return 1
-    if doc.get("partial"):
+    if doc.get("dropped_events"):
+        print(f"note: partial report: {doc['dropped_events']} worker events were dropped")
+    elif doc.get("partial"):
         print("note: partial report reconstructed from an incomplete event log")
     print(obs.render_report(doc, max_children=args.max_spans), end="")
     return 0
@@ -726,9 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--from-events",
         action="store_true",
-        help="treat PATH as a --telemetry event log and reconstruct a "
-        "(possibly partial) run report from it — works on the truncated "
-        "log a SIGKILL'd run leaves behind",
+        help="treat PATH as a --telemetry event log and fold it into a run "
+        "report — the same fold that builds --run-report, so a complete log "
+        "gives the same span tree; the truncated log a SIGKILL'd run leaves "
+        "behind gives a partial one",
     )
     p.set_defaults(func=_cmd_report)
 

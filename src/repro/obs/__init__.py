@@ -2,11 +2,14 @@
 
 The pipeline's window into itself.  Four pieces, stdlib-only:
 
-* **Spans** (:mod:`repro.obs.spans`) — hierarchical wall/CPU timings
-  (``with span("kmeans.restart", restart=3): ...``), nestable, safe
-  across the serial/thread/process executors: worker-side spans travel
-  back with task results and are merged under the parent span exactly
-  once, in submission order.
+* **Spans and the event log** (:mod:`repro.obs.spans`,
+  :mod:`repro.obs.events`) — hierarchical wall/CPU timings
+  (``with span("kmeans.restart", restart=3): ...``) logged as open and
+  close events into the observation's one event log, together with
+  stage, progress, heartbeat and metric events.  Worker-side events
+  travel back with task results and are replayed under the parent
+  span exactly once, in submission order.  An attached
+  :class:`EventBus` writes the log live as JSONL.
 * **Metrics** (:mod:`repro.obs.metrics`) — a thread-safe registry of
   counters, gauges and fixed-bucket histograms absorbing the signals
   the pipeline computes anyway (k-means skipped-row ratio, GA
@@ -18,7 +21,9 @@ The pipeline's window into itself.  Four pieces, stdlib-only:
 * **Run reports** (:mod:`repro.obs.report`) — one JSON document per
   ``characterize`` invocation (config digest, git SHA, platform, span
   tree, final metrics), written via ``--run-report`` and rendered by
-  ``repro report``.
+  ``repro report``.  The span tree is one fold of the event log, the
+  same fold ``repro report --from-events`` and ``repro watch``
+  (:mod:`repro.obs.live`) apply to a log on disk.
 
 Everything is inert until :func:`observe` installs an observation:
 with none active, :func:`span` and :func:`metrics` return shared
@@ -31,7 +36,6 @@ Naming conventions and the report schema live in
 from .bench import emit_bench
 from .events import (
     EVENT_SCHEMA_VERSION,
-    EventBuffer,
     EventBus,
     JsonlSink,
     ProgressEstimator,
@@ -47,7 +51,7 @@ from .history import (
     flatten_span_walls,
     render_diff,
 )
-from .live import render_live, report_from_events, summarize_events, watch
+from .live import render_live, summarize_events, watch
 from .log import (
     ConsoleFormatter,
     JsonFormatter,
@@ -67,6 +71,7 @@ from .report import (
     load_report,
     missing_stages,
     render_report,
+    report_from_events,
     validate_report,
     write_report,
 )
@@ -93,7 +98,6 @@ __all__ = [
     "STAGES",
     "STREAMING_STAGES",
     "ConsoleFormatter",
-    "EventBuffer",
     "EventBus",
     "HistoryStore",
     "JsonFormatter",

@@ -1,20 +1,19 @@
-"""Following a live event log: ``repro watch`` and report reconstruction.
+"""Following a live event log: ``repro watch``.
 
 The event bus (:mod:`repro.obs.events`) writes one flushed JSON line
 per event, so the log on disk is always a valid prefix of the run.
-This module consumes that prefix three ways:
+This module follows that prefix:
 
 * :func:`summarize_events` — fold a list of events into the run's
   current state: per-stage progress/ETA, the latest heartbeat, which
-  spans are still open, counter totals.
+  spans are still open (by the same per-thread fold as the run report,
+  :class:`repro.obs.spans.SpanFold`), counter totals.
 * :func:`render_live` — one terminal-friendly snapshot of that state
   (what ``repro watch PATH`` prints each refresh).
-* :func:`report_from_events` — reconstruct a schema-valid (possibly
-  partial) run report from whatever made it to disk, for ``repro
-  report --from-events PATH`` after a crash: closed spans carry their
-  recorded durations, spans left open by the kill are rebuilt with
-  wall time estimated from event timestamps and flagged
-  ``partial: true``.
+* :func:`watch` — re-read and render the log until the run ends.
+
+Rebuilding a whole report from the log is
+:func:`repro.obs.report.report_from_events`.
 """
 
 from __future__ import annotations
@@ -24,11 +23,9 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from .events import read_events
-from .report import SCHEMA_VERSION
-from .spans import Span
+from .spans import SpanFold
 
 __all__ = [
-    "report_from_events",
     "render_live",
     "summarize_events",
     "watch",
@@ -55,7 +52,7 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         "stages": [],  # stage checkpoint events, in order
         "counters": {},  # accumulated metric deltas
     }
-    open_spans: List[str] = []
+    fold = SpanFold()
     for event in events:
         etype = event.get("type")
         ts = event.get("ts")
@@ -72,17 +69,8 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         elif etype == "run.end":
             state["ended"] = ts
             state["ok"] = event.get("ok")
-        elif etype == "span.open":
-            open_spans.append(str(event.get("span", "?")))
-        elif etype == "span.close":
-            name = str(event.get("span", "?"))
-            if name in open_spans:
-                # Close the innermost matching open span; worker event
-                # replay can interleave depths, so match by name.
-                for i in range(len(open_spans) - 1, -1, -1):
-                    if open_spans[i] == name:
-                        del open_spans[i]
-                        break
+        elif etype in ("span.open", "span.close"):
+            fold.feed(event)
         elif etype == "progress":
             stage = str(event.get("stage", "?"))
             state["progress"][stage] = {
@@ -100,7 +88,7 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
             for name, delta in (event.get("counters") or {}).items():
                 if isinstance(delta, (int, float)):
                     state["counters"][name] = state["counters"].get(name, 0.0) + delta
-    state["open_spans"] = open_spans
+    state["open_spans"] = [node.name for node in fold.open_spans()]
     return state
 
 
@@ -224,123 +212,3 @@ def watch(
             stale = 0
         last_count = len(events)
         sleep(interval)
-
-
-# --- report reconstruction -------------------------------------------------
-
-
-def report_from_events(
-    events: List[Dict[str, Any]], *, truncated: bool = False
-) -> Dict[str, Any]:
-    """Rebuild a (possibly partial) run report from an event log.
-
-    Closed spans get their recorded wall/CPU durations and final attrs.
-    Spans still open when the log ends — the residue of a SIGKILL —
-    are kept with wall time estimated from the span-open timestamp to
-    the last event seen, and flagged ``partial: true``; the report
-    itself carries ``partial: true`` whenever the log lacks
-    ``run.end``.  The result passes
-    :func:`repro.obs.report.validate_report`.
-    """
-    run_id = None
-    created = None
-    last_ts = None
-    command = "characterize"
-    config: Dict[str, Any] = {"digest": None, "fields": {}}
-    environment: Dict[str, Any] = {
-        "python": None,
-        "numpy": None,
-        "platform": None,
-        "git_sha": None,
-    }
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    root = Span("run")
-    # One stack per thread: the observing thread's (key None) starts at
-    # the root; another thread's starts at the span the observing
-    # thread has open when that thread's first span opens — where the
-    # span layer hangs it — so interleaved threads never nest into each
-    # other.
-    stacks: Dict[Optional[str], List[Span]] = {None: [root]}
-    open_ts: Dict[Optional[str], List[Optional[float]]] = {None: [None]}
-    ended = False
-
-    for event in events:
-        etype = event.get("type")
-        ts = event.get("ts")
-        if isinstance(ts, (int, float)):
-            last_ts = ts
-            if created is None:
-                created = ts
-        if run_id is None and event.get("run_id"):
-            run_id = event["run_id"]
-        if etype == "run.start":
-            command = event.get("command") or command
-            if isinstance(event.get("config"), dict):
-                config.update(event["config"])
-            if isinstance(event.get("environment"), dict):
-                environment.update(event["environment"])
-        elif etype == "run.end":
-            ended = True
-        elif etype == "span.open":
-            thread = event.get("thread")
-            if thread not in stacks:
-                stacks[thread] = [stacks[None][-1]]
-                open_ts[thread] = [None]
-            stack = stacks[thread]
-            node = Span(str(event.get("span", "?")), dict(event.get("attrs") or {}))
-            stack[-1].children.append(node)
-            stack.append(node)
-            open_ts[thread].append(ts if isinstance(ts, (int, float)) else None)
-        elif etype == "span.close":
-            thread = event.get("thread")
-            stack = stacks.get(thread, [])
-            name = str(event.get("span", "?"))
-            # Close the thread's innermost open span with this name;
-            # replayed worker events close in LIFO order within their
-            # buffer, so scanning from the top of the stack is exact.
-            for i in range(len(stack) - 1, 0, -1):
-                if stack[i].name == name:
-                    node = stack[i]
-                    node.wall_s = float(event.get("wall_s", 0.0) or 0.0)
-                    node.cpu_s = float(event.get("cpu_s", 0.0) or 0.0)
-                    attrs = event.get("attrs")
-                    if isinstance(attrs, dict):
-                        node.attrs.update(attrs)
-                    del stack[i]
-                    del open_ts[thread][i]
-                    break
-        elif etype == "metric":
-            for cname, delta in (event.get("counters") or {}).items():
-                if isinstance(delta, (int, float)):
-                    counters[cname] = counters.get(cname, 0.0) + delta
-            for gname, value in (event.get("gauges") or {}).items():
-                if isinstance(value, (int, float)):
-                    gauges[gname] = float(value)
-
-    # Spans the kill left open: estimate wall from open-ts to the last
-    # event and mark them partial, so the rendered tree says which
-    # stage died rather than pretending it took zero time.
-    left_open = False
-    for thread, stack in stacks.items():
-        for node, opened in zip(stack[1:], open_ts[thread][1:]):
-            left_open = True
-            node.attrs.setdefault("partial", True)
-            if node.wall_s == 0.0 and opened is not None and last_ts is not None:
-                node.wall_s = max(0.0, float(last_ts) - float(opened))
-    if created is not None and last_ts is not None:
-        root.wall_s = max(0.0, float(last_ts) - float(created))
-    partial = truncated or not ended or left_open
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "run_id": run_id or "unknown",
-        "created": created if created is not None else time.time(),
-        "command": command,
-        "config": config,
-        "environment": environment,
-        "spans": root.to_dict(),
-        "metrics": {"counters": counters, "gauges": gauges, "histograms": {}},
-    }
-    if partial:
-        report["partial"] = True
-    return report

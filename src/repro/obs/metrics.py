@@ -95,18 +95,6 @@ class _Histogram:
             "bucket_counts": list(self.counts),
         }
 
-    def merge_hist(self, other: "_Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
     def merge_dict(self, data: Dict[str, Any]) -> None:
         if tuple(data["bounds"]) != self.bounds:
             raise ValueError("cannot merge histograms with different bounds")
@@ -209,25 +197,6 @@ class MetricsRegistry:
                     self._histograms[name] = hist
                 hist.merge_dict(data)
 
-    def merge_registry(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one, without a dict detour.
-
-        Same semantics as :meth:`merge`; used when a worker observation
-        never crossed a process boundary.  The caller must own ``other``
-        exclusively (its task has completed), so only this registry's
-        lock is taken.
-        """
-        with self._lock:
-            for name, value in other._counters.items():
-                self._counters[name] = self._counters.get(name, 0.0) + value
-            self._gauges.update(other._gauges)
-            for name, hist in other._histograms.items():
-                mine = self._histograms.get(name)
-                if mine is None:
-                    self._histograms[name] = hist
-                else:
-                    mine.merge_hist(hist)
-
     def histogram_quantile(self, name: str, q: float) -> float:
         """Approximate quantile of histogram ``name`` (NaN if absent)."""
         with self._lock:
@@ -253,9 +222,6 @@ class NoopMetricsRegistry(MetricsRegistry):
         pass
 
     def merge(self, snapshot: Dict[str, Any]) -> None:
-        pass
-
-    def merge_registry(self, other: "MetricsRegistry") -> None:
         pass
 
 

@@ -6,6 +6,12 @@ where the time went (the full span tree), and what the counters saw
 (final metric values).  ``repro characterize --run-report PATH`` writes
 one; ``repro report PATH`` renders it as a text summary.
 
+The span tree is a fold of the run's event log
+(:class:`repro.obs.spans.SpanFold`), whether the log is an observation's
+in-memory one (:func:`build_report`) or one read back from disk
+(:func:`report_from_events`); both build the document the same way, so
+a live report and the report rebuilt from its written log agree.
+
 Schema (version 1), top-level keys — all required
 (:data:`REQUIRED_KEYS`, checked by :func:`validate_report` and the CI
 schema smoke step):
@@ -27,7 +33,7 @@ schema smoke step):
     working tree is a repository (else ``null``).
 ``spans``
     the root span as nested ``{name, attrs, wall_s, cpu_s, children}``
-    dicts (see :class:`repro.obs.Span`).
+    dicts (see :class:`repro.obs.Span`), folded from the event log.
 ``metrics``
     a :meth:`~repro.obs.MetricsRegistry.snapshot` —
     ``{"counters", "gauges", "histograms"}``.  Always includes the
@@ -35,6 +41,11 @@ schema smoke step):
     (``proc.peak_rss_mb``, and ``proc.peak_rss_children_mb`` when
     worker processes ran) — see :mod:`repro.obs.proc` — so memory
     joins wall/CPU in every run report.
+
+Two optional keys mark a report whose log is incomplete: ``partial``
+(``true`` when the log lacks ``run.end``, ends with spans open, or lost
+worker events) and ``dropped_events`` (how many worker events were
+dropped).
 
 The six methodology stages appear in every complete characterization
 report as span names :data:`STAGES` = ``mica``, ``sampling``, ``pca``,
@@ -55,7 +66,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from .proc import record_peak_rss
-from .spans import Observation, Span
+from .spans import Observation, Span, SpanFold
 
 __all__ = [
     "REQUIRED_KEYS",
@@ -67,6 +78,7 @@ __all__ = [
     "load_report",
     "missing_stages",
     "render_report",
+    "report_from_events",
     "validate_report",
     "write_report",
 ]
@@ -128,13 +140,49 @@ def _environment() -> Dict[str, Any]:
     }
 
 
+def _document(
+    fold: SpanFold,
+    *,
+    run_id: str,
+    created: float,
+    command: str,
+    config: Dict[str, Any],
+    environment: Dict[str, Any],
+    metrics: Dict[str, Any],
+    incomplete: bool = False,
+) -> Dict[str, Any]:
+    """The report document around a folded span tree.
+
+    Spans the log left open are flagged (:meth:`SpanFold.close_open`).
+    The document is ``partial`` when any were, when the log is
+    ``incomplete``, or when it records dropped worker events — then
+    ``dropped_events`` gives their number.
+    """
+    left_open = fold.close_open()
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "run_id": run_id,
+        "created": created,
+        "command": command,
+        "config": config,
+        "environment": environment,
+        "spans": fold.root.to_dict(),
+        "metrics": metrics,
+    }
+    if incomplete or left_open or fold.dropped:
+        doc["partial"] = True
+    if fold.dropped:
+        doc["dropped_events"] = fold.dropped
+    return doc
+
+
 def build_report(
     observation: Observation,
     *,
     config: Any = None,
     command: str = "characterize",
 ) -> Dict[str, Any]:
-    """Assemble the report document from a finished observation.
+    """Fold an observation's event log into the report document.
 
     Args:
         observation: the run's telemetry; its clocks are closed here.
@@ -153,16 +201,78 @@ def build_report(
             config_doc["digest"] = config.full_key()
         if dataclasses.is_dataclass(config):
             config_doc["fields"] = dataclasses.asdict(config)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "run_id": observation.run_id,
-        "created": time.time(),
-        "command": command,
-        "config": config_doc,
-        "environment": _environment(),
-        "spans": observation.root.to_dict(),
-        "metrics": observation.metrics.snapshot(),
+    return _document(
+        observation.fold(),
+        run_id=observation.run_id,
+        created=time.time(),
+        command=command,
+        config=config_doc,
+        environment=_environment(),
+        metrics=observation.metrics.snapshot(),
+    )
+
+
+def report_from_events(
+    events: List[Dict[str, Any]], *, truncated: bool = False
+) -> Dict[str, Any]:
+    """Rebuild a (possibly partial) run report from a written event log.
+
+    The same fold as :func:`build_report`, over a log read back from
+    disk: ``run.start`` supplies the command, config and environment,
+    and ``metric`` events the counters and gauges.  Spans still open
+    when the log ends — the residue of a SIGKILL — are kept and flagged
+    ``partial: true``; the report itself carries ``partial: true``
+    whenever the log lacks ``run.end``.  The result passes
+    :func:`validate_report`.
+    """
+    fold = SpanFold()
+    run_id = None
+    created = None
+    command = "characterize"
+    config: Dict[str, Any] = {"digest": None, "fields": {}}
+    environment: Dict[str, Any] = {
+        "python": None,
+        "numpy": None,
+        "platform": None,
+        "git_sha": None,
     }
+    counters: Dict[str, float] = {}
+    gauges: Dict[str, float] = {}
+    ended = False
+    for event in events:
+        fold.feed(event)
+        etype = event.get("type")
+        if created is None and isinstance(event.get("ts"), (int, float)):
+            created = event["ts"]
+        if run_id is None and event.get("run_id"):
+            run_id = event["run_id"]
+        if etype == "run.start":
+            command = event.get("command") or command
+            if isinstance(event.get("config"), dict):
+                config.update(event["config"])
+            if isinstance(event.get("environment"), dict):
+                environment.update(event["environment"])
+        elif etype == "run.end":
+            ended = True
+        elif etype == "metric":
+            for cname, delta in (event.get("counters") or {}).items():
+                if isinstance(delta, (int, float)):
+                    counters[cname] = counters.get(cname, 0.0) + delta
+            for gname, value in (event.get("gauges") or {}).items():
+                if isinstance(value, (int, float)):
+                    gauges[gname] = float(value)
+    if created is not None and fold.last_ts is not None:
+        fold.root.wall_s = max(0.0, float(fold.last_ts) - float(created))
+    return _document(
+        fold,
+        run_id=run_id or "unknown",
+        created=created if created is not None else time.time(),
+        command=command,
+        config=config,
+        environment=environment,
+        metrics={"counters": counters, "gauges": gauges, "histograms": {}},
+        incomplete=truncated or not ended,
+    )
 
 
 def write_report(path: PathLike, report: Dict[str, Any]) -> Path:

@@ -1,27 +1,41 @@
-"""Hierarchical spans and the active observation context.
+"""Spans, the run's event log, and the active observation context.
 
 A :class:`Span` is one timed region of a run — a pipeline stage, a
 k-means restart, one benchmark's characterization — with monotonic
 wall-clock (``time.perf_counter``) and CPU (``time.process_time``)
-durations, free-form attributes, and child spans.  Spans nest through
-the context manager returned by :func:`span`; the tree they form is the
-backbone of the run report (:mod:`repro.obs.report`).
+durations and free-form attributes.  Spans nest through the context
+manager returned by :func:`span`.
+
+**One record.**  An :class:`Observation` keeps one in-memory event log.
+A span logs a ``span.open`` event when it starts and a ``span.close``
+event, with its durations and final attributes, when it ends; stage,
+progress, heartbeat and metric events go into the same log.  Nothing
+else is recorded while the run executes.  An attached
+:class:`repro.obs.events.EventBus` writes each event to its JSONL sink
+as it is logged.  :class:`SpanFold` is the one place events become a
+span tree: the run report (:func:`repro.obs.report.build_report`),
+``repro report --from-events``, ``repro watch`` and
+:attr:`Observation.root` all fold with it, so a report built live and
+one rebuilt from the written log have the same tree.
 
 Collection is opt-in and inert by default.  :func:`observe` installs an
-:class:`Observation` — a root span plus a
+:class:`Observation` — the event log plus a
 :class:`~repro.obs.metrics.MetricsRegistry` — as the *current*
 observation; while none is installed, :func:`span` returns a shared
 no-op context manager and :func:`metrics` a shared no-op registry, so
 instrumented library code pays a dictionary lookup and nothing else.
 
-**Executors.**  Worker tasks (threads or forked processes) do not share
-the caller's span stack.  Instead the executor wraps each task in
-:func:`capture` — an isolated per-task observation whose serializable
-:class:`Snapshot` travels back with the task result — and merges it
-under the parent's current span with
-:meth:`Observation.merge_snapshot`, in submission order, exactly once
-per task.  A serial, threaded, and forked run therefore produce the
-same span tree.
+**Executors.**  Worker tasks (threads or forked processes) run inside
+:func:`capture`: an isolated observation whose log holds a ``task``
+span (attribute ``label``) around the task and keeps at most
+:data:`~repro.obs.events.MAX_WORKER_EVENTS` events, oldest dropped.
+Its :class:`Snapshot` — events, drop count, metrics — travels back with
+the task result, and :meth:`Observation.merge_snapshot` replays the
+events under the caller's current span and adds the metrics, exactly
+once per task, in submission order.  A serial, threaded, and forked run
+therefore log the same spans.  Dropped events are logged as one
+``events.dropped`` event, so a report folded from the log says
+``partial: true`` and how many were lost.
 
 The *current* observation resolves thread-locally first and then
 globally: :func:`observe` (main thread, long-lived) sets both, while
@@ -36,14 +50,17 @@ import itertools
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional
 
+from .events import MAX_WORKER_EVENTS, ProgressEstimator
 from .metrics import NOOP_REGISTRY, MetricsRegistry
 
 __all__ = [
     "Observation",
     "Snapshot",
     "Span",
+    "SpanFold",
     "active",
     "capture",
     "current",
@@ -123,40 +140,135 @@ class Span:
         return f"Span({self.name!r}, {self.wall_s * 1e3:.2f}ms, {len(self.children)} children)"
 
 
-class _ActiveSpan:
-    """Context manager recording one span on an observation's stack."""
+class SpanFold:
+    """The span tree of an event log, folded one event at a time.
 
-    __slots__ = ("_ob", "_span", "_stack", "_thread", "_wall0", "_cpu0")
+    One stack per thread: the observing thread's (key ``None``) starts
+    at the root; another thread's starts at the span the observing
+    thread has open when that thread's first span opens, which is where
+    it hangs.  Spans of two threads that interleave in the log
+    therefore never nest into each other.  Of the other event types
+    only ``events.dropped`` counts, into :attr:`dropped`.
+    """
+
+    def __init__(self, root_name: str = "run") -> None:
+        self.root = Span(root_name)
+        self.dropped = 0
+        self.last_ts: Optional[float] = None
+        self._stacks: Dict[Optional[str], List[Span]] = {None: [self.root]}
+        self._opened: Dict[Optional[str], List[Optional[float]]] = {None: [None]}
+
+    def feed(self, event: Dict[str, Any]) -> None:
+        """Fold one event."""
+        etype = event.get("type")
+        ts = event.get("ts")
+        if not isinstance(ts, (int, float)):
+            ts = None
+        else:
+            self.last_ts = ts
+        if etype == "span.open":
+            thread = event.get("thread")
+            stack = self._stacks.get(thread)
+            if stack is None:
+                stack = self._stacks[thread] = [self._stacks[None][-1]]
+                self._opened[thread] = [None]
+            node = Span(str(event.get("span", "?")), dict(event.get("attrs") or {}))
+            stack[-1].children.append(node)
+            stack.append(node)
+            self._opened[thread].append(ts)
+        elif etype == "span.close":
+            thread = event.get("thread")
+            stack = self._stacks.get(thread, [])
+            name = str(event.get("span", "?"))
+            # Close the thread's innermost open span with this name; a
+            # thread's spans close in LIFO order, so scanning from the
+            # top of its stack is exact.
+            for i in range(len(stack) - 1, 0, -1):
+                if stack[i].name == name:
+                    node = stack[i]
+                    node.wall_s = float(event.get("wall_s", 0.0) or 0.0)
+                    node.cpu_s = float(event.get("cpu_s", 0.0) or 0.0)
+                    attrs = event.get("attrs")
+                    if isinstance(attrs, dict):
+                        node.attrs.update(attrs)
+                    del stack[i]
+                    del self._opened[thread][i]
+                    break
+        elif etype == "events.dropped":
+            self.dropped += int(event.get("count", 0) or 0)
+
+    def open_spans(self) -> List[Span]:
+        """Spans opened but not closed: the observing thread's first,
+        outermost first, then each other thread's."""
+        return [node for stack in self._stacks.values() for node in stack[1:]]
+
+    def close_open(self) -> bool:
+        """Flag every still-open span ``partial``; whether there were any.
+
+        An open span's wall time is estimated from its open timestamp
+        to the last event folded, so a killed run's tree says which
+        stage died rather than pretending it took zero time.
+        """
+        for thread, stack in self._stacks.items():
+            for node, opened in zip(stack[1:], self._opened[thread][1:]):
+                node.attrs.setdefault("partial", True)
+                if node.wall_s == 0.0 and opened is not None and self.last_ts is not None:
+                    node.wall_s = max(0.0, self.last_ts - opened)
+        return bool(self.open_spans())
+
+
+class _ThreadState:
+    """Per-thread span bookkeeping: the thread's tag and open-span count."""
+
+    __slots__ = ("tag", "depth")
+
+    def __init__(self, tag: Optional[str]) -> None:
+        self.tag = tag
+        self.depth = 0
+
+
+class _ActiveSpan:
+    """Context manager logging one span's open and close events."""
+
+    __slots__ = ("_ob", "_span", "_state", "_depth", "_wall0", "_cpu0")
 
     def __init__(self, ob: "Observation", node: Span) -> None:
         self._ob = ob
         self._span = node
 
     def __enter__(self) -> Span:
-        ob = self._ob
-        stack = self._stack = ob._thread_stack()
-        stack[-1].children.append(self._span)
-        stack.append(self._span)
-        emitter = ob.emitter
-        if emitter is not None:
-            self._thread = ob._thread_tag()
-            emitter.span_open(self._span, len(stack) - 1, self._thread)
+        state = self._state = self._ob._thread()
+        state.depth += 1
+        self._depth = state.depth
+        self._log({"type": "span.open", "attrs": dict(self._span.attrs)})
         self._cpu0 = time.process_time()
         self._wall0 = time.perf_counter()
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self._span.wall_s = time.perf_counter() - self._wall0
-        self._span.cpu_s = time.process_time() - self._cpu0
+        node = self._span
+        node.wall_s = time.perf_counter() - self._wall0
+        node.cpu_s = time.process_time() - self._cpu0
         if exc_type is not None:
-            self._span.attrs.setdefault("error", exc_type.__name__)
-        ob = self._ob
-        popped = self._stack.pop()
-        assert popped is self._span, "span stack corrupted"
-        emitter = ob.emitter
-        if emitter is not None:
-            emitter.span_close(self._span, len(self._stack), self._thread)
+            node.attrs.setdefault("error", exc_type.__name__)
+        self._state.depth -= 1
+        self._log(
+            {
+                "type": "span.close",
+                "wall_s": node.wall_s,
+                "cpu_s": node.cpu_s,
+                "attrs": dict(node.attrs),
+            }
+        )
         return False
+
+    def _log(self, event: Dict[str, Any]) -> None:
+        event["ts"] = time.time()
+        event["span"] = self._span.name
+        event["depth"] = self._depth
+        if self._state.tag is not None:
+            event["thread"] = self._state.tag
+        self._ob._record(event)
 
 
 class _NoopSpanHandle:
@@ -185,52 +297,43 @@ _NOOP_SPAN = _NoopSpan()
 
 
 class Snapshot:
-    """A worker observation serialized for the trip back to the parent.
+    """A worker observation in the form that crosses the executor boundary.
 
-    Plain dicts throughout, so it pickles across the process boundary.
-    Only the process backend ever materializes one: a live
-    :class:`Observation` pickles *into* a Snapshot (via ``__reduce__``),
-    while serial and thread executors hand the observation object
-    itself to :meth:`Observation.merge_snapshot` and skip the dict
-    round-trip entirely.
-
-    ``events`` carries the task's buffered telemetry events (plus the
-    count any bounded buffer dropped) when the parent run has an event
-    bus attached; the parent replays them — exactly once, in submission
-    order — as part of the same merge that grafts the span tree.
+    Its logged events, the count its bounded log dropped, and its
+    metrics snapshot — plain data, so it pickles across the process
+    boundary.  A live :class:`Observation` pickles *into* one (via
+    ``__reduce__``).
     """
 
-    __slots__ = ("span", "metrics", "events", "events_dropped")
+    __slots__ = ("events", "events_dropped", "metrics")
 
     def __init__(
         self,
-        span_dict: Dict[str, Any],
+        events: List[Dict[str, Any]],
+        events_dropped: int,
         metrics_dict: Dict[str, Any],
-        events: Optional[List[Dict[str, Any]]] = None,
-        events_dropped: int = 0,
     ) -> None:
-        self.span = span_dict
-        self.metrics = metrics_dict
         self.events = events
         self.events_dropped = events_dropped
+        self.metrics = metrics_dict
 
     def __reduce__(self):
-        return (Snapshot, (self.span, self.metrics, self.events, self.events_dropped))
+        return (Snapshot, (self.events, self.events_dropped, self.metrics))
 
 
 class Observation:
-    """One run's telemetry: a span tree plus a metrics registry.
+    """One run's telemetry: an event log plus a metrics registry.
 
     Args:
         run_id: identifier stamped on the run report and log records;
             generated when omitted.
-        root_name: name of the implicit root span.
-        emitter: optional live-event destination — an
-            :class:`repro.obs.events.EventBus` for the main run, an
-            :class:`repro.obs.events.EventBuffer` for a worker task
-            (:class:`capture`), or None (the default) for report-only
-            collection.  The span layer notifies it on every span
-            open/close.
+        root_name: name of the root span the log folds under.
+        emitter: optional :class:`repro.obs.events.EventBus` that
+            writes every logged event to its sink as it is logged.
+        max_events: bound on the log (oldest events dropped past it,
+            counted in :attr:`dropped`); unbounded when None.
+
+    The log is :attr:`events`, oldest first.
     """
 
     def __init__(
@@ -238,103 +341,141 @@ class Observation:
         run_id: Optional[str] = None,
         root_name: str = "run",
         emitter: Optional[Any] = None,
+        max_events: Optional[int] = None,
     ) -> None:
         self.run_id = run_id or new_run_id()
-        self.root = Span(root_name)
+        self.root_name = root_name
         self.metrics = MetricsRegistry()
         self.emitter = emitter
-        self._stack: List[Span] = [self.root]
+        self.events: Deque[Dict[str, Any]] = deque(maxlen=max_events)
+        self.dropped = 0
+        self.wall_s = 0.0
+        self.cpu_s = 0.0
+        self._lock = threading.Lock()
         self._owner = threading.get_ident()
+        self._main = _ThreadState(None)
         self._foreign = threading.local()
         self._thread_ids = itertools.count(1)
+        self._estimators: Dict[str, ProgressEstimator] = {}
+        self._last_counters: Dict[str, float] = {}
         self._wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
 
-    def _thread_stack(self) -> List[Span]:
-        """The open spans of the calling thread, innermost last.
+    def _thread(self) -> _ThreadState:
+        """The calling thread's tag and open-span count.
 
-        Another thread (the streaming prefetch producer) keeps a stack
-        of its own, based at the span this observation's thread has
-        open when that thread opens its first span, so neither thread
-        ever pops a span the other opened.
+        Span events of this observation's own thread carry no tag.
+        Another thread (the streaming prefetch producer) gets a tag
+        unique within the observation, fixed on its first span, which
+        :class:`SpanFold` keys that thread's stack by.
         """
         if threading.get_ident() == self._owner:
-            return self._stack
-        stack = getattr(self._foreign, "stack", None)
-        if stack is None:
-            stack = self._foreign.stack = [self._stack[-1]]
+            return self._main
+        state = getattr(self._foreign, "state", None)
+        if state is None:
             name = threading.current_thread().name
-            self._foreign.tag = f"{name}#{next(self._thread_ids)}"
-        return stack
+            state = self._foreign.state = _ThreadState(f"{name}#{next(self._thread_ids)}")
+        return state
 
-    def _thread_tag(self) -> Optional[str]:
-        """The tag span events of the calling thread carry.
+    def _record(self, event: Dict[str, Any]) -> None:
+        # One lock orders the log and the bus alike, so the written
+        # stream folds to the same tree as the log.
+        with self._lock:
+            if len(self.events) == self.events.maxlen:
+                self.dropped += 1
+            self.events.append(event)
+            if self.emitter is not None:
+                self.emitter.write(event)
 
-        ``None`` on this observation's own thread; for another thread,
-        a name unique within the observation, fixed when the thread's
-        stack is created.  It lets an event fold give each thread its
-        own stack, based where :meth:`_thread_stack` based it.
-        """
-        return getattr(self._foreign, "tag", None)
+    def emit(self, type: str, **fields: Any) -> None:
+        """Log one event (and write it through the bus, if attached)."""
+        self._record({"ts": time.time(), "type": type, **fields})
 
     def span(self, name: str, **attrs: Any) -> _ActiveSpan:
         """A context manager timing ``name`` under the current span."""
         return _ActiveSpan(self, Span(name, {k: _json_safe(v) for k, v in attrs.items()}))
 
+    def progress(self, stage: str, done: int, total: int) -> None:
+        """Log a ``progress`` event with fraction and ETA for ``stage``.
+
+        The first call for a stage starts its clock; ``total`` may be
+        updated by later calls (the streamed-batch ledger refines it).
+        """
+        with self._lock:
+            estimator = self._estimators.get(stage)
+            if estimator is None:
+                estimator = self._estimators[stage] = ProgressEstimator(stage, total)
+            else:
+                estimator.total = int(total)
+        self.emit("progress", **estimator.update(done))
+
+    def emit_metric_deltas(self) -> None:
+        """Log counter deltas (and current gauges) since the last call."""
+        snap = self.metrics.snapshot()
+        counters = snap["counters"]
+        with self._lock:
+            deltas = {
+                name: value - self._last_counters.get(name, 0.0)
+                for name, value in counters.items()
+                if value != self._last_counters.get(name, 0.0)
+            }
+            self._last_counters = dict(counters)
+        self.emit("metric", counters=deltas, gauges=snap["gauges"])
+
     def finish(self) -> None:
-        """Close the root span's clocks (idempotent enough for reports)."""
-        self.root.wall_s = time.perf_counter() - self._wall0
-        self.root.cpu_s = time.process_time() - self._cpu0
+        """Close the run's clocks (idempotent enough for reports)."""
+        self.wall_s = time.perf_counter() - self._wall0
+        self.cpu_s = time.process_time() - self._cpu0
+
+    def fold(self) -> SpanFold:
+        """Fold the log so far; the root carries the run's clocks."""
+        with self._lock:
+            events = list(self.events)
+        fold = SpanFold(self.root_name)
+        for event in events:
+            fold.feed(event)
+        fold.root.wall_s, fold.root.cpu_s = self.wall_s, self.cpu_s
+        return fold
+
+    @property
+    def root(self) -> Span:
+        """The span tree of the log so far (a fresh fold on each access)."""
+        return self.fold().root
 
     def snapshot(self) -> Snapshot:
-        """Serialize the whole observation (root span + metrics + events)."""
-        self.finish()
-        events, dropped = None, 0
-        if self.emitter is not None and hasattr(self.emitter, "drain"):
-            events, dropped = self.emitter.drain()
-        return Snapshot(self.root.to_dict(), self.metrics.snapshot(), events, dropped)
+        """The observation's events, drop count and metrics."""
+        with self._lock:
+            events, dropped = list(self.events), self.dropped
+        return Snapshot(events, dropped, self.metrics.snapshot())
 
     def __reduce__(self):
         # Crossing a process boundary turns a live observation into its
-        # plain-dict Snapshot, so executor workers can return the
-        # observation object itself and only the fork backend pays for
-        # serialization.
-        snap = self.snapshot()
-        return (Snapshot, (snap.span, snap.metrics, snap.events, snap.events_dropped))
+        # Snapshot, so executor workers can return the observation
+        # object itself.
+        return self.snapshot().__reduce__()
 
     def merge_snapshot(self, snap: "Snapshot | Observation") -> None:
-        """Graft a worker observation under the current span, once.
+        """Replay a worker's events under the current span and add its metrics.
 
-        The worker's root span becomes a child of whatever span is
-        active here, and its metrics are added into this registry.
         Callers (the executor) invoke this exactly once per completed
-        task, in submission order, so counter totals and the span tree
-        are deterministic for any backend or worker count.
-
-        Accepts either a :class:`Snapshot` (what a forked worker's
-        observation pickles into) or a live :class:`Observation` from a
-        same-process task, whose finished span tree is grafted without
-        any dict round-trip (the worker is done with it, so ownership
-        transfers).
-
-        When this observation has an event bus attached, the worker's
-        buffered events are replayed into it here — the single merge
-        point — so live telemetry inherits the exactly-once, submission-
-        ordered discipline of the span/metric merge for free.
+        task, in submission order, so counter totals and the log are
+        deterministic for any backend or worker count.  The worker's
+        span events are re-based onto the calling thread: its tag, and
+        depths counted from the caller's open spans.  Worker timestamps
+        are kept.
         """
-        events: Optional[List[Dict[str, Any]]] = None
-        dropped = 0
         if isinstance(snap, Observation):
-            self._thread_stack()[-1].children.append(snap.root)
-            self.metrics.merge_registry(snap.metrics)
-            if snap.emitter is not None and hasattr(snap.emitter, "drain"):
-                events, dropped = snap.emitter.drain()
-        else:
-            self._thread_stack()[-1].children.append(Span.from_dict(snap.span))
-            self.metrics.merge(snap.metrics)
-            events, dropped = snap.events, snap.events_dropped
-        if events and self.emitter is not None and hasattr(self.emitter, "replay"):
-            self.emitter.replay(events, dropped)
+            snap = snap.snapshot()
+        state = self._thread()
+        if snap.events_dropped:
+            self.emit("events.dropped", count=snap.events_dropped)
+        for event in snap.events:
+            if event.get("type") in ("span.open", "span.close"):
+                event = dict(event, depth=event.get("depth", 0) + state.depth)
+                if state.tag is not None:
+                    event.setdefault("thread", state.tag)
+            self._record(event)
+        self.metrics.merge(snap.metrics)
 
 
 # --- current-observation resolution -------------------------------------
@@ -386,7 +527,7 @@ class observe:
     Sets both the thread-local and the global slot (restoring the
     previous values on exit), so executor workers — pool threads and
     forked processes alike — see that collection is on.  Yields the
-    :class:`Observation` for snapshotting into a run report.
+    :class:`Observation` for building a run report.
     """
 
     def __init__(
@@ -423,35 +564,25 @@ class capture:
     """Isolated per-task observation for executor workers.
 
     Unlike :class:`observe`, only the worker thread's local slot is
-    touched — concurrent tasks collect into disjoint observations and
-    the parent's tree is never mutated from a worker.  The executor
-    serializes the result with :meth:`Observation.snapshot` and the
-    parent grafts it via :meth:`Observation.merge_snapshot`.
+    touched — concurrent tasks log into disjoint observations and the
+    parent's log is never written from a worker.  The task runs inside
+    a ``root_name`` span carrying ``label``; the log keeps at most
+    :data:`~repro.obs.events.MAX_WORKER_EVENTS` events.  The parent
+    replays it with :meth:`Observation.merge_snapshot`.
     """
 
     def __init__(self, label: str, root_name: str = "task") -> None:
-        emitter = None
-        parent = current()
-        if parent is not None and parent.emitter is not None:
-            # The parent run streams live telemetry; give this task a
-            # bounded buffer whose events ride back in the Snapshot.
-            # Workers never touch the parent's sink directly — a forked
-            # child would otherwise interleave writes on an inherited
-            # file handle.
-            from .events import EventBuffer
-
-            emitter = EventBuffer()
-        root = Observation(run_id="worker", root_name=root_name, emitter=emitter)
-        root.root.set(label=label)
-        self.observation = root
+        self.observation = Observation(run_id="worker", max_events=MAX_WORKER_EVENTS)
+        self._task = self.observation.span(root_name, label=label)
         self._prev: Optional[Observation] = None
 
     def __enter__(self) -> Observation:
         self._prev = getattr(_TLS, "observation", None)
         _TLS.observation = self.observation
+        self._task.__enter__()
         return self.observation
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.observation.finish()
+        self._task.__exit__(exc_type, exc, tb)
         _TLS.observation = self._prev
         return False

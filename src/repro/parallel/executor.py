@@ -19,12 +19,12 @@ gracefully: ``process`` falls back to serial execution and ``auto``
 picks threads, so callers never have to special-case the platform.
 
 When an observation is active (:func:`repro.obs.active`), every task
-runs inside :class:`repro.obs.capture` — an isolated worker-side span
-tree and metrics registry whose snapshot travels back with the task
-result — and :meth:`Executor.map` merges each snapshot under the
-caller's current span **exactly once**, in submission order.  The span
-tree and all counter totals are therefore identical for any backend or
-worker count; a failed chunk's surviving snapshots are merged once too
+runs inside :class:`repro.obs.capture` — an isolated worker-side event
+log and metrics registry that travel back with the task result — and
+:meth:`Executor.map` replays each task's events under the caller's
+current span **exactly once**, in submission order.  The logged spans
+and all counter totals are therefore identical for any backend or
+worker count; a failed chunk's surviving tasks are merged once too
 (never re-merged on the error path), and nothing is emitted at all
 when observation is off.
 """
@@ -66,11 +66,11 @@ class WorkerError(RuntimeError):
 def _run_one(fn: TaskFn, payload: Any, task: Any, label: str) -> _Outcome:
     try:
         if _obs.active():
-            # Collect the task's spans/metrics into an isolated worker
+            # Log the task's events and metrics into an isolated worker
             # observation that rides back with the result and is merged
             # (once) by Executor.map in submission order.  Same-process
             # backends hand over the live object; crossing the fork
-            # boundary pickles it into a plain-dict Snapshot.
+            # boundary pickles it into a Snapshot.
             with _obs.capture(label) as worker:
                 result = fn(payload, task)
             return ("ok", result, worker)
@@ -164,24 +164,26 @@ class Executor:
         ]
         results: List[Any] = []
         parent = _obs.current()
-        emitter = parent.emitter if parent is not None else None
-        heartbeat = getattr(emitter, "heartbeat", None)
         for outcomes in self._imap_chunks(fn, payload, chunks):
             for outcome in outcomes:
                 if outcome[0] == "err":
                     _, label, message, details = outcome
                     raise WorkerError(label, message, details)
-                # A 3-tuple carries a worker telemetry snapshot; graft
-                # it under the caller's current span here — and only
-                # here — so each task's metrics count exactly once.
-                # The same merge point emits the task's heartbeat, so
-                # liveness events inherit exactly-once submission order
-                # and a failed chunk's tail never beats.
-                if len(outcome) == 3 and parent is not None:
-                    parent.merge_snapshot(outcome[2])
                 results.append(outcome[1])
-                if heartbeat is not None:
-                    heartbeat(labels[len(results) - 1], len(results), len(tasks))
+                if parent is not None:
+                    # A 3-tuple carries the worker's telemetry; replay
+                    # it under the caller's current span here — and
+                    # only here — so each task's events and metrics
+                    # count exactly once.  The task's heartbeat follows
+                    # it, so a failed chunk's tail never beats.
+                    if len(outcome) == 3:
+                        parent.merge_snapshot(outcome[2])
+                    parent.emit(
+                        "heartbeat",
+                        label=labels[len(results) - 1],
+                        completed=len(results),
+                        total=len(tasks),
+                    )
                 if on_result is not None:
                     on_result(len(results) - 1, outcome[1])
         return results

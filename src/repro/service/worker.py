@@ -185,7 +185,7 @@ class Worker:
             return False
         finally:
             if observation is not None:
-                bus.emit_metric_deltas(observation.metrics)
+                observation.emit_metric_deltas()
             bus.close(ok=ok)
 
     # -- the loop ---------------------------------------------------------

@@ -8,10 +8,11 @@ import pytest
 
 from repro.obs import (
     EVENT_SCHEMA_VERSION,
-    EventBuffer,
     EventBus,
     JsonlSink,
+    Observation,
     ProgressEstimator,
+    Snapshot,
     emit_event,
     emit_progress,
     observe,
@@ -123,9 +124,10 @@ def test_progress_estimator_clamps_done_to_total():
 
 def test_bus_progress_tracks_one_estimator_per_stage():
     bus, handle = _bus()
-    bus.progress("mica", 1, 4)
-    bus.progress("kmeans", 2, 10)
-    bus.progress("mica", 4, 4)
+    with observe(emitter=bus):
+        emit_progress("mica", 1, 4)
+        emit_progress("kmeans", 2, 10)
+        emit_progress("mica", 4, 4)
     events = _lines(handle)
     assert [(e["stage"], e["done"], e["total"]) for e in events] == [
         ("mica", 1, 4),
@@ -137,28 +139,28 @@ def test_bus_progress_tracks_one_estimator_per_stage():
 
 def test_bus_progress_total_can_be_refined():
     bus, handle = _bus()
-    bus.progress("streaming.pca", 10, 100)
-    bus.progress("streaming.pca", 20, 120)  # the batch ledger grew
+    with observe(emitter=bus):
+        emit_progress("streaming.pca", 10, 100)
+        emit_progress("streaming.pca", 20, 120)  # the batch ledger grew
     assert _lines(handle)[-1]["total"] == 120
 
 
 def test_event_buffer_is_bounded_and_counts_drops():
-    buffer = EventBuffer(max_events=3)
+    # A worker's log (capture) is bounded the same way.
+    ob = Observation(max_events=3)
     for i in range(5):
-        buffer.emit("tick", i=i)
-    events, dropped = buffer.drain()
-    assert [e["i"] for e in events] == [2, 3, 4]  # oldest dropped first
-    assert dropped == 2
-    assert buffer.drain() == ([], 0)  # drain empties
+        ob.emit("tick", i=i)
+    assert [e["i"] for e in ob.events] == [2, 3, 4]  # oldest dropped first
+    assert ob.dropped == 2
 
 
 def test_replay_preserves_payload_and_assigns_fresh_seqs():
-    buffer = EventBuffer()
-    buffer.emit("span.open", span="work", depth=1)
-    buffer.emit("span.close", span="work", depth=1, wall_s=0.5)
-    events, dropped = buffer.drain()
+    events = [
+        {"ts": 5.0, "type": "span.open", "span": "work", "depth": 1},
+        {"ts": 6.0, "type": "span.close", "span": "work", "depth": 1, "wall_s": 0.5},
+    ]
     bus, handle = _bus()
-    bus.replay(events, dropped)
+    Observation(emitter=bus).merge_snapshot(Snapshot(events, 0, {}))
     bus.close()
     replayed = _lines(handle)
     assert [e["type"] for e in replayed[:-1]] == ["span.open", "span.close"]
@@ -170,19 +172,19 @@ def test_replay_preserves_payload_and_assigns_fresh_seqs():
 
 def test_replay_drop_counts_surface_in_run_end():
     bus, handle = _bus()
-    bus.replay([], 7)
+    Observation(emitter=bus).merge_snapshot(Snapshot([], 7, {}))
     bus.close()
     assert _lines(handle)[-1]["dropped_events"] == 7
 
 
 def test_metric_deltas_are_movement_since_last_event():
     bus, handle = _bus()
-    with observe() as ob:
+    with observe(emitter=bus) as ob:
         ob.metrics.counter_add("rows", 5)
         ob.metrics.gauge_set("coverage", 0.9)
-        bus.emit_metric_deltas(ob.metrics)
+        ob.emit_metric_deltas()
         ob.metrics.counter_add("rows", 2)
-        bus.emit_metric_deltas(ob.metrics)
+        ob.emit_metric_deltas()
     first, second = _lines(handle)
     assert first["counters"] == {"rows": 5}
     assert first["gauges"]["coverage"] == 0.9

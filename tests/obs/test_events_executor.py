@@ -1,8 +1,8 @@
 """Worker events through the executors: exactly once, submission order.
 
-Worker tasks never touch the sink; their events buffer into a bounded
-EventBuffer, ride back inside the telemetry snapshot, and replay into
-the parent's bus at the single merge point.  The resulting stream must
+Worker tasks never touch the sink; their events log into a bounded
+worker log, ride back inside the telemetry snapshot, and replay into
+the parent's log and bus at the single merge point.  The resulting stream must
 be identical — strictly monotonic seqs, task events in submission
 order — for the serial, thread, and process backends, and a failed
 task's events must be discarded with its snapshot.
@@ -91,13 +91,15 @@ def test_stream_is_identical_across_backends(executor):
         if e["type"] in ("span.open", "span.close", "marker")
     ]
     # The same canonical stream whatever the backend: each task's
-    # worker-side span and marker, per task, in submission order.
+    # task span, worker-side span and marker, in submission order.
     expected = []
     for i in range(4):
         expected += [
+            ("span.open", "task", None),
             ("span.open", "work", None),
             ("marker", None, i),
             ("span.close", "work", None),
+            ("span.close", "task", None),
         ]
     assert shape == [("span.open", "fanout", None)] + expected + [
         ("span.close", "fanout", None)
@@ -120,19 +122,25 @@ def test_failed_task_events_are_discarded(executor):
     assert events[-1]["type"] == "run.end" and events[-1]["ok"] is False
 
 
-def test_no_emitter_means_no_worker_buffers():
-    # Without a bus on the parent observation, capture() must not
-    # allocate per-task buffers (events would be collected and thrown
-    # away on every merge).
+def test_capture_always_logs_its_task_span():
+    # A worker logs whether or not the parent has a bus: its events are
+    # the only record of its spans.
     from repro.obs.spans import capture
 
-    with observe():
+    with observe() as ob:
         with capture("t0") as worker:
-            pass
+            with span("work"):
+                pass
         assert worker.emitter is None
-    handle = io.StringIO()
-    bus = EventBus(JsonlSink(handle), "r1")
-    with observe(emitter=bus):
-        with capture("t1") as worker:
-            pass
-        assert worker.emitter is not None  # a bounded EventBuffer
+        events = worker.snapshot().events
+        assert [(e["type"], e["span"]) for e in events] == [
+            ("span.open", "task"),
+            ("span.open", "work"),
+            ("span.close", "work"),
+            ("span.close", "task"),
+        ]
+        assert events[0]["attrs"] == {"label": "t0"}
+        ob.merge_snapshot(worker)
+    task = ob.root.children[0]
+    assert (task.name, task.attrs["label"]) == ("task", "t0")
+    assert [c.name for c in task.children] == ["work"]

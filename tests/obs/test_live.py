@@ -17,6 +17,7 @@ from repro.core import build_dataset, run_characterization
 from repro.obs import (
     EventBus,
     JsonlSink,
+    emit_progress,
     missing_stages,
     observe,
     read_events,
@@ -39,9 +40,9 @@ def _events_for_small_run():
             with span("pca"):
                 pass
         ob.metrics.counter_add("dataset.rows", 64)
-        bus.emit_metric_deltas(ob.metrics)
-        bus.progress("kmeans", 5, 10)
-        bus.heartbeat("BMW/face", 3, 5)
+        ob.emit_metric_deltas()
+        emit_progress("kmeans", 5, 10)
+        ob.emit("heartbeat", label="BMW/face", completed=3, total=5)
     bus.close(ok=True)
     return [json.loads(line) for line in handle.getvalue().splitlines()]
 

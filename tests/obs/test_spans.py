@@ -173,8 +173,11 @@ def test_other_thread_spans_keep_their_own_stack():
 
 def test_snapshot_pickles():
     ob = Observation(run_id="w")
+    with ob.span("work"):
+        pass
     ob.metrics.counter_add("x", 2)
     snap = ob.snapshot()
     clone = pickle.loads(pickle.dumps(snap))
-    assert clone.span["name"] == "run"
+    assert [e["type"] for e in clone.events] == ["span.open", "span.close"]
+    assert clone.events_dropped == 0
     assert clone.metrics["counters"] == {"x": 2}
