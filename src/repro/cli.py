@@ -35,12 +35,11 @@ cross-run regression detection.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import obs
 from .config import AnalysisConfig
@@ -135,14 +134,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     # recomputes every stage but still writes checkpoints, so the
     # *next* run can resume.  Service workers share this exact path.
     print(f"characterizing {len(benches)} benchmarks at preset {args.preset!r}...")
-    # Telemetry collection turns on for --run-report, --telemetry, or
-    # --history-dir; with none of the three the obs layer stays a
-    # no-op and the results are bit-identical either way.
-    observation = None
-    context, bus = _telemetry_context(args, config, run_id, len(benches))
-    ok = False
-    try:
-        with context as observation:
+    with _recorded_run(args, config, run_id, len(benches)) as run:
+        with run.observing():
             result = characterize_to_file(
                 benches,
                 config,
@@ -153,13 +146,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                 feature_cache=feature_cache,
                 span_attrs={"preset": args.preset},
             )
-        _finish_telemetry(args, config, observation)
-        ok = True
-    finally:
-        if bus is not None:
-            if observation is not None:
-                observation.emit_metric_deltas()
-            bus.close(ok=ok)
+        _finish_telemetry(args, config, run.observation)
     dataset = result.dataset
     print(
         f"saved {args.output}: {len(dataset)} intervals, "
@@ -194,11 +181,8 @@ def _characterize_streaming(
         f"(streaming, {config.batch_intervals} intervals/batch)..."
     )
     monitor = StreamingDriftMonitor()
-    observation = None
-    context, bus = _telemetry_context(args, config, run_id, len(benches))
-    ok = False
-    try:
-        with context as observation:
+    with _recorded_run(args, config, run_id, len(benches)) as run:
+        with run.observing():
             with obs.span(
                 "characterize.streaming", preset=args.preset, benchmarks=len(benches)
             ):
@@ -206,13 +190,7 @@ def _characterize_streaming(
                     benches, config, feature_cache=feature_cache, monitor=monitor
                 )
         save_streaming_result(result, args.output)
-        _finish_telemetry(args, config, observation)
-        ok = True
-    finally:
-        if bus is not None:
-            if observation is not None:
-                observation.emit_metric_deltas()
-            bus.close(ok=ok)
+        _finish_telemetry(args, config, run.observation)
     print(
         f"saved {args.output}: {len(result)} intervals (streamed), "
         f"{result.n_components} components "
@@ -232,44 +210,25 @@ def _characterize_streaming(
     return 0
 
 
-class _inert:
-    """Stand-in for ``obs.observe`` when no telemetry was requested."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-def _telemetry_context(
+def _recorded_run(
     args: argparse.Namespace, config, run_id: str, n_benchmarks: int
-) -> Tuple[object, Optional["obs.EventBus"]]:
-    """The observation context and (optional) event bus for a run.
+) -> "obs.recorded_run":
+    """The recording of one ``characterize`` run.
 
-    Observation turns on when any of ``--run-report``, ``--telemetry``
-    or ``--history-dir`` asks for telemetry; the bus only exists for
-    ``--telemetry`` and opens the stream with a ``run.start`` carrying
-    enough context (command, preset, config digest, environment) for
-    ``repro report --from-events`` to rebuild a self-contained report.
+    Observation turns on for any of ``--run-report``, ``--telemetry``
+    or ``--history-dir`` (with none, the obs layer stays a no-op; the
+    results are bit-identical either way); only ``--telemetry`` writes
+    the event log.
     """
-    bus = None
-    if args.telemetry:
-        bus = obs.EventBus(obs.JsonlSink(args.telemetry), run_id)
-    if not (args.run_report or args.telemetry or args.history_dir):
-        return _inert(), None
-    if bus is not None:
-        from .obs.report import _environment
-
-        bus.start(
-            command="characterize",
-            preset=args.preset,
-            benchmarks=n_benchmarks,
-            config={"digest": config.full_key(), "fields": {}},
-            environment=_environment(),
-            pid=os.getpid(),
-        )
-    return obs.observe(run_id=run_id, emitter=bus), bus
+    return obs.recorded_run(
+        run_id,
+        command="characterize",
+        config=config,
+        events=args.telemetry,
+        observe=bool(args.run_report or args.history_dir),
+        preset=args.preset,
+        benchmarks=n_benchmarks,
+    )
 
 
 def _finish_telemetry(args: argparse.Namespace, config, observation) -> None:

@@ -9,7 +9,8 @@ came from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,65 +91,76 @@ def _featurize_batch(
     return characterize_intervals(batch, config)
 
 
-def _characterize_benchmark(payload, index: int):
-    """Sample and characterize one benchmark (executor task body).
+def featurize_picks(
+    bench: Benchmark,
+    picks: np.ndarray,
+    config: AnalysisConfig,
+    ws: Workspace,
+    known: Dict[int, np.ndarray],
+    cached: Optional[Dict[int, np.ndarray]] = None,
+) -> Tuple[np.ndarray, int, int]:
+    """``(rows, n_unique, n_computed)`` for a run of one benchmark's
+    sorted picks, duplicates characterized once and replicated.
 
-    Returns ``(feature_block, picks, n_unique, fresh)`` where the block
-    already has duplicate picks replicated (so the parent only
-    concatenates) and ``fresh`` maps the interval indices characterized
-    on this run — not served from a feature block — to their vectors.
+    A pick's vector comes from ``known`` (computed earlier in this build
+    or sweep), else ``cached`` (a feature block), else the fused meters
+    in ``ws``, in :data:`~repro.mica.FUSED_BATCH_INSTRUCTIONS`-bounded
+    batches; computed vectors join ``known``.  Vectors are bit-identical
+    however the picks are split (``tests/mica/test_fused.py``).
     """
-    benchmarks, config, counts, cached_blocks = payload
-    bench = benchmarks[index]
-    n_samples = config.intervals_per_benchmark
-    if counts is not None:
-        n_samples = counts.get(bench.key, n_samples)
-    with span("sampling", benchmark=bench.key) as sp:
-        picks = sample_interval_indices(bench, n_samples, seed=config.seed)
-        unique_picks, inverse = np.unique(picks, return_inverse=True)
-        sp.set(picks=len(picks), unique=len(unique_picks))
-    cached = cached_blocks.get(bench.key) if cached_blocks else None
+    unique_picks, inverse = np.unique(picks, return_inverse=True)
     vectors = np.empty((len(unique_picks), N_FEATURES), dtype=np.float64)
-    fresh = {}
+    to_compute = []  # (row, interval index) pairs with no vector yet
+    for j, interval_idx in enumerate(unique_picks.tolist()):
+        vec = known.get(interval_idx)
+        if vec is None and cached is not None:
+            vec = cached.get(interval_idx)
+        if vec is None:
+            to_compute.append((j, interval_idx))
+        else:
+            vectors[j] = vec
+    for batch in batch_slices(len(to_compute), config.interval_instructions):
+        chunk = to_compute[batch]
+        matrix = _featurize_batch(bench, chunk, config, ws)
+        for (j, interval_idx), vec in zip(chunk, matrix):
+            known[interval_idx] = vec
+            vectors[j] = vec
+    return vectors[inverse], len(unique_picks), len(to_compute)
+
+
+def _characterize_benchmark(payload, index: int):
+    """Characterize one benchmark's planned picks (executor task body).
+
+    Returns ``(rows, n_unique, fresh)`` where the rows already have
+    duplicate picks replicated (so the parent only concatenates) and
+    ``fresh`` maps the interval indices characterized on this run —
+    not served from a feature block — to their vectors.
+    """
+    plan, config, cached_blocks = payload
+    bench, picks = plan.benchmarks[index], plan.picks[index]
+    cached = cached_blocks.get(bench.key) if cached_blocks else None
+    fresh: Dict[int, np.ndarray] = {}
     with span("mica", benchmark=bench.key) as sp, thread_workspace() as ws:
-        to_compute = []  # (row, interval index) pairs not served from cache
-        for j, interval_idx in enumerate(unique_picks):
-            interval_idx = int(interval_idx)
-            vec = cached.get(interval_idx) if cached else None
-            if vec is None:
-                to_compute.append((j, interval_idx))
-            else:
-                vectors[j] = vec
-        # Uncached intervals are characterized in fused batches: one
-        # whole-trace pass over many intervals stored back to back
-        # (bounded by FUSED_BATCH_INSTRUCTIONS) instead of one meter
-        # run each.
-        for batch in batch_slices(len(to_compute), config.interval_instructions):
-            chunk = to_compute[batch]
-            matrix = _featurize_batch(bench, chunk, config, ws)
-            for (j, interval_idx), vec in zip(chunk, matrix):
-                fresh[interval_idx] = vec
-                vectors[j] = vec
-        sp.set(characterized=len(fresh), cached=len(unique_picks) - len(fresh))
+        rows, n_unique, n_computed = featurize_picks(
+            bench, picks, config, ws, fresh, cached
+        )
+        sp.set(characterized=n_computed, cached=n_unique - n_computed)
     updates = [
         ("dataset.rows", float(len(picks))),
-        ("dataset.unique_intervals", float(len(unique_picks))),
-        ("dataset.intervals_characterized", float(len(fresh))),
+        ("dataset.unique_intervals", float(n_unique)),
+        ("dataset.intervals_characterized", float(n_computed)),
     ]
     if cached_blocks is not None:
-        updates.append(
-            ("feature_blocks.interval_hits", float(len(unique_picks) - len(fresh)))
-        )
-        updates.append(("feature_blocks.interval_misses", float(len(fresh))))
+        updates.append(("feature_blocks.interval_hits", float(n_unique - n_computed)))
+        updates.append(("feature_blocks.interval_misses", float(n_computed)))
     metrics().counter_add_many(updates)
-    return vectors[inverse], picks, len(unique_picks), fresh
+    return rows, n_unique, fresh
 
 
 def build_dataset(
     benchmarks: Sequence[Benchmark],
     config: AnalysisConfig,
     *,
-    progress: Optional[Callable[[str], None]] = None,
     counts: Optional[Dict[str, int]] = None,
     executor: Optional[Executor] = None,
     feature_cache=None,
@@ -156,25 +168,22 @@ def build_dataset(
     """Sample and characterize intervals for the given benchmarks.
 
     For each benchmark, ``config.intervals_per_benchmark`` intervals are
-    selected (step 2 of the methodology) and characterized with the 69
-    MICA metrics (step 1).  Duplicate interval picks — which occur for
-    benchmarks shorter than the sample size — are characterized once and
-    their rows replicated.
+    selected (step 2 of the methodology, :func:`build_sampling_plan`)
+    and characterized with the 69 MICA metrics (step 1,
+    :func:`featurize_picks`).  Duplicate interval picks — which occur
+    for benchmarks shorter than the sample size — are characterized
+    once and their rows replicated.
 
     Benchmarks are independent (each draws its randomness from its own
     keyed stream), so they fan out across ``config.n_jobs`` workers; the
     assembled dataset is bit-identical to a serial build for any worker
-    count or backend.
+    count or backend.  One INFO log line per benchmark reports progress,
+    always in benchmark order.
 
     Args:
         benchmarks: the workloads to include.
         config: scale parameters, including ``n_jobs`` and
             ``parallel_backend``.
-        progress: optional callback receiving one message per benchmark,
-            always in benchmark order.  *Deprecated:* the same lines are
-            now emitted at INFO level through :mod:`repro.obs.log`
-            (enable with ``repro.obs.configure_logging``); the callback
-            is kept as a thin adapter for backward compatibility.
         counts: optional per-benchmark sample-count overrides keyed by
             benchmark key (``suite/name``).  Used by the interval-
             sampling ablation to weight benchmarks by their dynamic
@@ -190,8 +199,7 @@ def build_dataset(
     Returns:
         The assembled :class:`WorkloadDataset`.
     """
-    if not benchmarks:
-        raise ValueError("need at least one benchmark")
+    plan = build_sampling_plan(benchmarks, config, counts=counts)
     if executor is None:
         executor = get_executor(config.parallel_backend, config.n_jobs)
     cached_blocks = None
@@ -201,44 +209,37 @@ def build_dataset(
         }
 
     def report(i: int, result) -> None:
-        n_unique, fresh = result[2], result[3]
-        line = (
-            f"characterized {benchmarks[i].key}: {n_unique} unique intervals"
-            f" ({len(fresh)} computed)"
+        n_unique, fresh = result[1], result[2]
+        log.info(
+            "characterized %s: %d unique intervals (%d computed)",
+            benchmarks[i].key,
+            n_unique,
+            len(fresh),
         )
-        log.info("%s", line)
         # The sampling plan fixes the total up front, so fraction/ETA
         # are exact; on_result fires in submission order, so `i + 1`
         # benchmarks are done when benchmark `i` reports.
         emit_progress("dataset.build", i + 1, len(benchmarks))
-        if progress is not None:
-            progress(line)
 
     # Tasks that run on this thread share its workspace.
     with span("dataset.build", benchmarks=len(benchmarks)), thread_workspace():
         blocks = executor.map(
             _characterize_benchmark,
             range(len(benchmarks)),
-            payload=(benchmarks, config, counts, cached_blocks),
+            payload=(plan, config, cached_blocks),
             labels=[b.key for b in benchmarks],
             on_result=report,
         )
-    rows: List[np.ndarray] = []
-    suites: List[str] = []
-    names: List[str] = []
-    indices: List[int] = []
-    for bench, (block, picks, _, fresh) in zip(benchmarks, blocks):
-        if feature_cache is not None and fresh:
-            feature_cache.store(bench.key, config, fresh)
-        rows.append(block)
-        suites.extend([bench.suite] * len(picks))
-        names.extend([bench.name] * len(picks))
-        indices.extend(int(i) for i in picks)
+    if feature_cache is not None:
+        for bench, (_, _, fresh) in zip(benchmarks, blocks):
+            if fresh:
+                feature_cache.store(bench.key, config, fresh)
+    suites, names, indices = plan.provenance()
     return WorkloadDataset(
-        features=np.vstack(rows),
-        suites=np.array(suites),
-        benchmarks=np.array(names),
-        interval_indices=np.array(indices, dtype=np.int64),
+        features=np.vstack([rows for rows, _, _ in blocks]),
+        suites=suites,
+        benchmarks=names,
+        interval_indices=indices,
     )
 
 
@@ -249,9 +250,10 @@ class SamplingPlan:
     Sampling (methodology step 2) depends only on the config and each
     benchmark's nominal length, so the full row sequence — benchmark
     order, per-benchmark sorted picks, duplicates included — is fixed
-    upfront.  The streaming path plans against it: row ``i`` of the
-    plan is row ``i`` of the exact path's :class:`WorkloadDataset`, so
-    streamed results align row-for-row with materialized ones.
+    upfront.  Both engines build from it: :func:`build_dataset`
+    featurizes it benchmark by benchmark and the streaming engine
+    batch by batch (:func:`iter_feature_batches`), so streamed results
+    align row-for-row with materialized ones.
     """
 
     benchmarks: Tuple[Benchmark, ...]
@@ -268,8 +270,8 @@ class SamplingPlan:
     def total_rows(self) -> int:
         return int(sum(len(p) for p in self.picks))
 
-    def provenance(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``(suites, benchmarks, interval_indices)`` row arrays."""
+    @cached_property
+    def _provenance(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         suites = np.concatenate(
             [np.repeat(b.suite, len(p)) for b, p in zip(self.benchmarks, self.picks)]
         )
@@ -278,6 +280,13 @@ class SamplingPlan:
         )
         indices = np.concatenate(self.picks).astype(np.int64)
         return suites, names, indices
+
+    def provenance(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(suites, benchmarks, interval_indices)`` row arrays.
+
+        Built once per plan; callers share the arrays.
+        """
+        return self._provenance
 
 
 def build_sampling_plan(
@@ -288,11 +297,11 @@ def build_sampling_plan(
 ) -> SamplingPlan:
     """Draw every benchmark's interval picks without featurizing any.
 
-    Identical sampling discipline to :func:`build_dataset` (same keyed
-    streams, same sort, same duplicate handling), factored out so the
-    streaming engine can fix the row layout — total rows, restart
-    initialization rows, batch boundaries — before the first trace is
-    generated.
+    Each benchmark's ``config.intervals_per_benchmark`` picks (or its
+    ``counts`` override) come from its own keyed stream, sorted, under
+    a ``sampling`` span.  Fixing them upfront gives both engines one
+    row layout — total rows, restart initialization rows, batch
+    boundaries — before the first trace is generated.
     """
     if not benchmarks:
         raise ValueError("need at least one benchmark")
@@ -301,7 +310,10 @@ def build_sampling_plan(
         n_samples = config.intervals_per_benchmark
         if counts is not None:
             n_samples = counts.get(bench.key, n_samples)
-        picks.append(sample_interval_indices(bench, n_samples, seed=config.seed))
+        with span("sampling", benchmark=bench.key) as sp:
+            bench_picks = sample_interval_indices(bench, n_samples, seed=config.seed)
+            sp.set(picks=len(bench_picks), unique=len(set(bench_picks.tolist())))
+        picks.append(bench_picks)
     return SamplingPlan(benchmarks=tuple(benchmarks), picks=tuple(picks))
 
 
@@ -324,50 +336,6 @@ class FeatureBatch:
         return len(self.features)
 
 
-def _featurize_segment(
-    bench: Benchmark,
-    config: AnalysisConfig,
-    seg_picks: np.ndarray,
-    cached: Optional[Dict[int, np.ndarray]],
-    fresh: Dict[int, np.ndarray],
-    ws: Workspace,
-) -> np.ndarray:
-    """Feature rows for one benchmark's slice of a streaming batch.
-
-    Same featurization discipline as :func:`_characterize_benchmark`:
-    duplicates collapse to one computation, cached vectors short-
-    circuit, uncached intervals run through the fused whole-trace
-    meters in :data:`~repro.mica.FUSED_BATCH_INSTRUCTIONS`-bounded
-    groups.  Per-interval vectors are bit-identical regardless of how
-    the stream is batched (pinned in ``tests/mica/test_fused.py``).
-    """
-    unique_picks, inverse = np.unique(seg_picks, return_inverse=True)
-    vectors = np.empty((len(unique_picks), N_FEATURES), dtype=np.float64)
-    to_compute = []
-    for j, interval_idx in enumerate(unique_picks):
-        interval_idx = int(interval_idx)
-        vec = fresh.get(interval_idx)
-        if vec is None and cached is not None:
-            vec = cached.get(interval_idx)
-        if vec is None:
-            to_compute.append((j, interval_idx))
-        else:
-            vectors[j] = vec
-    for batch in batch_slices(len(to_compute), config.interval_instructions):
-        chunk = to_compute[batch]
-        matrix = _featurize_batch(bench, chunk, config, ws)
-        for (j, interval_idx), vec in zip(chunk, matrix):
-            fresh[interval_idx] = vec
-            vectors[j] = vec
-    metrics().counter_add_many(
-        [
-            ("streaming.rows", float(len(seg_picks))),
-            ("streaming.intervals_characterized", float(len(to_compute))),
-        ]
-    )
-    return vectors[inverse]
-
-
 def iter_feature_batches(
     plan: SamplingPlan,
     config: AnalysisConfig,
@@ -384,9 +352,10 @@ def iter_feature_batches(
     rows plus one :class:`~repro.mica.workspace.Workspace`, the trace
     columns and fused-pass arena of one fused batch (at most
     :data:`~repro.mica.FUSED_BATCH_INSTRUCTIONS` instructions), reused
-    by every fused batch of the sweep — never the whole matrix.
-    Batches may span benchmark boundaries; that changes nothing,
-    because intervals are seeded and metered independently.
+    by every fused batch of the sweep — never the whole matrix.  The
+    provenance arrays are slices of the plan's.  Batches may span
+    benchmark boundaries; that changes nothing, because intervals are
+    seeded and metered independently (:func:`featurize_picks`).
 
     With a ``feature_cache``, each benchmark's block is loaded when
     the stream enters the benchmark and dropped when it leaves, and
@@ -403,6 +372,7 @@ def iter_feature_batches(
         raise ValueError("batch_intervals must be >= 1")
     offsets = plan.offsets
     total = plan.total_rows
+    suites, names, indices = plan.provenance()
     cached: Optional[Dict[int, np.ndarray]] = None
     fresh: Dict[int, np.ndarray] = {}
     current_bench = -1
@@ -412,9 +382,6 @@ def iter_feature_batches(
     for start in range(0, total, batch_intervals):
         stop = min(start + batch_intervals, total)
         features = np.empty((stop - start, N_FEATURES), dtype=np.float64)
-        suites: List[str] = []
-        names: List[str] = []
-        indices: List[int] = []
         for i, bench in enumerate(plan.benchmarks):
             lo = max(start, int(offsets[i]))
             hi = min(stop, int(offsets[i + 1]))
@@ -428,13 +395,17 @@ def iter_feature_batches(
                     if feature_cache is not None
                     else None
                 )
-            seg_picks = plan.picks[i][lo - int(offsets[i]) : hi - int(offsets[i])]
-            features[lo - start : hi - start] = _featurize_segment(
-                bench, config, seg_picks, cached, fresh, ws
+            seg_picks = indices[lo:hi]
+            rows, _, n_computed = featurize_picks(
+                bench, seg_picks, config, ws, fresh, cached
             )
-            suites.extend([bench.suite] * (hi - lo))
-            names.extend([bench.name] * (hi - lo))
-            indices.extend(int(p) for p in seg_picks)
+            features[lo - start : hi - start] = rows
+            metrics().counter_add_many(
+                [
+                    ("streaming.rows", float(hi - lo)),
+                    ("streaming.intervals_characterized", float(n_computed)),
+                ]
+            )
             if hi == int(offsets[i + 1]):
                 # Leaving the benchmark: persist what this pass computed
                 # and release its block.
@@ -450,7 +421,7 @@ def iter_feature_batches(
         yield FeatureBatch(
             start=start,
             features=features,
-            suites=np.array(suites),
-            benchmarks=np.array(names),
-            interval_indices=np.array(indices, dtype=np.int64),
+            suites=suites[start:stop],
+            benchmarks=names[start:stop],
+            interval_indices=indices[start:stop],
         )

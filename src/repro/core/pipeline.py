@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,7 +31,14 @@ from ..stats import Clustering, fit_pca, kmeans
 from ..suites import Benchmark
 from ..synth.rng import generator
 from .dataset import WorkloadDataset, build_dataset
-from .prominent import ProminentPhases, select_prominent_phases
+from .prominent import (
+    ANALYSIS_ARRAYS,
+    ANALYSIS_META,
+    ProminentPhases,
+    analysis_from_artifact,
+    analysis_to_artifact,
+    select_prominent_phases,
+)
 
 log = get_logger(__name__)
 
@@ -70,46 +77,19 @@ class PhaseCharacterization:
         return self.dataset.features[self.prominent.representative_rows]
 
 
-_ANALYSIS_ARRAYS = (
-    "space",
-    "labels",
-    "centers",
-    "prominent_cluster_ids",
-    "prominent_weights",
-    "prominent_representatives",
-)
-_ANALYSIS_META = ("n_components", "explained_variance", "bic", "inertia", "n_iter")
-
-
 def _load_analysis_stage(checkpoint: Optional[StageCheckpoint]):
     """Unpack a checkpointed PCA/clustering/prominent stage, if any."""
     if checkpoint is None:
         return None
     loaded = checkpoint.load(
-        "analysis", require_arrays=_ANALYSIS_ARRAYS, require_meta=_ANALYSIS_META
+        "analysis",
+        require_arrays=("space",) + ANALYSIS_ARRAYS,
+        require_meta=ANALYSIS_META,
     )
     if loaded is None:
         return None
     arrays, meta = loaded
-    clustering = Clustering(
-        centers=arrays["centers"],
-        labels=arrays["labels"],
-        bic=float(meta["bic"]),
-        inertia=float(meta["inertia"]),
-        n_iter=int(meta["n_iter"]),
-    )
-    prominent = ProminentPhases(
-        cluster_ids=arrays["prominent_cluster_ids"],
-        weights=arrays["prominent_weights"],
-        representative_rows=arrays["prominent_representatives"],
-    )
-    return (
-        arrays["space"],
-        int(meta["n_components"]),
-        float(meta["explained_variance"]),
-        clustering,
-        prominent,
-    )
+    return (arrays["space"],) + analysis_from_artifact(arrays, meta)
 
 
 def _load_ga_stage(checkpoint: Optional[StageCheckpoint]) -> Optional[GAResult]:
@@ -132,7 +112,6 @@ def run_characterization(
     config: AnalysisConfig,
     *,
     select_key: bool = True,
-    progress: Optional[Callable[[str], None]] = None,
     checkpoint: Optional[StageCheckpoint] = None,
 ) -> PhaseCharacterization:
     """Run PCA, clustering, prominent-phase selection and the GA.
@@ -145,12 +124,6 @@ def run_characterization(
             a fixed seed at any worker count).
         select_key: run the GA key-characteristic selection (step 5);
             disable for analyses that only need the clustering.
-        progress: optional sink for per-generation GA progress lines
-            (best fitness, fitness-cache hit rate).  *Deprecated:* the
-            same lines are emitted at INFO level through
-            :mod:`repro.obs.log`, and the underlying numbers land in
-            the metrics registry; the callback is kept as a thin
-            adapter for backward compatibility.
         checkpoint: optional :class:`repro.io.StageCheckpoint`.  The
             PCA/clustering/prominent block (stage ``analysis``) and the
             GA (stage ``ga``) are each persisted atomically as they
@@ -216,24 +189,10 @@ def run_characterization(
         emit_progress("analysis", 3, analysis_steps)
         reg.gauge_set("prominent.coverage", prominent.coverage)
         if checkpoint is not None:
-            checkpoint.save(
-                "analysis",
-                {
-                    "space": space,
-                    "labels": clustering.labels,
-                    "centers": clustering.centers,
-                    "prominent_cluster_ids": prominent.cluster_ids,
-                    "prominent_weights": prominent.weights,
-                    "prominent_representatives": prominent.representative_rows,
-                },
-                meta={
-                    "n_components": n_components,
-                    "explained_variance": explained,
-                    "bic": clustering.bic,
-                    "inertia": clustering.inertia,
-                    "n_iter": clustering.n_iter,
-                },
+            arrays, meta = analysis_to_artifact(
+                n_components, explained, clustering, prominent
             )
+            checkpoint.save("analysis", {"space": space, **arrays}, meta=meta)
 
     key_names: Optional[List[str]] = None
     ga_result: Optional[GAResult] = None
@@ -253,7 +212,6 @@ def run_characterization(
                     config.n_key_characteristics,
                     config=config,
                     rng=generator("ga", config.seed),
-                    progress=progress,
                 )
                 sp.set(fitness=ga_result.fitness, generations=ga_result.generations)
             if checkpoint is not None:

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Dict, Union
 
 import numpy as np
 
 from ..obs import get_logger
-from ..stats import Clustering
 from .dataset import WorkloadDataset
 from .pipeline import PhaseCharacterization
-from .prominent import ProminentPhases
+from .prominent import ANALYSIS_META, analysis_from_artifact, analysis_to_artifact
 
 PathLike = Union[str, Path]
 
@@ -30,14 +29,7 @@ DATASET_SCHEMA = "dataset"
 CHARACTERIZATION_SCHEMA = "characterization"
 
 #: Header meta keys a characterization cannot be reconstructed without.
-_REQUIRED_CHARACTERIZATION_META = (
-    "n_components",
-    "explained_variance",
-    "key_characteristics",
-    "bic",
-    "inertia",
-    "n_iter",
-)
+_REQUIRED_CHARACTERIZATION_META = ANALYSIS_META + ("key_characteristics",)
 
 
 def dataset_arrays(dataset: WorkloadDataset) -> Dict[str, np.ndarray]:
@@ -97,26 +89,17 @@ def save_characterization(result: PhaseCharacterization, path: PathLike) -> None
     """
     from ..io.artifacts import write_artifact
 
-    meta: Dict[str, Any] = {
-        "n_components": result.n_components,
-        "explained_variance": result.explained_variance,
-        "key_characteristics": result.key_characteristics or [],
-        "bic": result.clustering.bic,
-        "inertia": result.clustering.inertia,
-        "n_iter": result.clustering.n_iter,
-    }
+    analysis, meta = analysis_to_artifact(
+        result.n_components,
+        result.explained_variance,
+        result.clustering,
+        result.prominent,
+    )
+    meta["key_characteristics"] = result.key_characteristics or []
     if result.ga_result is not None:
         meta["ga_fitness"] = result.ga_result.fitness
         meta["ga_history"] = [float(h) for h in result.ga_result.history]
-    arrays = dict(dataset_arrays(result.dataset))
-    arrays.update(
-        space=result.space,
-        labels=result.clustering.labels,
-        centers=result.clustering.centers,
-        prominent_cluster_ids=result.prominent.cluster_ids,
-        prominent_weights=result.prominent.weights,
-        prominent_representatives=result.prominent.representative_rows,
-    )
+    arrays = {**dataset_arrays(result.dataset), "space": result.space, **analysis}
     write_artifact(path, arrays, schema=CHARACTERIZATION_SCHEMA, meta=meta)
 
 
@@ -146,17 +129,8 @@ def load_characterization(path: PathLike) -> PhaseCharacterization:
         )
     dataset = dataset_from_arrays(arrays)
     try:
-        clustering = Clustering(
-            centers=arrays["centers"],
-            labels=arrays["labels"],
-            bic=float(meta["bic"]),
-            inertia=float(meta["inertia"]),
-            n_iter=int(meta["n_iter"]),
-        )
-        prominent = ProminentPhases(
-            cluster_ids=arrays["prominent_cluster_ids"],
-            weights=arrays["prominent_weights"],
-            representative_rows=arrays["prominent_representatives"],
+        n_components, explained, clustering, prominent = analysis_from_artifact(
+            arrays, meta
         )
         space = arrays["space"]
     except (KeyError, ValueError, TypeError) as exc:
@@ -190,8 +164,8 @@ def load_characterization(path: PathLike) -> PhaseCharacterization:
     return PhaseCharacterization(
         dataset=dataset,
         space=space,
-        n_components=int(meta["n_components"]),
-        explained_variance=float(meta["explained_variance"]),
+        n_components=n_components,
+        explained_variance=explained,
         clustering=clustering,
         prominent=prominent,
         key_characteristics=key,

@@ -11,7 +11,7 @@ correlation-versus-size curve of Figure 1 is produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -99,17 +99,13 @@ def _emit_generation(
     n_select: int,
     generation: int,
     gen_best: float,
-    progress: Optional[Callable[[str], None]],
     total_generations: int = 0,
 ) -> None:
-    """Publish one generation's summary: obs metrics, log line, adapter.
+    """Publish one generation's summary: obs metrics and an INFO line.
 
-    The ``progress`` callback receives the exact line the old
-    ``print``-plumbing produced, so existing callers keep working; the
-    obs layer is the primary sink.  ``total_generations`` (the config
-    cap; early stopping can finish sooner, making the ETA an upper
-    bound) feeds the live telemetry progress stream when a bus is
-    attached.
+    ``total_generations`` (the config cap; early stopping can finish
+    sooner, making the ETA an upper bound) feeds the live telemetry
+    progress stream when a bus is attached.
     """
     reg = metrics()
     reg.counter_add("ga.generations", 1)
@@ -128,8 +124,6 @@ def _emit_generation(
             f" ({info['hits']}/{info['lookups']})"
         )
     log.info("%s", line)
-    if progress is not None:
-        progress(line)
 
 
 def select_features(
@@ -139,7 +133,6 @@ def select_features(
     *,
     config: AnalysisConfig,
     rng: np.random.Generator,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> GAResult:
     """Evolve a feature subset of size ``n_select`` maximizing ``fitness``.
 
@@ -149,16 +142,11 @@ def select_features(
         n_select: subset cardinality to maintain.
         config: GA population/generation parameters.
         rng: randomness source.
-        progress: optional sink for a one-line summary per generation
-            (best fitness so far, and the fitness cache hit rate when
-            the fitness exposes ``cache_info``).  *Deprecated:* the
-            per-generation telemetry now flows through the obs layer —
-            the same line is logged at INFO level via
-            :func:`repro.obs.get_logger` and the numbers land in the
-            active metrics registry (``ga.best_fitness``,
-            ``ga.generations``, ``ga.fitness_cache.*``); this callback
-            is kept as a thin adapter for backward compatibility and
-            may be removed in a future major version.
+
+    Each generation logs one INFO line (best fitness so far, and the
+    fitness cache hit rate when the fitness exposes ``cache_info``)
+    and updates ``ga.best_fitness``, ``ga.generations`` and
+    ``ga.fitness_cache.*`` in the active metrics registry.
 
     Returns:
         The best solution found, with per-generation history.
@@ -212,7 +200,6 @@ def select_features(
             n_select,
             generation,
             float(gen_best),
-            progress,
             config.ga_generations,
         )
         if gen_best > best_score + 1e-12:
@@ -240,7 +227,6 @@ def correlation_curve(
     *,
     config: AnalysisConfig,
     rng: np.random.Generator,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> dict:
     """Best fitness per subset size — the Figure 1 curve.
 
@@ -249,7 +235,7 @@ def correlation_curve(
     out = {}
     for size in sizes:
         result = select_features(
-            fitness, n_features, size, config=config, rng=rng, progress=progress
+            fitness, n_features, size, config=config, rng=rng
         )
         out[size] = result
     return out

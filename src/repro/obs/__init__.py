@@ -23,7 +23,9 @@ The pipeline's window into itself.  Four pieces, stdlib-only:
   tree, final metrics), written via ``--run-report`` and rendered by
   ``repro report``.  The span tree is one fold of the event log, the
   same fold ``repro report --from-events`` and ``repro watch``
-  (:mod:`repro.obs.live`) apply to a log on disk.
+  (:mod:`repro.obs.live`) apply to a log on disk.  :class:`recorded_run`
+  (:mod:`repro.obs.run`) is the one scaffold that brackets a run's log
+  with ``run.start`` and ``run.end`` around its observation.
 
 Everything is inert until :func:`observe` installs an observation:
 with none active, :func:`span` and :func:`metrics` return shared
@@ -75,6 +77,7 @@ from .report import (
     validate_report,
     write_report,
 )
+from .run import recorded_run
 from .spans import (
     Observation,
     Snapshot,
@@ -131,6 +134,7 @@ __all__ = [
     "peak_rss_mb",
     "read_events",
     "record_peak_rss",
+    "recorded_run",
     "render_diff",
     "render_live",
     "render_report",

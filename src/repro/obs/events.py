@@ -45,8 +45,9 @@ assigned, strictly monotonic), ``ts`` (unix time), ``run_id``, and
     where that task's surviving events merge.  A report folded from a
     log with any is ``partial``.
 ``run.end``
-    ``ok`` and, when events were dropped, ``dropped_events`` (their
-    total).
+    ``ok``; ``wall_s`` and ``cpu_s``, the observed run's clocks (the
+    run report's root durations), when the run was observed; and, when
+    events were dropped, ``dropped_events`` (their total).
 
 **Crash tolerance.**  The sink flushes after every line, so a
 SIGKILL'd run leaves a parseable prefix (at worst one truncated final
@@ -85,8 +86,9 @@ __all__ = [
 #: run-report ``SCHEMA_VERSION`` discipline).
 EVENT_SCHEMA_VERSION = 1
 
-#: Events a worker task's log keeps before older ones are dropped
-#: (oldest first; the drop is logged as an ``events.dropped`` event).
+#: Events a worker task's log keeps before later ones are dropped
+#: (closes of kept spans excepted; the drop is logged as an
+#: ``events.dropped`` event).
 MAX_WORKER_EVENTS = 10_000
 
 PathLike = Union[str, Path]
@@ -214,9 +216,10 @@ class EventBus:
         """Emit ``run.start`` (command, preset, config digest, environment)."""
         self.emit("run.start", **fields)
 
-    def close(self, ok: bool = True) -> None:
-        """Emit ``run.end`` and close the sink; idempotent."""
-        fields: Dict[str, Any] = {"ok": bool(ok)}
+    def close(self, ok: bool = True, **clocks: float) -> None:
+        """Emit ``run.end`` (with any ``wall_s``/``cpu_s`` given) and
+        close the sink; idempotent."""
+        fields: Dict[str, Any] = {"ok": bool(ok), **clocks}
         if self._dropped:
             fields["dropped_events"] = self._dropped
         self.emit("run.end", **fields)

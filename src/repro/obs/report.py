@@ -185,7 +185,8 @@ def build_report(
     """Fold an observation's event log into the report document.
 
     Args:
-        observation: the run's telemetry; its clocks are closed here.
+        observation: the run's telemetry; its clocks stop here unless
+            they already have (:meth:`~repro.obs.Observation.finish`).
         config: the :class:`~repro.config.AnalysisConfig` (or any
             dataclass with a ``full_key``); omitted fields leave the
             config section empty but present.
@@ -219,8 +220,9 @@ def report_from_events(
 
     The same fold as :func:`build_report`, over a log read back from
     disk: ``run.start`` supplies the command, config and environment,
-    and ``metric`` events the counters and gauges.  Spans still open
-    when the log ends — the residue of a SIGKILL — are kept and flagged
+    ``metric`` events the counters and gauges, and ``run.end`` the
+    root's ``wall_s`` and ``cpu_s`` (the live report's).  Spans still
+    open when the log ends — the residue of a SIGKILL — are kept and flagged
     ``partial: true``; the report itself carries ``partial: true``
     whenever the log lacks ``run.end``.  The result passes
     :func:`validate_report`.
@@ -239,6 +241,7 @@ def report_from_events(
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
     ended = False
+    clocks = (None, None)
     for event in events:
         fold.feed(event)
         etype = event.get("type")
@@ -254,6 +257,7 @@ def report_from_events(
                 environment.update(event["environment"])
         elif etype == "run.end":
             ended = True
+            clocks = (event.get("wall_s"), event.get("cpu_s"))
         elif etype == "metric":
             for cname, delta in (event.get("counters") or {}).items():
                 if isinstance(delta, (int, float)):
@@ -261,7 +265,10 @@ def report_from_events(
             for gname, value in (event.get("gauges") or {}).items():
                 if isinstance(value, (int, float)):
                     gauges[gname] = float(value)
-    if created is not None and fold.last_ts is not None:
+    if all(isinstance(c, (int, float)) for c in clocks):
+        fold.root.wall_s, fold.root.cpu_s = (float(c) for c in clocks)
+    elif created is not None and fold.last_ts is not None:
+        # No run clocks (a killed run): estimate from the event times.
         fold.root.wall_s = max(0.0, float(fold.last_ts) - float(created))
     return _document(
         fold,

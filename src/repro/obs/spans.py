@@ -27,8 +27,10 @@ instrumented library code pays a dictionary lookup and nothing else.
 
 **Executors.**  Worker tasks (threads or forked processes) run inside
 :func:`capture`: an isolated observation whose log holds a ``task``
-span (attribute ``label``) around the task and keeps at most
-:data:`~repro.obs.events.MAX_WORKER_EVENTS` events, oldest dropped.
+span (attribute ``label``) around the task and keeps its first
+:data:`~repro.obs.events.MAX_WORKER_EVENTS` events plus the closes of
+the spans those opened; later events are dropped, so an overflowing
+task keeps its ``task`` node and never re-parents a span.
 Its :class:`Snapshot` — events, drop count, metrics — travels back with
 the task result, and :meth:`Observation.merge_snapshot` replays the
 events under the caller's current span and adds the metrics, exactly
@@ -50,8 +52,7 @@ import itertools
 import threading
 import time
 import uuid
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .events import MAX_WORKER_EVENTS, ProgressEstimator
 from .metrics import NOOP_REGISTRY, MetricsRegistry
@@ -330,8 +331,9 @@ class Observation:
         root_name: name of the root span the log folds under.
         emitter: optional :class:`repro.obs.events.EventBus` that
             writes every logged event to its sink as it is logged.
-        max_events: bound on the log (oldest events dropped past it,
-            counted in :attr:`dropped`); unbounded when None.
+        max_events: bound on the log (later events dropped past it,
+            except the closes of kept spans; counted in
+            :attr:`dropped`); unbounded when None.
 
     The log is :attr:`events`, oldest first.
     """
@@ -347,10 +349,13 @@ class Observation:
         self.root_name = root_name
         self.metrics = MetricsRegistry()
         self.emitter = emitter
-        self.events: Deque[Dict[str, Any]] = deque(maxlen=max_events)
+        self.events: List[Dict[str, Any]] = []
         self.dropped = 0
         self.wall_s = 0.0
         self.cpu_s = 0.0
+        self._finished = False
+        self._max_events = max_events
+        self._kept_depth: Dict[Optional[str], int] = {}
         self._lock = threading.Lock()
         self._owner = threading.get_ident()
         self._main = _ThreadState(None)
@@ -381,11 +386,28 @@ class Observation:
         # One lock orders the log and the bus alike, so the written
         # stream folds to the same tree as the log.
         with self._lock:
-            if len(self.events) == self.events.maxlen:
+            if self._max_events is not None and not self._admit(event):
                 self.dropped += 1
+                return
             self.events.append(event)
             if self.emitter is not None:
                 self.emitter.write(event)
+
+    def _admit(self, event: Dict[str, Any]) -> bool:
+        """Whether a bounded log keeps ``event``: its first ``max_events``
+        events, then only the ``span.close`` of each span whose open it
+        kept (the kept opens still open on a thread are its depths
+        ``1..kept``).  It overshoots by at most the open depth, and a
+        span opened past the bound is dropped whole."""
+        full = len(self.events) >= self._max_events
+        thread, etype = event.get("thread"), event.get("type")
+        kept = self._kept_depth.get(thread, 0)
+        if etype == "span.open" and not full:
+            self._kept_depth[thread] = kept + 1
+        elif etype == "span.close" and (not full or event.get("depth", 0) <= kept):
+            self._kept_depth[thread] = kept - 1
+            return True
+        return not full
 
     def emit(self, type: str, **fields: Any) -> None:
         """Log one event (and write it through the bus, if attached)."""
@@ -423,7 +445,10 @@ class Observation:
         self.emit("metric", counters=deltas, gauges=snap["gauges"])
 
     def finish(self) -> None:
-        """Close the run's clocks (idempotent enough for reports)."""
+        """Stop the run's clocks; later calls keep the first reading."""
+        if self._finished:
+            return
+        self._finished = True
         self.wall_s = time.perf_counter() - self._wall0
         self.cpu_s = time.process_time() - self._cpu0
 
@@ -566,7 +591,7 @@ class capture:
     Unlike :class:`observe`, only the worker thread's local slot is
     touched — concurrent tasks log into disjoint observations and the
     parent's log is never written from a worker.  The task runs inside
-    a ``root_name`` span carrying ``label``; the log keeps at most
+    a ``root_name`` span carrying ``label``; the log is bounded by
     :data:`~repro.obs.events.MAX_WORKER_EVENTS` events.  The parent
     replays it with :meth:`Observation.merge_snapshot`.
     """

@@ -136,57 +136,44 @@ class Worker:
             log.exception("job %s carries an unusable payload", job_id)
             self.queue.fail(job_id, self.name, f"{type(exc).__name__}: {exc}")
             return False
-        run_id = f"{job_id}.a{attempt}"
-        events = events_path(self.root, job_id, attempt)
-        events.parent.mkdir(parents=True, exist_ok=True)
-        bus = obs.EventBus(obs.JsonlSink(events), run_id)
-        from ..obs.report import _environment
-
-        bus.start(
-            command="service.characterize",
-            job=job_id,
-            attempt=attempt,
-            worker=self.name,
-            benchmarks=len(benches),
-            config={"digest": config.full_key(), "fields": {}},
-            environment=_environment(),
-            pid=os.getpid(),
-        )
         # The build ledger line lands *before* the pipeline runs: a
         # worker SIGKILL'd mid-build has still consumed its attempt, so
         # "exactly one build" in the dedup tests means one *successful*
         # pipeline execution plus any killed prefixes the test injected.
         self.queue.record_build(job_id, attempt, self.name)
-        observation = None
-        ok = False
         try:
-            with obs.observe(run_id=run_id, emitter=bus) as observation:
-                result = characterize_to_file(
-                    benches,
-                    config,
-                    output,
-                    suite_tag=suite_tag(suites),
-                    resume=True,
-                    select_key=True,
-                    span_attrs={"job": job_id, "attempt": attempt},
+            with obs.recorded_run(
+                f"{job_id}.a{attempt}",
+                command="service.characterize",
+                config=config,
+                events=events_path(self.root, job_id, attempt),
+                job=job_id,
+                attempt=attempt,
+                worker=self.name,
+                benchmarks=len(benches),
+            ) as run:
+                with run.observing() as observation:
+                    result = characterize_to_file(
+                        benches,
+                        config,
+                        output,
+                        suite_tag=suite_tag(suites),
+                        resume=True,
+                        select_key=True,
+                        span_attrs={"job": job_id, "attempt": attempt},
+                    )
+                report = obs.build_report(
+                    observation, config=config, command="service.characterize"
                 )
-            report = obs.build_report(
-                observation, config=config, command="service.characterize"
-            )
-            obs.write_report(job_dir(self.root, job_id) / "report.json", report)
-            self.queue.complete(
-                job_id, self.name, self._result_doc(output, result, cached=False)
-            )
-            ok = True
+                obs.write_report(job_dir(self.root, job_id) / "report.json", report)
+                self.queue.complete(
+                    job_id, self.name, self._result_doc(output, result, cached=False)
+                )
             return True
         except Exception as exc:  # noqa: BLE001 - a failed job must not kill the worker
             log.exception("job %s attempt %d failed", job_id, attempt)
             self.queue.fail(job_id, self.name, f"{type(exc).__name__}: {exc}")
             return False
-        finally:
-            if observation is not None:
-                observation.emit_metric_deltas()
-            bus.close(ok=ok)
 
     # -- the loop ---------------------------------------------------------
 

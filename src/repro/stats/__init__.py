@@ -1,6 +1,6 @@
 """Statistics: normalization, PCA, k-means + BIC, distances, correlation."""
 
-from .bic import kmeans_bic
+from .bic import bic_from_stats, kmeans_bic
 from .correlation import pearson
 from .distance import condensed_distances, distances_to, pairwise_distances
 from .incremental_pca import IncrementalPCA, StreamingProjector
@@ -13,7 +13,7 @@ from .kmeans_engine import (
 )
 from .normalize import Normalizer, normalize
 from .pca import GramPCA, PCAModel, fit_pca, rescaled_pca_space
-from .streaming_kmeans import FrozenScorer, StreamingLloyd, bic_from_stats
+from .streaming_kmeans import FrozenScorer, StreamingLloyd
 
 __all__ = [
     "AUTO_CROSSOVER_ENTRIES",

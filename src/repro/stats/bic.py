@@ -13,6 +13,33 @@ import math
 import numpy as np
 
 
+def bic_from_stats(n: int, d: int, sse: float, counts: np.ndarray) -> float:
+    """BIC (higher is better) of ``n`` points in ``d`` dimensions from
+    their total squared distance to their centers, ``sse``, and the
+    per-cluster ``counts``; ``-inf`` when ``n <= k``.
+
+    Needs no points, so a frozen-center scoring pass over a stream
+    (:class:`~repro.stats.FrozenScorer`) scores with the formula
+    :func:`kmeans_bic` returns.
+    """
+    k = len(counts)
+    if n <= k:
+        return float("-inf")
+    # Pooled maximum-likelihood variance of the spherical model.
+    sigma2 = sse / (d * (n - k))
+    if sigma2 <= 0:
+        sigma2 = 1e-12
+    nonzero = counts[counts > 0].astype(np.float64)
+    log_likelihood = (
+        float(np.sum(nonzero * np.log(nonzero)))
+        - n * math.log(n)
+        - n * d / 2.0 * math.log(2.0 * math.pi * sigma2)
+        - (n - k) * d / 2.0
+    )
+    n_params = (k - 1) + k * d + 1
+    return log_likelihood - n_params / 2.0 * math.log(n)
+
+
 def kmeans_bic(
     points: np.ndarray,
     labels: np.ndarray,
@@ -32,29 +59,13 @@ def kmeans_bic(
             materialized.
 
     Returns:
-        The BIC score; ``-inf`` when the clustering is degenerate
-        (fewer points than clusters).
+        :func:`bic_from_stats` of the clustering's SSE and cluster
+        sizes.
     """
     n, d = points.shape
-    k = len(centers)
-    if n <= k:
-        return float("-inf")
     if assigned_sq is not None:
         sse = float(assigned_sq.sum())
     else:
         diffs = points - centers[labels]
         sse = float(np.sum(diffs**2))
-    # Pooled maximum-likelihood variance of the spherical model.
-    sigma2 = sse / (d * (n - k))
-    if sigma2 <= 0:
-        sigma2 = 1e-12
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    nonzero = counts[counts > 0]
-    log_likelihood = (
-        float(np.sum(nonzero * np.log(nonzero)))
-        - n * math.log(n)
-        - n * d / 2.0 * math.log(2.0 * math.pi * sigma2)
-        - (n - k) * d / 2.0
-    )
-    n_params = (k - 1) + k * d + 1
-    return log_likelihood - n_params / 2.0 * math.log(n)
+    return bic_from_stats(n, d, sse, np.bincount(labels, minlength=len(centers)))

@@ -30,7 +30,7 @@ participates in no cache key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -152,8 +152,22 @@ def _lloyd(
     return centers, labels, inertia, iteration, assigned_sq
 
 
-def _run_restart(payload, seed: int):
-    """One independent restart (executor task body): init, Lloyd, BIC.
+def restart_init_rows(
+    rng: np.random.Generator, n: int, k: int, restarts: int
+) -> List[np.ndarray]:
+    """Every restart's initial-center rows, for :func:`kmeans` and the
+    streaming engine alike: one integer from ``rng`` roots the
+    ``"km-restart"`` seed streams, and restart *i* draws
+    ``choice(n, k, replace=False)`` from its own."""
+    root = int(rng.integers(2**63))
+    return [
+        generator_from_seed(seed).choice(n, size=k, replace=False)
+        for seed in task_seeds("km-restart", root, restarts)
+    ]
+
+
+def _run_restart(payload, init_idx: np.ndarray):
+    """One independent restart (executor task body): Lloyd, BIC.
 
     When an observation is active, the restart runs under a
     ``kmeans.restart`` span and the accelerated engine's
@@ -161,10 +175,8 @@ def _run_restart(payload, seed: int):
     folded into the metrics registry.  Collection only reads values
     the fit computed anyway, so results are bit-identical either way.
     """
-    points, k, max_iter, use_reference = payload
+    points, max_iter, use_reference = payload
     points = as_ndarray(points)
-    rng = generator_from_seed(seed)
-    init_idx = rng.choice(len(points), size=k, replace=False)
     stats = EngineStats() if (obs_active() and not use_reference) else None
     with span("kmeans.restart") as sp:
         if use_reference:
@@ -230,8 +242,7 @@ def kmeans(
         raise ValueError("max_iter must be >= 1")
     k = min(k, len(points))
     use_reference = not use_accelerated(len(points), k)
-    root = int(rng.integers(2**63))
-    seeds = task_seeds("km-restart", root, restarts)
+    init_rows = restart_init_rows(rng, len(points), k, restarts)
     if executor is None:
         executor = get_executor(backend, n_jobs)
     # Process workers read one physical copy of the points through
@@ -241,8 +252,8 @@ def kmeans(
     try:
         runs = executor.map(
             _run_restart,
-            seeds,
-            payload=(shared, k, max_iter, use_reference),
+            init_rows,
+            payload=(shared, max_iter, use_reference),
             labels=[f"restart {i}" for i in range(restarts)],
             on_result=lambda i, _res: emit_progress("kmeans", i + 1, restarts),
         )

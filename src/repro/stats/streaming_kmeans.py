@@ -24,49 +24,23 @@ Discipline shared with the exact path (:mod:`repro.stats.kmeans`):
   means accumulate bincount-style like
   :func:`~repro.stats.kmeans_engine.group_means`, so
   tie-breaking matches;
-* BIC uses the identical-spherical-Gaussian formula of
-  :func:`repro.stats.bic.kmeans_bic`, evaluated from streamed
-  sufficient statistics (:func:`bic_from_stats`) — bit-identical to
-  the exact formula given the same ``(n, d, sse, counts)``.
+* BIC is :func:`repro.stats.bic.bic_from_stats` — the one formula
+  :func:`~repro.stats.bic.kmeans_bic` also returns — evaluated from
+  the streamed SSE and cluster counts.
 
-Restarts, seed streams and best-BIC selection are orchestrated by the
-caller (:mod:`repro.streaming.engine`) with the exact path's
-discipline, and the approximation gap is test-pinned in
-``tests/streaming``.
+Each restart's initial rows come from
+:func:`repro.stats.kmeans.restart_init_rows`, the batch path's own
+draw; best-BIC selection is the caller's
+(:mod:`repro.streaming.engine`), and the approximation gap is
+test-pinned in ``tests/streaming``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .bic import bic_from_stats
 from .kmeans_engine import assign_points, farthest_rows
-
-
-def bic_from_stats(n: int, d: int, sse: float, counts: np.ndarray) -> float:
-    """:func:`~repro.stats.bic.kmeans_bic` from streamed statistics.
-
-    Identical formula (Pelleg & Moore identical-spherical-Gaussian
-    BIC), but computed from the scalar SSE and per-cluster counts a
-    frozen-center scoring pass accumulates, so no ``(n, d)`` residual
-    matrix — or the points themselves — need be held.
-    """
-    k = len(counts)
-    if n <= k:
-        return float("-inf")
-    sigma2 = sse / (d * (n - k))
-    if sigma2 <= 0:
-        sigma2 = 1e-12
-    nonzero = counts[counts > 0].astype(np.float64)
-    log_likelihood = (
-        float(np.sum(nonzero * np.log(nonzero)))
-        - n * math.log(n)
-        - n * d / 2.0 * math.log(2.0 * math.pi * sigma2)
-        - (n - k) * d / 2.0
-    )
-    n_params = (k - 1) + k * d + 1
-    return log_likelihood - n_params / 2.0 * math.log(n)
 
 
 class StreamingLloyd:

@@ -39,13 +39,17 @@ quarantined and the engine falls back to recomputation; a spool over
 ``config.spool_max_bytes`` is declined upfront — results are
 bit-identical down every path.
 
-Restart discipline is the exact path's, verbatim: the k-means root is
-drawn from ``generator("kmeans", config.seed)``, per-restart seeds
-come from the ``"km-restart"`` task stream, and each restart's initial
-centers are the same dataset rows the exact path would pick (the plan
-fixes ``n`` upfront, so the ``choice(n, size=k)`` draws coincide).
-Best restart is the highest streaming BIC, ties toward the lowest
-restart index.
+**Shared with the batch pipeline.**  Each step the two engines compute
+alike has one implementation: sampling (``build_sampling_plan``),
+featurization (``featurize_picks``), restart seeding
+(``restart_init_rows``: the plan fixes ``n`` upfront, so restarts
+start from the batch path's rows), BIC (``bic_from_stats``), prominent
+selection (``rank_prominent``) and the artifact layout
+(``analysis_to_artifact``).  Best restart is the highest BIC, ties
+toward the lowest restart index.  Three steps differ by design: PCA
+(sufficient statistics and the projector's rescale, not an SVD of the
+matrix), Lloyd (:class:`~repro.stats.StreamingLloyd`, one pass per
+iteration) and representatives (the scorer's running nearest members).
 """
 
 from __future__ import annotations
@@ -60,11 +64,10 @@ import numpy as np
 from ..analysis.drift import StreamingDriftMonitor
 from ..config import AnalysisConfig
 from ..core.dataset import build_sampling_plan
-from ..core.prominent import ProminentPhases
+from ..core.prominent import ProminentPhases, rank_prominent
 from ..io.spool import FeatureSpool
 from ..mica import N_FEATURES
 from ..obs import emit_progress, get_logger, metrics, span
-from ..parallel import generator_from_seed, task_seeds
 from ..stats import (
     Clustering,
     FrozenScorer,
@@ -72,6 +75,7 @@ from ..stats import (
     StreamingLloyd,
     StreamingProjector,
 )
+from ..stats.kmeans import restart_init_rows
 from ..suites import Benchmark
 from ..synth.rng import generator
 from .source import BatchSource, spool_fingerprints
@@ -117,40 +121,6 @@ class StreamingCharacterization:
 
     def __len__(self) -> int:
         return len(self.interval_indices)
-
-
-def _restart_init_rows(
-    config: AnalysisConfig, n: int, k: int
-) -> List[np.ndarray]:
-    """Each restart's initial-center row indices, exact-path discipline."""
-    root = int(generator("kmeans", config.seed).integers(2**63))
-    seeds = task_seeds("km-restart", root, config.kmeans_restarts)
-    return [
-        generator_from_seed(seed).choice(n, size=k, replace=False) for seed in seeds
-    ]
-
-
-def _select_prominent_streaming(
-    scorer: FrozenScorer, n_rows: int, n_prominent: int
-) -> ProminentPhases:
-    """:func:`~repro.core.select_prominent_phases` from streamed stats.
-
-    Same selection code path given the same cluster sizes: descending
-    argsort (stable, then reversed), clipped to non-empty clusters,
-    weights as dataset fractions, representatives from the scorer's
-    running nearest-member tracking.
-    """
-    sizes = scorer.counts
-    non_empty = int(np.count_nonzero(sizes))
-    n_prominent = min(n_prominent, non_empty)
-    order = np.argsort(sizes)[::-1]
-    chosen = order[:n_prominent]
-    weights = sizes[chosen] / n_rows
-    return ProminentPhases(
-        cluster_ids=chosen.astype(np.int64),
-        weights=weights.astype(np.float64),
-        representative_rows=scorer.rep_rows[chosen],
-    )
 
 
 def _make_spool(plan, config: AnalysisConfig):
@@ -207,7 +177,9 @@ def run_streaming_characterization(
     if n < 2:
         raise ValueError("streaming characterization requires at least two rows")
     k = min(config.n_clusters, n)
-    init_rows = _restart_init_rows(config, n, k)
+    init_rows = restart_init_rows(
+        generator("kmeans", config.seed), n, k, config.kmeans_restarts
+    )
     needed = np.unique(np.concatenate(init_rows))
     captured = np.empty((len(needed), N_FEATURES), dtype=np.float64)
 
@@ -312,7 +284,7 @@ def _run_passes(
         inertia=best.sse,
         n_iter=refiners[best_index].n_iter,
     )
-    prominent = _select_prominent_streaming(best, n, config.n_prominent)
+    prominent = rank_prominent(best.counts, n, best.rep_rows, config.n_prominent)
     reg.gauge_set("streaming.best_bic", best_bic)
     reg.gauge_set("streaming.prominent_coverage", prominent.coverage)
     reg.gauge_set("streaming.featurize_sweeps", source.featurize_sweeps)

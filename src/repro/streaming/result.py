@@ -2,7 +2,9 @@
 
 Streaming results carry no feature matrix and no projected space, so
 they get their own compact artifact schema rather than reusing the
-exact path's :func:`~repro.core.save_characterization` layout.  Files
+exact path's :func:`~repro.core.save_characterization` layout; the
+clustering, prominent phases and PCA summary use the layout both
+share (:func:`repro.core.prominent.analysis_to_artifact`).  Files
 travel through the crash-safe artifact store: atomic writes, checksum
 verification on load.
 """
@@ -14,8 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from ..core.prominent import ProminentPhases
-from ..stats import Clustering
+from ..core.prominent import analysis_from_artifact, analysis_to_artifact
 from .engine import StreamingCharacterization
 
 PathLike = Union[str, Path]
@@ -28,27 +29,24 @@ def save_streaming_result(result: StreamingCharacterization, path: PathLike) -> 
     """Write a streaming characterization as one artifact ``.npz``."""
     from ..io.artifacts import write_artifact
 
+    analysis, meta = analysis_to_artifact(
+        result.n_components,
+        result.explained_variance,
+        result.clustering,
+        result.prominent,
+    )
     arrays = {
         "suites": np.asarray(result.suites),
         "benchmarks": np.asarray(result.benchmarks),
         "interval_indices": np.asarray(result.interval_indices, dtype=np.int64),
-        "labels": np.asarray(result.clustering.labels, dtype=np.int64),
-        "centers": np.asarray(result.clustering.centers, dtype=np.float64),
-        "prominent_cluster_ids": result.prominent.cluster_ids,
-        "prominent_weights": result.prominent.weights,
-        "prominent_representatives": result.prominent.representative_rows,
+        **analysis,
     }
-    meta = {
-        "n_components": result.n_components,
-        "explained_variance": result.explained_variance,
-        "bic": result.clustering.bic,
-        "inertia": result.clustering.inertia,
-        "n_iter": result.clustering.n_iter,
-        "batch_intervals": result.batch_intervals,
-        "featurize_sweeps": result.featurize_sweeps,
-        "replay_sweeps": result.replay_sweeps,
-        "spool_bytes": result.spool_bytes,
-    }
+    meta.update(
+        batch_intervals=result.batch_intervals,
+        featurize_sweeps=result.featurize_sweeps,
+        replay_sweeps=result.replay_sweeps,
+        spool_bytes=result.spool_bytes,
+    )
     write_artifact(path, arrays, schema=STREAMING_SCHEMA, meta=meta)
 
 
@@ -57,24 +55,15 @@ def load_streaming_result(path: PathLike) -> StreamingCharacterization:
     from ..io.artifacts import read_artifact
 
     arrays, meta = read_artifact(path, schema=STREAMING_SCHEMA)
-    clustering = Clustering(
-        centers=arrays["centers"],
-        labels=arrays["labels"],
-        bic=float(meta["bic"]),
-        inertia=float(meta["inertia"]),
-        n_iter=int(meta["n_iter"]),
-    )
-    prominent = ProminentPhases(
-        cluster_ids=arrays["prominent_cluster_ids"],
-        weights=arrays["prominent_weights"],
-        representative_rows=arrays["prominent_representatives"],
+    n_components, explained, clustering, prominent = analysis_from_artifact(
+        arrays, meta
     )
     return StreamingCharacterization(
         suites=arrays["suites"],
         benchmarks=arrays["benchmarks"],
         interval_indices=arrays["interval_indices"],
-        n_components=int(meta["n_components"]),
-        explained_variance=float(meta["explained_variance"]),
+        n_components=n_components,
+        explained_variance=explained,
         clustering=clustering,
         prominent=prominent,
         batch_intervals=int(meta["batch_intervals"]),

@@ -1,5 +1,7 @@
 """Tests for dataset assembly."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -75,9 +77,12 @@ def test_rejects_empty_benchmark_list(cfg):
         build_dataset([], cfg)
 
 
-def test_progress_callback_invoked(cfg):
-    messages = []
-    build_dataset([get_benchmark("BMW", "gait")], cfg, progress=messages.append)
+def test_progress_callback_invoked(cfg, caplog):
+    with caplog.at_level(logging.INFO, logger="repro.core.dataset"):
+        build_dataset([get_benchmark("BMW", "gait")], cfg)
+    messages = [
+        r.getMessage() for r in caplog.records if r.name == "repro.core.dataset"
+    ]
     assert len(messages) == 1
     assert "BMW/gait" in messages[0]
 

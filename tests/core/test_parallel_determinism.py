@@ -5,6 +5,8 @@ streams plus ordered reassembly — means the full pipeline produces the
 same dataset, cluster assignments and BIC at any ``n_jobs``.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -67,13 +69,12 @@ def test_characterization_identical_at_n_jobs_4(benches, cfg, serial_dataset):
     assert np.array_equal(serial.space, parallel.space)
 
 
-def test_progress_reports_in_benchmark_order(benches, cfg):
-    messages = []
-    build_dataset(
-        benches,
-        cfg.replace(n_jobs=2, parallel_backend="thread"),
-        progress=messages.append,
-    )
+def test_progress_reports_in_benchmark_order(benches, cfg, caplog):
+    with caplog.at_level(logging.INFO, logger="repro.core.dataset"):
+        build_dataset(benches, cfg.replace(n_jobs=2, parallel_backend="thread"))
+    messages = [
+        r.getMessage() for r in caplog.records if r.name == "repro.core.dataset"
+    ]
     assert len(messages) == len(benches)
     for bench, message in zip(benches, messages):
         assert bench.key in message

@@ -1,5 +1,7 @@
 """Tests for the genetic algorithm."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -90,26 +92,28 @@ def test_stall_terminates_early():
     assert res.generations < 100
 
 
-def test_progress_lines_emitted_per_generation(cfg):
-    lines = []
-    res = select_features(
-        counting_fitness, 15, 3, config=cfg, rng=generator("ga", 11),
-        progress=lines.append,
-    )
+def _ga_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "repro.ga.selection"]
+
+
+def test_progress_lines_emitted_per_generation(cfg, caplog):
+    with caplog.at_level(logging.INFO, logger="repro.ga.selection"):
+        res = select_features(
+            counting_fitness, 15, 3, config=cfg, rng=generator("ga", 11)
+        )
+    lines = _ga_lines(caplog)
     assert len(lines) == res.generations
     assert all("best" in line for line in lines)
 
 
-def test_progress_line_includes_cache_hit_rate(cfg):
+def test_progress_line_includes_cache_hit_rate(cfg, caplog):
     from repro.ga import DistanceCorrelationFitness
 
     rng = np.random.default_rng(12)
     fitness = DistanceCorrelationFitness(rng.normal(size=(12, 15)))
-    lines = []
-    select_features(
-        fitness, 15, 4, config=cfg, rng=generator("ga", 12),
-        progress=lines.append,
-    )
+    with caplog.at_level(logging.INFO, logger="repro.ga.selection"):
+        select_features(fitness, 15, 4, config=cfg, rng=generator("ga", 12))
+    lines = _ga_lines(caplog)
     assert lines
     assert all("cache hit rate" in line for line in lines)
 

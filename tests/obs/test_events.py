@@ -150,7 +150,7 @@ def test_event_buffer_is_bounded_and_counts_drops():
     ob = Observation(max_events=3)
     for i in range(5):
         ob.emit("tick", i=i)
-    assert [e["i"] for e in ob.events] == [2, 3, 4]  # oldest dropped first
+    assert [e["i"] for e in ob.events] == [0, 1, 2]  # later ones dropped
     assert ob.dropped == 2
 
 

@@ -3,9 +3,10 @@
 A run report built from a live observation and one rebuilt from the
 JSONL its bus wrote must have the same span tree — names, nesting
 (executor ``task`` nodes and their labels included), attrs, and every
-non-root duration — and the same counters, on every executor backend.
-A worker whose bounded log overflows must show up as a partial report
-with the drop count, not as silently missing spans.
+duration, the root's included — and the same counters, on every
+executor backend.  A worker whose bounded log overflows must show up
+as a partial report with the drop count, keep its ``task`` node, and
+never hang a span under one that was not its parent.
 """
 
 import io
@@ -16,11 +17,9 @@ import pytest
 from repro.config import AnalysisConfig
 from repro.core import build_dataset, run_characterization
 from repro.obs import (
-    EventBus,
-    JsonlSink,
     build_report,
     emit_event,
-    observe,
+    recorded_run,
     report_from_events,
     span,
     validate_report,
@@ -40,14 +39,13 @@ BACKENDS = [
 ]
 
 
-def _shape(node, root=True):
-    """A span tree as comparable data; the root's clocks are excluded."""
-    clocks = None if root else (node["wall_s"], node["cpu_s"])
+def _shape(node):
+    """A span tree as comparable data, every node's clocks included."""
     return (
         node["name"],
         node["attrs"],
-        clocks,
-        [_shape(child, root=False) for child in node["children"]],
+        (node["wall_s"], node["cpu_s"]),
+        [_shape(child) for child in node["children"]],
     )
 
 
@@ -58,14 +56,14 @@ def _walk(node):
 
 
 def _observed(run):
-    """Run ``run()`` observed with a bus; the live report and the log."""
+    """Run ``run()`` recorded with an event log; the live report and the log."""
     handle = io.StringIO()
-    bus = EventBus(JsonlSink(handle), "one-log")
-    with observe(run_id="one-log", emitter=bus) as ob:
-        run()
-    live = build_report(ob)
-    ob.emit_metric_deltas()
-    bus.close(ok=True)
+    with recorded_run(
+        "one-log", command="characterize", config=AnalysisConfig.tiny(), events=handle
+    ) as recording:
+        with recording.observing() as ob:
+            run()
+        live = build_report(ob)
     events = [json.loads(line) for line in handle.getvalue().splitlines()]
     return live, report_from_events(events)
 
@@ -103,7 +101,8 @@ def _noisy(payload, i):
 def test_an_overflowing_worker_makes_the_report_partial(backend):
     overflow = 25
     # Task 1 logs its task and work opens, the ticks, and two closes:
-    # MAX_WORKER_EVENTS + overflow events survive as MAX_WORKER_EVENTS.
+    # MAX_WORKER_EVENTS + overflow events.  Its log keeps the first
+    # MAX_WORKER_EVENTS and both closes, so overflow - 2 ticks drop.
     ticks = MAX_WORKER_EVENTS + overflow - 4
     executor = (
         SerialExecutor() if backend == "serial" else get_executor(backend, 2)
@@ -117,10 +116,38 @@ def test_an_overflowing_worker_makes_the_report_partial(backend):
     for doc in (live, folded):
         assert validate_report(doc) == []
         assert doc["partial"] is True
-        assert doc["dropped_events"] == overflow
+        assert doc["dropped_events"] == overflow - 2
     assert _shape(live["spans"]) == _shape(folded["spans"])
     fanout = live["spans"]["children"][0]
-    # The tasks that fit keep their task node; the overflowing one lost
-    # its opens, so only its report's partial flag accounts for it.
+    # Every task keeps its task node, the overflowing one included.
     labels = [c["attrs"].get("label") for c in fanout["children"] if c["name"] == "task"]
-    assert labels == ["task 0", "task 2"]
+    assert labels == ["task 0", "task 1", "task 2"]
+
+
+def _late_child(payload, i):
+    for j in range(MAX_WORKER_EVENTS + 10):
+        emit_event("tick", j=j)
+    with span("late.child"):
+        pass
+    return i
+
+
+def test_a_span_opened_past_the_bound_is_dropped_whole():
+    def run():
+        with span("fanout"):
+            SerialExecutor().map(_late_child, range(1))
+
+    live, folded = _observed(run)
+    for doc in (live, folded):
+        assert validate_report(doc) == []
+        assert doc["partial"] is True
+        # The task open and MAX_WORKER_EVENTS - 1 ticks fit; the other
+        # 11 ticks and late.child's open and close are dropped, while
+        # the task's close is kept.
+        assert doc["dropped_events"] == 13
+        (fanout,) = doc["spans"]["children"]
+        assert fanout["name"] == "fanout"
+        (task,) = fanout["children"]
+        assert task["name"] == "task" and task["attrs"]["label"] == "task 0"
+        assert task["children"] == []
+    assert _shape(live["spans"]) == _shape(folded["spans"])

@@ -333,6 +333,22 @@ def test_characterize_telemetry_streams_events(tmp_path, capsys):
     assert "run report" in out and "kmeans" in out
 
 
+def test_rebuilt_report_has_the_live_root_clocks(tmp_path, capsys):
+    from repro.obs import load_report, read_events, report_from_events
+
+    events_path = tmp_path / "events.jsonl"
+    report_path = tmp_path / "report.json"
+    argv = ["characterize", str(tmp_path / "c.npz"), "--preset", "tiny"]
+    argv += ["--suite", "BMW", "--no-ga", "--telemetry", str(events_path)]
+    assert main(argv + ["--run-report", str(report_path)]) == 0
+    capsys.readouterr()
+    live = load_report(report_path)["spans"]
+    events, truncated = read_events(events_path)
+    rebuilt = report_from_events(events, truncated=truncated)["spans"]
+    assert live["cpu_s"] > 0.0
+    assert (rebuilt["wall_s"], rebuilt["cpu_s"]) == (live["wall_s"], live["cpu_s"])
+
+
 def test_characterize_history_records_and_runs_commands(tmp_path, capsys):
     history = tmp_path / "history"
     for out_npz in ("c1.npz", "c2.npz"):
