@@ -103,14 +103,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             config = config.replace(streaming=True)
         if args.batch_intervals is not None:
             config = config.replace(batch_intervals=args.batch_intervals)
-        if not args.spool:
-            config = config.replace(spool=False)
         if args.spool_dir is not None:
             config = config.replace(spool_dir=args.spool_dir)
-        if args.spool_max_mb is not None:
-            config = config.replace(spool_max_bytes=args.spool_max_mb * 1_000_000)
-        if args.prefetch is not None:
-            config = config.replace(prefetch=args.prefetch)
     except ValueError as exc:
         raise SystemExit(f"repro characterize: error: {exc}")
     benches = _select_benchmarks(args.suite)
@@ -167,11 +161,9 @@ def _characterize_streaming(
     """The ``--streaming`` branch: bounded-memory engine, own artifact.
 
     Streaming never holds the matrix, so there is no dataset stage to
-    checkpoint.  By default the engine featurizes exactly once and
-    replays every later pass from its memory-mapped spool
-    (``--spool-dir`` makes that survive across runs); ``--no-spool``
-    recomputes each pass, where ``--feature-cache`` turns the repeats
-    into disk reads.
+    checkpoint.  The engine featurizes exactly once and replays every
+    later pass from its memory-mapped spool (``--spool-dir`` makes that
+    survive across runs).
     """
     from .analysis import StreamingDriftMonitor
     from .streaming import run_streaming_characterization, save_streaming_result
@@ -583,8 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded-memory engine: featurize in batches, incremental "
         "PCA, exact streaming Lloyd.  Approximate (see docs/methodology.md); "
         "the default exact path pins correctness.  Stage checkpoints do "
-        "not apply; the feature spool (on by default) makes every pass "
-        "after the first a zero-copy replay",
+        "not apply; the feature spool makes every pass after the first "
+        "a zero-copy replay",
     )
     p.add_argument(
         "--batch-intervals",
@@ -595,38 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
         "default: preset value, 256)",
     )
     p.add_argument(
-        "--spool",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="featurize the streaming plan once into an on-disk "
-        "memory-mapped spool and replay every later pass zero-copy "
-        "(bit-identical; --no-spool recomputes each pass)",
-    )
-    p.add_argument(
         "--spool-dir",
         default=None,
         metavar="DIR",
         help="keep the feature spool in DIR instead of a per-run "
         "temporary directory; a rerun of the same plan then skips "
         "featurization entirely",
-    )
-    p.add_argument(
-        "--spool-max-mb",
-        type=int,
-        default=None,
-        metavar="MB",
-        help="disk budget for the spool in megabytes; a spool that "
-        "would exceed it is declined and passes recompute instead "
-        "(default: unlimited)",
-    )
-    p.add_argument(
-        "--prefetch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="streamed batches generated+metered ahead of consumption "
-        "on the featurizing sweep (bounded queue; 0 disables; "
-        "default: 1)",
     )
     p.add_argument(
         "--resume",

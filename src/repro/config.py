@@ -43,27 +43,18 @@ class AnalysisConfig:
 
     Execution knobs control how the hot stages run without affecting
     what they compute (results are bit-identical for a fixed seed at any
-    worker count, spool state, or prefetch depth, so none of them
-    participates in cache keys):
+    worker count or spool location, so none of them participates in
+    cache keys):
 
     * ``n_jobs`` — parallel workers for dataset build and k-means
       restarts; ``-1`` means all cores, ``1`` means serial.
     * ``parallel_backend`` — ``auto`` | ``serial`` | ``thread`` |
       ``process`` (see :mod:`repro.parallel`).
-    * ``spool`` — featurize the streaming plan once and replay every
-      later sweep zero-copy from an on-disk memory-mapped store
-      (:class:`repro.io.FeatureSpool`); replayed arrays are
-      bit-identical to recomputed ones.
-    * ``spool_dir`` — where the spool lives; None (the default) uses a
+    * ``spool_dir`` — where the streaming engine's feature spool
+      (:class:`repro.io.FeatureSpool`) lives; None (the default) uses a
       per-run temporary directory removed at the end.  A persistent
       directory lets a rerun of the same plan skip even the first
       featurization sweep.
-    * ``spool_max_bytes`` — disk budget for the spool; a spool that
-      would exceed it is declined upfront and the engine degrades to
-      recompute-per-pass.  0 means unlimited.
-    * ``prefetch`` — streamed batches produced ahead of consumption on
-      a featurizing sweep (bounded queue, ordered handoff); 0 disables
-      the pipeline.
 
     Two further knobs select the *streaming* analysis path
     (:mod:`repro.streaming`).  Unlike the execution knobs they change
@@ -98,20 +89,10 @@ class AnalysisConfig:
     parallel_backend: str = "auto"
     streaming: bool = False
     batch_intervals: int = 256
-    spool: bool = True
     spool_dir: Optional[str] = None
-    spool_max_bytes: int = 0
-    prefetch: int = 1
 
     #: Fields that control execution, not results; excluded from cache keys.
-    EXECUTION_KNOBS = (
-        "n_jobs",
-        "parallel_backend",
-        "spool",
-        "spool_dir",
-        "spool_max_bytes",
-        "prefetch",
-    )
+    EXECUTION_KNOBS = ("n_jobs", "parallel_backend", "spool_dir")
 
     def __post_init__(self) -> None:
         if self.interval_instructions <= 0:
@@ -132,10 +113,6 @@ class AnalysisConfig:
             raise ValueError("batch_intervals must be >= 1")
         if self.spool_dir is not None and not str(self.spool_dir):
             raise ValueError("spool_dir must be a non-empty path or None")
-        if self.spool_max_bytes < 0:
-            raise ValueError("spool_max_bytes must be >= 0 (0 = unlimited)")
-        if self.prefetch < 0:
-            raise ValueError("prefetch must be >= 0 (0 = no prefetch)")
         if self.ppm_sample_branches > 2**20:
             # One interval's PPM context keys and event indices then
             # still fit one int64 composite (repro.mica.fused).

@@ -30,11 +30,6 @@ sweeps surfaces as a miss, the damaged pair is quarantined through
 deleted), and the caller falls back to recomputation with identical
 results.  Because the payload is one contiguous matrix, replay batch
 boundaries are free to differ from the recorded ones.
-
-A byte budget (``max_bytes``) bounds total disk use: both kinds have
-exactly predictable sizes (``rows x cols x 8``), so a spool that would
-not fit is declined upfront and the engine degrades to
-recompute-per-pass, never to a partial store.
 """
 
 from __future__ import annotations
@@ -177,15 +172,11 @@ class FeatureSpool:
             parameters; plus the analysis key for projected points), so
             a persistent spool directory can never serve stale rows to
             a different configuration.
-        max_bytes: total disk budget across kinds; 0 means unlimited.
-            A kind whose exact size would exceed the remaining budget
-            is declined upfront (``spool.evictions``).
     """
 
-    def __init__(self, root: PathLike, fingerprints: dict, *, max_bytes: int = 0):
+    def __init__(self, root: PathLike, fingerprints: dict):
         self.root = Path(root)
         self._fingerprints = dict(fingerprints)
-        self.max_bytes = int(max_bytes)
         self._bytes_written = 0
 
     def fingerprint(self, kind: str) -> str:
@@ -205,39 +196,12 @@ class FeatureSpool:
         """Payload bytes sealed by this process."""
         return self._bytes_written
 
-    def spooled_bytes(self) -> int:
-        """Payload bytes currently on disk across all known kinds."""
-        total = 0
-        for kind in self._fingerprints:
-            try:
-                total += self.data_path(kind).stat().st_size
-            except OSError:
-                pass
-        return total
-
     def ready(self, kind: str) -> bool:
         """Whether a sealed payload + index pair exists for ``kind``."""
         return self.data_path(kind).exists() and self.index_path(kind).exists()
 
-    def writer(self, kind: str, n_rows: int, n_cols: int) -> Optional[SpoolWriter]:
-        """A writer for one cold sweep, or None when over budget.
-
-        The payload size is exact (``n_rows * n_cols * 8``), so the
-        budget decision is made here, before a single byte lands on
-        disk — a declined spool costs nothing and the caller simply
-        keeps recomputing each pass.
-        """
-        nbytes = n_rows * n_cols * 8
-        if self.max_bytes and self.spooled_bytes() + nbytes > self.max_bytes:
-            metrics().counter_add("spool.evictions", 1)
-            log.warning(
-                "spool %r declined: %.1f MB would exceed the %.1f MB budget; "
-                "falling back to recompute-per-pass",
-                kind,
-                nbytes / 1e6,
-                self.max_bytes / 1e6,
-            )
-            return None
+    def writer(self, kind: str, n_rows: int, n_cols: int) -> SpoolWriter:
+        """A writer for one cold sweep of ``n_rows x n_cols`` rows."""
         return SpoolWriter(self, kind, n_rows, n_cols)
 
     def _quarantine(self, kind: str, reason: str) -> None:

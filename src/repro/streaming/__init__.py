@@ -11,12 +11,12 @@ streaming Lloyd — one Lloyd iteration per stream pass
 (:class:`repro.stats.StreamingLloyd`) — under the exact path's
 restart/seed-stream/BIC discipline.  Peak memory is ``O(batch)`` plus
 the deliberately-retained per-row label/pick vectors (8 bytes/row),
-regardless of trace length.  By default the plan is featurized exactly
-once: the first sweep tees every batch into a memory-mapped on-disk
-spool (:class:`repro.io.FeatureSpool`, via
+regardless of trace length.  The plan is featurized exactly once: the
+first sweep, one batch produced ahead by
+:func:`repro.parallel.prefetch_iter`, tees every batch into a
+memory-mapped on-disk spool (:class:`repro.io.FeatureSpool`, via
 :class:`~repro.streaming.source.BatchSource`) and later passes replay
-it zero-copy — bit-identical to recomputation, and pipelined by
-:func:`repro.parallel.prefetch_iter` on the one cold sweep.
+it zero-copy — bit-identical to recomputation.
 
 The exact path stays the default and pins correctness; streaming is
 *approximate*, with its gap pinned by ``tests/streaming`` (BIC-selected

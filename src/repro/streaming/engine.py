@@ -23,21 +23,18 @@ which ever holds the full feature matrix:
 
 **Featurize once.**  All of these passes draw their batches from a
 :class:`~repro.streaming.source.BatchSource` backed by an on-disk
-:class:`~repro.io.FeatureSpool` (``config.spool``, on by default): the
-first sweep generates traces and runs the fused MICA meters — with
-``config.prefetch`` batches pipelined ahead of consumption — while
-teeing the rows to a memory-mapped store; every later sweep replays
-them zero-copy and bit-identical.  Once the projector is frozen, the
-first projected sweep spools the rescaled-space points too, so
-refinement/scoring/drift skip even the per-pass transform.  Pass
-accounting: with the spool, exactly **one** featurization sweep and
-one transform sweep happen per run (zero of either when a persistent
-``spool_dir`` already holds this plan's rows); without it, every pass
-featurizes — ``2 + refinement passes`` sweeps in all,
-the scoring/drift sweep being fused into one.  A corrupt spool is
-quarantined and the engine falls back to recomputation; a spool over
-``config.spool_max_bytes`` is declined upfront — results are
-bit-identical down every path.
+:class:`~repro.io.FeatureSpool`: the first sweep generates traces and
+runs the fused MICA meters — one batch produced ahead of consumption —
+while teeing the rows to a memory-mapped store; every later sweep
+replays them zero-copy and bit-identical.  Once the projector is
+frozen, the first projected sweep spools the rescaled-space points
+too, so refinement/scoring/drift skip even the per-pass transform.
+Pass accounting: exactly **one** featurization sweep and one transform
+sweep happen per run (zero of either when a persistent
+``config.spool_dir`` already holds this plan's rows), out of
+``2 + refinement passes`` sweeps in all, the scoring/drift sweep
+being fused into one.  A spool that fails verification is quarantined
+and that sweep recomputes — results are bit-identical down every path.
 
 **Shared with the batch pipeline.**  Each step the two engines compute
 alike has one implementation: sampling (``build_sampling_plan``),
@@ -101,8 +98,8 @@ class StreamingCharacterization:
         prominent: prominent-phase selection over the streamed labels.
         batch_intervals: rows per streamed batch.
         featurize_sweeps: sweeps that ran trace generation + meters
-            (1 with a working spool; 0 when a persistent spool already
-            held the plan; one per pass without a spool).
+            (1 per run; 0 when a persistent spool already held the
+            plan; one more each time the raw spool fails verification).
         replay_sweeps: sweeps served zero-copy from the spool.
         spool_bytes: payload bytes the run sealed into its spool.
     """
@@ -125,18 +122,11 @@ class StreamingCharacterization:
 
 def _make_spool(plan, config: AnalysisConfig):
     """The run's spool and (if we created one) its temporary root."""
-    if not config.spool:
-        return None, None
     temp_root: Optional[str] = None
     root = config.spool_dir
     if root is None:
         root = temp_root = tempfile.mkdtemp(prefix="repro-spool-")
-    spool = FeatureSpool(
-        root,
-        spool_fingerprints(plan, config),
-        max_bytes=config.spool_max_bytes,
-    )
-    return spool, temp_root
+    return FeatureSpool(root, spool_fingerprints(plan, config)), temp_root
 
 
 def run_streaming_characterization(
@@ -153,18 +143,17 @@ def run_streaming_characterization(
         benchmarks: the workloads to include.
         config: methodology parameters; ``config.batch_intervals``
             bounds the working set and ``config.seed`` drives the same
-            sampling and restart streams as the exact path.  The
-            execution knobs ``spool`` / ``spool_dir`` /
-            ``spool_max_bytes`` / ``prefetch`` control the
-            featurize-once store and the cold-sweep pipeline; none of
-            them changes the results.
+            sampling and restart streams as the exact path.
+            ``config.spool_dir`` keeps the featurize-once store across
+            runs (default: a per-run temporary directory); it never
+            changes the results.
         counts: optional per-benchmark sample-count overrides (see
             :func:`~repro.core.build_dataset`).
         feature_cache: optional
             :class:`~repro.io.FeatureBlockCache` consulted on
-            featurizing sweeps.  With the spool on (the default) only
-            the first sweep featurizes, so the cache now matters for
-            cross-run reuse rather than cross-pass reuse.
+            featurizing sweeps.  Only the first sweep featurizes, so
+            the cache matters for cross-run reuse, not cross-pass
+            reuse.
         monitor: optional live drift monitor, folded into the scoring
             sweep (one fused pass); query it mid-stream from another
             thread or afterwards.
@@ -180,12 +169,18 @@ def run_streaming_characterization(
     init_rows = restart_init_rows(
         generator("kmeans", config.seed), n, k, config.kmeans_restarts
     )
-    needed = np.unique(np.concatenate(init_rows))
+    # Sorted unique rows for searchsorted, by sort and adjacent-difference
+    # mask: a plain np.unique raises peak RSS (~0.5 MB of a tiny run).
+    picks = np.sort(np.concatenate(init_rows))
+    keep = np.empty(len(picks), dtype=bool)
+    keep[:1] = True
+    np.not_equal(picks[1:], picks[:-1], out=keep[1:])
+    needed = picks[keep]
     captured = np.empty((len(needed), N_FEATURES), dtype=np.float64)
 
     spool, temp_root = _make_spool(plan, config)
     try:
-        source = BatchSource(plan, config, feature_cache=feature_cache, spool=spool)
+        source = BatchSource(plan, config, spool, feature_cache=feature_cache)
         return _run_passes(
             source, config, monitor, needed, captured, init_rows, k
         )

@@ -2,9 +2,10 @@
 
 :class:`BatchSource` sits between the streaming engine's passes and
 :func:`repro.core.iter_feature_batches`, deciding per sweep whether
-batches are *computed* (trace generation + fused meters, optionally
-pipelined by :func:`repro.parallel.prefetch_iter`) or *replayed*
-zero-copy from the on-disk :class:`repro.io.FeatureSpool`:
+batches are *computed* (trace generation + fused meters, produced
+:data:`PREFETCH_DEPTH` batch ahead by
+:func:`repro.parallel.prefetch_iter`) or *replayed* zero-copy from the
+on-disk :class:`repro.io.FeatureSpool`:
 
 * **raw sweeps** (:meth:`raw_batches`) — the first sweep featurizes
   and spools; every later sweep memory-maps the sealed spool and
@@ -16,11 +17,9 @@ zero-copy from the on-disk :class:`repro.io.FeatureSpool`:
   spools the points; refinement, scoring and drift passes after that
   skip the per-pass ``projector.transform`` entirely.
 
-Every degradation path preserves results exactly: a corrupt or
-truncated spool is quarantined on verification failure and the sweep
-falls back to recomputation; a spool over the disk budget is declined
-upfront and every sweep recomputes, as if ``spool=False``.  The source
-also keeps the sweep ledger (featurized vs replayed) that the engine
+A corrupt or truncated spool is quarantined on verification failure
+and that sweep recomputes, with identical results.  The source also
+keeps the sweep ledger (featurized vs replayed) that the engine
 reports and the pass-count benchmark gates.
 """
 
@@ -45,6 +44,9 @@ log = get_logger(__name__)
 #: Spool kind names for the two row spaces.
 RAW_KIND = "raw"
 PROJECTED_KIND = "proj"
+
+#: Batches produced ahead of consumption on a featurizing sweep.
+PREFETCH_DEPTH = 1
 
 __all__ = ["BatchSource", "PROJECTED_KIND", "RAW_KIND", "spool_fingerprints"]
 
@@ -74,35 +76,33 @@ class BatchSource:
 
     Args:
         plan: the fixed row layout all sweeps iterate over.
-        config: supplies ``batch_intervals`` and the ``prefetch`` depth.
+        config: supplies ``batch_intervals``.
+        spool: the batch store the first sweep of each kind fills.
         feature_cache: optional per-interval
             :class:`~repro.io.FeatureBlockCache` used on featurizing
             sweeps (orthogonal to the spool: blocks persist single
             intervals across runs and configs, the spool persists this
             plan's assembled row matrix across sweeps).
-        spool: the batch store, or None to recompute every sweep.
     """
 
     def __init__(
         self,
         plan: SamplingPlan,
         config: AnalysisConfig,
+        spool: FeatureSpool,
         *,
         feature_cache=None,
-        spool: Optional[FeatureSpool] = None,
     ):
         self.plan = plan
         self.config = config
-        self.feature_cache = feature_cache
         self.spool = spool
+        self.feature_cache = feature_cache
         self.n_rows = plan.total_rows
         self._suites, self._names, self._indices = plan.provenance()
         #: Sweeps that ran trace generation + meters (the expensive kind).
         self.featurize_sweeps = 0
         #: Sweeps served zero-copy from the spool.
         self.replay_sweeps = 0
-        #: Projected sweeps that re-ran ``projector.transform``.
-        self.transform_sweeps = 0
 
     def provenance_rows(
         self, start: int, n: int
@@ -125,26 +125,23 @@ class BatchSource:
         )
 
     def _replay(self, kind: str, n_cols: int) -> Optional[Iterator[Tuple[int, np.ndarray]]]:
-        if self.spool is None:
-            return None
         replay = self.spool.replay(kind, n_cols, self.config.batch_intervals)
-        if replay is not None:
+        reg = metrics()
+        if replay is None:
+            reg.counter_add("spool.misses", 1)
+        else:
             self.replay_sweeps += 1
-            metrics().counter_add("spool.hits", 1)
+            reg.counter_add("spool.hits", 1)
         return replay
-
-    def _writer(self, kind: str, n_cols: int):
-        if self.spool is None:
-            return None
-        return self.spool.writer(kind, self.n_rows, n_cols)
 
     def raw_batches(self) -> Iterator[FeatureBatch]:
         """One sweep of raw feature rows: replay if spooled, else compute.
 
-        The computing path runs :func:`iter_feature_batches` behind the
-        configured prefetch depth and tees every batch into the spool
-        writer; the spool seals only when the sweep completes, so an
-        abandoned or crashed sweep leaves nothing replayable behind.
+        The computing path runs :func:`iter_feature_batches`
+        :data:`PREFETCH_DEPTH` batch ahead and tees every batch into
+        the spool writer; the spool seals only when the sweep
+        completes, so an abandoned or crashed sweep leaves nothing
+        replayable behind.
         """
         replay = self._replay(RAW_KIND, N_FEATURES)
         if replay is not None:
@@ -152,24 +149,18 @@ class BatchSource:
                 yield self._batch(start, rows)
             return
         self.featurize_sweeps += 1
-        if self.spool is not None:
-            metrics().counter_add("spool.misses", 1)
         produced = prefetch_iter(
             iter_feature_batches(self.plan, self.config, feature_cache=self.feature_cache),
-            self.config.prefetch,
+            PREFETCH_DEPTH,
         )
-        writer = self._writer(RAW_KIND, N_FEATURES)
+        writer = self.spool.writer(RAW_KIND, self.n_rows, N_FEATURES)
         try:
             for batch in produced:
-                if writer is not None:
-                    writer.append(batch.features)
+                writer.append(batch.features)
                 yield batch
-            if writer is not None:
-                writer.seal()
-                writer = None
+            writer.seal()
         finally:
-            if writer is not None:
-                writer.abandon()
+            writer.abandon()  # a no-op once sealed
 
     def projected_batches(
         self, projector: StreamingProjector
@@ -185,24 +176,17 @@ class BatchSource:
         if replay is not None:
             yield from replay
             return
-        self.transform_sweeps += 1
-        if self.spool is not None:
-            metrics().counter_add("spool.misses", 1)
-        writer = self._writer(PROJECTED_KIND, d)
+        writer = self.spool.writer(PROJECTED_KIND, self.n_rows, d)
         try:
             for batch in self.raw_batches():
                 points = projector.transform(batch.features)
-                if writer is not None:
-                    writer.append(points)
+                writer.append(points)
                 yield batch.start, points
-            if writer is not None:
-                writer.seal()
-                writer = None
+            writer.seal()
         finally:
-            if writer is not None:
-                writer.abandon()
+            writer.abandon()  # a no-op once sealed
 
     @property
     def spool_bytes(self) -> int:
-        """Payload bytes this source's spool has sealed (0 without one)."""
-        return self.spool.bytes_written if self.spool is not None else 0
+        """Payload bytes this source's spool has sealed."""
+        return self.spool.bytes_written

@@ -11,6 +11,10 @@ import hashlib
 from typing import Union
 
 import numpy as np
+# numpy 2 loads numpy.random lazily, on first attribute access; load it
+# at import so the first generator() call does not pay ~10-17 ms inside
+# whichever span (the first sampling, usually) happens to make it.
+import numpy.random  # noqa: F401
 
 Key = Union[int, str]
 

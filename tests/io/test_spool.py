@@ -1,4 +1,4 @@
-"""Tests for the feature spool: round trips, budgets, fault injection."""
+"""Tests for the feature spool: round trips, fault injection."""
 
 import numpy as np
 import pytest
@@ -15,13 +15,12 @@ def rows():
     return rng.standard_normal((23, 5))
 
 
-def make_spool(tmp_path, **kwargs):
-    return FeatureSpool(tmp_path, {"raw": "aaaa1111", "proj": "bbbb2222"}, **kwargs)
+def make_spool(tmp_path):
+    return FeatureSpool(tmp_path, {"raw": "aaaa1111", "proj": "bbbb2222"})
 
 
 def write_kind(spool, kind, rows, batch=7):
     writer = spool.writer(kind, len(rows), rows.shape[1])
-    assert writer is not None
     for start in range(0, len(rows), batch):
         writer.append(rows[start : start + batch])
     writer.seal()
@@ -108,28 +107,11 @@ def test_append_rejects_wrong_width(tmp_path, rows):
     writer.abandon()
 
 
-def test_budget_declines_upfront(tmp_path, rows):
-    # 23 x 5 x 8 = 920 bytes; a 100-byte budget declines before any I/O.
-    spool = make_spool(tmp_path, max_bytes=100)
-    with observe() as ob:
-        assert spool.writer("raw", len(rows), 5) is None
-    assert ob.metrics.counter_value("spool.evictions") == 1
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_budget_counts_existing_kinds(tmp_path, rows):
-    spool = make_spool(tmp_path, max_bytes=1000)
-    write_kind(spool, "raw", rows)  # 920 bytes on disk
-    assert spool.writer("proj", 4, 5) is None  # 160 more would exceed 1000
-    assert spool.writer("proj", 2, 5) is not None  # 80 more fits
-
-
 def test_bytes_written_tracks_sealed_payloads(tmp_path, rows):
     spool = make_spool(tmp_path)
     assert spool.bytes_written == 0
     write_kind(spool, "raw", rows)
     assert spool.bytes_written == 23 * 5 * 8
-    assert spool.spooled_bytes() == 23 * 5 * 8
 
 
 def test_truncated_payload_quarantined(tmp_path, rows):

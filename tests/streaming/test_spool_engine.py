@@ -1,10 +1,13 @@
 """The feature spool's engine-level contract: featurize once, change nothing.
 
-The spool and the prefetch pipeline are execution knobs — every test
-here pins *bit-identity* against the recompute-per-pass path, not
-approximate agreement, across batch sizes, prefetch depths, corruption,
-disk-budget declines and persistent-directory reuse.
+Every test here pins *bit-identity* against recompute-per-pass, not
+approximate agreement, across batch sizes, corruption and
+persistent-directory reuse.  Recompute-per-pass is the production
+fallback a spool that fails verification takes: ``forced_miss`` makes
+every replay miss, so every sweep featurizes.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -39,10 +42,16 @@ def benches():
 
 @pytest.fixture(scope="module")
 def baseline(cfg, benches):
-    """Recompute-per-pass reference: no spool, no prefetch."""
-    return run_streaming_characterization(
-        benches, cfg.replace(spool=False, prefetch=0)
-    )
+    """A default run: featurize once, replay every later sweep."""
+    return run_streaming_characterization(benches, cfg)
+
+
+@contextlib.contextmanager
+def forced_miss():
+    """Make every spool replay miss, as a failed verification does."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FeatureSpool, "open_replay", lambda self, kind, n_cols: None)
+        yield
 
 
 def assert_identical(a, b):
@@ -59,26 +68,17 @@ def assert_identical(a, b):
     )
 
 
-@pytest.mark.parametrize("spool", [True, False])
-@pytest.mark.parametrize("prefetch", [0, 2])
-def test_spool_and_prefetch_are_bit_identical(cfg, benches, baseline, spool, prefetch):
-    result = run_streaming_characterization(
-        benches, cfg.replace(spool=spool, prefetch=prefetch)
-    )
-    assert_identical(result, baseline)
-
-
 @pytest.mark.parametrize("batch_intervals", [1, 13, 64])
 def test_bit_identity_holds_at_any_batch_size(cfg, benches, batch_intervals):
-    # Spool on vs off at the same batch size (batch size itself is a
-    # result knob: it fixes the fold order).
-    on = run_streaming_characterization(
-        benches, cfg.replace(batch_intervals=batch_intervals, prefetch=2)
-    )
-    off = run_streaming_characterization(
-        benches, cfg.replace(batch_intervals=batch_intervals, spool=False)
-    )
-    assert_identical(on, off)
+    # Replay vs recompute at the same batch size (batch size itself is
+    # a result knob: it fixes the fold order).
+    local = cfg.replace(batch_intervals=batch_intervals)
+    replayed = run_streaming_characterization(benches, local)
+    with forced_miss():
+        recomputed = run_streaming_characterization(benches, local)
+    assert replayed.replay_sweeps > 0
+    assert recomputed.replay_sweeps == 0
+    assert_identical(replayed, recomputed)
 
 
 def _count_featurize_calls(monkeypatch):
@@ -98,47 +98,44 @@ def test_spool_featurizes_exactly_one_sweep(cfg, benches, monkeypatch):
     # The acceptance criterion: after the first sweep, refinement and
     # scoring invoke no trace generation and no MICA meters — the total
     # meter-call count over the whole run equals one plain sweep's.
-    local = cfg.replace(prefetch=0)
     calls = _count_featurize_calls(monkeypatch)
-    plan = build_sampling_plan(benches, local)
-    for _ in iter_feature_batches(plan, local):
+    plan = build_sampling_plan(benches, cfg)
+    for _ in iter_feature_batches(plan, cfg):
         pass
     one_sweep = len(calls)
     assert one_sweep > 0
     calls.clear()
-    result = run_streaming_characterization(benches, local)
+    result = run_streaming_characterization(benches, cfg)
     assert len(calls) == one_sweep
     assert result.featurize_sweeps == 1
     assert result.replay_sweeps >= 2
     assert result.spool_bytes > 0
 
 
-def test_without_spool_every_pass_featurizes(cfg, benches, monkeypatch):
-    local = cfg.replace(spool=False, prefetch=0)
+def test_without_spool_every_pass_featurizes(cfg, benches, baseline, monkeypatch):
     calls = _count_featurize_calls(monkeypatch)
-    plan = build_sampling_plan(benches, local)
-    for _ in iter_feature_batches(plan, local):
+    plan = build_sampling_plan(benches, cfg)
+    for _ in iter_feature_batches(plan, cfg):
         pass
     one_sweep = len(calls)
     calls.clear()
-    result = run_streaming_characterization(benches, local)
+    with forced_miss():
+        result = run_streaming_characterization(benches, cfg)
     assert result.featurize_sweeps > 1
     assert len(calls) == one_sweep * result.featurize_sweeps
     assert result.replay_sweeps == 0
-    assert result.spool_bytes == 0
+    assert_identical(result, baseline)
 
 
 def test_scoring_and_drift_share_one_sweep(cfg, benches):
-    # Satellite pin: the drift monitor rides the scoring sweep; feeding
-    # it fully costs zero extra passes (sweeps == 2 + refine).
+    # The drift monitor rides the scoring sweep; feeding it fully
+    # costs zero extra passes (sweeps == 2 + refine).
     monitor = StreamingDriftMonitor()
     with observe() as ob:
-        result = run_streaming_characterization(
-            benches, cfg.replace(spool=False), monitor=monitor
-        )
+        result = run_streaming_characterization(benches, cfg, monitor=monitor)
     passes = ob.metrics.gauge_value("streaming.refine_passes")
     assert passes >= 1
-    assert result.featurize_sweeps == 2 + passes
+    assert result.featurize_sweeps + result.replay_sweeps == 2 + passes
     assert monitor.n_rows == len(result)
 
 
@@ -160,7 +157,7 @@ def test_mid_run_corruption_quarantines_and_recomputes(
 
     monkeypatch.setattr(FeatureSpool, "open_replay", corrupting)
     result = run_streaming_characterization(
-        benches, cfg.replace(spool_dir=str(spool_dir), prefetch=0)
+        benches, cfg.replace(spool_dir=str(spool_dir))
     )
     assert flipped, "corruption hook never fired"
     assert list(spool_dir.glob("*.corrupt-*")), "damaged spool was not quarantined"
@@ -172,7 +169,7 @@ def test_persistent_spool_dir_skips_featurization(
     cfg, benches, baseline, tmp_path, monkeypatch
 ):
     spool_dir = tmp_path / "spool"
-    local = cfg.replace(spool_dir=str(spool_dir), prefetch=0)
+    local = cfg.replace(spool_dir=str(spool_dir))
     first = run_streaming_characterization(benches, local)
     assert first.featurize_sweeps == 1
     assert spool_dir.exists()
@@ -198,19 +195,9 @@ def test_stale_fingerprint_never_served(cfg, benches, tmp_path):
     )
     result = run_streaming_characterization(benches, other)
     assert result.featurize_sweeps == 1  # not served from the stale spool
-    reference = run_streaming_characterization(benches, other.replace(spool=False))
+    with forced_miss():
+        reference = run_streaming_characterization(benches, other.replace(spool_dir=None))
     assert_identical(result, reference)
-
-
-def test_disk_budget_degrades_to_recompute(cfg, benches, baseline):
-    with observe() as ob:
-        result = run_streaming_characterization(
-            benches, cfg.replace(spool_max_bytes=64, prefetch=0)
-        )
-    assert result.featurize_sweeps > 1  # declined: every pass recomputes
-    assert result.spool_bytes == 0
-    assert ob.metrics.counter_value("spool.evictions") >= 1
-    assert_identical(result, baseline)
 
 
 def test_temp_spool_is_cleaned_up(cfg, benches, tmp_path, monkeypatch):
@@ -223,7 +210,7 @@ def test_temp_spool_is_cleaned_up(cfg, benches, tmp_path, monkeypatch):
 
 def test_spool_counters(cfg, benches):
     with observe() as ob:
-        run_streaming_characterization(benches, cfg.replace(prefetch=2))
+        run_streaming_characterization(benches, cfg)
     m = ob.metrics
     assert m.counter_value("spool.misses") == 2  # one cold sweep per kind
     assert m.counter_value("spool.hits") >= 2

@@ -1,5 +1,11 @@
 """Tests for deterministic seed derivation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.synth import derive_seed, generator
 
 
@@ -37,3 +43,16 @@ def test_generator_streams_are_independent():
     a = generator("k", 7).random(5)
     b = generator("k", 8).random(5)
     assert (a != b).any()
+
+
+def test_importing_rng_loads_numpy_random():
+    # numpy 2 loads numpy.random lazily; the first generator() call must
+    # not pay that import inside whatever span happens to make it.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, repro.synth.rng; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "True"

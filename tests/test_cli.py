@@ -237,8 +237,6 @@ def test_characterize_streaming_spool_flags(tmp_path, capsys):
         "--streaming",
         "--spool-dir",
         str(spool_dir),
-        "--prefetch",
-        "2",
     ]
     assert main(args) == 0
     out = capsys.readouterr().out
@@ -252,44 +250,6 @@ def test_characterize_streaming_spool_flags(tmp_path, capsys):
     assert "sweeps: 0 featurized" in out
     second = load_streaming_result(path)
     assert second.clustering.bic == first.clustering.bic
-
-
-def test_characterize_streaming_no_spool(tmp_path, capsys):
-    path = tmp_path / "stream.npz"
-    assert (
-        main(
-            [
-                "characterize",
-                str(path),
-                "--preset",
-                "tiny",
-                "--suite",
-                "BMW",
-                "--streaming",
-                "--no-spool",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "0 replayed (0.0 MB spooled)" in out
-
-
-def test_characterize_streaming_rejects_bad_prefetch(tmp_path):
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "characterize",
-                str(tmp_path / "x.npz"),
-                "--preset",
-                "tiny",
-                "--suite",
-                "BMW",
-                "--streaming",
-                "--prefetch",
-                "-1",
-            ]
-        )
 
 
 def test_characterize_telemetry_streams_events(tmp_path, capsys):
