@@ -5,12 +5,13 @@ dataset build (sampling + MICA metering), PCA, k-means, prominent-phase
 selection — twice over the same benchmarks:
 
 * **optimized**: the defaults — fused whole-trace metering
-  (:mod:`repro.mica.fused`) and shape-adaptive k-means engine
-  selection (:func:`repro.stats.kmeans_engine.use_accelerated`);
+  (:mod:`repro.mica.fused`) and the triangle-inequality k-means engine
+  (:func:`repro.stats.kmeans_engine.lloyd_accelerated`);
 * **baseline**: one interval per MICA call and reference Lloyd, forced
   for the run by swapping the dataset builder's featurizer for a loop of
   one-interval production calls, ``characterize_intervals([t], config)``,
-  and lifting the k-means crossover (:func:`baseline_engines`).
+  and the k-means engine for the tests' full-distance Lloyd
+  (``tests/stats/oracle.py``; :func:`baseline_engines`).
 
 Both runs must be bit-identical (features, PCA space, labels, BIC);
 the ratio of their wall clocks is the pipeline's batching payoff.
@@ -22,9 +23,9 @@ their winning regime.  It is *not* ``AnalysisConfig.paper()`` (10,000-
 instruction intervals); ``perfbench``'s ``paper-cold`` workload
 measures that preset.
 ``tiny`` is the CI gate scale: the whole run takes
-seconds, the clustering (308 x 8) sits below the engine crossover on
-*both* paths, and the measured ratio isolates batched-vs-one-at-a-time
-metering.
+seconds, and at its 308 x 8 clustering the engine costs a few
+milliseconds more than reference Lloyd, so the measured ratio is
+batched-vs-one-at-a-time metering less that.
 
 Writes ``e2e_wall.txt``/``e2e_wall.json`` and the CI artifact
 ``BENCH_e2e_wall.json`` under ``benchmarks/output``.  Run it alone::
@@ -38,21 +39,24 @@ overhead-dominated; the gate there is "the optimized path never
 loses").
 """
 
+import importlib
 import os
-import sys
 import time
 from contextlib import contextmanager
 
 import numpy as np
 
 import repro.core.dataset as dataset
-import repro.stats.kmeans_engine as kmeans_engine
 from repro.config import AnalysisConfig
 from repro.core import build_dataset, run_characterization
 from repro.io import format_table
 from repro.mica import characterize_intervals
 from repro.obs import emit_bench
 from repro.suites import all_benchmarks
+from tests.stats.oracle import lloyd_reference
+
+#: The module, not the ``repro.stats.kmeans`` function that shadows it.
+kmeans_module = importlib.import_module("repro.stats.kmeans")
 
 #: Timing repeats per path; the minimum wall clock is reported.  One
 #: repeat at paper scale (a run is minutes), three at the test scales.
@@ -109,21 +113,20 @@ def baseline_engines():
     """Force one interval per MICA call and reference Lloyd, then restore.
 
     The dataset builder featurizes through a loop of one-interval calls
-    to the fused pass instead of one call per batch, and a k-means
-    crossover above any ``n * k`` keeps every clustering on reference
-    Lloyd.
+    to the fused pass instead of one call per batch, and every k-means
+    restart runs the tests' full-distance Lloyd instead of the engine.
     """
 
     def one_at_a_time(traces, config):
         return np.vstack([characterize_intervals([t], config) for t in traces])
 
-    saved = dataset.characterize_intervals, kmeans_engine.AUTO_CROSSOVER_ENTRIES
+    saved = dataset.characterize_intervals, kmeans_module.lloyd_accelerated
     dataset.characterize_intervals = one_at_a_time
-    kmeans_engine.AUTO_CROSSOVER_ENTRIES = sys.maxsize
+    kmeans_module.lloyd_accelerated = lloyd_reference
     try:
         yield
     finally:
-        dataset.characterize_intervals, kmeans_engine.AUTO_CROSSOVER_ENTRIES = saved
+        dataset.characterize_intervals, kmeans_module.lloyd_accelerated = saved
 
 
 def _run_pipeline(benchmarks, config):
@@ -168,7 +171,7 @@ def bench_e2e_wall(config, report):
     n_rows = len(opt_ds)
     rows = [
         [
-            "optimized (fused meters + adaptive engine)",
+            "optimized (fused meters + k-means engine)",
             f"{optimized_s:.2f}",
             f"{n_rows / optimized_s:.0f}",
         ],

@@ -2,8 +2,8 @@
 
 Runs one Lloyd fit over a synthetic Gaussian mixture at the paper's
 clustering scale (77 benchmarks x 1,000 sampled intervals -> n = 77,000
-points, k = 300 clusters) through both inner loops — the accelerated
-engine and the reference full-distance pass — from the same
+points, k = 300 clusters) through the accelerated engine and the
+tests' full-distance reference (``tests/stats/oracle.py``) from the same
 initialization, asserts the fits are bit-identical, and reports
 wall-clock, Lloyd iterations/second and the fraction of distance rows
 the triangle-inequality bounds eliminated.
@@ -12,7 +12,8 @@ Writes a table under ``benchmarks/output`` and emits one ``BENCH
 {json}`` line (and ``kmeans_throughput.json``) so the numbers are
 machine-collectable across runs.
 
-Run it alone (it does not touch the session-scoped paper cache)::
+Run it alone, from the repository root so ``tests`` is importable (it
+does not touch the session-scoped paper cache)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kmeans_throughput.py -q
 
@@ -28,25 +29,20 @@ import numpy as np
 
 from repro.io import format_table
 from repro.obs import emit_bench
-from repro.stats.kmeans import _lloyd
-from repro.stats.kmeans_engine import (
-    AUTO_CROSSOVER_ENTRIES,
-    EngineStats,
-    lloyd_accelerated,
-    use_accelerated,
-)
+from repro.stats.kmeans_engine import EngineStats, lloyd_accelerated
+from tests.stats.oracle import lloyd_reference
 
 #: Timing repeats; the minimum is reported.
 REPEATS = 3
 
-#: Shapes for the ``auto`` crossover sweep — small fits bracketing
-#: ``AUTO_CROSSOVER_ENTRIES`` so the measured ratio can be checked
-#: against the shipped threshold.  Each runs in milliseconds.
+#: Small shapes for the engine-cost sweep, all below 40,000 ``n x k``
+#: entries, where the bound bookkeeping can cost more than the rows it
+#: skips.  Each runs in milliseconds.
 CROSSOVER_SHAPES = (
+    (64, 8, 4),
     (308, 8, 4),
     (1_000, 20, 8),
-    (2_000, 40, 10),
-    (4_000, 60, 10),
+    (1_900, 20, 8),
 )
 
 #: Clustering scale per preset: (points, clusters, dimensions).  The
@@ -98,7 +94,7 @@ def bench_kmeans_throughput(config, report):
     (engine_fit, engine_s), (reference_fit, reference_s) = (
         _timed_best_interleaved(
             lambda: lloyd_accelerated(points, init, max_iter, stats=stats),
-            lambda: _lloyd(points, init, max_iter),
+            lambda: lloyd_reference(points, init, max_iter),
         )
     )
 
@@ -158,36 +154,36 @@ def bench_kmeans_throughput(config, report):
 
 
 def bench_kmeans_auto_crossover(config, report):
-    """Measure the engine-vs-reference ratio around the auto crossover.
+    """Report the engine's cost against the oracle on small fits.
 
-    This is the experiment :data:`AUTO_CROSSOVER_ENTRIES` was read off:
-    both inner loops timed (interleaved, best-of-``REPEATS``) at small
-    shapes bracketing the threshold, alongside the engine
-    :func:`~repro.stats.kmeans_engine.use_accelerated` selects for
-    each.  A drifting machine profile shows up here long before it
-    misroutes the real pipeline.
+    ``kmeans`` runs the accelerated engine at every shape.  On the
+    small shapes of ``CROSSOVER_SHAPES`` its bound bookkeeping can
+    cost more than the distance rows it skips; this sweep times both
+    inner loops there (interleaved, best-of-``REPEATS``) and asserts
+    the fits are bit-identical, so the price of one engine at every
+    shape stays visible.
     """
     max_iter = config.kmeans_max_iter
     rows = []
     sweep = []
     for n, k, d in CROSSOVER_SHAPES:
         points, init = _mixture(n, k, d)
-        (engine_fit, engine_s), (_, reference_s) = _timed_best_interleaved(
-            lambda: lloyd_accelerated(points, init, max_iter),
-            lambda: _lloyd(points, init, max_iter),
+        (engine_fit, engine_s), (reference_fit, reference_s) = (
+            _timed_best_interleaved(
+                lambda: lloyd_accelerated(points, init, max_iter),
+                lambda: lloyd_reference(points, init, max_iter),
+            )
         )
+        assert np.array_equal(engine_fit[1], reference_fit[1])
+        assert np.array_equal(engine_fit[0], reference_fit[0])
         ratio = reference_s / engine_s
-        selected = "accelerated" if use_accelerated(n, k) else "reference"
-        agrees = (selected == "accelerated") == (ratio >= 1.0)
         rows.append(
             [
                 f"{n} x {k}",
                 f"{n * k}",
-                f"{engine_s * 1e3:.1f}",
-                f"{reference_s * 1e3:.1f}",
+                f"{engine_s * 1e3:.2f}",
+                f"{reference_s * 1e3:.2f}",
                 f"{ratio:.2f}x",
-                selected,
-                "yes" if agrees else "NO",
             ]
         )
         sweep.append(
@@ -199,22 +195,12 @@ def bench_kmeans_auto_crossover(config, report):
                 "engine_seconds": round(engine_s, 6),
                 "reference_seconds": round(reference_s, 6),
                 "engine_speedup": round(ratio, 2),
-                "auto_selects": selected,
-                "selection_agrees_with_timing": bool(agrees),
             }
         )
     text = format_table(
-        ["n x k", "entries", "engine ms", "reference ms", "speedup", "auto", "agrees"],
-        rows,
+        ["n x k", "entries", "engine ms", "reference ms", "speedup"], rows
     )
-    text += (
-        f"\nauto crossover at n*k = {AUTO_CROSSOVER_ENTRIES} entries; "
-        f"best of {REPEATS} interleaved repeats\n"
-    )
+    text += f"\nbest of {REPEATS} interleaved repeats; fits bit-identical\n"
     report("kmeans_auto_crossover.txt", text)
     print("\n" + text)
-    emit_bench(
-        "kmeans_auto_crossover",
-        {"crossover_entries": AUTO_CROSSOVER_ENTRIES, "sweep": sweep},
-        report=report,
-    )
+    emit_bench("kmeans_auto_crossover", {"sweep": sweep}, report=report)

@@ -206,7 +206,7 @@ class FeatureSpool:
 
     def _quarantine(self, kind: str, reason: str) -> None:
         reg = metrics()
-        reg.counter_add("spool.evictions", 1)
+        reg.counter_add("spool.quarantined", 1)
         quarantined = []
         for path in (self.data_path(kind), self.index_path(kind)):
             dest = quarantine(path)

@@ -432,14 +432,19 @@ class Observation:
         self.emit("progress", **estimator.update(done))
 
     def emit_metric_deltas(self) -> None:
-        """Log counter deltas (and current gauges) since the last call."""
+        """Log counter deltas (and current gauges) since the last call.
+
+        A counter is logged the first time it exists even when it is
+        still 0, so the fold of the log has every counter the live
+        registry has.
+        """
         snap = self.metrics.snapshot()
         counters = snap["counters"]
         with self._lock:
             deltas = {
                 name: value - self._last_counters.get(name, 0.0)
                 for name, value in counters.items()
-                if value != self._last_counters.get(name, 0.0)
+                if value != self._last_counters.get(name)
             }
             self._last_counters = dict(counters)
         self.emit("metric", counters=deltas, gauges=snap["gauges"])

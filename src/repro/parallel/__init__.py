@@ -5,6 +5,9 @@ ordered chunked fan-out and labeled error propagation), deterministic
 work-splitting, and per-task seed streams.  ``build_dataset`` and
 ``kmeans`` fan out through this layer; results are bit-identical to the
 serial path for a fixed seed, regardless of backend or worker count.
+A payload (a benchmark registry, the clustering point matrix) reaches
+process workers through the fork pool's inherited memory: it is never
+pickled, and pages the workers only read are never copied.
 """
 
 from .chunking import chunk_bounds, chunk_items
@@ -21,33 +24,21 @@ from .executor import (
 )
 from .prefetch import prefetch_iter
 from .seeding import generator_from_seed, task_generator, task_seed, task_seeds
-from .shm import (
-    SharedNDArray,
-    as_ndarray,
-    dispose_shared,
-    share_array,
-    shared_memory_available,
-)
 
 __all__ = [
     "BACKENDS",
     "Executor",
     "ProcessExecutor",
     "SerialExecutor",
-    "SharedNDArray",
     "ThreadExecutor",
     "WorkerError",
-    "as_ndarray",
     "chunk_bounds",
     "chunk_items",
-    "dispose_shared",
     "effective_n_jobs",
     "fork_available",
     "generator_from_seed",
     "get_executor",
     "prefetch_iter",
-    "share_array",
-    "shared_memory_available",
     "task_generator",
     "task_seed",
     "task_seeds",

@@ -5,18 +5,12 @@ from .correlation import pearson
 from .distance import condensed_distances, distances_to, pairwise_distances
 from .incremental_pca import IncrementalPCA, StreamingProjector
 from .kmeans import Clustering, kmeans
-from .kmeans_engine import (
-    AUTO_CROSSOVER_ENTRIES,
-    EngineStats,
-    lloyd_accelerated,
-    use_accelerated,
-)
+from .kmeans_engine import EngineStats, lloyd_accelerated
 from .normalize import Normalizer, normalize
 from .pca import GramPCA, PCAModel, fit_pca, rescaled_pca_space
 from .streaming_kmeans import FrozenScorer, StreamingLloyd
 
 __all__ = [
-    "AUTO_CROSSOVER_ENTRIES",
     "Clustering",
     "EngineStats",
     "FrozenScorer",
@@ -37,5 +31,4 @@ __all__ = [
     "pairwise_distances",
     "pearson",
     "rescaled_pca_space",
-    "use_accelerated",
 ]

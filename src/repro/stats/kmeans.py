@@ -11,20 +11,11 @@ run whether there are 2 restarts or 50, serial or fanned out across a
 worker pool.  The best-BIC reduction breaks ties toward the lowest
 restart index, which keeps the winner deterministic too.
 
-Two interchangeable inner loops implement one Lloyd semantics:
-
-* :func:`_lloyd` — the reference: a full (chunked) distance pass and
-  argmin every iteration.
-* :func:`repro.stats.kmeans_engine.lloyd_accelerated` — the paper-scale
-  default: triangle-inequality bounds certify most assignments without
-  computing any distances.
-
-Both produce bit-identical labels, centers, inertia and BIC for any
-seed (pinned by ``tests/stats/test_kmeans_engine.py``).  :func:`kmeans`
-picks by problem shape alone — reference Lloyd below the measured
-``n * k`` crossover, the accelerated engine above it (see
-:func:`repro.stats.kmeans_engine.use_accelerated`) — so the choice
-participates in no cache key.
+The inner loop is :func:`repro.stats.kmeans_engine.lloyd_accelerated`:
+Lloyd iterations in which triangle-inequality bounds certify most
+assignments without computing any distances.  Its fits are
+bit-identical to a plain full-distance Lloyd for any seed (pinned
+against the tests' reference in ``tests/stats/oracle.py``).
 """
 
 from __future__ import annotations
@@ -36,26 +27,10 @@ import numpy as np
 
 from ..obs import active as obs_active
 from ..obs import emit_progress, metrics, span
-from ..parallel import (
-    Executor,
-    as_ndarray,
-    dispose_shared,
-    generator_from_seed,
-    get_executor,
-    share_array,
-    task_seeds,
-)
+from ..parallel import Executor, generator_from_seed, get_executor, task_seeds
 from .bic import kmeans_bic
 from .distance import distances_to
-from .kmeans_engine import (
-    EngineStats,
-    assign_points,
-    assigned_sq_distances,
-    group_means,
-    lloyd_accelerated,
-    reseed_empty_clusters,
-    use_accelerated,
-)
+from .kmeans_engine import EngineStats, assigned_sq_distances, lloyd_accelerated
 
 
 @dataclass(frozen=True)
@@ -113,45 +88,6 @@ class Clustering:
         return reps
 
 
-def _lloyd(
-    points: np.ndarray,
-    init_centers: np.ndarray,
-    max_iter: int,
-) -> tuple:
-    """Reference Lloyd: full chunked distance pass + argmin per iteration.
-
-    Shares every value-producing kernel with the accelerated engine
-    (assignment, center update, empty-cluster reseeding, epilogue), so
-    the two paths differ only in *which* distance rows they evaluate —
-    the property the engine's bit-identity tests pin.
-    """
-    centers = init_centers.astype(np.float64, copy=True)
-    k = len(centers)
-    labels = np.zeros(len(points), dtype=np.int64)
-    for iteration in range(1, max_iter + 1):
-        new_labels, assigned, _ = assign_points(points, centers)
-        # Re-seed empty clusters with the points farthest from their
-        # centers, so k stays k.
-        counts = np.bincount(new_labels, minlength=k)
-        reseeded = False
-        if (counts == 0).any():
-            rows = reseed_empty_clusters(points, centers, new_labels, assigned, counts)
-            reseeded = len(rows) > 0
-        if iteration > 1 and np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
-        labels = new_labels
-        previous = centers
-        centers = group_means(points, labels, centers)
-        if not reseeded and np.array_equal(centers, previous):
-            # Zero center drift: the next pass would reproduce these
-            # labels exactly, so converge now (tol-style early exit).
-            break
-    assigned_sq = assigned_sq_distances(points, centers, labels)
-    inertia = float(assigned_sq.sum())
-    return centers, labels, inertia, iteration, assigned_sq
-
-
 def restart_init_rows(
     rng: np.random.Generator, n: int, k: int, restarts: int
 ) -> List[np.ndarray]:
@@ -175,14 +111,10 @@ def _run_restart(payload, init_idx: np.ndarray):
     folded into the metrics registry.  Collection only reads values
     the fit computed anyway, so results are bit-identical either way.
     """
-    points, max_iter, use_reference = payload
-    points = as_ndarray(points)
-    stats = EngineStats() if (obs_active() and not use_reference) else None
+    points, max_iter = payload
+    stats = EngineStats() if obs_active() else None
     with span("kmeans.restart") as sp:
-        if use_reference:
-            fit = _lloyd(points, points[init_idx], max_iter)
-        else:
-            fit = lloyd_accelerated(points, points[init_idx], max_iter, stats=stats)
+        fit = lloyd_accelerated(points, points[init_idx], max_iter, stats=stats)
         centers, labels, inertia, n_iter, assigned_sq = fit
         bic = kmeans_bic(points, labels, centers, assigned_sq=assigned_sq)
         sp.set(bic=bic, inertia=inertia, n_iter=n_iter)
@@ -211,12 +143,6 @@ def kmeans(
 ) -> Clustering:
     """Cluster ``points`` into ``k`` clusters, keeping the best-BIC run.
 
-    The inner loop is plain Lloyd below the ``n * k`` crossover, where
-    bound bookkeeping outweighs the skipped distance rows, and the
-    triangle-inequality engine above it (see
-    :data:`repro.stats.kmeans_engine.AUTO_CROSSOVER_ENTRIES`).  Results
-    are bit-identical either way.
-
     Args:
         points: ``(n, d)`` data (typically the rescaled PCA space).
         k: number of clusters; clipped to ``n`` if larger.
@@ -241,24 +167,16 @@ def kmeans(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     k = min(k, len(points))
-    use_reference = not use_accelerated(len(points), k)
     init_rows = restart_init_rows(rng, len(points), k, restarts)
     if executor is None:
         executor = get_executor(backend, n_jobs)
-    # Process workers read one physical copy of the points through
-    # shared memory instead of duplicating fork-inherited pages (or
-    # re-pickling the matrix); other backends see the live array.
-    shared = share_array(points) if executor.backend == "process" else points
-    try:
-        runs = executor.map(
-            _run_restart,
-            init_rows,
-            payload=(shared, max_iter, use_reference),
-            labels=[f"restart {i}" for i in range(restarts)],
-            on_result=lambda i, _res: emit_progress("kmeans", i + 1, restarts),
-        )
-    finally:
-        dispose_shared(shared)
+    runs = executor.map(
+        _run_restart,
+        init_rows,
+        payload=(points, max_iter),
+        labels=[f"restart {i}" for i in range(restarts)],
+        on_result=lambda i, _res: emit_progress("kmeans", i + 1, restarts),
+    )
     best: Optional[Clustering] = None
     for centers, labels, inertia, n_iter, bic, assigned_sq in runs:
         if best is None or bic > best.bic:

@@ -13,8 +13,9 @@ cache-sized chunks, bounding peak memory to ``O(chunk x k)`` instead
 of ``O(n x k)``.
 
 **Bit-identity contract.**  The engine produces labels, centers,
-inertia and BIC that are bit-identical to the reference Lloyd path
-(:func:`repro.stats.kmeans._lloyd`) for any seed.  Floating-point
+inertia and BIC that are bit-identical to a plain Lloyd that
+evaluates every distance row every iteration (the tests' reference,
+``tests/stats/oracle.py``) for any seed.  Floating-point
 equality across two genuinely different evaluation orders is
 impossible (BLAS GEMM results depend on operand shapes, and NumPy's
 ``mean`` switches between pairwise and sequential summation with the
@@ -48,12 +49,10 @@ floating-point drift of the bound maintenance, so every near-tie is
 re-evaluated with the shared exact kernel.  Skipping can therefore
 only remove redundant work, never change a decision.
 
-:func:`repro.stats.kmeans` picks the engine by clustering shape alone
-(:func:`use_accelerated`): below :data:`AUTO_CROSSOVER_ENTRIES`
-``n x k`` distance entries the bound bookkeeping outweighs the rows it
-skips and reference Lloyd is used; at or above it the accelerated
-engine wins.  Both paths are bit-identical, so the choice participates
-in no cache key.
+:func:`repro.stats.kmeans` runs this engine at every clustering shape.
+Below about 40,000 ``n x k`` distance entries the bound bookkeeping
+costs more than the rows it skips, but such a fit takes milliseconds; ``benchmarks/bench_kmeans_throughput.py`` reports the
+engine's cost against the full-distance reference at those shapes.
 """
 
 from __future__ import annotations
@@ -71,26 +70,6 @@ _CHUNK_ENTRIES = 1 << 21
 #: Max number of "big mover" centers whose exact distance columns cap
 #: the lower bound instead of participating in the global drift decay.
 _BIG_MOVERS = 8
-
-#: Engine crossover, in distance-matrix entries (``n x k``) per Lloyd
-#: iteration.  Below it the bound bookkeeping (per-point upper/lower
-#: bounds, drift decay, uncertified gathers) costs more than the
-#: distance rows it skips, so plain Lloyd wins; above it the skipped
-#: rows dominate.  Measured on the interleaved A/B harness in
-#: ``benchmarks/bench_kmeans_throughput.py``: 0.69x at 308 x 8,
-#: 0.89x at 1k x 20, 1.43x at 2k x 40, 3.0x at 7.7k x 120 and 1.8-4x
-#: at the paper's 77k x 300.  The engines are bit-identical, so the
-#: threshold participates in no cache key.
-AUTO_CROSSOVER_ENTRIES = 40_000
-
-
-def use_accelerated(n: int, k: int) -> bool:
-    """True when an ``n x k`` clustering should take the accelerated engine.
-
-    Below :data:`AUTO_CROSSOVER_ENTRIES` distance entries the bounds
-    cannot amortize their bookkeeping and reference Lloyd is faster.
-    """
-    return n * k >= AUTO_CROSSOVER_ENTRIES
 
 
 @dataclass
@@ -264,8 +243,7 @@ def lloyd_accelerated(
     """Lloyd's algorithm with Hamerly-style triangle-inequality bounds.
 
     Returns ``(centers, labels, inertia, n_iter, assigned_sq)``,
-    bit-identical to :func:`repro.stats.kmeans._lloyd` for the same
-    inputs.  ``stats``, when given, accumulates distance-evaluation
+    bit-identical to a full-distance-pass Lloyd for the same inputs.  ``stats``, when given, accumulates distance-evaluation
     accounting across calls (restarts).
 
     Bound maintenance: after the centers move, each point's upper

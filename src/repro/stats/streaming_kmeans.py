@@ -9,11 +9,12 @@ sees in batches:
   accumulate batch by batch in ``O(k·d)``, centers update at pass
   end, empty clusters re-seed from the globally farthest points
   (tracked via a bounded candidate merge).  Every decision mirrors
-  :func:`repro.stats.kmeans._lloyd` — same kernels, same tie-breaks,
-  same convergence checks — so from the same initial centers it
-  reproduces the exact trajectory: the same labels and iteration
-  count, centers equal up to floating-point rounding (pinned by
-  ``tests/stats/test_minibatch_kmeans.py``).
+  one iteration of :func:`repro.stats.kmeans_engine.lloyd_accelerated`
+  — same kernels, same tie-breaks, same convergence checks — so from
+  the same initial centers it reproduces the exact trajectory: the
+  same labels and iteration count, centers equal up to floating-point
+  rounding (pinned against the full-distance reference in
+  ``tests/stats/oracle.py`` by ``tests/stats/test_minibatch_kmeans.py``).
 * :class:`FrozenScorer` — one pass with frozen centers that streams
   labels, SSE, counts and representatives.
 
@@ -54,8 +55,9 @@ class StreamingLloyd:
                 lloyd.fold_batch(batch)
             lloyd.end_pass()
 
-    Each pass replicates one :func:`repro.stats.kmeans._lloyd`
-    iteration: chunked assignment (shared kernel), empty-cluster
+    Each pass replicates one full-distance Lloyd iteration (the
+    trajectory :func:`~repro.stats.kmeans_engine.lloyd_accelerated`
+    takes too): chunked assignment (shared kernel), empty-cluster
     reseeding from the globally farthest points, bincount-style center
     means, and both convergence checks (stable labels; zero center
     drift without a reseed).  Fixed-size state is ``O(k·d)`` — sums,

@@ -120,7 +120,7 @@ def test_truncated_payload_quarantined(tmp_path, rows):
     truncate_file(spool.data_path("raw"), keep=0.5)
     with observe() as ob:
         assert spool.replay("raw", 5, 7) is None
-    assert ob.metrics.counter_value("spool.evictions") == 1
+    assert ob.metrics.counter_value("spool.quarantined") == 1
     assert not spool.ready("raw")
     assert list(tmp_path.glob("*.corrupt-*"))
 

@@ -7,7 +7,6 @@ with an active observation must be bit-identical to one without.
 
 import numpy as np
 
-import repro.stats.kmeans_engine as kmeans_engine
 from repro.config import AnalysisConfig
 from repro.core import build_dataset, run_characterization
 from repro.obs import missing_stages, observe
@@ -26,11 +25,7 @@ def _run(config, benchmarks, observed):
     return dataset, result, None
 
 
-def test_observed_run_is_bit_identical(monkeypatch):
-    # Accelerated engine forced: the tiny clustering sits below the
-    # shape crossover, and the skipped-row gauge assertion at the end
-    # needs the bound accounting the reference path does not collect.
-    monkeypatch.setattr(kmeans_engine, "AUTO_CROSSOVER_ENTRIES", 0)
+def test_observed_run_is_bit_identical():
     config = AnalysisConfig.tiny()
     benchmarks = [b for b in all_benchmarks() if b.suite == "BMW"]
 

@@ -19,6 +19,7 @@ from repro.core import build_dataset, run_characterization
 from repro.obs import (
     build_report,
     emit_event,
+    metrics,
     recorded_run,
     report_from_events,
     span,
@@ -87,6 +88,13 @@ def test_live_report_equals_the_fold_of_its_log(backend):
     assert _shape(live["spans"]) == _shape(folded["spans"])
     labels = [n["attrs"]["label"] for n in _walk(live["spans"]) if n["name"] == "task"]
     assert [b.key for b in benches] == labels[: len(benches)]
+    assert live["metrics"]["counters"] == folded["metrics"]["counters"]
+
+
+def test_a_counter_still_at_zero_reaches_the_fold():
+    # The k-means engine adds kmeans.full_refreshes even when it is 0.
+    live, folded = _observed(lambda: metrics().counter_add("probe.zero", 0))
+    assert live["metrics"]["counters"]["probe.zero"] == 0.0
     assert live["metrics"]["counters"] == folded["metrics"]["counters"]
 
 

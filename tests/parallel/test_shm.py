@@ -1,136 +1,25 @@
-"""Shared-memory ndarray handles: lifecycle, pickling, fan-out identity."""
-
-import pickle
+"""Process-backend restarts read the points through the fork-inherited payload."""
 
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    ProcessExecutor,
-    SharedNDArray,
-    as_ndarray,
-    dispose_shared,
-    fork_available,
-    share_array,
-    shared_memory_available,
-)
-from repro.parallel.shm import _untrack
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="no usable shared memory"
-)
-
-
-def _data():
-    return np.arange(24, dtype=np.float64).reshape(6, 4) * 0.5
-
-
-def test_from_array_round_trip():
-    data = _data()
-    shared = SharedNDArray.from_array(data)
-    try:
-        assert shared.shape == (6, 4)
-        assert shared.dtype == np.float64
-        assert len(shared) == 6
-        np.testing.assert_array_equal(shared.array, data)
-        # The shared view is a copy: mutating the source changes nothing.
-        data[0, 0] = -1.0
-        assert shared.array[0, 0] == 0.0
-    finally:
-        shared.dispose()
-
-
-def test_shared_view_is_read_only():
-    shared = SharedNDArray.from_array(_data())
-    try:
-        with pytest.raises(ValueError):
-            shared.array[0, 0] = 99.0
-    finally:
-        shared.dispose()
-
-
-def test_pickles_to_lazy_handle():
-    shared = SharedNDArray.from_array(_data())
-    try:
-        blob = pickle.dumps(shared)
-        # The handle is metadata only — far smaller than the 192-byte
-        # payload it stands for would pickle to.
-        handle = pickle.loads(blob)
-        assert handle.name == shared.name
-        assert handle.shape == shared.shape
-        assert handle.dtype == shared.dtype
-        assert handle._array is None  # nothing mapped yet
-        np.testing.assert_array_equal(handle.array, shared.array)
-        handle.close()
-    finally:
-        shared.dispose()
-
-
-def test_dispose_unlinks_the_block():
-    shared = SharedNDArray.from_array(_data())
-    handle = pickle.loads(pickle.dumps(shared))
-    shared.dispose()
-    with pytest.raises(FileNotFoundError):
-        _ = handle.array
-
-
-def test_attach_after_owner_unlink_keeps_existing_mapping():
-    shared = SharedNDArray.from_array(_data())
-    handle = pickle.loads(pickle.dumps(shared))
-    view = handle.array  # mapped before the owner unlinks
-    shared.dispose()
-    try:
-        assert view[1, 1] == 2.5  # POSIX: mappings survive the unlink
-    finally:
-        handle.close()
-
-
-def test_unlink_requires_ownership():
-    shared = SharedNDArray.from_array(_data())
-    handle = pickle.loads(pickle.dumps(shared))
-    try:
-        with pytest.raises(RuntimeError):
-            handle.unlink()
-    finally:
-        handle.close()
-        shared.dispose()
-
-
-def test_share_array_falls_back_for_empty_arrays():
-    empty = np.empty((0, 4))
-    assert share_array(empty) is empty
-    dispose_shared(empty)  # no-op, must not raise
-
-
-def test_as_ndarray_passthrough():
-    data = _data()
-    assert as_ndarray(data) is data
-    shared = share_array(data)
-    try:
-        assert isinstance(shared, SharedNDArray)
-        np.testing.assert_array_equal(as_ndarray(shared), data)
-    finally:
-        dispose_shared(shared)
-
-
-def test_untrack_tolerates_unknown_names():
-    _untrack("/repro-shm-never-registered")
-
-
-def _sum_row(payload, row):
-    arr = as_ndarray(payload)
-    return float(arr[row].sum())
+from repro.parallel import fork_available
+from repro.stats import kmeans
+from repro.synth import generator
 
 
 def test_process_fanout_reads_shared_payload():
     if not fork_available():
         pytest.skip("no fork")
-    data = _data()
-    shared = share_array(data)
-    try:
-        results = ProcessExecutor(n_jobs=3).map(
-            _sum_row, range(len(data)), payload=shared
-        )
-    finally:
-        dispose_shared(shared)
-    assert results == [float(row.sum()) for row in data]
+    rng = np.random.default_rng(12)
+    points = rng.normal(size=(300, 4))
+    serial = kmeans(points, 6, restarts=4, rng=generator("shm", 1))
+    forked = kmeans(
+        points, 6, restarts=4, rng=generator("shm", 1), n_jobs=2, backend="process"
+    )
+    np.testing.assert_array_equal(forked.labels, serial.labels)
+    np.testing.assert_array_equal(forked.centers, serial.centers)
+    np.testing.assert_array_equal(forked.assigned_sq, serial.assigned_sq)
+    assert forked.bic == serial.bic
+    assert forked.inertia == serial.inertia
+    assert forked.n_iter == serial.n_iter

@@ -1,36 +1,36 @@
 """Engine/reference equivalence for the accelerated k-means.
 
 The triangle-inequality engine must be *bit-identical* to the reference
-Lloyd path — labels, centers, inertia, iteration count and the
-per-point assigned distances — for any input, including the
-empty-cluster reseeding path.  That contract is what keeps the
-shape-based engine choice out of every cache key.
+Lloyd in ``tests/stats/oracle.py`` — labels, centers, inertia,
+iteration count and the per-point assigned distances — for any input,
+including the empty-cluster reseeding path.
 Hypothesis drives randomized point sets through both paths; directed
 cases pin the degenerate inputs and the reseeding order.
 """
 
-import sys
+import importlib
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.stats.kmeans_engine as kmeans_engine
 from repro.obs import observe
 from repro.stats import kmeans
-from repro.stats.kmeans import Clustering, _lloyd
+from repro.stats.kmeans import Clustering
 from repro.stats.kmeans_engine import (
-    AUTO_CROSSOVER_ENTRIES,
     EngineStats,
     assign_points,
     assigned_sq_distances,
     farthest_rows,
     group_means,
     lloyd_accelerated,
-    use_accelerated,
 )
 from repro.synth import generator
+from tests.stats.oracle import lloyd_reference
+
+#: The module, not the ``repro.stats.kmeans`` function that shadows it.
+kmeans_module = importlib.import_module("repro.stats.kmeans")
 
 SETTINGS = dict(max_examples=30, deadline=None)
 
@@ -47,21 +47,22 @@ def assert_identical(ref, acc):
 
 
 def kmeans_on(engine, *args, **kwargs):
-    """:func:`kmeans` with every restart forced onto one inner loop.
+    """:func:`kmeans` with every restart on one inner loop.
 
-    Moving the shape crossover to 0 (or above any ``n * k``) is the
-    only way to pick the engine, so the restart-level fits of both
-    engines can be compared through the full best-BIC reduction.
+    ``"reference"`` swaps the engine for the oracle, so the
+    restart-level fits of both can be compared through the full
+    best-BIC reduction.
     """
-    entries = 0 if engine == "accelerated" else sys.maxsize
-    with mock.patch.object(kmeans_engine, "AUTO_CROSSOVER_ENTRIES", entries):
+    if engine == "accelerated":
+        return kmeans(*args, **kwargs)
+    with mock.patch.object(kmeans_module, "lloyd_accelerated", lloyd_reference):
         return kmeans(*args, **kwargs)
 
 
 def run_both(points, k, seed=0, max_iter=50):
     rng = np.random.default_rng(seed)
     init = points[rng.choice(len(points), size=k, replace=False)]
-    ref = _lloyd(points, init, max_iter)
+    ref = lloyd_reference(points, init, max_iter)
     acc = lloyd_accelerated(points, init, max_iter)
     assert_identical(ref, acc)
     return ref
@@ -255,7 +256,7 @@ def test_zero_drift_early_exit():
     # stop both paths at the same iteration count.
     rng = np.random.default_rng(7)
     points = rng.normal(size=(30, 2))
-    ref = _lloyd(points, points[:1], 50)
+    ref = lloyd_reference(points, points[:1], 50)
     acc = lloyd_accelerated(points, points[:1], 50)
     assert_identical(ref, acc)
     assert ref[3] <= 3
@@ -265,21 +266,23 @@ def test_zero_drift_early_exit():
 
 
 def test_resolve_engine_auto_adapts_to_shape():
-    # Small problems (the tiny preset's 308 x 8 clustering) stay on the
-    # plain Lloyd — the bounds cannot amortize their bookkeeping.
-    assert not use_accelerated(308, 8)
-    # The paper-scale clustering lands on the accelerated engine.
-    assert use_accelerated(77_000, 300)
-    # The boundary itself: strictly-below stays reference.
-    assert not use_accelerated(AUTO_CROSSOVER_ENTRIES - 1, 1)
-    assert use_accelerated(AUTO_CROSSOVER_ENTRIES, 1)
+    # The accelerated engine runs at every shape: the tiny preset's
+    # 308 x 8 clustering and one above 40k n * k distance entries both
+    # collect its bound accounting.
+    rng = np.random.default_rng(8)
+    for n, k in ((308, 8), (2_100, 20)):
+        points = rng.normal(size=(n, 3))
+        with observe() as ob:
+            kmeans(points, k, restarts=1, max_iter=5, rng=generator("kme-sh", n))
+        counters = ob.metrics.snapshot()["counters"]
+        assert counters["kmeans.point_rows_total"] > 0
+        assert counters["kmeans.point_rows_computed"] > 0
 
 
 @given(point_sets())
 @settings(max_examples=15, deadline=None)
 def test_auto_bit_identical_to_selected_engine(case):
-    # Whatever the shape selects, the fit is the one both engines agree
-    # on — so adaptive selection can never change a result.
+    # The production fit is the one the engine and the oracle agree on.
     points, k, seed = case
     auto = kmeans(points, k, restarts=2, rng=generator("kme-auto", seed))
     for engine in ("accelerated", "reference"):
@@ -291,12 +294,9 @@ def test_auto_bit_identical_to_selected_engine(case):
         assert auto.n_iter == fit.n_iter
 
 
-def test_kmeans_collects_engine_stats(monkeypatch):
+def test_kmeans_collects_engine_stats():
     rng = np.random.default_rng(9)
     points = rng.normal(size=(60, 2))
-    # Force the accelerated engine: at this size the shape picks the
-    # reference path, which collects no bound accounting.
-    monkeypatch.setattr(kmeans_engine, "AUTO_CROSSOVER_ENTRIES", 0)
     with observe() as ob:
         kmeans(points, 5, restarts=3, rng=generator("kme-st", 1))
     counters = ob.metrics.snapshot()["counters"]

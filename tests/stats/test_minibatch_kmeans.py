@@ -10,8 +10,8 @@ from repro.stats import (
     bic_from_stats,
     kmeans_bic,
 )
-from repro.stats.kmeans import _lloyd
 from repro.stats.kmeans_engine import assign_points
+from tests.stats.oracle import lloyd_reference
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def _run_streaming(points, init, max_iter, batch_size):
 def test_streaming_lloyd_matches_reference(blobs, batch_size):
     """Batched Lloyd == whole-array Lloyd from the same initial centers."""
     init = _init(blobs, 4, 6)
-    centers, labels, inertia, n_iter, _ = _lloyd(blobs, init, 100)
+    centers, labels, inertia, n_iter, _ = lloyd_reference(blobs, init, 100)
     lloyd = _run_streaming(blobs, init, 100, batch_size)
     final_labels, _, _ = assign_points(blobs, lloyd.centers)
     assert lloyd.converged
@@ -76,7 +76,7 @@ def test_streaming_lloyd_matches_reference(blobs, batch_size):
 def test_streaming_lloyd_with_empty_cluster_reseed(blobs):
     """A far-away initial center forces the reseed path in both engines."""
     init = np.vstack([_init(blobs, 3, 7), [[1e6, 1e6]]])
-    centers, labels, _, n_iter, _ = _lloyd(blobs, init, 100)
+    centers, labels, _, n_iter, _ = lloyd_reference(blobs, init, 100)
     lloyd = _run_streaming(blobs, init, 100, 13)
     final_labels, _, _ = assign_points(blobs, lloyd.centers)
     assert lloyd.n_iter == n_iter

@@ -215,6 +215,6 @@ def test_spool_counters(cfg, benches):
     assert m.counter_value("spool.misses") == 2  # one cold sweep per kind
     assert m.counter_value("spool.hits") >= 2
     assert m.counter_value("spool.bytes") > 0
-    assert m.counter_value("spool.evictions") == 0
+    assert m.counter_value("spool.quarantined") == 0
     assert m.counter_value("prefetch.batches") > 0
     assert m.gauge_value("streaming.featurize_sweeps") == 1

@@ -110,12 +110,9 @@ def test_subset_prints_trajectory(characterization_file, capsys):
     assert out.count("%") >= 4
 
 
-def test_characterize_writes_run_report(tmp_path, capsys, monkeypatch):
+def test_characterize_writes_run_report(tmp_path, capsys):
     from repro.obs import load_report, missing_stages, validate_report
 
-    # The tiny clustering sits below the shape crossover; move it so the
-    # accelerated engine runs and the skipped-row gauge is recorded.
-    monkeypatch.setattr("repro.stats.kmeans_engine.AUTO_CROSSOVER_ENTRIES", 0)
     report_path = tmp_path / "run.json"
     assert (
         main(
