@@ -103,8 +103,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             config = config.replace(streaming=True)
         if args.batch_intervals is not None:
             config = config.replace(batch_intervals=args.batch_intervals)
-        if args.spool_dir is not None:
-            config = config.replace(spool_dir=args.spool_dir)
     except ValueError as exc:
         raise SystemExit(f"repro characterize: error: {exc}")
     benches = _select_benchmarks(args.suite)
@@ -162,8 +160,8 @@ def _characterize_streaming(
 
     Streaming never holds the matrix, so there is no dataset stage to
     checkpoint.  The engine featurizes exactly once and replays every
-    later pass from its memory-mapped spool (``--spool-dir`` makes that
-    survive across runs).
+    later pass from its memory-mapped spool, a per-run temporary
+    directory; ``--feature-cache`` carries rows across runs.
     """
     from .analysis import StreamingDriftMonitor
     from .streaming import run_streaming_characterization, save_streaming_result
@@ -566,8 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--feature-cache",
         default=None,
         metavar="DIR",
-        help="per-benchmark feature-block cache directory; reruns only "
-        "characterize intervals no earlier run has touched",
+        help="per-benchmark feature-block cache directory, the one "
+        "store that carries featurized rows across runs (batch and "
+        "--streaming alike); reruns only characterize intervals no "
+        "earlier run has touched",
     )
     p.add_argument(
         "--streaming",
@@ -575,8 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="bounded-memory engine: featurize in batches, incremental "
         "PCA, exact streaming Lloyd.  Approximate (see docs/methodology.md); "
         "the default exact path pins correctness.  Stage checkpoints do "
-        "not apply; the feature spool makes every pass after the first "
-        "a zero-copy replay",
+        "not apply; a per-run feature spool under TMPDIR makes every "
+        "pass after the first a zero-copy replay, and --feature-cache "
+        "lets a rerun skip featurization",
     )
     p.add_argument(
         "--batch-intervals",
@@ -585,14 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="intervals per streamed batch (peak working set is O(N); "
         "default: preset value, 256)",
-    )
-    p.add_argument(
-        "--spool-dir",
-        default=None,
-        metavar="DIR",
-        help="keep the feature spool in DIR instead of a per-run "
-        "temporary directory; a rerun of the same plan then skips "
-        "featurization entirely",
     )
     p.add_argument(
         "--resume",

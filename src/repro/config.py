@@ -15,7 +15,6 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -43,18 +42,12 @@ class AnalysisConfig:
 
     Execution knobs control how the hot stages run without affecting
     what they compute (results are bit-identical for a fixed seed at any
-    worker count or spool location, so none of them participates in
-    cache keys):
+    worker count, so neither participates in cache keys):
 
     * ``n_jobs`` — parallel workers for dataset build and k-means
       restarts; ``-1`` means all cores, ``1`` means serial.
     * ``parallel_backend`` — ``auto`` | ``serial`` | ``thread`` |
       ``process`` (see :mod:`repro.parallel`).
-    * ``spool_dir`` — where the streaming engine's feature spool
-      (:class:`repro.io.FeatureSpool`) lives; None (the default) uses a
-      per-run temporary directory removed at the end.  A persistent
-      directory lets a rerun of the same plan skip even the first
-      featurization sweep.
 
     Two further knobs select the *streaming* analysis path
     (:mod:`repro.streaming`).  Unlike the execution knobs they change
@@ -64,7 +57,10 @@ class AnalysisConfig:
     * ``streaming`` — run the bounded-memory engine (incremental PCA +
       exact streaming Lloyd over featurization batches) instead of
       materializing the full dataset.  The exact path stays the
-      default and pins correctness.
+      default and pins correctness.  The engine's feature spool is
+      scratch in a per-run temporary directory (under ``TMPDIR``);
+      rows carry across runs only through a
+      :class:`repro.io.FeatureBlockCache`, as on the exact path.
     * ``batch_intervals`` — intervals held in memory per streaming
       batch; the peak working set is ``O(batch_intervals)``, never
       ``O(total intervals)``.
@@ -89,10 +85,9 @@ class AnalysisConfig:
     parallel_backend: str = "auto"
     streaming: bool = False
     batch_intervals: int = 256
-    spool_dir: Optional[str] = None
 
     #: Fields that control execution, not results; excluded from cache keys.
-    EXECUTION_KNOBS = ("n_jobs", "parallel_backend", "spool_dir")
+    EXECUTION_KNOBS = ("n_jobs", "parallel_backend")
 
     def __post_init__(self) -> None:
         if self.interval_instructions <= 0:
@@ -111,8 +106,6 @@ class AnalysisConfig:
             )
         if self.batch_intervals < 1:
             raise ValueError("batch_intervals must be >= 1")
-        if self.spool_dir is not None and not str(self.spool_dir):
-            raise ValueError("spool_dir must be a non-empty path or None")
         if self.ppm_sample_branches > 2**20:
             # One interval's PPM context keys and event indices then
             # still fit one int64 composite (repro.mica.fused).

@@ -11,25 +11,24 @@ and later sweeps replay the rows as zero-copy slices of one read-only
 bit-identical to freshly computed ones and every bit-identity pin on
 the streaming path holds unchanged.
 
+A spool is scratch for one run: it lives in a directory the run owns
+(the engine's temporary directory) and replays only what the same
+:class:`FeatureSpool` object sealed.  Rows are reused across runs
+through :class:`~repro.io.FeatureBlockCache`, never through a spool.
 One spool holds independent *kinds* (``"raw"`` feature rows,
-``"proj"`` projected points), each a pair of files keyed by a caller-
-supplied content fingerprint:
+``"proj"`` projected points), each one file ``spool_<kind>.bin``: the
+row-major float64 payload, written append-only to a private temporary
+file and published with ``os.replace`` when sealed, so a new payload
+never truncates a file that a live replay still maps.  The seal keeps
+the row/column counts and the payload's SHA-256 in memory.
 
-* ``spool_<kind>_<fp>.bin`` — the row-major float64 payload, written
-  append-only to a private temporary file and published atomically
-  with ``os.replace`` when sealed (the artifact store's protocol: a
-  crash mid-sweep leaves no half-spool behind);
-* ``spool_<kind>_<fp>.idx.npz`` — a checksummed index artifact
-  (:func:`repro.io.artifacts.write_artifact`) recording the row/column
-  counts and the payload's SHA-256.
-
-Replays verify the payload digest against the index before yielding
+Replays verify the payload against that digest before yielding
 anything, every pass — so truncation or bit rot at any point between
-sweeps surfaces as a miss, the damaged pair is quarantined through
-:func:`repro.io.artifacts.quarantine` (evidence preserved, never
-deleted), and the caller falls back to recomputation with identical
-results.  Because the payload is one contiguous matrix, replay batch
-boundaries are free to differ from the recorded ones.
+sweeps surfaces as a miss, the damaged file is quarantined through
+:func:`repro.io.artifacts.quarantine`, and the caller falls back to
+recomputation with identical results.  Because the payload is one
+contiguous matrix, replay batch boundaries are free to differ from the
+recorded ones.
 """
 
 from __future__ import annotations
@@ -38,29 +37,21 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from ..obs import get_logger, metrics
-from .artifacts import (
-    ArtifactError,
-    quarantine,
-    read_artifact,
-    write_artifact,
-)
+from .artifacts import quarantine
 
 PathLike = Union[str, Path]
 
 log = get_logger(__name__)
 
-#: Artifact schema name for one spool index file.
-SPOOL_INDEX_SCHEMA = "spool_index"
-
 #: Bytes hashed per chunk when digesting a payload memmap.
 _HASH_CHUNK = 1 << 24
 
-__all__ = ["SPOOL_INDEX_SCHEMA", "FeatureSpool", "SpoolWriter"]
+__all__ = ["FeatureSpool", "SpoolWriter"]
 
 
 def _digest_memmap(mm: np.memmap) -> str:
@@ -76,13 +67,15 @@ class SpoolWriter:
     """Append-only writer for one spool kind; publish-on-seal.
 
     Rows accumulate in a private temporary file next to the
-    destination; :meth:`seal` fsyncs, publishes the payload with
-    ``os.replace`` and writes the index artifact.  Anything short of a
-    seal — exception, abandoned sweep, crash — leaves only the
-    temporary file, which no replay will ever look at.
+    destination; :meth:`seal` publishes the payload with
+    ``os.replace`` and records its digest in the spool.  Anything
+    short of a seal — exception, abandoned sweep — leaves only the
+    temporary file, which no replay will ever look at.  Creating a
+    writer forgets any earlier seal of its kind.
     """
 
     def __init__(self, spool: "FeatureSpool", kind: str, n_rows: int, n_cols: int):
+        spool._seals.pop(kind, None)
         self._spool = spool
         self.kind = kind
         self.n_rows = n_rows
@@ -100,17 +93,18 @@ class SpoolWriter:
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.n_cols:
             raise ValueError(f"expected (n, {self.n_cols}) rows, got {rows.shape}")
+        if self._written + len(rows) > self.n_rows:
+            raise ValueError(
+                f"spool {self.kind!r} overflow: {self._written + len(rows)} rows "
+                f"> planned {self.n_rows}"
+            )
         raw = rows.tobytes()
         self._handle.write(raw)
         self._hash.update(raw)
         self._written += len(rows)
-        if self._written > self.n_rows:
-            raise ValueError(
-                f"spool {self.kind!r} overflow: {self._written} rows > planned {self.n_rows}"
-            )
 
     def seal(self) -> None:
-        """Publish the payload and its index; the spool becomes replayable."""
+        """Publish the payload; the spool can replay this kind."""
         if self._handle is None:
             raise RuntimeError("spool writer already closed")
         if self._written != self.n_rows:
@@ -119,22 +113,10 @@ class SpoolWriter:
                 f"spool {self.kind!r} sealed short: {self._written} of {self.n_rows} rows"
             )
         handle, self._handle = self._handle, None
-        handle.flush()
-        os.fsync(handle.fileno())
         handle.close()
         dest = self._spool.data_path(self.kind)
         os.replace(self._tmp, dest)
-        write_artifact(
-            self._spool.index_path(self.kind),
-            {"shape": np.array([self.n_rows, self.n_cols], dtype=np.int64)},
-            schema=SPOOL_INDEX_SCHEMA,
-            meta={
-                "kind": self.kind,
-                "fingerprint": self._spool.fingerprint(self.kind),
-                "sha256": self._hash.hexdigest(),
-                "bytes": self.n_rows * self.n_cols * 8,
-            },
-        )
+        self._spool._seals[self.kind] = (self.n_rows, self.n_cols, self._hash.hexdigest())
         nbytes = self.n_rows * self.n_cols * 8
         metrics().counter_add("spool.bytes", float(nbytes))
         self._spool._bytes_written += nbytes
@@ -162,61 +144,45 @@ class SpoolWriter:
 
 
 class FeatureSpool:
-    """On-disk batch store for the streaming engine's repeated sweeps.
+    """On-disk batch store for one streaming run's repeated sweeps.
 
     Args:
         root: directory holding the spool files (created on demand).
-        fingerprints: ``{kind: fingerprint}`` content keys.  A kind's
-            fingerprint must encode everything that determines its
-            rows (benchmark selection, interval picks, featurization
-            parameters; plus the analysis key for projected points), so
-            a persistent spool directory can never serve stale rows to
-            a different configuration.
+            It should belong to one run: a payload found there that
+            this object did not seal is never replayed.
     """
 
-    def __init__(self, root: PathLike, fingerprints: dict):
+    def __init__(self, root: PathLike):
         self.root = Path(root)
-        self._fingerprints = dict(fingerprints)
+        #: ``{kind: (n_rows, n_cols, sha256)}`` of each payload sealed here.
+        self._seals: Dict[str, Tuple[int, int, str]] = {}
         self._bytes_written = 0
 
-    def fingerprint(self, kind: str) -> str:
-        try:
-            return self._fingerprints[kind]
-        except KeyError:
-            raise KeyError(f"spool kind {kind!r} has no fingerprint") from None
-
     def data_path(self, kind: str) -> Path:
-        return self.root / f"spool_{kind}_{self.fingerprint(kind)}.bin"
-
-    def index_path(self, kind: str) -> Path:
-        return self.root / f"spool_{kind}_{self.fingerprint(kind)}.idx.npz"
+        return self.root / f"spool_{kind}.bin"
 
     @property
     def bytes_written(self) -> int:
-        """Payload bytes sealed by this process."""
+        """Payload bytes sealed by this spool."""
         return self._bytes_written
 
     def ready(self, kind: str) -> bool:
-        """Whether a sealed payload + index pair exists for ``kind``."""
-        return self.data_path(kind).exists() and self.index_path(kind).exists()
+        """Whether this spool sealed a payload for ``kind``."""
+        return kind in self._seals
 
     def writer(self, kind: str, n_rows: int, n_cols: int) -> SpoolWriter:
         """A writer for one cold sweep of ``n_rows x n_cols`` rows."""
         return SpoolWriter(self, kind, n_rows, n_cols)
 
     def _quarantine(self, kind: str, reason: str) -> None:
-        reg = metrics()
-        reg.counter_add("spool.quarantined", 1)
-        quarantined = []
-        for path in (self.data_path(kind), self.index_path(kind)):
-            dest = quarantine(path)
-            if dest is not None:
-                quarantined.append(dest.name)
+        self._seals.pop(kind, None)
+        metrics().counter_add("spool.quarantined", 1)
+        dest = quarantine(self.data_path(kind))
         log.warning(
             "spool %r failed verification (%s); quarantined %s — recomputing",
             kind,
             reason,
-            ", ".join(quarantined) or "nothing (already gone)",
+            dest.name if dest is not None else "nothing (already gone)",
         )
 
     def open_replay(
@@ -225,29 +191,19 @@ class FeatureSpool:
         """Verify and map a sealed spool; ``(memmap, n_rows)`` or None.
 
         Verification runs on *every* open — one sequential pass hashing
-        the payload against the index's digest, far cheaper than one
-        featurization sweep — so corruption introduced at any point
-        mid-run is caught before a single stale row reaches the engine.
-        On any failure the pair is quarantined and None is returned;
-        the caller recomputes.
+        the payload against the digest recorded at seal, far cheaper
+        than one featurization sweep — so corruption introduced at any
+        point mid-run is caught before a single stale row reaches the
+        engine.  On any failure the payload is quarantined and None is
+        returned; the caller recomputes.
         """
-        if not self.ready(kind):
+        seal = self._seals.get(kind)
+        if seal is None:
             return None
-        try:
-            arrays, meta = read_artifact(self.index_path(kind), schema=SPOOL_INDEX_SCHEMA)
-        except ArtifactError as exc:
-            self._quarantine(kind, f"bad index: {exc}")
+        n_rows, sealed_cols, digest = seal
+        if sealed_cols != n_cols:
+            self._quarantine(kind, f"sealed with {sealed_cols} columns, not {n_cols}")
             return None
-        shape = arrays.get("shape")
-        if (
-            shape is None
-            or shape.shape != (2,)
-            or int(shape[1]) != n_cols
-            or meta.get("fingerprint") != self.fingerprint(kind)
-        ):
-            self._quarantine(kind, "index shape/fingerprint mismatch")
-            return None
-        n_rows = int(shape[0])
         data_path = self.data_path(kind)
         expected_bytes = n_rows * n_cols * 8
         try:
@@ -261,7 +217,7 @@ class FeatureSpool:
             )
             return None
         mm = np.memmap(data_path, dtype=np.float64, mode="r", shape=(n_rows, n_cols))
-        if _digest_memmap(mm) != meta.get("sha256"):
+        if _digest_memmap(mm) != digest:
             del mm
             self._quarantine(kind, "payload checksum mismatch")
             return None

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..config import AnalysisConfig
-from ..io.artifacts import artifact_lock
+from ..io.artifacts import _pid_alive, artifact_lock
 from ..io.records import RecordLog
 from ..obs import get_logger, metrics
 
@@ -103,18 +103,6 @@ def events_path(root: PathLike, job_id: str, attempt: int) -> Path:
 def artifact_path(root: PathLike, job_id: str) -> Path:
     """The finished characterization artifact for a job."""
     return Path(root) / "artifacts" / f"{job_id}.npz"
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(int(pid), 0)
-    except (ProcessLookupError, ValueError, TypeError):
-        return False
-    except PermissionError:  # pragma: no cover - pid owned by another user
-        return True
-    except OSError:  # pragma: no cover - conservative default
-        return True
-    return True
 
 
 @dataclass
@@ -423,8 +411,8 @@ class JobQueue:
 def config_fields(config: AnalysisConfig) -> Dict[str, Any]:
     """The result-affecting config fields a queue record persists.
 
-    Execution knobs are the *worker's* business (its core count, its
-    spool directory), not the submitter's: excluding them keeps the
+    Execution knobs are the *worker's* business (its core count and
+    executor backend), not the submitter's: excluding them keeps the
     payload aligned with ``full_key()``, so two submissions differing
     only in, say, ``n_jobs`` dedup onto one job.
     """

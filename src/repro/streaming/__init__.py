@@ -14,9 +14,12 @@ the deliberately-retained per-row label/pick vectors (8 bytes/row),
 regardless of trace length.  The plan is featurized exactly once: the
 first sweep, one batch produced ahead by
 :func:`repro.parallel.prefetch_iter`, tees every batch into a
-memory-mapped on-disk spool (:class:`repro.io.FeatureSpool`, via
-:class:`~repro.streaming.source.BatchSource`) and later passes replay
-it zero-copy — bit-identical to recomputation.
+memory-mapped spool (:class:`repro.io.FeatureSpool`, via
+:class:`~repro.streaming.source.BatchSource`) in a per-run temporary
+directory, and later passes replay it zero-copy — bit-identical to
+recomputation.  Across runs, featurized rows are reused only through
+the feature-block cache (:class:`repro.io.FeatureBlockCache`), the
+store the exact path uses too.
 
 The exact path stays the default and pins correctness; streaming is
 *approximate*, with its gap pinned by ``tests/streaming`` (BIC-selected
@@ -30,7 +33,7 @@ from .engine import (
     run_streaming_characterization,
 )
 from .result import load_streaming_result, save_streaming_result
-from .source import BatchSource, spool_fingerprints
+from .source import BatchSource
 
 __all__ = [
     "BatchSource",
@@ -38,5 +41,4 @@ __all__ = [
     "load_streaming_result",
     "run_streaming_characterization",
     "save_streaming_result",
-    "spool_fingerprints",
 ]

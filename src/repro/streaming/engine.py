@@ -22,19 +22,23 @@ which ever holds the full feature matrix:
    projected batches — one fused sweep, never two.
 
 **Featurize once.**  All of these passes draw their batches from a
-:class:`~repro.streaming.source.BatchSource` backed by an on-disk
-:class:`~repro.io.FeatureSpool`: the first sweep generates traces and
-runs the fused MICA meters — one batch produced ahead of consumption —
-while teeing the rows to a memory-mapped store; every later sweep
-replays them zero-copy and bit-identical.  Once the projector is
-frozen, the first projected sweep spools the rescaled-space points
-too, so refinement/scoring/drift skip even the per-pass transform.
-Pass accounting: exactly **one** featurization sweep and one transform
-sweep happen per run (zero of either when a persistent
-``config.spool_dir`` already holds this plan's rows), out of
+:class:`~repro.streaming.source.BatchSource` backed by a
+:class:`~repro.io.FeatureSpool` in a per-run temporary directory
+(under ``TMPDIR``), removed when the run ends: the first sweep
+generates traces and runs the fused MICA meters — one batch produced
+ahead of consumption — while teeing the rows to a memory-mapped store;
+every later sweep replays them zero-copy and bit-identical.  Once the
+projector is frozen, the first projected sweep spools the
+rescaled-space points too, so refinement/scoring/drift skip even the
+per-pass transform.  Pass accounting: exactly **one** featurization
+sweep and one transform sweep happen per run, out of
 ``2 + refinement passes`` sweeps in all, the scoring/drift sweep
 being fused into one.  A spool that fails verification is quarantined
 and that sweep recomputes — results are bit-identical down every path.
+Rows outlive the run only through the optional ``feature_cache``
+(:class:`~repro.io.FeatureBlockCache`): a rerun with a warm cache
+still makes its one featurizing sweep, but every interval is a block
+hit, so it generates no trace and runs no meter.
 
 **Shared with the batch pipeline.**  Each step the two engines compute
 alike has one implementation: sampling (``build_sampling_plan``),
@@ -51,7 +55,6 @@ iteration) and representatives (the scorer's running nearest members).
 
 from __future__ import annotations
 
-import shutil
 import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -75,7 +78,7 @@ from ..stats import (
 from ..stats.kmeans import restart_init_rows
 from ..suites import Benchmark
 from ..synth.rng import generator
-from .source import BatchSource, spool_fingerprints
+from .source import BatchSource
 
 log = get_logger(__name__)
 
@@ -97,9 +100,10 @@ class StreamingCharacterization:
             ``None``; there are no materialized points to score).
         prominent: prominent-phase selection over the streamed labels.
         batch_intervals: rows per streamed batch.
-        featurize_sweeps: sweeps that ran trace generation + meters
-            (1 per run; 0 when a persistent spool already held the
-            plan; one more each time the raw spool fails verification).
+        featurize_sweeps: sweeps that built raw rows rather than
+            replaying the spool (1 per run, one more each time the raw
+            spool fails verification); a warm ``feature_cache`` serves
+            such a sweep's intervals without generating any trace.
         replay_sweeps: sweeps served zero-copy from the spool.
         spool_bytes: payload bytes the run sealed into its spool.
     """
@@ -120,15 +124,6 @@ class StreamingCharacterization:
         return len(self.interval_indices)
 
 
-def _make_spool(plan, config: AnalysisConfig):
-    """The run's spool and (if we created one) its temporary root."""
-    temp_root: Optional[str] = None
-    root = config.spool_dir
-    if root is None:
-        root = temp_root = tempfile.mkdtemp(prefix="repro-spool-")
-    return FeatureSpool(root, spool_fingerprints(plan, config)), temp_root
-
-
 def run_streaming_characterization(
     benchmarks: Sequence[Benchmark],
     config: AnalysisConfig,
@@ -144,16 +139,13 @@ def run_streaming_characterization(
         config: methodology parameters; ``config.batch_intervals``
             bounds the working set and ``config.seed`` drives the same
             sampling and restart streams as the exact path.
-            ``config.spool_dir`` keeps the featurize-once store across
-            runs (default: a per-run temporary directory); it never
-            changes the results.
         counts: optional per-benchmark sample-count overrides (see
             :func:`~repro.core.build_dataset`).
         feature_cache: optional
             :class:`~repro.io.FeatureBlockCache` consulted on
             featurizing sweeps.  Only the first sweep featurizes, so
-            the cache matters for cross-run reuse, not cross-pass
-            reuse.
+            the cache matters for cross-run reuse (the only kind
+            there is), not cross-pass reuse.
         monitor: optional live drift monitor, folded into the scoring
             sweep (one fused pass); query it mid-stream from another
             thread or afterwards.
@@ -178,15 +170,11 @@ def run_streaming_characterization(
     needed = picks[keep]
     captured = np.empty((len(needed), N_FEATURES), dtype=np.float64)
 
-    spool, temp_root = _make_spool(plan, config)
-    try:
-        source = BatchSource(plan, config, spool, feature_cache=feature_cache)
+    with tempfile.TemporaryDirectory(prefix="repro-spool-") as root:
+        source = BatchSource(plan, config, FeatureSpool(root), feature_cache=feature_cache)
         return _run_passes(
             source, config, monitor, needed, captured, init_rows, k
         )
-    finally:
-        if temp_root is not None:
-            shutil.rmtree(temp_root, ignore_errors=True)
 
 
 def _run_passes(

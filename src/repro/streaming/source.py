@@ -5,7 +5,7 @@
 batches are *computed* (trace generation + fused meters, produced
 :data:`PREFETCH_DEPTH` batch ahead by
 :func:`repro.parallel.prefetch_iter`) or *replayed* zero-copy from the
-on-disk :class:`repro.io.FeatureSpool`:
+run-scoped :class:`repro.io.FeatureSpool`:
 
 * **raw sweeps** (:meth:`raw_batches`) — the first sweep featurizes
   and spools; every later sweep memory-maps the sealed spool and
@@ -18,15 +18,15 @@ on-disk :class:`repro.io.FeatureSpool`:
   skip the per-pass ``projector.transform`` entirely.
 
 A corrupt or truncated spool is quarantined on verification failure
-and that sweep recomputes, with identical results.  The source also
+and that sweep recomputes, with identical results.  A featurizing
+sweep reads and fills the optional feature-block cache, the one store
+that carries rows from one run to the next.  The source also
 keeps the sweep ledger (featurized vs replayed) that the engine
 reports and the pass-count benchmark gates.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -48,27 +48,7 @@ PROJECTED_KIND = "proj"
 #: Batches produced ahead of consumption on a featurizing sweep.
 PREFETCH_DEPTH = 1
 
-__all__ = ["BatchSource", "PROJECTED_KIND", "RAW_KIND", "spool_fingerprints"]
-
-
-def spool_fingerprints(plan: SamplingPlan, config: AnalysisConfig) -> dict:
-    """Content keys binding each spool kind to exactly its inputs.
-
-    Raw rows are fixed by the benchmark selection, the concrete
-    interval picks (which already encode seed, per-benchmark counts
-    and any overrides) and the featurization parameters.  Projected
-    points additionally depend on the analysis side of the config
-    (``pca_min_std`` via the fitted model), so they take the full
-    config key; over-keying is safe, serving stale rows is not.
-    """
-    h = hashlib.sha256()
-    h.update(json.dumps([b.key for b in plan.benchmarks]).encode())
-    for picks in plan.picks:
-        h.update(np.ascontiguousarray(picks, dtype=np.int64).tobytes())
-    h.update(config.featurization_key().encode())
-    raw = h.hexdigest()[:16]
-    proj = hashlib.sha256(f"{raw}|{config.full_key()}".encode()).hexdigest()[:16]
-    return {RAW_KIND: raw, PROJECTED_KIND: proj}
+__all__ = ["BatchSource", "PROJECTED_KIND", "RAW_KIND"]
 
 
 class BatchSource:
@@ -77,12 +57,12 @@ class BatchSource:
     Args:
         plan: the fixed row layout all sweeps iterate over.
         config: supplies ``batch_intervals``.
-        spool: the batch store the first sweep of each kind fills.
+        spool: the run's batch store the first sweep of each kind fills.
         feature_cache: optional per-interval
             :class:`~repro.io.FeatureBlockCache` used on featurizing
             sweeps (orthogonal to the spool: blocks persist single
-            intervals across runs and configs, the spool persists this
-            plan's assembled row matrix across sweeps).
+            intervals across runs and configs, the spool holds this
+            run's assembled row matrix across its sweeps).
     """
 
     def __init__(

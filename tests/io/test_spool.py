@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.io.spool import SPOOL_INDEX_SCHEMA, FeatureSpool
+from repro.io.spool import FeatureSpool
 from repro.obs import observe
 
 from .faults import bit_flip, truncate_file
@@ -16,7 +16,7 @@ def rows():
 
 
 def make_spool(tmp_path):
-    return FeatureSpool(tmp_path, {"raw": "aaaa1111", "proj": "bbbb2222"})
+    return FeatureSpool(tmp_path)
 
 
 def write_kind(spool, kind, rows, batch=7):
@@ -99,6 +99,19 @@ def test_append_overflow_raises(tmp_path, rows):
     writer.abandon()
 
 
+def test_overflowing_append_writes_nothing(tmp_path, rows):
+    # A rejected append leaves the writer as it was: it can still be
+    # filled to plan and sealed, and the payload holds only good rows.
+    spool = make_spool(tmp_path)
+    writer = spool.writer("raw", 10, 5)
+    with pytest.raises(ValueError, match="overflow"):
+        writer.append(rows)
+    writer.append(rows[:10])
+    writer.seal()
+    _, got = replay_all(spool, "raw", 5, batch=4)
+    assert np.array_equal(got, rows[:10])
+
+
 def test_append_rejects_wrong_width(tmp_path, rows):
     spool = make_spool(tmp_path)
     writer = spool.writer("raw", len(rows), 5)
@@ -135,29 +148,6 @@ def test_bit_flipped_payload_quarantined(tmp_path, rows):
     assert list(tmp_path.glob("*.corrupt-*"))
 
 
-def test_corrupt_index_quarantined(tmp_path, rows):
-    spool = make_spool(tmp_path)
-    write_kind(spool, "raw", rows)
-    bit_flip(spool.index_path("raw"))
-    assert spool.replay("raw", 5, 7) is None
-    assert not spool.ready("raw")
-
-
-def test_fingerprint_mismatch_quarantined(tmp_path, rows):
-    # A stale index claiming a different fingerprint must never replay.
-    spool = make_spool(tmp_path)
-    write_kind(spool, "raw", rows)
-    imposter = FeatureSpool(tmp_path, {"raw": "aaaa1111"})
-    from repro.io.artifacts import read_artifact, write_artifact
-
-    arrays, meta = read_artifact(spool.index_path("raw"), schema=SPOOL_INDEX_SCHEMA)
-    meta["fingerprint"] = "deadbeef00000000"
-    write_artifact(
-        spool.index_path("raw"), arrays, schema=SPOOL_INDEX_SCHEMA, meta=meta
-    )
-    assert imposter.replay("raw", 5, 7) is None
-
-
 def test_recovery_after_quarantine(tmp_path, rows):
     # Quarantine frees the name: a fresh sweep re-spools and replays.
     spool = make_spool(tmp_path)
@@ -169,7 +159,20 @@ def test_recovery_after_quarantine(tmp_path, rows):
     assert np.array_equal(got, rows)
 
 
-def test_unknown_kind_raises(tmp_path):
+def test_payload_sealed_elsewhere_is_never_replayed(tmp_path, rows):
+    # A spool replays only what it sealed itself: another spool on the
+    # same directory (a later run, say) sees nothing to replay.
+    write_kind(make_spool(tmp_path), "raw", rows)
+    other = make_spool(tmp_path)
+    assert other.data_path("raw").exists()
+    assert not other.ready("raw")
+    assert other.replay("raw", 5, 7) is None
+
+
+def test_new_writer_forgets_the_earlier_seal(tmp_path, rows):
     spool = make_spool(tmp_path)
-    with pytest.raises(KeyError, match="no fingerprint"):
-        spool.data_path("mystery")
+    write_kind(spool, "raw", rows)
+    writer = spool.writer("raw", len(rows), 5)
+    assert not spool.ready("raw")
+    assert spool.replay("raw", 5, 7) is None
+    writer.abandon()

@@ -91,6 +91,11 @@ class TestSubmissionErrors:
         assert response.status == 400
         assert "execution knob" in _body(response)["error"]
 
+    def test_retired_spool_dir_is_unknown_field(self, api):
+        response = _post(api, {"config": {"spool_dir": "/x"}})
+        assert response.status == 400
+        assert "unknown config field(s): spool_dir" in _body(response)["error"]
+
     def test_streaming_config_is_400(self, api):
         assert _post(api, {"config": {"streaming": True}}).status == 400
 

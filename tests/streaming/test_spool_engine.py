@@ -1,8 +1,8 @@
 """The feature spool's engine-level contract: featurize once, change nothing.
 
 Every test here pins *bit-identity* against recompute-per-pass, not
-approximate agreement, across batch sizes, corruption and
-persistent-directory reuse.  Recompute-per-pass is the production
+approximate agreement, across batch sizes, corruption and cross-run
+reuse through the feature-block cache.  Recompute-per-pass is the production
 fallback a spool that fails verification takes: ``forced_miss`` makes
 every replay miss, so every sweep featurizes.
 """
@@ -16,6 +16,7 @@ import repro.core.dataset as dataset_mod
 from repro.analysis import StreamingDriftMonitor
 from repro.config import AnalysisConfig
 from repro.core.dataset import build_sampling_plan, iter_feature_batches
+from repro.io import FeatureBlockCache
 from repro.io.spool import FeatureSpool
 from repro.obs import observe
 from repro.streaming import run_streaming_characterization
@@ -140,12 +141,11 @@ def test_scoring_and_drift_share_one_sweep(cfg, benches):
 
 
 def test_mid_run_corruption_quarantines_and_recomputes(
-    cfg, benches, baseline, tmp_path, monkeypatch
+    cfg, benches, baseline, monkeypatch
 ):
     # Flip a bit in the sealed raw payload the first time a replay
-    # opens it: verification must catch it, quarantine the pair, and
+    # opens it: verification must catch it, quarantine the payload, and
     # the run must recompute to a bit-identical result.
-    spool_dir = tmp_path / "spool"
     real_open = FeatureSpool.open_replay
     flipped = []
 
@@ -156,48 +156,30 @@ def test_mid_run_corruption_quarantines_and_recomputes(
         return real_open(self, kind, n_cols)
 
     monkeypatch.setattr(FeatureSpool, "open_replay", corrupting)
-    result = run_streaming_characterization(
-        benches, cfg.replace(spool_dir=str(spool_dir))
-    )
+    with observe() as ob:
+        result = run_streaming_characterization(benches, cfg)
     assert flipped, "corruption hook never fired"
-    assert list(spool_dir.glob("*.corrupt-*")), "damaged spool was not quarantined"
+    assert ob.metrics.counter_value("spool.quarantined") == 1
     assert result.featurize_sweeps == 2  # cold sweep + post-quarantine recompute
     assert_identical(result, baseline)
 
 
-def test_persistent_spool_dir_skips_featurization(
+def test_warm_feature_cache_rerun_featurizes_nothing(
     cfg, benches, baseline, tmp_path, monkeypatch
 ):
-    spool_dir = tmp_path / "spool"
-    local = cfg.replace(spool_dir=str(spool_dir))
-    first = run_streaming_characterization(benches, local)
-    assert first.featurize_sweeps == 1
-    assert spool_dir.exists()
+    # Feature blocks are the one cross-run store: a rerun on a warm
+    # cache serves every interval from its blocks, so it generates no
+    # trace and runs no meter, and still gets the same bits.
+    cache = FeatureBlockCache(tmp_path / "blocks")
+    first = run_streaming_characterization(benches, cfg, feature_cache=cache)
 
     calls = _count_featurize_calls(monkeypatch)
-    second = run_streaming_characterization(benches, local)
-    assert calls == []  # warm directory: zero trace generation, zero meters
-    assert second.featurize_sweeps == 0
-    assert second.spool_bytes == 0  # nothing new sealed
-    assert_identical(second, baseline)
+    with observe() as ob:
+        second = run_streaming_characterization(benches, cfg, feature_cache=cache)
+    assert calls == []
+    assert ob.metrics.counter_value("streaming.intervals_characterized") == 0
     assert_identical(second, first)
-
-
-def test_stale_fingerprint_never_served(cfg, benches, tmp_path):
-    # A persistent directory reused with a different featurization must
-    # re-spool under a new fingerprint, not replay the old rows.
-    spool_dir = tmp_path / "spool"
-    run_streaming_characterization(
-        benches, cfg.replace(spool_dir=str(spool_dir))
-    )
-    other = cfg.replace(
-        spool_dir=str(spool_dir), interval_instructions=cfg.interval_instructions * 2
-    )
-    result = run_streaming_characterization(benches, other)
-    assert result.featurize_sweeps == 1  # not served from the stale spool
-    with forced_miss():
-        reference = run_streaming_characterization(benches, other.replace(spool_dir=None))
-    assert_identical(result, reference)
+    assert_identical(second, baseline)
 
 
 def test_temp_spool_is_cleaned_up(cfg, benches, tmp_path, monkeypatch):

@@ -219,34 +219,27 @@ def test_characterize_streaming_rejects_bad_batch(tmp_path):
         )
 
 
-def test_characterize_streaming_spool_flags(tmp_path, capsys):
+def test_characterize_streaming_reuses_feature_cache(tmp_path, capsys):
+    from repro.obs import load_report
     from repro.streaming import load_streaming_result
 
     path = tmp_path / "stream.npz"
-    spool_dir = tmp_path / "spool"
-    args = [
-        "characterize",
-        str(path),
-        "--preset",
-        "tiny",
-        "--suite",
-        "BMW",
-        "--streaming",
-        "--spool-dir",
-        str(spool_dir),
-    ]
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "sweeps: 1 featurized" in out
-    assert list(spool_dir.glob("spool_*.bin"))
-    first = load_streaming_result(path)
+    args = ["characterize", str(path), "--preset", "tiny", "--suite", "BMW"]
+    args += ["--streaming", "--feature-cache", str(tmp_path / "blocks")]
+    characterized = []
+    results = []
+    for i in range(2):
+        report_path = tmp_path / f"stream-{i}.json"
+        assert main(args + ["--run-report", str(report_path)]) == 0
+        assert "sweeps: 1 featurized" in capsys.readouterr().out
+        counters = load_report(report_path)["metrics"]["counters"]
+        characterized.append(counters.get("streaming.intervals_characterized", 0))
+        results.append(load_streaming_result(path))
 
-    # Re-running against the warm directory skips featurization.
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "sweeps: 0 featurized" in out
-    second = load_streaming_result(path)
-    assert second.clustering.bic == first.clustering.bic
+    # The rerun reads every interval from the warm feature blocks.
+    assert characterized[0] > 0
+    assert characterized[1] == 0
+    assert results[1].clustering.bic == results[0].clustering.bic
 
 
 def test_characterize_telemetry_streams_events(tmp_path, capsys):
