@@ -6,7 +6,8 @@ bit-identical either way, and reports the enabled-vs-disabled
 wall-clock delta.
 
 The enabled path is the *full* telemetry stack, not just spans and
-metrics: a live :class:`repro.obs.EventBus` is attached, streaming
+metrics: the run is recorded as ``repro characterize --telemetry``
+records it (:class:`repro.obs.recorded_run`), streaming
 span/progress/heartbeat events line-by-line (flushed per line) to a
 real file on disk.  The 2% bound therefore covers the worst
 observability configuration a user can turn on.
@@ -49,8 +50,7 @@ import numpy as np
 from repro.config import AnalysisConfig
 from repro.core import build_dataset, run_characterization
 from repro.io import format_table
-from repro.obs import EventBus, JsonlSink, emit_bench, missing_stages, observe, read_events
-from repro.obs.report import build_report
+from repro.obs import build_report, emit_bench, missing_stages, read_events, recorded_run
 from repro.suites import all_benchmarks
 
 #: Bracketed triples per trial (two trials are run).
@@ -63,18 +63,12 @@ MAX_OVERHEAD = 0.02
 
 def _run(benchmarks, config, observed, telemetry_path=None):
     if observed:
-        bus = None
-        if telemetry_path is not None:
-            bus = EventBus(JsonlSink(telemetry_path), run_id="bench-obs-overhead")
-        ok = False
-        try:
-            with observe(emitter=bus) as ob:
+        with recorded_run(
+            "bench-obs-overhead", command="bench", config=config, events=telemetry_path
+        ) as run:
+            with run.observing() as ob:
                 dataset = build_dataset(benchmarks, config)
                 result = run_characterization(dataset, config, select_key=True)
-            ok = True
-        finally:
-            if bus is not None:
-                bus.close(ok=ok)
         return result, ob
     dataset = build_dataset(benchmarks, config)
     return run_characterization(dataset, config, select_key=True), None
@@ -99,7 +93,7 @@ def bench_obs_overhead(report):
     assert result_off.key_characteristics == result_on.key_characteristics
     # ... while the observed run recorded every methodology stage and
     # streamed an ordered, parseable event log to disk.
-    assert missing_stages(build_report(observation, config=config)) == []
+    assert missing_stages(build_report(observation)) == []
     events, truncated = read_events(events_path)
     assert events and not truncated
     seqs = [e["seq"] for e in events]

@@ -138,7 +138,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                 feature_cache=feature_cache,
                 span_attrs={"preset": args.preset},
             )
-        _finish_telemetry(args, config, run.observation)
+        _finish_telemetry(args, run.observation)
     dataset = result.dataset
     print(
         f"saved {args.output}: {len(dataset)} intervals, "
@@ -180,7 +180,7 @@ def _characterize_streaming(
                     benches, config, feature_cache=feature_cache, monitor=monitor
                 )
         save_streaming_result(result, args.output)
-        _finish_telemetry(args, config, run.observation)
+        _finish_telemetry(args, run.observation)
     print(
         f"saved {args.output}: {len(result)} intervals (streamed), "
         f"{result.n_components} components "
@@ -221,11 +221,11 @@ def _recorded_run(
     )
 
 
-def _finish_telemetry(args: argparse.Namespace, config, observation) -> None:
+def _finish_telemetry(args: argparse.Namespace, observation) -> None:
     """Write the run report and/or append it to the history store."""
     if observation is None or not (args.run_report or args.history_dir):
         return
-    doc = obs.build_report(observation, config=config, command="characterize")
+    doc = obs.build_report(observation)
     if args.run_report:
         path = obs.write_report(args.run_report, doc)
         print(f"run report written to {path}")

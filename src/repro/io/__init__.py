@@ -14,7 +14,7 @@ from .artifacts import (
 )
 from .feature_blocks import FeatureBlockCache, feature_block_dir
 from .records import RECORD_SCHEMA_VERSION, RecordLog, canonical_digest, write_json_atomic
-from .spool import FeatureSpool, SpoolWriter
+from .spool import FeatureSpool
 from .tables import format_table
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "RECORD_SCHEMA_VERSION",
     "RecordLog",
     "SchemaMismatch",
-    "SpoolWriter",
     "StageCheckpoint",
     "artifact_lock",
     "canonical_digest",

@@ -50,6 +50,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Unio
 import numpy as np
 
 from ..obs import emit_event, get_logger, metrics
+from ..obs.proc import pid_alive
 
 try:  # POSIX advisory locks; absent on some platforms
     import fcntl
@@ -318,18 +319,6 @@ def _owner_stamp() -> Dict[str, Any]:
     return {"pid": os.getpid(), "host": socket.gethostname(), "time": time.time()}
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(int(pid), 0)
-    except (ProcessLookupError, ValueError, TypeError):
-        return False
-    except PermissionError:  # pragma: no cover - pid owned by another user
-        return True
-    except OSError:  # pragma: no cover - conservative default
-        return True
-    return True
-
-
 class _FlockLock:
     """``fcntl.flock`` exclusive lock on a sidecar lock file.
 
@@ -485,7 +474,7 @@ class _PidFileLock:
         stale = False
         pid = owner.get("pid")
         if pid is not None and owner.get("host") == socket.gethostname():
-            stale = not _pid_alive(pid)
+            stale = not pid_alive(pid)
         if not stale:
             try:
                 age = time.time() - self.lock_path.stat().st_mtime

@@ -166,10 +166,6 @@ class FeatureSpool:
         """Payload bytes sealed by this spool."""
         return self._bytes_written
 
-    def ready(self, kind: str) -> bool:
-        """Whether this spool sealed a payload for ``kind``."""
-        return kind in self._seals
-
     def writer(self, kind: str, n_rows: int, n_cols: int) -> SpoolWriter:
         """A writer for one cold sweep of ``n_rows x n_cols`` rows."""
         return SpoolWriter(self, kind, n_rows, n_cols)

@@ -6,26 +6,30 @@ The pipeline's window into itself.  Four pieces, stdlib-only:
   :mod:`repro.obs.events`) — hierarchical wall/CPU timings
   (``with span("kmeans.restart", restart=3): ...``) logged as open and
   close events into the observation's one event log, together with
-  stage, progress, heartbeat and metric events.  Worker-side events
-  travel back with task results and are replayed under the parent
-  span exactly once, in submission order.  An attached
-  :class:`EventBus` writes the log live as JSONL.
+  the run's ``run.start`` and ``run.end`` and its stage, progress,
+  heartbeat and metric events.  Worker-side events travel back with
+  task results and are replayed under the parent span exactly once,
+  in submission order.  An attached :class:`EventBus` writes the same
+  log live as JSONL.
 * **Metrics** (:mod:`repro.obs.metrics`) — a thread-safe registry of
-  counters, gauges and fixed-bucket histograms absorbing the signals
-  the pipeline computes anyway (k-means skipped-row ratio, GA
-  fitness-cache hit rate, feature-block cache hits, per-meter
-  throughput, PCA retention, BIC per restart).
+  counters and gauges absorbing the signals the pipeline computes
+  anyway (k-means skipped-row ratio, GA fitness-cache hit rate,
+  feature-block cache hits, per-meter throughput, PCA retention); the
+  log carries their movement as ``metric`` events.
 * **Logging** (:mod:`repro.obs.log`) — stdlib ``logging`` with run-id
   stamped JSON and console formatters, replacing bare ``print()`` in
   library code.
 * **Run reports** (:mod:`repro.obs.report`) — one JSON document per
   ``characterize`` invocation (config digest, git SHA, platform, span
   tree, final metrics), written via ``--run-report`` and rendered by
-  ``repro report``.  The span tree is one fold of the event log, the
-  same fold ``repro report --from-events`` and ``repro watch``
-  (:mod:`repro.obs.live`) apply to a log on disk.  :class:`recorded_run`
-  (:mod:`repro.obs.run`) is the one scaffold that brackets a run's log
-  with ``run.start`` and ``run.end`` around its observation.
+  ``repro report``.  Every view of a run is a view of one fold of its
+  event log (:class:`~repro.obs.spans.EventFold`): the live report,
+  ``repro report --from-events``, ``repro watch``
+  (:mod:`repro.obs.live`) and ``Observation.root``, so a live report
+  equals the report rebuilt from its written log.
+  :class:`recorded_run` (:mod:`repro.obs.run`) is the one scaffold
+  that opens a run's log with ``run.start`` and closes it with
+  ``run.end``.
 
 Everything is inert until :func:`observe` installs an observation:
 with none active, :func:`span` and :func:`metrics` return shared
@@ -61,7 +65,7 @@ from .log import (
     configure_logging,
     get_logger,
 )
-from .metrics import DEFAULT_BUCKETS, NOOP_REGISTRY, MetricsRegistry, NoopMetricsRegistry
+from .metrics import NOOP_REGISTRY, MetricsRegistry, NoopMetricsRegistry
 from .proc import peak_rss_children_mb, peak_rss_mb, record_peak_rss
 from .report import (
     REQUIRED_KEYS,
@@ -92,7 +96,6 @@ from .spans import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "EVENT_SCHEMA_VERSION",
     "HISTORY_SCHEMA_VERSION",
     "NOOP_REGISTRY",

@@ -1,24 +1,27 @@
 """The run's event log and its live JSONL writer.
 
 An observation (:class:`repro.obs.Observation`) records a run as one
-ordered event log: span open/close, stage checkpoints, progress
-updates, worker heartbeats, and metric deltas.  The log is the only
-record of the run — the run report, ``repro watch`` and ``repro report
---from-events`` are all folds over it.  An attached :class:`EventBus`
-writes each event as a JSON line to a sink the moment it is logged —
-``repro characterize --telemetry PATH`` attaches one, ``repro watch
-PATH`` follows it, and ``repro report --from-events PATH``
-reconstructs a (partial) run report from whatever made it to disk.
+ordered event log: ``run.start``, span open/close, stage checkpoints,
+progress updates, worker heartbeats, metric deltas and ``run.end``.
+The log is the only record of the run — the run report, ``repro
+watch`` and ``repro report --from-events`` are all views of one fold
+over it (:class:`repro.obs.spans.EventFold`).  An attached
+:class:`EventBus` writes each event as a JSON line to a sink the moment
+it is logged, so the log in memory and the JSONL on disk are the same
+sequence — ``repro characterize --telemetry PATH`` attaches one,
+``repro watch PATH`` follows it, and ``repro report --from-events
+PATH`` reconstructs a (partial) run report from whatever made it to
+disk.
 
 **Event schema** (version :data:`EVENT_SCHEMA_VERSION`, one JSON object
-per line).  Every event carries ``v`` (schema version), ``seq`` (bus-
-assigned, strictly monotonic), ``ts`` (unix time), ``run_id``, and
-``type``; the remaining fields depend on the type:
+per line).  Every event carries ``ts`` (unix time) and ``type``; the
+bus adds ``v`` (schema version), ``seq`` (strictly monotonic) and
+``run_id``.  The remaining fields depend on the type:
 
 ``run.start``
     ``command``, ``preset``, ``benchmarks``, ``config`` (the run
-    report's digest document), ``environment`` (same document as the
-    run report's), ``pid``.
+    report's config document: ``digest`` and ``fields``),
+    ``environment`` (the run report's), ``pid``.
 ``span.open`` / ``span.close``
     ``span`` (name), ``depth``, ``attrs``; close adds ``wall_s``,
     ``cpu_s`` and the span's final ``attrs``.  Spans opened on a thread
@@ -39,15 +42,15 @@ assigned, strictly monotonic), ``ts`` (unix time), ``run_id``, and
     task's events merge: ``label``, ``completed``, ``total``.
 ``metric``
     ``counters`` (deltas since the previous metric event) and
-    ``gauges`` (current values); logged when the run finishes.
+    ``gauges`` (values changed since then); logged when the run report
+    is built and when the run finishes, if anything moved.
 ``events.dropped``
     ``count`` — events a worker task's bounded log discarded, logged
     where that task's surviving events merge.  A report folded from a
     log with any is ``partial``.
 ``run.end``
-    ``ok``; ``wall_s`` and ``cpu_s``, the observed run's clocks (the
-    run report's root durations), when the run was observed; and, when
-    events were dropped, ``dropped_events`` (their total).
+    ``ok``, and ``wall_s`` and ``cpu_s``: the observed run's clocks
+    (the run report's root durations).
 
 **Crash tolerance.**  The sink flushes after every line, so a
 SIGKILL'd run leaves a parseable prefix (at worst one truncated final
@@ -174,26 +177,18 @@ class ProgressEstimator:
 class EventBus:
     """Thread-safe JSONL writer of one run's event log.
 
-    One bus serves one run: :meth:`emit` assigns the next sequence
-    number and writes the line under a single lock, so events from any
-    thread interleave into one strictly monotonic stream.  An
-    :class:`repro.obs.Observation` with the bus attached passes every
-    event it logs to :meth:`write`; the bus itself emits only the
-    ``run.start`` and ``run.end`` that bracket the observation.
+    An :class:`repro.obs.Observation` with the bus attached passes every
+    event it logs to :meth:`write`, which adds the envelope — ``v``,
+    the next ``seq`` and ``run_id`` — and writes the line under one
+    lock, so the stream is strictly monotonic.
     """
 
-    def __init__(self, sink: JsonlSink, run_id: str, *, clock=time.time) -> None:
+    def __init__(self, sink: JsonlSink, run_id: str) -> None:
         self.sink = sink
         self.run_id = run_id
-        self._clock = clock
         self._lock = threading.Lock()
         self._seq = 0
         self._closed = False
-        self._dropped = 0
-
-    def emit(self, type: str, **fields: Any) -> Optional[Dict[str, Any]]:
-        """Write one event; returns it (or None after close)."""
-        return self.write({"ts": fields.pop("ts", None) or self._clock(), "type": type, **fields})
 
     def write(self, event: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """Write one logged event with the envelope fields added.
@@ -206,23 +201,12 @@ class EventBus:
             if self._closed:
                 return None
             line = {"v": EVENT_SCHEMA_VERSION, "seq": self._seq, "run_id": self.run_id, **event}
-            if event.get("type") == "events.dropped":
-                self._dropped += int(event.get("count", 0))
             self._seq += 1
             self.sink.write_event(line)
             return line
 
-    def start(self, **fields: Any) -> None:
-        """Emit ``run.start`` (command, preset, config digest, environment)."""
-        self.emit("run.start", **fields)
-
-    def close(self, ok: bool = True, **clocks: float) -> None:
-        """Emit ``run.end`` (with any ``wall_s``/``cpu_s`` given) and
-        close the sink; idempotent."""
-        fields: Dict[str, Any] = {"ok": bool(ok), **clocks}
-        if self._dropped:
-            fields["dropped_events"] = self._dropped
-        self.emit("run.end", **fields)
+    def close(self) -> None:
+        """Close the sink; later writes are dropped.  Idempotent."""
         with self._lock:
             self._closed = True
         self.sink.close()

@@ -4,10 +4,10 @@ The event bus (:mod:`repro.obs.events`) writes one flushed JSON line
 per event, so the log on disk is always a valid prefix of the run.
 This module follows that prefix:
 
-* :func:`summarize_events` — fold a list of events into the run's
-  current state: per-stage progress/ETA, the latest heartbeat, which
-  spans are still open (by the same per-thread fold as the run report,
-  :class:`repro.obs.spans.SpanFold`), counter totals.
+* :func:`summarize_events` — the run's current state as a view of the
+  same fold as the run report (:class:`repro.obs.spans.EventFold`):
+  per-stage progress/ETA, the latest heartbeat, which spans are still
+  open, stage checkpoints, counter totals.
 * :func:`render_live` — one terminal-friendly snapshot of that state
   (what ``repro watch PATH`` prints each refresh).
 * :func:`watch` — re-read and render the log until the run ends.
@@ -23,7 +23,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from .events import read_events
-from .spans import SpanFold
+from .proc import pid_alive
+from .spans import EventFold
 
 __all__ = [
     "render_live",
@@ -35,61 +36,28 @@ PathLike = Union[str, Path]
 
 
 def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold an event list into the run's current (last-known) state."""
-    state: Dict[str, Any] = {
-        "run_id": None,
-        "started": None,
-        "last_ts": None,
-        "ended": None,
-        "ok": None,
-        "command": None,
-        "preset": None,
-        "pid": None,  # writer pid from run.start, when recorded
-        "events": len(events),
-        "progress": {},  # stage -> latest progress fields
-        "heartbeat": None,  # latest heartbeat fields
-        "open_spans": [],  # names, outermost first
-        "stages": [],  # stage checkpoint events, in order
-        "counters": {},  # accumulated metric deltas
-    }
-    fold = SpanFold()
+    """The run's current (last-known) state, folded from an event list."""
+    fold = EventFold()
     for event in events:
-        etype = event.get("type")
-        ts = event.get("ts")
-        if isinstance(ts, (int, float)):
-            state["last_ts"] = ts
-        if state["run_id"] is None and event.get("run_id"):
-            state["run_id"] = event["run_id"]
-        if etype == "run.start":
-            state["started"] = ts
-            state["command"] = event.get("command")
-            state["preset"] = event.get("preset")
-            if isinstance(event.get("pid"), int):
-                state["pid"] = event["pid"]
-        elif etype == "run.end":
-            state["ended"] = ts
-            state["ok"] = event.get("ok")
-        elif etype in ("span.open", "span.close"):
-            fold.feed(event)
-        elif etype == "progress":
-            stage = str(event.get("stage", "?"))
-            state["progress"][stage] = {
-                k: event.get(k) for k in ("done", "total", "fraction", "elapsed_s", "eta_s")
-            }
-        elif etype == "heartbeat":
-            state["heartbeat"] = {
-                k: event.get(k) for k in ("label", "completed", "total", "ts")
-            }
-        elif etype == "stage":
-            state["stages"].append(
-                {"stage": event.get("stage"), "action": event.get("action")}
-            )
-        elif etype == "metric":
-            for name, delta in (event.get("counters") or {}).items():
-                if isinstance(delta, (int, float)):
-                    state["counters"][name] = state["counters"].get(name, 0.0) + delta
-    state["open_spans"] = [node.name for node in fold.open_spans()]
-    return state
+        fold.feed(event)
+    start, end = fold.start or {}, fold.end or {}
+    pid = start.get("pid")
+    return {
+        "run_id": fold.run_id,
+        "started": start.get("ts"),
+        "last_ts": fold.last_ts,
+        "ended": end.get("ts"),
+        "ok": end.get("ok"),
+        "command": start.get("command"),
+        "preset": start.get("preset"),
+        "pid": pid if isinstance(pid, int) else None,  # the writer's
+        "events": fold.events,
+        "progress": fold.progress,  # stage -> latest progress fields
+        "heartbeat": fold.heartbeat,  # latest heartbeat fields
+        "open_spans": [node.name for node in fold.open_spans()],  # outermost first
+        "stages": fold.stages,  # stage checkpoint events, in order
+        "counters": fold.counters,  # accumulated metric deltas
+    }
 
 
 def _bar(fraction: float, width: int = 24) -> str:
@@ -144,21 +112,6 @@ def render_live(state: Dict[str, Any], *, truncated: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _writer_alive(pid: int) -> bool:
-    """Whether the event-log writer's pid still exists on this host."""
-    import os
-
-    try:
-        os.kill(int(pid), 0)
-    except (ProcessLookupError, ValueError, TypeError):
-        return False
-    except PermissionError:  # pragma: no cover - pid owned by another user
-        return True
-    except OSError:  # pragma: no cover - conservative default
-        return True
-    return True
-
-
 def watch(
     path: PathLike,
     *,
@@ -191,7 +144,7 @@ def watch(
             stale += 1
             if stale >= 10:
                 pid = state.get("pid")
-                if pid is not None and _writer_alive(pid):
+                if pid is not None and pid_alive(pid):
                     echo(
                         f"no new events for {stale * interval:.0f}s; "
                         f"writer pid {pid} still alive, waiting"

@@ -1,4 +1,4 @@
-"""Process-level resource gauges: peak RSS for run reports.
+"""Process-level probes: peak RSS for run reports, pid liveness.
 
 Wall and CPU time have been first-class run-report citizens since the
 span layer landed; memory was not observable at all.  This module adds
@@ -19,10 +19,15 @@ document without any caller changes.
 
 On platforms without the ``resource`` module (Windows), the reader
 returns ``0.0`` and the gauges are simply absent from reports.
+
+:func:`pid_alive` is the one liveness check for a recorded pid: a
+stale artifact lock's owner, a running job's worker, an event log's
+writer.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import Optional
 
@@ -34,7 +39,7 @@ except ImportError:  # pragma: no cover - Windows
 from .metrics import MetricsRegistry
 from .spans import metrics
 
-__all__ = ["peak_rss_mb", "peak_rss_children_mb", "record_peak_rss"]
+__all__ = ["peak_rss_mb", "peak_rss_children_mb", "pid_alive", "record_peak_rss"]
 
 
 def _maxrss_to_mb(maxrss: float) -> float:
@@ -74,3 +79,19 @@ def record_peak_rss(registry: Optional[MetricsRegistry] = None) -> float:
     if children > 0:
         reg.gauge_set("proc.peak_rss_children_mb", children)
     return peak
+
+
+def pid_alive(pid: int) -> bool:
+    """Whether ``pid`` still exists on this host.
+
+    Signal 0 probes without delivering anything.  A pid owned by
+    another user, or any other error, counts as alive: callers treat
+    a dead owner as licence to reclaim, so doubt must not grant it.
+    """
+    try:
+        os.kill(int(pid), 0)
+    except (ProcessLookupError, ValueError, TypeError):
+        return False
+    except OSError:  # PermissionError included: another user's pid
+        return True
+    return True

@@ -6,11 +6,12 @@ where the time went (the full span tree), and what the counters saw
 (final metric values).  ``repro characterize --run-report PATH`` writes
 one; ``repro report PATH`` renders it as a text summary.
 
-The span tree is a fold of the run's event log
-(:class:`repro.obs.spans.SpanFold`), whether the log is an observation's
-in-memory one (:func:`build_report`) or one read back from disk
-(:func:`report_from_events`); both build the document the same way, so
-a live report and the report rebuilt from its written log agree.
+The report is a view of one fold of the run's event log
+(:class:`repro.obs.spans.EventFold`), whether the log is an
+observation's in-memory one (:func:`build_report`) or one read back
+from disk (:func:`report_from_events`).  The in-memory log and the
+written one are the same event sequence, so a live report equals the
+report rebuilt from its written log, key for key.
 
 Schema (version 1), top-level keys — all required
 (:data:`REQUIRED_KEYS`, checked by :func:`validate_report` and the CI
@@ -21,26 +22,30 @@ schema smoke step):
 ``run_id``
     the observation's run id.
 ``created``
-    unix timestamp of report creation.
+    unix timestamp of the log's first event (its ``run.start``).
 ``command``
-    what produced the report (e.g. ``"characterize"``).
+    what produced the report (e.g. ``"characterize"``), from
+    ``run.start``.
 ``config``
-    ``{"digest": AnalysisConfig.full_key(), "fields": {...}}`` — the
-    digest excludes execution knobs, so two reports with one digest
-    computed the same result.
+    ``{"digest": AnalysisConfig.full_key(), "fields": {...}}``, from
+    ``run.start`` — the digest excludes execution knobs, so two
+    reports with one digest computed the same result.
 ``environment``
     python/numpy versions, platform string, and the git SHA when the
-    working tree is a repository (else ``null``).
+    working tree is a repository (else ``null``), from ``run.start``.
 ``spans``
     the root span as nested ``{name, attrs, wall_s, cpu_s, children}``
-    dicts (see :class:`repro.obs.Span`), folded from the event log.
+    dicts (see :class:`repro.obs.Span`); the root's durations are the
+    run's clocks.
 ``metrics``
-    a :meth:`~repro.obs.MetricsRegistry.snapshot` —
-    ``{"counters", "gauges", "histograms"}``.  Always includes the
+    ``{"counters", "gauges"}``: counter totals and last gauge values
+    summed from the log's ``metric`` events.  Always includes the
     process-memory gauges recorded at report build time
     (``proc.peak_rss_mb``, and ``proc.peak_rss_children_mb`` when
     worker processes ran) — see :mod:`repro.obs.proc` — so memory
-    joins wall/CPU in every run report.
+    joins wall/CPU in every run report.  Reports written before the
+    histogram instrument was retired also carry ``histograms``; they
+    still validate.
 
 Two optional keys mark a report whose log is incomplete: ``partial``
 (``true`` when the log lacks ``run.end``, ends with spans open, or lost
@@ -55,7 +60,6 @@ them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import platform as _platform
@@ -66,7 +70,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from .proc import record_peak_rss
-from .spans import Observation, Span, SpanFold
+from .spans import EventFold, Observation, Span
 
 __all__ = [
     "REQUIRED_KEYS",
@@ -140,34 +144,31 @@ def _environment() -> Dict[str, Any]:
     }
 
 
-def _document(
-    fold: SpanFold,
-    *,
-    run_id: str,
-    created: float,
-    command: str,
-    config: Dict[str, Any],
-    environment: Dict[str, Any],
-    metrics: Dict[str, Any],
-    incomplete: bool = False,
-) -> Dict[str, Any]:
-    """The report document around a folded span tree.
+def _document(fold: EventFold, *, incomplete: bool = False) -> Dict[str, Any]:
+    """The report document of a folded log.
 
-    Spans the log left open are flagged (:meth:`SpanFold.close_open`).
+    Spans the log left open are flagged (:meth:`EventFold.close_open`).
     The document is ``partial`` when any were, when the log is
     ``incomplete``, or when it records dropped worker events — then
     ``dropped_events`` gives their number.
     """
     left_open = fold.close_open()
+    start = fold.start or {}
+    config: Dict[str, Any] = {"digest": None, "fields": {}}
+    if isinstance(start.get("config"), dict):
+        config.update(start["config"])
+    environment: Dict[str, Any] = dict.fromkeys(("python", "numpy", "platform", "git_sha"))
+    if isinstance(start.get("environment"), dict):
+        environment.update(start["environment"])
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "run_id": run_id,
-        "created": created,
-        "command": command,
+        "run_id": fold.run_id or "unknown",
+        "created": fold.first_ts if fold.first_ts is not None else time.time(),
+        "command": start.get("command") or "characterize",
         "config": config,
         "environment": environment,
         "spans": fold.root.to_dict(),
-        "metrics": metrics,
+        "metrics": {"counters": fold.counters, "gauges": fold.gauges},
     }
     if incomplete or left_open or fold.dropped:
         doc["partial"] = True
@@ -176,41 +177,20 @@ def _document(
     return doc
 
 
-def build_report(
-    observation: Observation,
-    *,
-    config: Any = None,
-    command: str = "characterize",
-) -> Dict[str, Any]:
-    """Fold an observation's event log into the report document.
+def build_report(observation: Observation) -> Dict[str, Any]:
+    """The report document of a live observation.
 
-    Args:
-        observation: the run's telemetry; its clocks stop here unless
-            they already have (:meth:`~repro.obs.Observation.finish`).
-        config: the :class:`~repro.config.AnalysisConfig` (or any
-            dataclass with a ``full_key``); omitted fields leave the
-            config section empty but present.
-        command: the producing command, recorded verbatim.
+    Stops the observation's clocks (unless they already have stopped),
+    logs its peak-RSS gauges and final metric deltas, and folds its
+    event log; the clocks are the only input the log does not carry
+    yet (``run.end`` follows the report).  A run recorded by
+    :class:`~repro.obs.recorded_run` has ``run.start`` at the head of
+    its log, which supplies the command, config and environment.
     """
     observation.finish()
-    # Memory joins wall/CPU in every report: the process's peak RSS is
-    # read once here, just before the metrics snapshot.
     record_peak_rss(observation.metrics)
-    config_doc: Dict[str, Any] = {"digest": None, "fields": {}}
-    if config is not None:
-        if hasattr(config, "full_key"):
-            config_doc["digest"] = config.full_key()
-        if dataclasses.is_dataclass(config):
-            config_doc["fields"] = dataclasses.asdict(config)
-    return _document(
-        observation.fold(),
-        run_id=observation.run_id,
-        created=time.time(),
-        command=command,
-        config=config_doc,
-        environment=_environment(),
-        metrics=observation.metrics.snapshot(),
-    )
+    observation.emit_metric_deltas()
+    return _document(observation.fold())
 
 
 def report_from_events(
@@ -219,67 +199,16 @@ def report_from_events(
     """Rebuild a (possibly partial) run report from a written event log.
 
     The same fold as :func:`build_report`, over a log read back from
-    disk: ``run.start`` supplies the command, config and environment,
-    ``metric`` events the counters and gauges, and ``run.end`` the
-    root's ``wall_s`` and ``cpu_s`` (the live report's).  Spans still
-    open when the log ends — the residue of a SIGKILL — are kept and flagged
-    ``partial: true``; the report itself carries ``partial: true``
-    whenever the log lacks ``run.end``.  The result passes
-    :func:`validate_report`.
+    disk; ``run.end`` supplies the root's ``wall_s`` and ``cpu_s`` (the
+    live report's).  Spans still open when the log ends — the residue
+    of a SIGKILL — are kept and flagged ``partial: true``; the report
+    itself carries ``partial: true`` whenever the log lacks ``run.end``.
+    The result passes :func:`validate_report`.
     """
-    fold = SpanFold()
-    run_id = None
-    created = None
-    command = "characterize"
-    config: Dict[str, Any] = {"digest": None, "fields": {}}
-    environment: Dict[str, Any] = {
-        "python": None,
-        "numpy": None,
-        "platform": None,
-        "git_sha": None,
-    }
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    ended = False
-    clocks = (None, None)
+    fold = EventFold()
     for event in events:
         fold.feed(event)
-        etype = event.get("type")
-        if created is None and isinstance(event.get("ts"), (int, float)):
-            created = event["ts"]
-        if run_id is None and event.get("run_id"):
-            run_id = event["run_id"]
-        if etype == "run.start":
-            command = event.get("command") or command
-            if isinstance(event.get("config"), dict):
-                config.update(event["config"])
-            if isinstance(event.get("environment"), dict):
-                environment.update(event["environment"])
-        elif etype == "run.end":
-            ended = True
-            clocks = (event.get("wall_s"), event.get("cpu_s"))
-        elif etype == "metric":
-            for cname, delta in (event.get("counters") or {}).items():
-                if isinstance(delta, (int, float)):
-                    counters[cname] = counters.get(cname, 0.0) + delta
-            for gname, value in (event.get("gauges") or {}).items():
-                if isinstance(value, (int, float)):
-                    gauges[gname] = float(value)
-    if all(isinstance(c, (int, float)) for c in clocks):
-        fold.root.wall_s, fold.root.cpu_s = (float(c) for c in clocks)
-    elif created is not None and fold.last_ts is not None:
-        # No run clocks (a killed run): estimate from the event times.
-        fold.root.wall_s = max(0.0, float(fold.last_ts) - float(created))
-    return _document(
-        fold,
-        run_id=run_id or "unknown",
-        created=created if created is not None else time.time(),
-        command=command,
-        config=config,
-        environment=environment,
-        metrics={"counters": counters, "gauges": gauges, "histograms": {}},
-        incomplete=truncated or not ended,
-    )
+    return _document(fold, incomplete=truncated or fold.end is None)
 
 
 def write_report(path: PathLike, report: Dict[str, Any]) -> Path:
@@ -319,7 +248,7 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
     if not isinstance(metrics, dict):
         problems.append("metrics is not a mapping")
     else:
-        for section in ("counters", "gauges", "histograms"):
+        for section in ("counters", "gauges"):
             if section not in metrics:
                 problems.append(f"metrics missing section {section!r}")
     if not isinstance(report["config"], dict) or "digest" not in report["config"]:
@@ -401,25 +330,6 @@ def render_report(report: Dict[str, Any], *, max_children: int = 12) -> str:
     if gauges:
         rows = [[name, _fmt(value)] for name, value in sorted(gauges.items())]
         lines += ["", "gauges", format_table(["name", "value"], rows)]
-    histograms = metrics.get("histograms", {})
-    if histograms:
-        rows = [
-            [
-                name,
-                _fmt(h.get("count")),
-                _fmt(h.get("mean")),
-                _fmt(h.get("p50")),
-                _fmt(h.get("p90")),
-                _fmt(h.get("min")),
-                _fmt(h.get("max")),
-            ]
-            for name, h in sorted(histograms.items())
-        ]
-        lines += [
-            "",
-            "histograms",
-            format_table(["name", "count", "mean", "p50", "p90", "min", "max"], rows),
-        ]
     stages = missing_stages(report)
     if stages:
         lines += ["", "note: missing methodology stages: " + ", ".join(stages)]

@@ -1,15 +1,17 @@
 """The scaffold of one recorded run: ``run.start``, observation, ``run.end``.
 
 ``repro characterize`` (batch and ``--streaming``) and the service
-worker record a run the same way: an optional :class:`EventBus` opens
-the log with ``run.start`` (command, config digest, environment, pid),
-the work executes under :func:`~repro.obs.observe`, and the log closes
-with the final metric deltas and ``run.end`` — ``ok`` and the
-observation's ``wall_s``/``cpu_s``, the live report's root clocks.
+worker record a run the same way: the observation's log opens with
+``run.start`` (command, config document, environment, pid), the work
+executes under :func:`~repro.obs.observe`, and the log closes with the
+final metric deltas and ``run.end`` — ``ok`` and the observation's
+``wall_s``/``cpu_s``, the live report's root clocks.  An optional
+:class:`EventBus` writes the same log as JSONL while it grows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from contextlib import nullcontext
 from pathlib import Path
@@ -30,7 +32,7 @@ class recorded_run:
         run_id: the run's id, on the observation and every event.
         command: the producing command, recorded in ``run.start``.
         config: the :class:`~repro.config.AnalysisConfig`; ``run.start``
-            carries its digest.
+            carries its digest and fields.
         events: where the event log is written as JSONL (a path,
             ``-`` for stdout, or a text stream); no log when None.
         observe: observe the run even without an event log (a run
@@ -58,13 +60,10 @@ class recorded_run:
         self.observation: Optional[Observation] = None
         self._events = events
         self._observe = observe or events is not None
-        digest = {"digest": config.full_key(), "fields": {}}
-        self._start = {"command": command, **fields, "config": digest}
+        config_doc = {"digest": config.full_key(), "fields": dataclasses.asdict(config)}
+        self._start = {"command": command, **fields, "config": config_doc}
 
     def __enter__(self) -> "recorded_run":
-        if self._events is not None:
-            self._bus = EventBus(JsonlSink(self._events), self.run_id)
-            self._bus.start(**self._start, environment=_environment(), pid=os.getpid())
         return self
 
     def observing(self):
@@ -72,15 +71,20 @@ class recorded_run:
         :class:`~repro.obs.Observation` (None when not observed)."""
         if not self._observe:
             return nullcontext()
+        if self._events is not None:
+            self._bus = EventBus(JsonlSink(self._events), self.run_id)
         context = _observe(run_id=self.run_id, emitter=self._bus)
         self.observation = context.observation
+        self.observation.emit(
+            "run.start", **self._start, environment=_environment(), pid=os.getpid()
+        )
         return context
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        ob = self.observation
+        if ob is not None:
+            ob.emit_metric_deltas()
+            ob.emit("run.end", ok=exc_type is None, wall_s=ob.wall_s, cpu_s=ob.cpu_s)
         if self._bus is not None:
-            ob, clocks = self.observation, {}
-            if ob is not None:
-                ob.emit_metric_deltas()
-                clocks = {"wall_s": ob.wall_s, "cpu_s": ob.cpu_s}
-            self._bus.close(ok=exc_type is None, **clocks)
+            self._bus.close()
         return False

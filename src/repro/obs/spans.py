@@ -1,4 +1,4 @@
-"""Spans, the run's event log, and the active observation context.
+"""Spans, the run's event log, its fold, and the active observation.
 
 A :class:`Span` is one timed region of a run — a pipeline stage, a
 k-means restart, one benchmark's characterization — with monotonic
@@ -8,15 +8,16 @@ manager returned by :func:`span`.
 
 **One record.**  An :class:`Observation` keeps one in-memory event log.
 A span logs a ``span.open`` event when it starts and a ``span.close``
-event, with its durations and final attributes, when it ends; stage,
-progress, heartbeat and metric events go into the same log.  Nothing
-else is recorded while the run executes.  An attached
-:class:`repro.obs.events.EventBus` writes each event to its JSONL sink
-as it is logged.  :class:`SpanFold` is the one place events become a
-span tree: the run report (:func:`repro.obs.report.build_report`),
-``repro report --from-events``, ``repro watch`` and
-:attr:`Observation.root` all fold with it, so a report built live and
-one rebuilt from the written log have the same tree.
+event, with its durations and final attributes, when it ends; the
+run's ``run.start`` and ``run.end``, stage, progress, heartbeat and
+metric events go into the same log.  Nothing else is recorded while
+the run executes.  An attached :class:`repro.obs.events.EventBus`
+writes each event to its JSONL sink as it is logged.
+:class:`EventFold` is the one reader of the log: the run report
+(:func:`repro.obs.report.build_report`), ``repro report
+--from-events``, ``repro watch`` and :attr:`Observation.root` are all
+views of it, so a report built live and one rebuilt from the written
+log are the same document.
 
 Collection is opt-in and inert by default.  :func:`observe` installs an
 :class:`Observation` — the event log plus a
@@ -58,10 +59,10 @@ from .events import MAX_WORKER_EVENTS, ProgressEstimator
 from .metrics import NOOP_REGISTRY, MetricsRegistry
 
 __all__ = [
+    "EventFold",
     "Observation",
     "Snapshot",
     "Span",
-    "SpanFold",
     "active",
     "capture",
     "current",
@@ -141,32 +142,59 @@ class Span:
         return f"Span({self.name!r}, {self.wall_s * 1e3:.2f}ms, {len(self.children)} children)"
 
 
-class SpanFold:
-    """The span tree of an event log, folded one event at a time.
+class EventFold:
+    """One run's state, folded from its event log one event at a time.
 
-    One stack per thread: the observing thread's (key ``None``) starts
-    at the root; another thread's starts at the span the observing
-    thread has open when that thread's first span opens, which is where
-    it hangs.  Spans of two threads that interleave in the log
-    therefore never nest into each other.  Of the other event types
-    only ``events.dropped`` counts, into :attr:`dropped`.
+    The one reader of the log: every event type is read here and
+    nowhere else.  The run report (:func:`repro.obs.report.build_report`
+    and :func:`~repro.obs.report.report_from_events`), ``repro watch``
+    (:func:`repro.obs.live.summarize_events`) and
+    :attr:`Observation.root` are views of this fold.
+
+    Spans fold into :attr:`root` with one stack per thread: the
+    observing thread's (key ``None``) starts at the root; another
+    thread's starts at the span the observing thread has open when that
+    thread's first span opens, which is where it hangs.  Spans of two
+    threads that interleave in the log therefore never nest into each
+    other.  ``run.end``'s clocks become the root's (:meth:`clock`).
     """
 
-    def __init__(self, root_name: str = "run") -> None:
+    def __init__(self, root_name: str = "run", run_id: Optional[str] = None) -> None:
         self.root = Span(root_name)
-        self.dropped = 0
+        #: The run id: the one given, else the first event's.
+        self.run_id = run_id
+        self.events = 0
+        self.first_ts: Optional[float] = None
         self.last_ts: Optional[float] = None
+        #: The ``run.start`` and ``run.end`` events, once folded.
+        self.start: Optional[Dict[str, Any]] = None
+        self.end: Optional[Dict[str, Any]] = None
+        #: Counter totals (summed deltas) and last gauge values.
+        self.counters: Dict[str, float] = {}
+        self.gauges: Dict[str, float] = {}
+        #: Latest progress fields per stage; latest heartbeat; stage
+        #: checkpoints in order; events dropped by worker logs.
+        self.progress: Dict[str, Dict[str, Any]] = {}
+        self.heartbeat: Optional[Dict[str, Any]] = None
+        self.stages: List[Dict[str, Any]] = []
+        self.dropped = 0
+        self._clocked = False
         self._stacks: Dict[Optional[str], List[Span]] = {None: [self.root]}
         self._opened: Dict[Optional[str], List[Optional[float]]] = {None: [None]}
 
     def feed(self, event: Dict[str, Any]) -> None:
         """Fold one event."""
+        self.events += 1
         etype = event.get("type")
         ts = event.get("ts")
         if not isinstance(ts, (int, float)):
             ts = None
         else:
+            if self.first_ts is None:
+                self.first_ts = ts
             self.last_ts = ts
+        if self.run_id is None and event.get("run_id"):
+            self.run_id = event["run_id"]
         if etype == "span.open":
             thread = event.get("thread")
             stack = self._stacks.get(thread)
@@ -195,8 +223,35 @@ class SpanFold:
                     del stack[i]
                     del self._opened[thread][i]
                     break
+        elif etype == "metric":
+            for name, delta in (event.get("counters") or {}).items():
+                if isinstance(delta, (int, float)):
+                    self.counters[name] = self.counters.get(name, 0.0) + delta
+            for name, value in (event.get("gauges") or {}).items():
+                if isinstance(value, (int, float)):
+                    self.gauges[name] = float(value)
+        elif etype == "progress":
+            self.progress[str(event.get("stage", "?"))] = {
+                k: event.get(k) for k in ("done", "total", "fraction", "elapsed_s", "eta_s")
+            }
+        elif etype == "heartbeat":
+            self.heartbeat = {k: event.get(k) for k in ("label", "completed", "total", "ts")}
+        elif etype == "stage":
+            self.stages.append({"stage": event.get("stage"), "action": event.get("action")})
         elif etype == "events.dropped":
             self.dropped += int(event.get("count", 0) or 0)
+        elif etype == "run.start":
+            self.start = event
+        elif etype == "run.end":
+            self.end = event
+            clocks = (event.get("wall_s"), event.get("cpu_s"))
+            if all(isinstance(c, (int, float)) for c in clocks):
+                self.clock(*clocks)
+
+    def clock(self, wall_s: float, cpu_s: float) -> None:
+        """Set the run's clocks: the root span's durations."""
+        self.root.wall_s, self.root.cpu_s = float(wall_s), float(cpu_s)
+        self._clocked = True
 
     def open_spans(self) -> List[Span]:
         """Spans opened but not closed: the observing thread's first,
@@ -208,8 +263,12 @@ class SpanFold:
 
         An open span's wall time is estimated from its open timestamp
         to the last event folded, so a killed run's tree says which
-        stage died rather than pretending it took zero time.
+        stage died rather than pretending it took zero time.  A root
+        without the run's clocks is estimated the same way, from the
+        first event.
         """
+        if not self._clocked and self.first_ts is not None:
+            self.root.wall_s = max(0.0, self.last_ts - self.first_ts)
         for thread, stack in self._stacks.items():
             for node, opened in zip(stack[1:], self._opened[thread][1:]):
                 node.attrs.setdefault("partial", True)
@@ -363,6 +422,7 @@ class Observation:
         self._thread_ids = itertools.count(1)
         self._estimators: Dict[str, ProgressEstimator] = {}
         self._last_counters: Dict[str, float] = {}
+        self._last_gauges: Dict[str, float] = {}
         self._wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
 
@@ -372,7 +432,7 @@ class Observation:
         Span events of this observation's own thread carry no tag.
         Another thread (the streaming prefetch producer) gets a tag
         unique within the observation, fixed on its first span, which
-        :class:`SpanFold` keys that thread's stack by.
+        :class:`EventFold` keys that thread's stack by.
         """
         if threading.get_ident() == self._owner:
             return self._main
@@ -432,22 +492,28 @@ class Observation:
         self.emit("progress", **estimator.update(done))
 
     def emit_metric_deltas(self) -> None:
-        """Log counter deltas (and current gauges) since the last call.
+        """Log the metrics' movement since the last call, if any.
 
-        A counter is logged the first time it exists even when it is
-        still 0, so the fold of the log has every counter the live
-        registry has.
+        Counters are logged as deltas, gauges when their value changed
+        since the last call.  A counter is logged the first time it exists even
+        when it is still 0, so the fold of the log has every counter
+        the live registry has.
         """
         snap = self.metrics.snapshot()
-        counters = snap["counters"]
         with self._lock:
-            deltas = {
+            counters = {
                 name: value - self._last_counters.get(name, 0.0)
-                for name, value in counters.items()
+                for name, value in snap["counters"].items()
                 if value != self._last_counters.get(name)
             }
-            self._last_counters = dict(counters)
-        self.emit("metric", counters=deltas, gauges=snap["gauges"])
+            gauges = {
+                name: value
+                for name, value in snap["gauges"].items()
+                if value != self._last_gauges.get(name)
+            }
+            self._last_counters, self._last_gauges = snap["counters"], snap["gauges"]
+        if counters or gauges:
+            self.emit("metric", counters=counters, gauges=gauges)
 
     def finish(self) -> None:
         """Stop the run's clocks; later calls keep the first reading."""
@@ -457,14 +523,14 @@ class Observation:
         self.wall_s = time.perf_counter() - self._wall0
         self.cpu_s = time.process_time() - self._cpu0
 
-    def fold(self) -> SpanFold:
+    def fold(self) -> EventFold:
         """Fold the log so far; the root carries the run's clocks."""
         with self._lock:
             events = list(self.events)
-        fold = SpanFold(self.root_name)
+        fold = EventFold(self.root_name, run_id=self.run_id)
         for event in events:
             fold.feed(event)
-        fold.root.wall_s, fold.root.cpu_s = self.wall_s, self.cpu_s
+        fold.clock(self.wall_s, self.cpu_s)
         return fold
 
     @property

@@ -43,9 +43,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..config import AnalysisConfig
-from ..io.artifacts import _pid_alive, artifact_lock
+from ..io.artifacts import artifact_lock
 from ..io.records import RecordLog
 from ..obs import get_logger, metrics
+from ..obs.proc import pid_alive
 
 __all__ = [
     "JOB_STATES",
@@ -275,7 +276,7 @@ class JobQueue:
         owner = view.owner or {}
         pid = owner.get("pid")
         if pid is not None and owner.get("host") == socket.gethostname():
-            return not _pid_alive(pid)
+            return not pid_alive(pid)
         # Foreign host (or no pid recorded): fall back to the lease —
         # the running record's age against the reclaim timeout.
         return (time.time() - view.updated) > lease_timeout

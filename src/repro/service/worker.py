@@ -162,9 +162,7 @@ class Worker:
                         select_key=True,
                         span_attrs={"job": job_id, "attempt": attempt},
                     )
-                report = obs.build_report(
-                    observation, config=config, command="service.characterize"
-                )
+                report = obs.build_report(observation)
                 obs.write_report(job_dir(self.root, job_id) / "report.json", report)
                 self.queue.complete(
                     job_id, self.name, self._result_doc(output, result, cached=False)

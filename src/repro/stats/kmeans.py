@@ -119,7 +119,6 @@ def _run_restart(payload, init_idx: np.ndarray):
         bic = kmeans_bic(points, labels, centers, assigned_sq=assigned_sq)
         sp.set(bic=bic, inertia=inertia, n_iter=n_iter)
     reg = metrics()
-    reg.histogram_observe("kmeans.restart_bic", bic)
     reg.counter_add("kmeans.restarts", 1)
     reg.counter_add("kmeans.iterations", n_iter)
     if stats is not None:

@@ -256,7 +256,6 @@ def _run_passes(
     best_bic = float("-inf")
     for i, scorer in enumerate(scorers):
         bic = scorer.bic(d)
-        reg.histogram_observe("streaming.restart_bic", bic)
         if bic > best_bic:
             best_index, best_bic = i, bic
     best = scorers[best_index]

@@ -38,9 +38,9 @@ def replay_all(spool, kind, n_cols, batch):
 
 def test_round_trip_bit_identical(tmp_path, rows):
     spool = make_spool(tmp_path)
-    assert not spool.ready("raw")
+    assert spool.open_replay("raw", 5) is None
     write_kind(spool, "raw", rows)
-    assert spool.ready("raw")
+    assert spool.open_replay("raw", 5) is not None
     starts, got = replay_all(spool, "raw", 5, batch=7)
     assert starts == [0, 7, 14, 21]
     assert got.dtype == np.float64
@@ -67,8 +67,8 @@ def test_replay_views_are_zero_copy(tmp_path, rows):
 def test_kinds_are_independent(tmp_path, rows):
     spool = make_spool(tmp_path)
     write_kind(spool, "raw", rows)
-    assert spool.ready("raw")
-    assert not spool.ready("proj")
+    assert spool.open_replay("raw", 5) is not None
+    assert spool.open_replay("proj", 3) is None
     assert spool.replay("proj", 3, 8) is None
 
 
@@ -77,7 +77,7 @@ def test_unsealed_writer_leaves_nothing_replayable(tmp_path, rows):
     writer = spool.writer("raw", len(rows), 5)
     writer.append(rows[:7])
     writer.abandon()
-    assert not spool.ready("raw")
+    assert spool.open_replay("raw", 5) is None
     assert spool.replay("raw", 5, 7) is None
     assert list(tmp_path.glob("*.tmp")) == []
 
@@ -88,7 +88,7 @@ def test_seal_short_raises_and_abandons(tmp_path, rows):
     writer.append(rows[:7])
     with pytest.raises(ValueError, match="sealed short"):
         writer.seal()
-    assert not spool.ready("raw")
+    assert spool.open_replay("raw", 5) is None
 
 
 def test_append_overflow_raises(tmp_path, rows):
@@ -134,7 +134,7 @@ def test_truncated_payload_quarantined(tmp_path, rows):
     with observe() as ob:
         assert spool.replay("raw", 5, 7) is None
     assert ob.metrics.counter_value("spool.quarantined") == 1
-    assert not spool.ready("raw")
+    assert spool.open_replay("raw", 5) is None
     assert list(tmp_path.glob("*.corrupt-*"))
 
 
@@ -144,7 +144,7 @@ def test_bit_flipped_payload_quarantined(tmp_path, rows):
     write_kind(spool, "raw", rows)
     bit_flip(spool.data_path("raw"), offset=500)
     assert spool.replay("raw", 5, 7) is None
-    assert not spool.ready("raw")
+    assert spool.open_replay("raw", 5) is None
     assert list(tmp_path.glob("*.corrupt-*"))
 
 
@@ -165,7 +165,7 @@ def test_payload_sealed_elsewhere_is_never_replayed(tmp_path, rows):
     write_kind(make_spool(tmp_path), "raw", rows)
     other = make_spool(tmp_path)
     assert other.data_path("raw").exists()
-    assert not other.ready("raw")
+    assert other.open_replay("raw", 5) is None
     assert other.replay("raw", 5, 7) is None
 
 
@@ -173,6 +173,6 @@ def test_new_writer_forgets_the_earlier_seal(tmp_path, rows):
     spool = make_spool(tmp_path)
     write_kind(spool, "raw", rows)
     writer = spool.writer("raw", len(rows), 5)
-    assert not spool.ready("raw")
+    assert spool.open_replay("raw", 5) is None
     assert spool.replay("raw", 5, 7) is None
     writer.abandon()

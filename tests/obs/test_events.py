@@ -17,14 +17,14 @@ from repro.obs import (
     emit_progress,
     observe,
     read_events,
+    report_from_events,
     span,
 )
 
 
-def _bus(run_id="r1", clock=None):
+def _bus(run_id="r1"):
     handle = io.StringIO()
-    kwargs = {"clock": clock} if clock is not None else {}
-    return EventBus(JsonlSink(handle), run_id, **kwargs), handle
+    return EventBus(JsonlSink(handle), run_id), handle
 
 
 def _lines(handle):
@@ -32,23 +32,23 @@ def _lines(handle):
 
 
 def test_every_event_carries_the_envelope_fields():
-    bus, handle = _bus(clock=lambda: 123.0)
-    bus.start(command="characterize", preset="tiny")
-    bus.emit("custom", detail=1)
-    bus.close(ok=True)
+    bus, handle = _bus()
+    for etype in ("run.start", "custom", "run.end"):
+        bus.write({"ts": 123.0, "type": etype})
+    bus.close()
     events = _lines(handle)
     assert [e["type"] for e in events] == ["run.start", "custom", "run.end"]
+    assert [e["seq"] for e in events] == [0, 1, 2]
     for event in events:
         assert event["v"] == EVENT_SCHEMA_VERSION
         assert event["run_id"] == "r1"
-        assert event["ts"] == 123.0
-    assert events[-1]["ok"] is True
+        assert event["ts"] == 123.0  # the logged timestamp is kept
 
 
 def test_seq_is_strictly_monotonic_across_threads():
     bus, handle = _bus()
     threads = [
-        threading.Thread(target=lambda: [bus.emit("tick") for _ in range(50)])
+        threading.Thread(target=lambda: [bus.write({"type": "tick"}) for _ in range(50)])
         for _ in range(4)
     ]
     for t in threads:
@@ -61,8 +61,9 @@ def test_seq_is_strictly_monotonic_across_threads():
 
 def test_emit_after_close_is_dropped():
     bus, handle = _bus()
-    bus.close(ok=False)
-    assert bus.emit("late") is None
+    bus.write({"type": "run.end", "ok": False})
+    bus.close()
+    assert bus.write({"type": "late"}) is None
     events = _lines(handle)
     assert [e["type"] for e in events] == ["run.end"]
     assert events[0]["ok"] is False
@@ -71,7 +72,7 @@ def test_emit_after_close_is_dropped():
 def test_every_line_is_flushed_as_written(tmp_path):
     path = tmp_path / "events.jsonl"
     bus = EventBus(JsonlSink(path), "r2")
-    bus.emit("first")
+    bus.write({"type": "first"})
     # Without closing the bus (the SIGKILL scenario), the line must
     # already be on disk and parseable.
     events, truncated = read_events(path)
@@ -163,18 +164,25 @@ def test_replay_preserves_payload_and_assigns_fresh_seqs():
     Observation(emitter=bus).merge_snapshot(Snapshot(events, 0, {}))
     bus.close()
     replayed = _lines(handle)
-    assert [e["type"] for e in replayed[:-1]] == ["span.open", "span.close"]
-    assert [e["seq"] for e in replayed] == [0, 1, 2]
+    assert [e["type"] for e in replayed] == ["span.open", "span.close"]
+    assert [e["seq"] for e in replayed] == [0, 1]
     assert replayed[1]["wall_s"] == 0.5
     # Worker timestamps are preserved (seq, not ts, orders the stream).
     assert replayed[0]["ts"] == events[0]["ts"]
 
 
 def test_replay_drop_counts_surface_in_run_end():
+    # A worker's drop count is logged where its events merge; the fold
+    # of the finished log reports it.
     bus, handle = _bus()
-    Observation(emitter=bus).merge_snapshot(Snapshot([], 7, {}))
+    ob = Observation(emitter=bus)
+    ob.merge_snapshot(Snapshot([], 7, {}))
+    ob.emit("run.end", ok=True, wall_s=0.0, cpu_s=0.0)
     bus.close()
-    assert _lines(handle)[-1]["dropped_events"] == 7
+    events = _lines(handle)
+    assert [(e["type"], e.get("count")) for e in events[:-1]] == [("events.dropped", 7)]
+    doc = report_from_events(events)
+    assert doc["partial"] is True and doc["dropped_events"] == 7
 
 
 def test_metric_deltas_are_movement_since_last_event():

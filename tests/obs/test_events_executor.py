@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro.obs import EventBus, JsonlSink, emit_event, observe, span
+from repro.config import AnalysisConfig
+from repro.obs import emit_event, observe, recorded_run, span
 from repro.parallel import (
     ProcessExecutor,
     SerialExecutor,
@@ -46,13 +47,16 @@ def _failing(payload, i):
     return i
 
 
+def _recording(handle):
+    return recorded_run("r1", command="test", config=AnalysisConfig.tiny(), events=handle)
+
+
 def _run(executor, fn, n, **kwargs):
     handle = io.StringIO()
-    bus = EventBus(JsonlSink(handle), "r1")
-    with observe(emitter=bus):
-        with span("fanout"):
-            executor.map(fn, range(n), labels=[f"t{i}" for i in range(n)], **kwargs)
-    bus.close()
+    with _recording(handle) as run:
+        with run.observing():
+            with span("fanout"):
+                executor.map(fn, range(n), labels=[f"t{i}" for i in range(n)], **kwargs)
     return [json.loads(line) for line in handle.getvalue().splitlines()]
 
 
@@ -109,11 +113,10 @@ def test_stream_is_identical_across_backends(executor):
 @pytest.mark.parametrize("executor", BACKENDS)
 def test_failed_task_events_are_discarded(executor):
     handle = io.StringIO()
-    bus = EventBus(JsonlSink(handle), "r1")
-    with observe(emitter=bus):
-        with pytest.raises(WorkerError):
-            executor.map(_failing, range(4), chunk_size=4)
-    bus.close(ok=False)
+    with pytest.raises(WorkerError):
+        with _recording(handle) as run:
+            with run.observing():
+                executor.map(_failing, range(4), chunk_size=4)
     events = [json.loads(line) for line in handle.getvalue().splitlines()]
     markers = [e["index"] for e in events if e["type"] == "marker"]
     # Tasks before the failure in the chunk replayed once each; the

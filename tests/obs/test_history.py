@@ -3,7 +3,6 @@
 import json
 import os
 
-from repro.config import AnalysisConfig
 from repro.obs import (
     HistoryStore,
     Observation,
@@ -25,7 +24,7 @@ def _report(run_id="r1", walls=None):
             with ob.span(stage):
                 pass
     ob.metrics.gauge_set("prominent.coverage", 0.8)
-    doc = build_report(ob, config=AnalysisConfig.tiny(), command="characterize")
+    doc = build_report(ob)
 
     # Pin every wall (measured ones jitter) so diffs are deterministic:
     # named stages get their requested value, containers get 1.0.

@@ -41,7 +41,7 @@ def test_observed_run_is_bit_identical():
     assert result_off.key_characteristics == result_on.key_characteristics
 
     # ... and the observed run actually recorded the whole pipeline.
-    report = build_report(ob, config=config)
+    report = build_report(ob)
     assert missing_stages(report) == []
     counters = report["metrics"]["counters"]
     assert counters["kmeans.restarts"] > 0

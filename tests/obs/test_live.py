@@ -9,6 +9,7 @@ happen rather than at exit.
 import io
 import json
 import threading
+import time
 
 import pytest
 
@@ -19,8 +20,8 @@ from repro.obs import (
     JsonlSink,
     emit_progress,
     missing_stages,
-    observe,
     read_events,
+    recorded_run,
     render_live,
     report_from_events,
     span,
@@ -31,20 +32,34 @@ from repro.obs import (
 from repro.suites import SUITE_INT2000, get_suite
 
 
-def _events_for_small_run():
+def _recorded(run_id, work, **fields):
+    """Record ``work(observation)`` as a tiny-preset run; its event log."""
     handle = io.StringIO()
-    bus = EventBus(JsonlSink(handle), "r1")
-    bus.start(command="characterize", preset="tiny", config={"digest": "d1"})
-    with observe(emitter=bus) as ob:
-        with span("characterize"):
-            with span("pca"):
-                pass
-        ob.metrics.counter_add("dataset.rows", 64)
-        ob.emit_metric_deltas()
-        emit_progress("kmeans", 5, 10)
-        ob.emit("heartbeat", label="BMW/face", completed=3, total=5)
-    bus.close(ok=True)
+    with recorded_run(
+        run_id, command="characterize", config=AnalysisConfig.tiny(), events=handle, **fields
+    ) as run:
+        with run.observing() as ob:
+            work(ob)
     return [json.loads(line) for line in handle.getvalue().splitlines()]
+
+
+def _small_run(ob):
+    with span("characterize"):
+        with span("pca"):
+            pass
+    ob.metrics.counter_add("dataset.rows", 64)
+    ob.emit_metric_deltas()
+    emit_progress("kmeans", 5, 10)
+    ob.emit("heartbeat", label="BMW/face", completed=3, total=5)
+
+
+def _events_for_small_run():
+    return _recorded("r1", _small_run, preset="tiny")
+
+
+def _write(bus, etype, **fields):
+    """Write one event straight to a bus, as a writer process would."""
+    bus.write({"ts": time.time(), "type": etype, **fields})
 
 
 def test_summarize_folds_events_into_state():
@@ -89,8 +104,8 @@ def test_render_live_shows_progress_and_heartbeat():
 def test_watch_once_renders_and_returns_zero(tmp_path, capsys):
     path = tmp_path / "events.jsonl"
     bus = EventBus(JsonlSink(path), "r2")
-    bus.start(command="characterize")
-    bus.emit("span.open", span="characterize", depth=1)
+    _write(bus, "run.start", command="characterize")
+    _write(bus, "span.open", span="characterize", depth=1)
     assert watch(path, once=True) == 0
     out = capsys.readouterr().out
     assert "r2" in out and "running" in out
@@ -100,14 +115,15 @@ def test_watch_once_renders_and_returns_zero(tmp_path, capsys):
 def test_watch_returns_when_the_run_ends(tmp_path):
     path = tmp_path / "events.jsonl"
     bus = EventBus(JsonlSink(path), "r3")
-    bus.emit("tick")
+    _write(bus, "tick")
     frames = []
     sleeps = []
 
     def fake_sleep(seconds):
         sleeps.append(seconds)
         if len(sleeps) == 2:
-            bus.close(ok=True)  # the run finishes while we watch
+            _write(bus, "run.end", ok=True)  # the run finishes while we watch
+            bus.close()
 
     assert watch(path, echo=frames.append, sleep=fake_sleep) == 0
     assert "finished ok" in frames[-1]
@@ -118,7 +134,7 @@ def test_watch_gives_up_on_a_stale_log(tmp_path):
     # liveness signal, so the watch still gives up after 10 of them.
     path = tmp_path / "events.jsonl"
     bus = EventBus(JsonlSink(path), "r4")
-    bus.emit("tick")
+    _write(bus, "tick")
     frames = []
     assert watch(path, echo=frames.append, sleep=lambda _s: None) == 1
     assert "giving up" in frames[-1]
@@ -128,11 +144,7 @@ def test_watch_gives_up_on_a_stale_log(tmp_path):
 def test_summarize_captures_writer_pid():
     import os
 
-    handle = io.StringIO()
-    bus = EventBus(JsonlSink(handle), "rp")
-    bus.start(command="characterize", pid=os.getpid())
-    bus.close(ok=True)
-    events = [json.loads(line) for line in handle.getvalue().splitlines()]
+    events = _recorded("rp", lambda ob: None)
     assert summarize_events(events)["pid"] == os.getpid()
 
 
@@ -149,14 +161,15 @@ def test_watch_keeps_following_a_slow_writer_that_is_alive(tmp_path):
 
     path = tmp_path / "events.jsonl"
     bus = EventBus(JsonlSink(path), "r5")
-    bus.start(command="characterize", pid=os.getpid())
+    _write(bus, "run.start", command="characterize", pid=os.getpid())
     frames = []
     polls = [0]
 
     def fake_sleep(_seconds):
         polls[0] += 1
         if polls[0] == 25:
-            bus.close(ok=True)  # the slow stage finally ends
+            _write(bus, "run.end", ok=True)  # the slow stage finally ends
+            bus.close()
 
     assert watch(path, echo=frames.append, sleep=fake_sleep) == 0
     assert polls[0] >= 25
@@ -177,7 +190,7 @@ def test_watch_gives_up_when_the_writer_pid_is_dead(tmp_path):
     )
     path = tmp_path / "events.jsonl"
     bus = EventBus(JsonlSink(path), "r6")
-    bus.start(command="characterize", pid=gone)
+    _write(bus, "run.start", command="characterize", pid=gone)
     frames = []
     assert watch(path, echo=frames.append, sleep=lambda _s: None) == 1
     assert "giving up" in frames[-1]
@@ -191,7 +204,7 @@ def test_report_from_events_round_trips_a_complete_run():
     assert validate_report(doc) == []
     assert "partial" not in doc
     assert doc["run_id"] == "r1"
-    assert doc["config"]["digest"] == "d1"
+    assert doc["config"]["digest"] == AnalysisConfig.tiny().full_key()
     names = {c["name"] for c in doc["spans"]["children"]}
     assert "characterize" in names
     assert doc["metrics"]["counters"]["dataset.rows"] == 64
@@ -213,9 +226,9 @@ def test_report_from_events_marks_killed_spans_partial():
 def test_report_from_events_keeps_recorded_durations():
     buffer = io.StringIO()
     bus = EventBus(JsonlSink(buffer), "r5")
-    bus.emit("span.open", span="kmeans", depth=1)
-    bus.emit("span.close", span="kmeans", depth=1, wall_s=1.5, cpu_s=0.5,
-             attrs={"k": 8})
+    _write(bus, "span.open", span="kmeans", depth=1)
+    _write(bus, "span.close", span="kmeans", depth=1, wall_s=1.5, cpu_s=0.5, attrs={"k": 8})
+    _write(bus, "run.end", ok=True)
     bus.close()
     events = [json.loads(line) for line in buffer.getvalue().splitlines()]
     doc = report_from_events(events)
@@ -234,8 +247,6 @@ def test_report_from_events_folds_each_thread_under_its_base():
     # observing thread's "pca" and closes while "pca" is still open.
     # Folded by order alone, "pca" would nest inside "synth.generate";
     # per thread, both hang under "streaming", as in the live tree.
-    handle = io.StringIO()
-    bus = EventBus(JsonlSink(handle), "r6")
     producer_open, pca_open, producer_done = (threading.Event() for _ in range(3))
     errors = []
 
@@ -250,7 +261,9 @@ def test_report_from_events_folds_each_thread_under_its_base():
         except Exception as exc:  # relayed to the assertion below
             errors.append(exc)
 
-    with observe(emitter=bus) as ob:
+    observed = {}
+
+    def work(ob):
         with span("streaming"):
             worker = threading.Thread(target=produce, name="producer")
             worker.start()
@@ -259,9 +272,11 @@ def test_report_from_events_folds_each_thread_under_its_base():
                 pca_open.set()
                 assert producer_done.wait(10)
             worker.join(10)
-    bus.close(ok=True)
+        observed.update(ob=ob, worker=worker)
+
+    events = _recorded("r6", work)
+    ob, worker = observed["ob"], observed["worker"]
     assert errors == [] and not worker.is_alive()
-    events = [json.loads(line) for line in handle.getvalue().splitlines()]
     spans = [(e["type"], e["span"], e.get("thread")) for e in events if "span" in e]
     assert spans == [
         ("span.open", "streaming", None),
@@ -284,29 +299,38 @@ def test_report_from_events_folds_each_thread_under_its_base():
     assert _names(ob.root.to_dict()) == expected
 
 
-class _HandshakeSink(JsonlSink):
-    """Blocks the writer after a trigger event until a reader looked."""
+class _HandshakeStream:
+    """A log file that blocks the writer after a trigger event's line is
+    flushed, until a reader has looked."""
 
     def __init__(self, path, trigger, ready, resume):
-        super().__init__(path)
+        self._fh = open(path, "w", encoding="utf-8")
         self._trigger = trigger
         self._ready = ready
         self._resume = resume
+        self._line = ""
         self._fired = False
 
-    def write_event(self, event):
-        super().write_event(event)
-        if not self._fired and self._trigger(event):
+    def write(self, text):
+        self._fh.write(text)
+        self._line = text
+
+    def flush(self):
+        self._fh.flush()
+        if not self._fired and self._trigger(json.loads(self._line)):
             self._fired = True
             self._ready.set()
             assert self._resume.wait(30), "reader never released the writer"
+
+    def close(self):
+        self._fh.close()
 
 
 def test_events_stream_during_execution_not_post_hoc(tmp_path):
     """A reader thread sees ordered, parseable events mid-pipeline."""
     path = tmp_path / "events.jsonl"
     ready, resume = threading.Event(), threading.Event()
-    sink = _HandshakeSink(
+    stream = _HandshakeStream(
         path,
         lambda e: e.get("type") == "span.close" and e.get("span") == "pca",
         ready,
@@ -333,11 +357,11 @@ def test_events_stream_during_execution_not_post_hoc(tmp_path):
         intervals_per_benchmark=8, n_clusters=4, kmeans_restarts=2
     )
     benches = get_suite(SUITE_INT2000).benchmarks[:3]
-    bus = EventBus(sink, "mid-run")
-    with observe(emitter=bus):
-        dataset = build_dataset(benches, config)
-        run_characterization(dataset, config, select_key=False)
-    bus.close(ok=True)
+    with recorded_run("mid-run", command="characterize", config=config, events=stream) as run:
+        with run.observing():
+            dataset = build_dataset(benches, config)
+            run_characterization(dataset, config, select_key=False)
+    stream.close()
     thread.join(60)
     assert not thread.is_alive()
     assert "error" not in seen, seen.get("error")

@@ -3,8 +3,6 @@
 import math
 import threading
 
-import pytest
-
 from repro.obs import MetricsRegistry, NoopMetricsRegistry
 
 
@@ -24,49 +22,6 @@ def test_gauge_last_write_wins():
     assert math.isnan(reg.gauge_value("missing"))
 
 
-def test_histogram_summary_statistics():
-    reg = MetricsRegistry()
-    for v in [0.001, 0.002, 0.004, 0.1, 10.0]:
-        reg.histogram_observe("h", v)
-    snap = reg.snapshot()["histograms"]["h"]
-    assert snap["count"] == 5
-    assert snap["sum"] == pytest.approx(10.107)
-    assert snap["min"] == 0.001
-    assert snap["max"] == 10.0
-    assert snap["mean"] == pytest.approx(10.107 / 5)
-    # quantiles are bucket-approximate but clamped to observed range
-    assert snap["min"] <= snap["p50"] <= snap["max"]
-    assert snap["p50"] <= snap["p90"] <= snap["max"]
-
-
-def test_histogram_single_value_quantiles_exact():
-    reg = MetricsRegistry()
-    reg.histogram_observe("h", 0.25)
-    snap = reg.snapshot()["histograms"]["h"]
-    assert snap["p50"] == 0.25
-    assert snap["p90"] == 0.25
-
-
-def test_histogram_custom_bounds_and_mismatch():
-    reg = MetricsRegistry()
-    reg.histogram_observe("h", 5.0, bounds=(1.0, 10.0))
-    snap = reg.snapshot()["histograms"]["h"]
-    assert snap["bounds"] == [1.0, 10.0]
-    assert sum(snap["bucket_counts"]) == 1
-    other = MetricsRegistry()
-    other.histogram_observe("h", 1.0)  # default bounds
-    with pytest.raises(ValueError):
-        other.merge(reg.snapshot())
-
-
-def test_histogram_values_outside_bounds_go_to_overflow():
-    reg = MetricsRegistry()
-    reg.histogram_observe("h", 99.0, bounds=(1.0, 2.0))
-    snap = reg.snapshot()["histograms"]["h"]
-    assert snap["bucket_counts"][-1] == 1
-    assert snap["p90"] == 99.0  # clamped to the exact max
-
-
 def test_counters_thread_safe_exact_total():
     reg = MetricsRegistry()
     n_threads, per_thread = 8, 5000
@@ -83,7 +38,7 @@ def test_counters_thread_safe_exact_total():
     assert reg.counter_value("hits") == n_threads * per_thread
 
 
-def test_snapshot_merge_adds_counters_and_buckets():
+def test_snapshot_merge_adds_counters_and_takes_gauges():
     a = MetricsRegistry()
     b = MetricsRegistry()
     a.counter_add("c", 1)
@@ -91,13 +46,12 @@ def test_snapshot_merge_adds_counters_and_buckets():
     b.counter_add("only_b", 5)
     a.gauge_set("g", 1.0)
     b.gauge_set("g", 2.0)
-    a.histogram_observe("h", 0.5)
-    b.histogram_observe("h", 0.7)
+    b.gauge_set("only_b", 3.0)
     a.merge(b.snapshot())
     assert a.counter_value("c") == 3
     assert a.counter_value("only_b") == 5
     assert a.gauge_value("g") == 2.0  # merged value wins
-    assert a.snapshot()["histograms"]["h"]["count"] == 2
+    assert a.snapshot()["gauges"] == {"g": 2.0, "only_b": 3.0}
 
 
 def test_merge_same_snapshot_twice_double_counts():
@@ -116,15 +70,7 @@ def test_noop_registry_records_nothing():
     reg = NoopMetricsRegistry()
     reg.counter_add("c", 5)
     reg.gauge_set("g", 1.0)
-    reg.histogram_observe("h", 1.0)
-    reg.merge({"counters": {"c": 9}, "gauges": {}, "histograms": {}})
+    reg.counter_add_many([("c", 1.0), ("d", 2.0)])
+    reg.merge({"counters": {"c": 9}, "gauges": {"g": 2.0}})
     snap = reg.snapshot()
-    assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-def test_quantile_argument_validation():
-    reg = MetricsRegistry()
-    reg.histogram_observe("h", 1.0)
-    with pytest.raises(ValueError):
-        reg.histogram_quantile("h", 1.5)
-    assert math.isnan(reg.histogram_quantile("missing", 0.5))
+    assert snap == {"counters": {}, "gauges": {}}

@@ -1,10 +1,11 @@
 """The event log is the one record: a live report equals the log's fold.
 
 A run report built from a live observation and one rebuilt from the
-JSONL its bus wrote must have the same span tree — names, nesting
-(executor ``task`` nodes and their labels included), attrs, and every
-duration, the root's included — and the same counters, on every
-executor backend.  A worker whose bounded log overflows must show up
+JSONL its bus wrote must be the same document, key for key: the span
+tree — names, nesting (executor ``task`` nodes and their labels
+included), attrs, and every duration, the root's included — metrics,
+config, environment, run id and creation time, on every executor
+backend.  A worker whose bounded log overflows must show up
 as a partial report with the drop count, keep its ``task`` node, and
 never hang a span under one that was not its parent.
 """
@@ -88,7 +89,11 @@ def test_live_report_equals_the_fold_of_its_log(backend):
     assert _shape(live["spans"]) == _shape(folded["spans"])
     labels = [n["attrs"]["label"] for n in _walk(live["spans"]) if n["name"] == "task"]
     assert [b.key for b in benches] == labels[: len(benches)]
-    assert live["metrics"]["counters"] == folded["metrics"]["counters"]
+    for key in live.keys() | folded.keys():
+        assert live.get(key) == folded.get(key), key
+    assert live == folded
+    assert live["config"]["fields"]["n_clusters"] == AnalysisConfig.tiny().n_clusters
+    assert live["metrics"]["gauges"]["proc.peak_rss_mb"] > 0
 
 
 def test_a_counter_still_at_zero_reaches_the_fold():

@@ -6,7 +6,6 @@ import sys
 import numpy as np
 import pytest
 
-from repro.config import AnalysisConfig
 from repro.obs import (
     MetricsRegistry,
     build_report,
@@ -52,7 +51,7 @@ def test_record_peak_rss_defaults_to_active_registry():
 def test_run_report_includes_peak_rss_gauge():
     with observe(run_id="rss-report") as ob:
         pass
-    report = build_report(ob, config=AnalysisConfig.tiny(), command="test")
+    report = build_report(ob)
     assert validate_report(report) == []
     assert report["metrics"]["gauges"]["proc.peak_rss_mb"] > 0
 

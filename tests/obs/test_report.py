@@ -13,29 +13,31 @@ from repro.obs import (
     Observation,
     build_report,
     load_report,
+    metrics,
     missing_stages,
     observe,
+    recorded_run,
     render_report,
+    span,
     validate_report,
     write_report,
 )
 
 
-def _observation_with_stages():
-    ob = Observation(run_id="r1")
-    with ob.span("characterize"):
-        for stage in STAGES:
-            with ob.span(stage):
-                pass
-    ob.metrics.counter_add("kmeans.restarts", 10)
-    ob.metrics.gauge_set("kmeans.skipped_row_ratio", 0.5)
-    ob.metrics.histogram_observe("kmeans.restart_bic", -120.0)
-    return ob
+def _report_with_stages():
+    with recorded_run("r1", command="characterize", config=AnalysisConfig.tiny()) as run:
+        with run.observing() as ob:
+            with span("characterize"):
+                for stage in STAGES:
+                    with span(stage):
+                        pass
+            metrics().counter_add("kmeans.restarts", 10)
+            metrics().gauge_set("kmeans.skipped_row_ratio", 0.5)
+        return build_report(ob)
 
 
 def test_round_trip_is_valid(tmp_path):
-    ob = _observation_with_stages()
-    report = build_report(ob, config=AnalysisConfig.tiny(), command="characterize")
+    report = _report_with_stages()
     path = write_report(tmp_path / "run.json", report)
     loaded = load_report(path)
     assert validate_report(loaded) == []
@@ -51,17 +53,22 @@ def test_round_trip_is_valid(tmp_path):
 
 
 def test_report_is_plain_json(tmp_path):
-    ob = _observation_with_stages()
-    report = build_report(ob, config=AnalysisConfig.tiny())
+    report = _report_with_stages()
     text = json.dumps(report)  # raises if anything non-serializable leaked
-    assert "kmeans.restart_bic" in text
+    assert "kmeans.skipped_row_ratio" in text
+    assert json.loads(text) == report
 
 
 def test_build_report_closes_the_observation():
-    ob = Observation(run_id="r2")
-    report = build_report(ob)
-    assert report["spans"]["wall_s"] >= 0.0
+    with recorded_run("r2", command="characterize", config=AnalysisConfig.tiny()) as run:
+        with run.observing() as ob:
+            pass
+        report = build_report(ob)
+    assert report["spans"]["wall_s"] == ob.wall_s >= 0.0
     assert report["environment"]["python"]
+    # run.end follows the report, with the clocks the report read.
+    assert ob.events[-1]["type"] == "run.end"
+    assert ob.events[-1]["wall_s"] == ob.wall_s
 
 
 def test_validate_flags_missing_keys():
@@ -71,8 +78,7 @@ def test_validate_flags_missing_keys():
 
 
 def test_validate_flags_bad_shapes():
-    ob = _observation_with_stages()
-    report = build_report(ob, config=AnalysisConfig.tiny())
+    report = _report_with_stages()
     report["schema_version"] = 99
     report["spans"] = []
     report["metrics"] = {"counters": {}}
@@ -82,6 +88,15 @@ def test_validate_flags_bad_shapes():
     assert any("span tree" in p for p in problems)
     assert any("gauges" in p for p in problems)
     assert any("digest" in p for p in problems)
+
+
+def test_a_report_with_a_histograms_section_still_validates():
+    # Reports written while the metrics carried histograms stay valid,
+    # and render without them.
+    report = _report_with_stages()
+    report["metrics"]["histograms"] = {"kmeans.restart_bic": {"count": 1}}
+    assert validate_report(report) == []
+    assert "kmeans.restarts" in render_report(report)
 
 
 def test_missing_stages_reports_absent_names():
@@ -125,7 +140,7 @@ def test_streaming_run_report_round_trip(tmp_path):
     benches = get_suite(SUITE_INT2000).benchmarks[:3]
     with observe(run_id="s3", root_name="characterize.streaming") as ob:
         run_streaming_characterization(benches, config)
-    report = build_report(ob, config=config, command="characterize")
+    report = build_report(ob)
     loaded = load_report(write_report(tmp_path / "streaming.json", report))
     assert validate_report(loaded) == []
     assert missing_stages(loaded) == []
@@ -134,14 +149,13 @@ def test_streaming_run_report_round_trip(tmp_path):
 
 
 def test_render_report_shows_tree_and_metrics():
-    ob = _observation_with_stages()
-    text = render_report(build_report(ob, config=AnalysisConfig.tiny()))
+    text = render_report(_report_with_stages())
     assert "run report r1" in text
     assert "characterize" in text
     for stage in STAGES:
         assert stage in text
     assert "kmeans.restarts" in text
-    assert "kmeans.restart_bic" in text
+    assert "kmeans.skipped_row_ratio" in text
     assert "missing methodology stages" not in text
 
 
@@ -164,7 +178,6 @@ def test_render_notes_missing_stages():
 
 @pytest.mark.parametrize("key", REQUIRED_KEYS)
 def test_every_required_key_is_required(key):
-    ob = _observation_with_stages()
-    report = build_report(ob, config=AnalysisConfig.tiny())
+    report = _report_with_stages()
     del report[key]
     assert any(key in p for p in validate_report(report))

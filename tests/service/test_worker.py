@@ -61,6 +61,19 @@ class TestProcess:
         assert first["type"] == "run.start"
         assert first["pid"] > 0
 
+    def test_report_json_equals_the_fold_of_its_event_log(self, root):
+        from repro.obs import load_report, read_events, report_from_events
+
+        queue = JobQueue(root)
+        view, _ = queue.submit(suites=SUITES, config=CFG)
+        Worker(root, "w1").run(once=True)
+        report = load_report(job_dir(root, view.job_id) / "report.json")
+        events, truncated = read_events(events_path(root, view.job_id, 1))
+        assert not truncated and events[-1]["type"] == "run.end"
+        assert report == report_from_events(events)
+        assert report["command"] == "service.characterize"
+        assert report["config"]["digest"] == CFG.full_key()
+
     def test_existing_artifact_is_a_cache_hit_not_a_build(self, root):
         queue = JobQueue(root)
         view, _ = queue.submit(suites=SUITES, config=CFG)
