@@ -21,7 +21,6 @@ import numpy as np
 
 from repro import AnalysisConfig, all_benchmarks, build_dataset, run_characterization
 from repro.analysis import (
-    ascii_timeline,
     benchmark_profile,
     homogeneity,
     shared_clusters,
@@ -58,17 +57,7 @@ def main() -> None:
     ):
         print(f"  {suite}/{name}: {100 * homogeneity(result, suite, name):.1f}%")
 
-    print("\n== phase timelines (one letter per sampled interval) ==")
-    for suite, name in (
-        ("SPECint2006", "astar"),
-        ("SPECfp2006", "wrf"),
-        ("SPECfp2006", "lbm"),
-    ):
-        for line in ascii_timeline(result, suite, name, width=48):
-            print("  " + line)
-        print()
-
-    print("== heaviest prominent phase, as a kiviat (text form) ==")
+    print("\n== heaviest prominent phase, as a kiviat (text form) ==")
     scale = build_kiviat_scale(result)
     idx = [FEATURE_INDEX[n] for n in result.key_characteristics]
     values = result.prominent_matrix[0][idx]

@@ -37,7 +37,6 @@ from .subsetting import (
     select_representative_benchmarks,
     subset_quality,
 )
-from .timeline import ascii_timeline, benchmark_timeline
 from .uniqueness import suite_uniqueness, uniqueness_from_compositions
 
 __all__ = [
@@ -49,11 +48,9 @@ __all__ = [
     "SimilarityPredictor",
     "StreamingDriftMonitor",
     "SubsetSelection",
-    "ascii_timeline",
     "benchmark_centroid",
     "benchmark_drift",
     "benchmark_profile",
-    "benchmark_timeline",
     "cluster_representative_rows",
     "cluster_compositions",
     "clusters_to_cover",

@@ -7,15 +7,18 @@ The pipeline's window into itself.  Four pieces, stdlib-only:
   (``with span("kmeans.restart", restart=3): ...``) logged as open and
   close events into the observation's one event log, together with
   the run's ``run.start`` and ``run.end`` and its stage, progress,
-  heartbeat and metric events.  Worker-side events travel back with
-  task results and are replayed under the parent span exactly once,
-  in submission order.  An attached :class:`EventBus` writes the same
-  log live as JSONL.
+  heartbeat and metric events.  Worker-side events, and with them the
+  worker's metrics, travel back with task results and are replayed
+  under the parent span exactly once, in submission order.  An
+  attached :class:`EventBus` writes the same log live as JSONL.
 * **Metrics** (:mod:`repro.obs.metrics`) — a thread-safe registry of
   counters and gauges absorbing the signals the pipeline computes
   anyway (k-means skipped-row ratio, GA fitness-cache hit rate,
-  feature-block cache hits, per-meter throughput, PCA retention); the
-  log carries their movement as ``metric`` events.
+  feature-block cache hits, per-meter throughput, PCA retention).  The
+  log is their only carrier: each ``span.close`` takes what no earlier
+  event carried as its ``metrics`` field, so a log read mid-run or
+  left by a killed run has the counters of every span that closed,
+  and the registry reads the fold of the log plus what is pending.
 * **Logging** (:mod:`repro.obs.log`) — stdlib ``logging`` with run-id
   stamped JSON and console formatters, replacing bare ``print()`` in
   library code.

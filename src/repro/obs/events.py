@@ -16,54 +16,20 @@ disk.
 **Event schema** (version :data:`EVENT_SCHEMA_VERSION`, one JSON object
 per line).  Every event carries ``ts`` (unix time) and ``type``; the
 bus adds ``v`` (schema version), ``seq`` (strictly monotonic) and
-``run_id``.  The remaining fields depend on the type:
-
-``run.start``
-    ``command``, ``preset``, ``benchmarks``, ``config`` (the run
-    report's config document: ``digest`` and ``fields``),
-    ``environment`` (the run report's), ``pid``.
-``span.open`` / ``span.close``
-    ``span`` (name), ``depth``, ``attrs``; close adds ``wall_s``,
-    ``cpu_s`` and the span's final ``attrs``.  Spans opened on a thread
-    other than the observing one (the streaming prefetch producer) add
-    ``thread``, a tag naming that thread; their ``depth`` counts from
-    the span the observing thread had open when that thread opened its
-    first span, which is where their subtree hangs.
-``stage``
-    ``stage`` (checkpoint name) and ``action`` — ``"completed"`` when a
-    stage checkpoint lands, ``"resumed"`` when one is loaded instead of
-    recomputed.
-``progress``
-    ``stage``, ``done``, ``total``, ``fraction``, ``elapsed_s`` and
-    ``eta_s`` — derived from the sampling plan / restart count / batch
-    ledger by the per-stage :class:`ProgressEstimator`.
-``heartbeat``
-    one per completed executor task, logged by the parent as the
-    task's events merge: ``label``, ``completed``, ``total``.
-``metric``
-    ``counters`` (deltas since the previous metric event) and
-    ``gauges`` (values changed since then); logged when the run report
-    is built and when the run finishes, if anything moved.
-``events.dropped``
-    ``count`` — events a worker task's bounded log discarded, logged
-    where that task's surviving events merge.  A report folded from a
-    log with any is ``partial``.
-``run.end``
-    ``ok``, and ``wall_s`` and ``cpu_s``: the observed run's clocks
-    (the run report's root durations).
+``run_id``.  The fields of each type are tabled in
+``docs/observability.md`` ("Event schema"); the one
+reader of all of them is :class:`repro.obs.spans.EventFold`.
 
 **Crash tolerance.**  The sink flushes after every line, so a
 SIGKILL'd run leaves a parseable prefix (at worst one truncated final
 line, which :func:`read_events` tolerates).  Nothing is buffered for
 later: the log on disk *is* the live state.
 
-**Workers.**  Executor tasks never write to the sink.  A worker task
-logs into its own bounded log, which rides back with the task's
-snapshot; :meth:`repro.obs.Observation.merge_snapshot` appends it to
-the parent's log (and so to the bus) exactly once per task, in
-submission order.  The stream is therefore identical for the serial,
-thread, and process backends, and a failed task's events are discarded
-with its snapshot.
+**Workers.**  Executor tasks never write to the sink: a task's bounded
+log, which carries its metrics, is appended to the parent's log (and so
+to the bus) once per task, in submission order
+(:meth:`repro.obs.Observation.merge_snapshot`), so the stream is the
+same for the serial, thread, and process backends.
 """
 
 from __future__ import annotations
@@ -90,8 +56,8 @@ __all__ = [
 EVENT_SCHEMA_VERSION = 1
 
 #: Events a worker task's log keeps before later ones are dropped
-#: (closes of kept spans excepted; the drop is logged as an
-#: ``events.dropped`` event).
+#: (closes of kept spans and ``metric`` events excepted; the drop is
+#: logged as an ``events.dropped`` event).
 MAX_WORKER_EVENTS = 10_000
 
 PathLike = Union[str, Path]

@@ -56,7 +56,7 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         "heartbeat": fold.heartbeat,  # latest heartbeat fields
         "open_spans": [node.name for node in fold.open_spans()],  # outermost first
         "stages": fold.stages,  # stage checkpoint events, in order
-        "counters": fold.counters,  # accumulated metric deltas
+        "counters": fold.counters,  # totals the closed spans carried so far
     }
 
 

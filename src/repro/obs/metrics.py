@@ -1,4 +1,4 @@
-"""Thread-safe metrics registry: counters and gauges.
+"""Thread-safe metrics registry: counters and gauges, carried by the log.
 
 The registry absorbs the numeric signals the pipeline already computes
 — k-means skipped-row ratios, GA fitness-cache hit rates, feature-block
@@ -7,13 +7,15 @@ cache hits, per-meter throughput — into two instrument kinds:
 * **counters** — monotonically added totals (``counter_add``);
 * **gauges** — last-written values (``gauge_set``).
 
-All mutation goes through one lock, so instrumented code can emit from
-any thread.  :meth:`MetricsRegistry.snapshot` produces a plain-dict,
-JSON- and pickle-ready view; :meth:`MetricsRegistry.merge` adds a
-snapshot into the registry (counters add, gauges take the merged
-value), which is how executor workers' metrics fold into the parent
-run — see :mod:`repro.obs.spans`.  The run's event log carries the
-registry's movement as ``metric`` events; reports read those.
+The run's event log is their only carrier.  The registry keeps what no
+logged event carries yet — counter deltas summed, gauges at their last
+value — until the next ``span.close`` or ``metric`` event the
+observation logs takes it (:meth:`~MetricsRegistry.take`).
+Every carried delta, local or replayed from an executor worker, is
+folded into the registry's totals by :func:`fold_metrics`, the helper
+the log's reader folds with, so the reads return the fold of the log
+plus what is pending.  All mutation goes through one lock, so
+instrumented code can emit from any thread.
 
 The module-level :data:`NOOP_REGISTRY` accepts every call and records
 nothing; it is what :func:`repro.obs.metrics` hands out while no
@@ -24,9 +26,22 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-__all__ = ["MetricsRegistry", "NoopMetricsRegistry", "NOOP_REGISTRY"]
+__all__ = ["MetricsRegistry", "NoopMetricsRegistry", "NOOP_REGISTRY", "fold_metrics"]
+
+
+def fold_metrics(counters: Dict[str, float], gauges: Dict[str, float], carried: Any) -> None:
+    """Fold one event's ``{"counters": deltas, "gauges": values}`` into
+    running totals; non-numeric entries are ignored."""
+    if not isinstance(carried, dict):
+        return
+    for name, delta in (carried.get("counters") or {}).items():
+        if isinstance(delta, (int, float)):
+            counters[name] = counters.get(name, 0.0) + delta
+    for name, value in (carried.get("gauges") or {}).items():
+        if isinstance(value, (int, float)):
+            gauges[name] = float(value)
 
 
 class MetricsRegistry:
@@ -34,8 +49,12 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        # Pending: what no logged event carries yet.
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
+        # The fold of what the log carries.
+        self._logged_counters: Dict[str, float] = {}
+        self._logged_gauges: Dict[str, float] = {}
 
     # -- instruments ------------------------------------------------------
 
@@ -60,35 +79,50 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = float(value)
 
+    # -- the log's side ---------------------------------------------------
+
+    def take(self) -> Optional[Dict[str, Dict[str, float]]]:
+        """The pending ``{"counters", "gauges"}`` (each omitted when
+        empty; None when both are) for an event being logged, folded
+        into the logged totals in the same step."""
+        with self._lock:
+            if not self._counters and not self._gauges:
+                return None
+            carried = {}
+            if self._counters:
+                carried["counters"], self._counters = self._counters, {}
+            if self._gauges:
+                carried["gauges"], self._gauges = self._gauges, {}
+            fold_metrics(self._logged_counters, self._logged_gauges, carried)
+            return carried
+
+    def carry(self, carried: Any) -> None:
+        """Fold what a replayed event already carries into the totals."""
+        if carried:
+            with self._lock:
+                fold_metrics(self._logged_counters, self._logged_gauges, carried)
+
     # -- reads ------------------------------------------------------------
 
     def counter_value(self, name: str, default: float = 0.0) -> float:
-        """Current value of a counter (``default`` if never written)."""
+        """Current total of a counter (``default`` if never written)."""
         with self._lock:
-            return self._counters.get(name, default)
+            if name in self._counters:
+                return self._logged_counters.get(name, 0.0) + self._counters[name]
+            return self._logged_counters.get(name, default)
 
     def gauge_value(self, name: str, default: float = math.nan) -> float:
         """Current value of a gauge (``default`` if never written)."""
         with self._lock:
-            return self._gauges.get(name, default)
+            return self._gauges.get(name, self._logged_gauges.get(name, default))
 
     def snapshot(self) -> Dict[str, Any]:
-        """Plain-dict view: ``{"counters": .., "gauges": ..}``."""
+        """Plain-dict totals, ``{"counters": .., "gauges": ..}``: the
+        fold of the log plus what is pending."""
         with self._lock:
-            return {"counters": dict(self._counters), "gauges": dict(self._gauges)}
-
-    def merge(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` into this registry.
-
-        Counters add; gauges take the snapshot's value (the merged task
-        ran more recently than the parent's last write, and merges
-        happen in submission order, so the result is deterministic).
-        """
-        with self._lock:
-            for name, value in snapshot.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0.0) + value
-            for name, value in snapshot.get("gauges", {}).items():
-                self._gauges[name] = float(value)
+            counters, gauges = dict(self._logged_counters), dict(self._logged_gauges)
+            fold_metrics(counters, gauges, {"counters": self._counters, "gauges": self._gauges})
+        return {"counters": counters, "gauges": gauges}
 
 
 class NoopMetricsRegistry(MetricsRegistry):
@@ -101,9 +135,6 @@ class NoopMetricsRegistry(MetricsRegistry):
         pass
 
     def gauge_set(self, name: str, value: float) -> None:
-        pass
-
-    def merge(self, snapshot: Dict[str, Any]) -> None:
         pass
 
 

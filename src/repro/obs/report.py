@@ -39,7 +39,8 @@ schema smoke step):
     run's clocks.
 ``metrics``
     ``{"counters", "gauges"}``: counter totals and last gauge values
-    summed from the log's ``metric`` events.  Always includes the
+    folded from the metrics the log's ``span.close`` and ``metric``
+    events carry.  Always includes the
     process-memory gauges recorded at report build time
     (``proc.peak_rss_mb``, and ``proc.peak_rss_children_mb`` when
     worker processes ran) — see :mod:`repro.obs.proc` — so memory
@@ -181,7 +182,7 @@ def build_report(observation: Observation) -> Dict[str, Any]:
     """The report document of a live observation.
 
     Stops the observation's clocks (unless they already have stopped),
-    logs its peak-RSS gauges and final metric deltas, and folds its
+    logs its peak-RSS gauges and the metrics still pending, and folds its
     event log; the clocks are the only input the log does not carry
     yet (``run.end`` follows the report).  A run recorded by
     :class:`~repro.obs.recorded_run` has ``run.start`` at the head of

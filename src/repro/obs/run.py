@@ -4,7 +4,7 @@
 worker record a run the same way: the observation's log opens with
 ``run.start`` (command, config document, environment, pid), the work
 executes under :func:`~repro.obs.observe`, and the log closes with the
-final metric deltas and ``run.end`` — ``ok`` and the observation's
+metrics still pending (if any) and ``run.end`` — ``ok`` and the observation's
 ``wall_s``/``cpu_s``, the live report's root clocks.  An optional
 :class:`EventBus` writes the same log as JSONL while it grows.
 """

@@ -11,9 +11,12 @@ A span logs a ``span.open`` event when it starts and a ``span.close``
 event, with its durations and final attributes, when it ends; the
 run's ``run.start`` and ``run.end``, stage, progress, heartbeat and
 metric events go into the same log.  Nothing else is recorded while
-the run executes.  An attached :class:`repro.obs.events.EventBus`
-writes each event to its JSONL sink as it is logged.
-:class:`EventFold` is the one reader of the log: the run report
+the run executes: the close also carries, as ``metrics``, what no
+earlier event carried (:mod:`repro.obs.metrics`), so a log read
+mid-run or left by a killed run has every closed span's counters.
+An attached :class:`repro.obs.events.EventBus` writes each event to
+its JSONL sink as it is logged.  :class:`EventFold` is the one reader
+of the log: the run report
 (:func:`repro.obs.report.build_report`), ``repro report
 --from-events``, ``repro watch`` and :attr:`Observation.root` are all
 views of it, so a report built live and one rebuilt from the written
@@ -31,14 +34,15 @@ instrumented library code pays a dictionary lookup and nothing else.
 span (attribute ``label``) around the task and keeps its first
 :data:`~repro.obs.events.MAX_WORKER_EVENTS` events plus the closes of
 the spans those opened; later events are dropped, so an overflowing
-task keeps its ``task`` node and never re-parents a span.
-Its :class:`Snapshot` — events, drop count, metrics — travels back with
+task keeps its ``task`` node and never re-parents a span (a dropped
+close takes no metrics: the ``task`` close carries them).
+Its :class:`Snapshot` — events and drop count — travels back with
 the task result, and :meth:`Observation.merge_snapshot` replays the
-events under the caller's current span and adds the metrics, exactly
-once per task, in submission order.  A serial, threaded, and forked run
-therefore log the same spans.  Dropped events are logged as one
-``events.dropped`` event, so a report folded from the log says
-``partial: true`` and how many were lost.
+events, and so the metrics they carry, under the caller's current
+span, exactly once per task, in submission order.  A serial,
+threaded, and forked run therefore log the same spans.  Dropped
+events are logged as one ``events.dropped`` event, so a report folded
+from the log says ``partial: true`` and how many were lost.
 
 The *current* observation resolves thread-locally first and then
 globally: :func:`observe` (main thread, long-lived) sets both, while
@@ -53,10 +57,10 @@ import itertools
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from .events import MAX_WORKER_EVENTS, ProgressEstimator
-from .metrics import NOOP_REGISTRY, MetricsRegistry
+from .metrics import NOOP_REGISTRY, MetricsRegistry, fold_metrics
 
 __all__ = [
     "EventFold",
@@ -223,13 +227,9 @@ class EventFold:
                     del stack[i]
                     del self._opened[thread][i]
                     break
+            fold_metrics(self.counters, self.gauges, event.get("metrics"))
         elif etype == "metric":
-            for name, delta in (event.get("counters") or {}).items():
-                if isinstance(delta, (int, float)):
-                    self.counters[name] = self.counters.get(name, 0.0) + delta
-            for name, value in (event.get("gauges") or {}).items():
-                if isinstance(value, (int, float)):
-                    self.gauges[name] = float(value)
+            fold_metrics(self.counters, self.gauges, event)
         elif etype == "progress":
             self.progress[str(event.get("stage", "?"))] = {
                 k: event.get(k) for k in ("done", "total", "fraction", "elapsed_s", "eta_s")
@@ -318,17 +318,18 @@ class _ActiveSpan:
                 "wall_s": node.wall_s,
                 "cpu_s": node.cpu_s,
                 "attrs": dict(node.attrs),
-            }
+            },
+            take=True,
         )
         return False
 
-    def _log(self, event: Dict[str, Any]) -> None:
+    def _log(self, event: Dict[str, Any], take: bool = False) -> None:
         event["ts"] = time.time()
         event["span"] = self._span.name
         event["depth"] = self._depth
         if self._state.tag is not None:
             event["thread"] = self._state.tag
-        self._ob._record(event)
+        self._ob._record(event, take)
 
 
 class _NoopSpanHandle:
@@ -356,29 +357,17 @@ class _NoopSpan:
 _NOOP_SPAN = _NoopSpan()
 
 
-class Snapshot:
+class Snapshot(NamedTuple):
     """A worker observation in the form that crosses the executor boundary.
 
-    Its logged events, the count its bounded log dropped, and its
-    metrics snapshot — plain data, so it pickles across the process
+    Its logged events (which carry its metrics) and the count its
+    bounded log dropped — plain data, so it pickles across the process
     boundary.  A live :class:`Observation` pickles *into* one (via
     ``__reduce__``).
     """
 
-    __slots__ = ("events", "events_dropped", "metrics")
-
-    def __init__(
-        self,
-        events: List[Dict[str, Any]],
-        events_dropped: int,
-        metrics_dict: Dict[str, Any],
-    ) -> None:
-        self.events = events
-        self.events_dropped = events_dropped
-        self.metrics = metrics_dict
-
-    def __reduce__(self):
-        return (Snapshot, (self.events, self.events_dropped, self.metrics))
+    events: List[Dict[str, Any]]
+    events_dropped: int
 
 
 class Observation:
@@ -421,8 +410,6 @@ class Observation:
         self._foreign = threading.local()
         self._thread_ids = itertools.count(1)
         self._estimators: Dict[str, ProgressEstimator] = {}
-        self._last_counters: Dict[str, float] = {}
-        self._last_gauges: Dict[str, float] = {}
         self._wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
 
@@ -442,23 +429,37 @@ class Observation:
             state = self._foreign.state = _ThreadState(f"{name}#{next(self._thread_ids)}")
         return state
 
-    def _record(self, event: Dict[str, Any]) -> None:
+    def _record(self, event: Dict[str, Any], take: bool = False) -> None:
         # One lock orders the log and the bus alike, so the written
-        # stream folds to the same tree as the log.
+        # stream folds to the same tree as the log, and the registry's
+        # logged totals to the same metrics.
         with self._lock:
             if self._max_events is not None and not self._admit(event):
                 self.dropped += 1
                 return
+            metric = event.get("type") == "metric"
+            if take:
+                # A dropped event took nothing: the next one kept will.
+                carried = self.metrics.take()
+                if metric:
+                    if carried is None:
+                        return
+                    event.update(carried)
+                elif carried is not None:
+                    event["metrics"] = carried
+            else:
+                self.metrics.carry(event if metric else event.get("metrics"))
             self.events.append(event)
             if self.emitter is not None:
                 self.emitter.write(event)
 
     def _admit(self, event: Dict[str, Any]) -> bool:
         """Whether a bounded log keeps ``event``: its first ``max_events``
-        events, then only the ``span.close`` of each span whose open it
-        kept (the kept opens still open on a thread are its depths
-        ``1..kept``).  It overshoots by at most the open depth, and a
-        span opened past the bound is dropped whole."""
+        events, then only ``metric`` events and the ``span.close`` of
+        each span whose open it kept (the kept opens still open on a
+        thread are its depths ``1..kept``).  It overshoots by at most the
+        open depth plus one ``metric`` per snapshot, and a span opened
+        past the bound is dropped whole."""
         full = len(self.events) >= self._max_events
         thread, etype = event.get("thread"), event.get("type")
         kept = self._kept_depth.get(thread, 0)
@@ -467,7 +468,7 @@ class Observation:
         elif etype == "span.close" and (not full or event.get("depth", 0) <= kept):
             self._kept_depth[thread] = kept - 1
             return True
-        return not full
+        return not full or etype == "metric"
 
     def emit(self, type: str, **fields: Any) -> None:
         """Log one event (and write it through the bus, if attached)."""
@@ -492,28 +493,13 @@ class Observation:
         self.emit("progress", **estimator.update(done))
 
     def emit_metric_deltas(self) -> None:
-        """Log the metrics' movement since the last call, if any.
+        """Log what is pending as one ``metric`` event, if anything is.
 
-        Counters are logged as deltas, gauges when their value changed
-        since the last call.  A counter is logged the first time it exists even
-        when it is still 0, so the fold of the log has every counter
-        the live registry has.
+        Counter deltas and gauge values no logged event carries yet;
+        a counter added with 0 is pending too, so the fold of the log
+        has every counter the registry has.
         """
-        snap = self.metrics.snapshot()
-        with self._lock:
-            counters = {
-                name: value - self._last_counters.get(name, 0.0)
-                for name, value in snap["counters"].items()
-                if value != self._last_counters.get(name)
-            }
-            gauges = {
-                name: value
-                for name, value in snap["gauges"].items()
-                if value != self._last_gauges.get(name)
-            }
-            self._last_counters, self._last_gauges = snap["counters"], snap["gauges"]
-        if counters or gauges:
-            self.emit("metric", counters=counters, gauges=gauges)
+        self._record({"ts": time.time(), "type": "metric"}, take=True)
 
     def finish(self) -> None:
         """Stop the run's clocks; later calls keep the first reading."""
@@ -539,19 +525,21 @@ class Observation:
         return self.fold().root
 
     def snapshot(self) -> Snapshot:
-        """The observation's events, drop count and metrics."""
+        """The observation's events and drop count, after logging what
+        metrics are still pending (a finished task has none: its
+        ``task`` close took them)."""
+        self.emit_metric_deltas()
         with self._lock:
-            events, dropped = list(self.events), self.dropped
-        return Snapshot(events, dropped, self.metrics.snapshot())
+            return Snapshot(list(self.events), self.dropped)
 
     def __reduce__(self):
         # Crossing a process boundary turns a live observation into its
         # Snapshot, so executor workers can return the observation
         # object itself.
-        return self.snapshot().__reduce__()
+        return (Snapshot, tuple(self.snapshot()))
 
     def merge_snapshot(self, snap: "Snapshot | Observation") -> None:
-        """Replay a worker's events under the current span and add its metrics.
+        """Replay a worker's events, and so its metrics, under the current span.
 
         Callers (the executor) invoke this exactly once per completed
         task, in submission order, so counter totals and the log are
@@ -571,7 +559,6 @@ class Observation:
                 if state.tag is not None:
                     event.setdefault("thread", state.tag)
             self._record(event)
-        self.metrics.merge(snap.metrics)
 
 
 # --- current-observation resolution -------------------------------------

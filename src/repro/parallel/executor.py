@@ -20,11 +20,11 @@ picks threads, so callers never have to special-case the platform.
 
 When an observation is active (:func:`repro.obs.active`), every task
 runs inside :class:`repro.obs.capture` — an isolated worker-side event
-log and metrics registry that travel back with the task result — and
-:meth:`Executor.map` replays each task's events under the caller's
-current span **exactly once**, in submission order.  The logged spans
-and all counter totals are therefore identical for any backend or
-worker count; a failed chunk's surviving tasks are merged once too
+log, carrying the task's metrics, that travels back with the task
+result — and :meth:`Executor.map` replays each task's events under the
+caller's current span **exactly once**, in submission order.  The
+logged spans and all counter totals are therefore identical for any
+backend or worker count; a failed chunk's surviving tasks are merged once too
 (never re-merged on the error path), and nothing is emitted at all
 when observation is off.
 """
@@ -66,11 +66,11 @@ class WorkerError(RuntimeError):
 def _run_one(fn: TaskFn, payload: Any, task: Any, label: str) -> _Outcome:
     try:
         if _obs.active():
-            # Log the task's events and metrics into an isolated worker
-            # observation that rides back with the result and is merged
-            # (once) by Executor.map in submission order.  Same-process
-            # backends hand over the live object; crossing the fork
-            # boundary pickles it into a Snapshot.
+            # Log the task's events, which carry its metrics, into an
+            # isolated worker observation that rides back with the
+            # result and is merged (once) by Executor.map in submission
+            # order.  Same-process backends hand over the live object;
+            # crossing the fork boundary pickles it into a Snapshot.
             with _obs.capture(label) as worker:
                 result = fn(payload, task)
             return ("ok", result, worker)

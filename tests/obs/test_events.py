@@ -161,7 +161,7 @@ def test_replay_preserves_payload_and_assigns_fresh_seqs():
         {"ts": 6.0, "type": "span.close", "span": "work", "depth": 1, "wall_s": 0.5},
     ]
     bus, handle = _bus()
-    Observation(emitter=bus).merge_snapshot(Snapshot(events, 0, {}))
+    Observation(emitter=bus).merge_snapshot(Snapshot(events, 0))
     bus.close()
     replayed = _lines(handle)
     assert [e["type"] for e in replayed] == ["span.open", "span.close"]
@@ -176,7 +176,7 @@ def test_replay_drop_counts_surface_in_run_end():
     # of the finished log reports it.
     bus, handle = _bus()
     ob = Observation(emitter=bus)
-    ob.merge_snapshot(Snapshot([], 7, {}))
+    ob.merge_snapshot(Snapshot([], 7))
     ob.emit("run.end", ok=True, wall_s=0.0, cpu_s=0.0)
     bus.close()
     events = _lines(handle)

@@ -1,4 +1,4 @@
-"""Metrics registry: instruments, thread-safety, snapshot/merge."""
+"""Metrics registry: instruments, thread-safety, snapshot."""
 
 import math
 import threading
@@ -38,39 +38,10 @@ def test_counters_thread_safe_exact_total():
     assert reg.counter_value("hits") == n_threads * per_thread
 
 
-def test_snapshot_merge_adds_counters_and_takes_gauges():
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    a.counter_add("c", 1)
-    b.counter_add("c", 2)
-    b.counter_add("only_b", 5)
-    a.gauge_set("g", 1.0)
-    b.gauge_set("g", 2.0)
-    b.gauge_set("only_b", 3.0)
-    a.merge(b.snapshot())
-    assert a.counter_value("c") == 3
-    assert a.counter_value("only_b") == 5
-    assert a.gauge_value("g") == 2.0  # merged value wins
-    assert a.snapshot()["gauges"] == {"g": 2.0, "only_b": 3.0}
-
-
-def test_merge_same_snapshot_twice_double_counts():
-    # The registry itself does not dedupe — exactly-once is the
-    # executor's contract (tested in tests/obs/test_executor_obs.py).
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    b.counter_add("c", 2)
-    snap = b.snapshot()
-    a.merge(snap)
-    a.merge(snap)
-    assert a.counter_value("c") == 4
-
-
 def test_noop_registry_records_nothing():
     reg = NoopMetricsRegistry()
     reg.counter_add("c", 5)
     reg.gauge_set("g", 1.0)
     reg.counter_add_many([("c", 1.0), ("d", 2.0)])
-    reg.merge({"counters": {"c": 9}, "gauges": {"g": 2.0}})
     snap = reg.snapshot()
     assert snap == {"counters": {}, "gauges": {}}

@@ -21,6 +21,7 @@ from repro.obs import (
     build_report,
     emit_event,
     metrics,
+    observe,
     recorded_run,
     report_from_events,
     span,
@@ -101,6 +102,48 @@ def test_a_counter_still_at_zero_reaches_the_fold():
     live, folded = _observed(lambda: metrics().counter_add("probe.zero", 0))
     assert live["metrics"]["counters"]["probe.zero"] == 0.0
     assert live["metrics"]["counters"] == folded["metrics"]["counters"]
+
+
+def test_a_closed_span_carries_its_counters_into_the_log():
+    # No report is built: the span's close alone puts its metrics in the
+    # log, so a log read mid-run or left by a killed run has them.
+    with observe() as ob:
+        with span("stage"):
+            metrics().counter_add("rows", 3)
+            metrics().gauge_set("coverage", 0.5)
+        assert (ob.fold().counters, ob.fold().gauges) == ({"rows": 3}, {"coverage": 0.5})
+        # Added outside any span, the delta is pending: the registry's
+        # totals are the fold of the log plus it.
+        metrics().counter_add("rows", 2)
+        assert ob.fold().counters == {"rows": 3}
+        assert ob.metrics.snapshot() == {"counters": {"rows": 5}, "gauges": {"coverage": 0.5}}
+        assert [e["type"] for e in ob.events] == ["span.open", "span.close"]
+    report = build_report(ob)
+    # Nothing is pending after the report: it is the fold of the log.
+    assert report["metrics"] == ob.metrics.snapshot()
+    assert report["metrics"]["counters"] == {"rows": 5}
+
+
+def _counted(payload, i):
+    for j in range(payload):
+        with span("step"):
+            metrics().counter_add("steps", 1)
+            metrics().counter_add("weight", j)
+    return i
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_overflowing_worker_still_adds_its_exact_counters(backend):
+    # Each step logs two events, so the later steps' spans are dropped
+    # whole; their counters stay pending for the task's close.
+    steps = MAX_WORKER_EVENTS
+    executor = SerialExecutor() if backend == "serial" else get_executor(backend, 2)
+    with observe() as ob:
+        executor.map(_counted, range(2), payload=steps)
+        fold = ob.fold()
+    assert fold.dropped > 0
+    assert fold.counters == {"steps": 2 * steps, "weight": 2 * sum(range(steps))}
+    assert ob.metrics.snapshot()["counters"] == fold.counters
 
 
 def _noisy(payload, i):

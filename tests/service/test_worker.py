@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import AnalysisConfig
 from repro.core import characterize_to_file
+from repro.obs import read_events, summarize_events
 from repro.service import JobQueue, Worker, artifact_path, events_path, job_dir
 from repro.service.worker import config_from_fields, file_digest
 from tests.io.faults import env_with_src, sigkill_rc
@@ -194,3 +195,9 @@ class TestSigkillResume:
         assert events_path(root, view.job_id, 2).exists()
         assert "run.end" not in events_path(root, view.job_id, 1).read_text()
         assert "run.end" in events_path(root, view.job_id, 2).read_text()
+        # The killed log keeps the counters of every span that closed
+        # before the kill, as /jobs/<id>/progress serves them: all the
+        # rows the rescuer resumed from the dataset checkpoint.
+        killed_log, _ = read_events(events_path(root, view.job_id, 1))
+        killed = summarize_events(killed_log)["counters"]
+        assert killed.get("dataset.rows") == done.result["n_intervals"]
