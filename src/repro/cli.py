@@ -179,7 +179,7 @@ def _characterize_streaming(
                 result = run_streaming_characterization(
                     benches, config, feature_cache=feature_cache, monitor=monitor
                 )
-        save_streaming_result(result, args.output)
+            save_streaming_result(result, args.output)
         _finish_telemetry(args, run.observation)
     print(
         f"saved {args.output}: {len(result)} intervals (streamed), "
@@ -303,79 +303,64 @@ def _iso(ts) -> str:
 def _cmd_runs_list(args: argparse.Namespace) -> int:
     store = obs.HistoryStore(args.history_dir)
     rows = []
-    for envelope in store.records("run"):
-        report = envelope.get("record") or {}
-        wall = (report.get("spans") or {}).get("wall_s")
+    for envelope in store.records():
+        wall = ((envelope.get("record") or {}).get("spans") or {}).get("wall_s")
         rows.append(
             [
                 envelope.get("seq"),
-                "run",
                 envelope.get("run_id") or "-",
                 _iso(envelope.get("created")),
                 (envelope.get("git_sha") or "-")[:12],
                 f"{wall:.2f}s" if isinstance(wall, (int, float)) else "-",
             ]
         )
-    for envelope in store.records("bench"):
-        rows.append(
-            [
-                envelope.get("seq"),
-                "bench",
-                envelope.get("name") or "-",
-                _iso(envelope.get("created")),
-                (envelope.get("git_sha") or "-")[:12],
-                "-",
-            ]
-        )
     if not rows:
         print(f"no records in {store.root}")
         return 0
-    rows.sort(key=lambda r: r[0])
-    print(format_table(["seq", "kind", "id", "created", "git", "wall"], rows))
+    print(format_table(["seq", "run", "created", "git", "wall"], rows))
     return 0
 
 
 def _cmd_runs_show(args: argparse.Namespace) -> int:
     store = obs.HistoryStore(args.history_dir)
-    envelope = store.get(args.ref, kind=args.kind)
+    envelope = store.get(args.ref)
     if envelope is None:
-        print(f"no {args.kind} record matching {args.ref!r}", file=sys.stderr)
+        print(f"no run record matching {args.ref!r}", file=sys.stderr)
         return 1
     print(
         f"record #{envelope.get('seq')}  {envelope.get('schema')}  "
         f"git {envelope.get('git_sha') or '-'}  {_iso(envelope.get('created'))}"
     )
-    if args.kind == "run":
-        print(obs.render_report(envelope["record"]), end="")
-    else:
-        import json as _json
-
-        print(_json.dumps(envelope["record"], indent=2, sort_keys=True))
+    print(obs.render_report(envelope["record"]), end="")
     return 0
 
 
 def _cmd_runs_diff(args: argparse.Namespace) -> int:
     store = obs.HistoryStore(args.history_dir)
-    records = store.records(args.kind)
     if args.ref_a is None or args.ref_b is None:
+        records = store.records()
         if len(records) < 2:
             print(
-                f"need two {args.kind} records to diff "
-                f"({len(records)} in {store.root})",
+                f"need two run records to diff ({len(records)} in {store.root})",
                 file=sys.stderr,
             )
             return 1
         a, b = records[-2], records[-1]
     else:
-        a = store.get(args.ref_a, kind=args.kind)
-        b = store.get(args.ref_b, kind=args.kind)
+        a, b = store.get(args.ref_a), store.get(args.ref_b)
         if a is None or b is None:
             missing = args.ref_a if a is None else args.ref_b
-            print(f"no {args.kind} record matching {missing!r}", file=sys.stderr)
+            print(f"no run record matching {missing!r}", file=sys.stderr)
             return 1
-    diff = obs.diff_records(a, b, tolerance=args.tolerance)
+    diff = obs.diff_records(
+        obs.ledger_row(a["record"]), obs.ledger_row(b["record"]), tolerance=args.tolerance
+    )
+    print(
+        f"history diff: #{a.get('seq')} ({a.get('git_sha') or '-'}) -> "
+        f"#{b.get('seq')} ({b.get('git_sha') or '-'})"
+    )
     print(obs.render_diff(diff), end="")
-    if args.fail_on_regression and diff["regressions"]:
+    if args.fail_on_regression and diff["flagged"]:
         return 1
     return 0
 
@@ -733,9 +718,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("runs", help="query the run-history store")
     runs_sub = p.add_subparsers(dest="runs_command", required=True)
     for sub_name, sub_help, sub_func in (
-        ("list", "list recorded runs and bench results", _cmd_runs_list),
-        ("show", "render one recorded run or bench result", _cmd_runs_show),
-        ("diff", "compare two records and flag regressions", _cmd_runs_diff),
+        ("list", "list recorded runs", _cmd_runs_list),
+        ("show", "render one recorded run", _cmd_runs_show),
+        ("diff", "compare two runs and flag regressions and changed values", _cmd_runs_diff),
     ):
         sp = runs_sub.add_parser(sub_name, help=sub_help)
         sp.add_argument(
@@ -744,12 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             help="history store root (default: $REPRO_HISTORY_DIR or "
             "~/.repro/history)",
-        )
-        sp.add_argument(
-            "--kind",
-            choices=("run", "bench"),
-            default="run",
-            help="record kind to operate on (default: run)",
         )
         sp.set_defaults(func=sub_func)
         if sub_name == "show":
@@ -769,13 +748,14 @@ def build_parser() -> argparse.ArgumentParser:
                 type=float,
                 default=0.10,
                 metavar="FRACTION",
-                help="relative movement beyond which a value is flagged "
-                "as a regression (default 0.10)",
+                help="relative growth beyond which a timing or memory value "
+                "is flagged as a regression (default 0.10); every other value "
+                "is flagged as changed when it differs at all",
             )
             sp.add_argument(
                 "--fail-on-regression",
                 action="store_true",
-                help="exit 1 when any regression is flagged",
+                help="exit 1 when any value is flagged (regression or changed)",
             )
     return parser
 

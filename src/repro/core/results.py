@@ -15,7 +15,7 @@ from typing import Dict, Union
 
 import numpy as np
 
-from ..obs import get_logger
+from ..obs import get_logger, span
 from .dataset import WorkloadDataset
 from .pipeline import PhaseCharacterization
 from .prominent import ANALYSIS_META, analysis_from_artifact, analysis_to_artifact
@@ -100,7 +100,8 @@ def save_characterization(result: PhaseCharacterization, path: PathLike) -> None
         meta["ga_fitness"] = result.ga_result.fitness
         meta["ga_history"] = [float(h) for h in result.ga_result.history]
     arrays = {**dataset_arrays(result.dataset), "space": result.space, **analysis}
-    write_artifact(path, arrays, schema=CHARACTERIZATION_SCHEMA, meta=meta)
+    with span("io.artifact", schema=CHARACTERIZATION_SCHEMA, op="save"):
+        write_artifact(path, arrays, schema=CHARACTERIZATION_SCHEMA, meta=meta)
 
 
 def load_characterization(path: PathLike) -> PhaseCharacterization:
@@ -121,7 +122,8 @@ def load_characterization(path: PathLike) -> PhaseCharacterization:
     from ..mica import FEATURE_INDEX, N_FEATURES
 
     path = Path(path)
-    arrays, meta = read_artifact(path, schema=CHARACTERIZATION_SCHEMA)
+    with span("io.artifact", schema=CHARACTERIZATION_SCHEMA, op="load"):
+        arrays, meta = read_artifact(path, schema=CHARACTERIZATION_SCHEMA)
     missing = [k for k in _REQUIRED_CHARACTERIZATION_META if k not in meta]
     if missing:
         raise CorruptArtifact(

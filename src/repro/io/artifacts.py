@@ -49,7 +49,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Unio
 
 import numpy as np
 
-from ..obs import emit_event, get_logger, metrics
+from ..obs import emit_event, get_logger, metrics, span
 from ..obs.proc import pid_alive
 
 try:  # POSIX advisory locks; absent on some platforms
@@ -625,11 +625,12 @@ class StageCheckpoint:
         if not self.resume:
             return None
         path = self.path(stage)
-        loaded = load_or_quarantine(
-            path,
-            lambda p: read_artifact(p, schema=f"stage:{stage}", allow_legacy=False),
-            kind=f"stage checkpoint {stage!r}",
-        )
+        with span("io.checkpoint", stage=stage, op="load"):
+            loaded = load_or_quarantine(
+                path,
+                lambda p: read_artifact(p, schema=f"stage:{stage}", allow_legacy=False),
+                kind=f"stage checkpoint {stage!r}",
+            )
         if loaded is None:
             return None
         arrays, meta = loaded
@@ -660,7 +661,8 @@ class StageCheckpoint:
     ) -> Path:
         """Persist a completed stage atomically; returns its path."""
         path = self.path(stage)
-        write_artifact(path, arrays, schema=f"stage:{stage}", meta=meta)
+        with span("io.checkpoint", stage=stage, op="save"):
+            write_artifact(path, arrays, schema=f"stage:{stage}", meta=meta)
         metrics().counter_add("checkpoint.stage_writes", 1)
         # The stage event lands on the telemetry stream *before* the
         # fault-injection hook, so a SIGKILL right after the checkpoint

@@ -6,8 +6,8 @@ in the package: one file per record, written with tmp + fsync +
 under the artifact store's cross-process advisory lock, and carrying a
 SHA-256 digest of its canonical payload that is re-verified on every
 read (failures are quarantined, never silently deleted).  Both the
-run-history store (:class:`repro.obs.history.HistoryStore`, one log per
-record kind) and the service job queue
+run-history store (:class:`repro.obs.history.HistoryStore`) and the
+service job queue
 (:class:`repro.service.queue.JobQueue`) build on it.
 
 Layout::
@@ -18,8 +18,9 @@ Layout::
       [<directory>/]<prefix>-000001-<tag>.json  # one envelope per record
 
 Logs that share a root share its ``COUNTER`` and lock, and so one
-gap-free sequence: the history store keeps ``runs/`` and ``bench/``
-logs side by side under one root.
+gap-free sequence; a lost ``COUNTER`` is rebuilt from the record files
+in the root and its immediate subdirectories, whichever log wrote
+them.
 
 Envelope::
 

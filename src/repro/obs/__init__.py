@@ -57,7 +57,7 @@ from .history import (
     HistoryStore,
     default_history_dir,
     diff_records,
-    flatten_span_walls,
+    ledger_row,
     render_diff,
 )
 from .live import render_live, summarize_events, watch
@@ -128,9 +128,9 @@ __all__ = [
     "emit_bench",
     "emit_event",
     "emit_progress",
-    "flatten_span_walls",
     "get_logger",
     "git_sha",
+    "ledger_row",
     "load_report",
     "metrics",
     "missing_stages",

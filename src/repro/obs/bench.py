@@ -12,12 +12,10 @@ Every bench that passes a ``report`` writer also gets a second copy of
 its payload as ``BENCH_<name>.json``: the stable, repo-discoverable
 artifact name CI gates ``cat``/check and the perf trajectory collects
 (``benchmarks/output/BENCH_*.json``), uniform across all benches
-instead of each gated bench inventing its own.
-
-When ``$REPRO_HISTORY_DIR`` names a run-history store
-(:mod:`repro.obs.history`), the payload is additionally appended there
-as a checksummed, git-SHA-stamped bench record — the BENCH trajectory
-then accumulates across runs with no collection step.
+instead of each gated bench inventing its own.  The perf ledger
+(``benchmarks/bench_layers.py``) is one such payload, gated against
+its committed copy at the repo root; the run-history store holds run
+reports only.
 """
 
 from __future__ import annotations
@@ -48,10 +46,7 @@ def emit_bench(
       with a predictable name, which is what CI gates and the perf
       trajectory collect;
     * records every numeric payload field as a ``bench.<name>.<key>``
-      gauge in the active metrics registry (no-op when none is active);
-    * appends the payload to the run-history store when
-      ``$REPRO_HISTORY_DIR`` is set (best-effort: a store failure is
-      logged, never fatal to the bench).
+      gauge in the active metrics registry (no-op when none is active).
 
     The payload is returned unchanged with ``bench`` filled in, so
     callers can build it without repeating the name.
@@ -77,18 +72,5 @@ def emit_bench(
                     raise
                 os.makedirs(parent, exist_ok=True)
                 report(filename, text)
-    if os.environ.get("REPRO_HISTORY_DIR"):
-        # Lazy import: history pulls in io.artifacts, which imports
-        # back into repro.obs — resolving it at call time keeps the
-        # package import acyclic.
-        from .history import HistoryStore
-        from .log import get_logger
-
-        try:
-            HistoryStore().append_bench(name, payload)
-        except Exception as exc:  # pragma: no cover - defensive
-            get_logger(__name__).warning(
-                "could not append bench %r to history store: %s", name, exc
-            )
     echo("BENCH " + json.dumps(payload))
     return payload

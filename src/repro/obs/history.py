@@ -1,17 +1,20 @@
-"""The run-history store: the perf trajectory as a first-class artifact.
+"""The run-history store and the one comparer of run reports.
 
-Run reports and BENCH payloads used to evaporate — one JSON file per
-run, overwritten or scattered, nothing to compare against.  A
-:class:`HistoryStore` gives them a home: an append-only directory
-(``--history-dir``, default ``~/.repro/history`` or
-``$REPRO_HISTORY_DIR``) where every completed run report and every
-:func:`repro.obs.bench.emit_bench` result lands as one checksummed JSON
-record, stamped with the git SHA, a wall-clock timestamp, and a
-monotonic sequence number allocated under the artifact store's
-cross-process advisory lock.  ``repro runs list|show|diff`` reads it
-back; :func:`diff_records` compares two runs' per-stage wall times,
-metric gauges, and bench numbers and flags movements beyond a
-tolerance as regressions.
+A :class:`HistoryStore` is an append-only directory (``--history-dir``,
+default ``~/.repro/history`` or ``$REPRO_HISTORY_DIR``) where every
+completed run report lands as one checksummed JSON record, stamped with
+the git SHA, a wall-clock timestamp, and a monotonic sequence number
+allocated under the artifact store's cross-process advisory lock.
+``repro runs list|show|diff`` reads it back.
+
+A run report compares through its *ledger row*
+(:func:`ledger_row`): per span name the summed ``wall_s`` and
+``cpu_s`` and the span count, plus every counter and gauge.
+:func:`diff_records` compares two rows, for ``repro runs diff`` and
+for the committed perf ledger (``benchmarks/bench_layers.py``) alike.
+Timings and memory (names ending ``_s``, ``.seconds``, ``_mb`` or
+``bytes``) may grow within a tolerance; every other number (counts,
+span counts, result quantities) must be equal.
 
 Layout::
 
@@ -19,21 +22,20 @@ Layout::
       COUNTER                 # last allocated sequence number
       .locks/                 # artifact_lock residue
       runs/run-000007-<run_id>.json
-      bench/bench-000008-<name>.json
 
 Every record file is one JSON *envelope*::
 
-    {"schema": "history:run" | "history:bench",
-     "version": 1,
-     "seq": 7, "run_id": "...", "name": null | "e2e_wall",
+    {"schema": "history:run", "version": 1,
+     "seq": 7, "run_id": "...", "name": null,
      "created": <unix time>, "git_sha": "..." | null,
      "sha256": <hex digest of the canonical record payload>,
-     "record": {...}}            # the run report / bench payload itself
+     "record": {...}}            # the run report itself
 
-Each kind is one :class:`repro.io.records.RecordLog` (``runs/`` and
-``bench/`` under the shared root and ``COUNTER``), so records are
+The store is one :class:`repro.io.records.RecordLog`, so records are
 published atomically, verified against their embedded digest on every
-read, and quarantined (never silently deleted) when they fail.
+read, and quarantined (never silently deleted) when they fail.  A
+``bench/`` directory that older versions wrote beside ``runs/`` is no
+longer read; its sequence numbers are still never reused.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ __all__ = [
     "HistoryStore",
     "default_history_dir",
     "diff_records",
-    "flatten_span_walls",
+    "ledger_row",
     "render_diff",
 ]
 
@@ -60,8 +62,6 @@ HISTORY_SCHEMA_VERSION = 1
 
 #: Environment override for the store root (CI jobs, tests).
 ENV_HISTORY_DIR = "REPRO_HISTORY_DIR"
-
-_KINDS = {"run": "runs", "bench": "bench"}
 
 
 #: Cached headless fallback: one temp dir per process, not per call,
@@ -105,12 +105,7 @@ def default_history_dir() -> Path:
 
 
 class HistoryStore:
-    """Append-only, checksummed store of run reports and bench results.
-
-    One :class:`~repro.io.records.RecordLog` per record kind, both
-    rooted at the store root, so runs and bench results share its
-    ``COUNTER``, its lock and one gap-free sequence.
-    """
+    """Append-only, checksummed store of completed run reports."""
 
     def __init__(self, root: Optional[PathLike] = None) -> None:
         # Lazy import: repro.io imports from repro.obs at module scope,
@@ -118,72 +113,29 @@ class HistoryStore:
         from ..io.records import RecordLog
 
         self.root = Path(root) if root is not None else default_history_dir()
-        self._logs = {
-            kind: RecordLog(
-                self.root, schema=f"history:{kind}", prefix=kind, directory=directory
-            )
-            for kind, directory in _KINDS.items()
-        }
+        self._log = RecordLog(self.root, schema="history:run", prefix="run", directory="runs")
 
-    # -- appending ---------------------------------------------------------
-
-    def _append(
-        self,
-        kind: str,
-        record: Any,
-        *,
-        run_id: Optional[str],
-        name: Optional[str],
-        git_sha: Optional[str],
-    ) -> Path:
+    def append_run(self, report: Dict[str, Any]) -> Path:
+        """Append one completed run report; returns the record path."""
+        run_id = report.get("run_id")
+        git_sha = (report.get("environment") or {}).get("git_sha")
         if git_sha is None:
             from .report import git_sha as _git_sha
 
             git_sha = _git_sha()
         # History file names have always carried at most 64 tag characters.
-        envelope = self._logs[kind].append(
-            record,
-            tag=(name or run_id or "run")[:64],
-            run_id=run_id,
-            name=name,
-            git_sha=git_sha,
+        envelope = self._log.append(
+            report, tag=(run_id or "run")[:64], run_id=run_id, name=None, git_sha=git_sha
         )
         return Path(envelope["path"])
 
-    def append_run(self, report: Dict[str, Any]) -> Path:
-        """Append one completed run report; returns the record path."""
-        env = report.get("environment") or {}
-        return self._append(
-            "run",
-            report,
-            run_id=report.get("run_id"),
-            name=None,
-            git_sha=env.get("git_sha"),
-        )
+    def records(self) -> List[Dict[str, Any]]:
+        """All verified records, oldest first (by ``seq``)."""
+        return self._log.read()
 
-    def append_bench(
-        self,
-        name: str,
-        payload: Dict[str, Any],
-        *,
-        run_id: Optional[str] = None,
-    ) -> Path:
-        """Append one ``emit_bench`` payload; returns the record path."""
-        return self._append("bench", payload, run_id=run_id, name=name, git_sha=None)
-
-    # -- reading -----------------------------------------------------------
-
-    def records(self, kind: str = "run", *, name: Optional[str] = None) -> List[Dict[str, Any]]:
-        """All verified records of one kind, oldest first (by ``seq``)."""
-        return [
-            envelope
-            for envelope in self._logs[kind].read()
-            if name is None or envelope.get("name") == name
-        ]
-
-    def get(self, ref: str, kind: str = "run") -> Optional[Dict[str, Any]]:
+    def get(self, ref: str) -> Optional[Dict[str, Any]]:
         """Resolve one record by ``latest``, sequence number, or run-id prefix."""
-        records = self.records(kind)
+        records = self.records()
         if not records:
             return None
         if ref in ("latest", "-1", ""):
@@ -199,166 +151,136 @@ class HistoryStore:
                 return envelope
         return None
 
-    def bench_baseline(
-        self, name: str, *, current: Optional[Dict[str, Any]] = None
-    ) -> Optional[Dict[str, Any]]:
-        """The newest bench record for ``name`` that is not ``current``.
 
-        A gate script appends its own result before checking, so the
-        record matching the just-appended payload is skipped and the
-        previous run becomes the baseline.
-        """
-        from ..io.records import canonical_digest
-
-        current_digest = canonical_digest(current) if current is not None else None
-        for envelope in reversed(self.records("bench", name=name)):
-            if current_digest is not None and envelope.get("sha256") == current_digest:
-                continue
-            return envelope
-        return None
-
-
-# --- diffing ---------------------------------------------------------------
-
-
-def flatten_span_walls(span_dict: Dict[str, Any]) -> Dict[str, float]:
-    """Total wall seconds per span name over a ``to_dict`` span tree."""
-    walls: Dict[str, float] = {}
-
-    def visit(node: Dict[str, Any]) -> None:
-        name = str(node.get("name", ""))
-        walls[name] = walls.get(name, 0.0) + float(node.get("wall_s", 0.0))
-        for child in node.get("children") or []:
-            visit(child)
-
-    visit(span_dict)
-    return walls
-
-
-#: Substrings marking a number where *smaller* is better (times, memory).
-_LOWER_BETTER = ("wall", "time", "_s", "seconds", "rss", "bytes", "overhead", "_mb")
-#: Substrings marking a number where *bigger* is better.
-_HIGHER_BETTER = ("speedup", "throughput", "hit", "coverage", "variance", "rows_per")
-
-
-def _is_regression(
-    name: str, old: float, new: float, tolerance: float, default: Optional[str] = None
-) -> bool:
-    """Whether ``old -> new`` moved in the bad direction beyond tolerance.
-
-    Direction comes from the value's name when it is telling
-    (throughput up is good, wall time up is bad) and otherwise from
-    ``default`` — e.g. every entry in a stage-wall section is a
-    duration, whatever the stage is called.
-    """
-    lowered = name.lower()
-    if any(tag in lowered for tag in _HIGHER_BETTER):
-        direction = "higher"
-    elif any(tag in lowered for tag in _LOWER_BETTER):
-        direction = "lower"
-    else:
-        direction = default
-    if direction == "higher":
-        return new < old * (1.0 - tolerance)
-    if direction == "lower":
-        return new > old * (1.0 + tolerance)
-    return False
+# --- the ledger row and its comparer ---------------------------------------
 
 
 def _numeric_items(mapping: Any) -> Dict[str, float]:
     if not isinstance(mapping, dict):
         return {}
-    out = {}
-    for key, value in mapping.items():
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
-            out[str(key)] = float(value)
-    return out
+    return {
+        str(key): float(value)
+        for key, value in mapping.items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    }
 
 
-def _compare(
-    section: str,
-    a: Dict[str, float],
-    b: Dict[str, float],
-    tolerance: float,
-    default: Optional[str] = None,
-) -> List[Dict[str, Any]]:
+def ledger_row(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    """Fold one run report into its ledger row.
+
+    ``spans`` maps each span name to its summed ``wall_s`` and ``cpu_s``
+    and its ``count`` over the whole span tree; ``counters`` and
+    ``gauges`` are the report's metrics.
+    """
+    spans: Dict[str, Dict[str, float]] = {}
+
+    def visit(node: Dict[str, Any]) -> None:
+        totals = spans.setdefault(
+            str(node.get("name", "")), {"wall_s": 0.0, "cpu_s": 0.0, "count": 0}
+        )
+        totals["wall_s"] += float(node.get("wall_s", 0.0))
+        totals["cpu_s"] += float(node.get("cpu_s", 0.0))
+        totals["count"] += 1
+        for child in node.get("children") or []:
+            visit(child)
+
+    if report.get("spans"):
+        visit(report["spans"])
+    metrics = report.get("metrics") or {}
+    return {
+        "spans": spans,
+        "counters": _numeric_items(metrics.get("counters")),
+        "gauges": _numeric_items(metrics.get("gauges")),
+    }
+
+
+#: Name suffixes of timings and memory: the numbers that may move
+#: within a tolerance.  Every other number must stay equal.
+_MEASURED_SUFFIXES = ("_s", ".seconds", "_mb", "bytes")
+
+
+def _flag(
+    name: str, old: Optional[float], new: Optional[float], tolerance: float, floor: float
+) -> Optional[str]:
+    """``"regression"``, ``"changed"`` or None for one ``old -> new`` value.
+
+    A timing or memory value is a regression when it grew by more than
+    ``tolerance`` (relative) *and* by more than ``floor`` (absolute);
+    any other value, or a value present on one side only, is changed
+    when it differs at all.
+    """
+    if old is None or new is None:
+        return "changed"
+    if name.endswith(_MEASURED_SUFFIXES):
+        grew = new > old * (1.0 + tolerance) and new - old > floor
+        return "regression" if grew else None
+    return "changed" if new != old else None
+
+
+def _flatten(row: Dict[str, Any]) -> Dict[tuple, float]:
+    flat = {
+        ("span", f"{name}.{key}"): float(value)
+        for name, totals in (row.get("spans") or {}).items()
+        for key, value in totals.items()
+    }
+    for section in ("counter", "gauge"):
+        for name, value in (row.get(f"{section}s") or {}).items():
+            flat[(section, name)] = float(value)
+    return flat
+
+
+def diff_records(
+    a: Dict[str, Any], b: Dict[str, Any], *, tolerance: float = 0.10, floor: float = 0.0
+) -> Dict[str, Any]:
+    """Compare two ledger rows (older ``a`` vs newer ``b``).
+
+    Every span total, counter and gauge on either side is an entry,
+    flagged by :func:`_flag`: a timing or memory value (name ending in
+    ``_s``, ``.seconds``, ``_mb`` or ``bytes``) that grew beyond ``tolerance`` and
+    ``floor`` is a ``regression``; any other difference is ``changed``.
+    ``flagged`` names every flagged entry.
+    """
+    flat_a, flat_b = _flatten(a), _flatten(b)
     entries = []
-    for name in sorted(set(a) & set(b)):
-        old, new = a[name], b[name]
-        delta = new - old
-        ratio = (new / old) if old else None
+    for section, name in sorted(set(flat_a) | set(flat_b)):
+        old, new = flat_a.get((section, name)), flat_b.get((section, name))
         entries.append(
             {
                 "section": section,
                 "name": name,
                 "a": old,
                 "b": new,
-                "delta": delta,
-                "ratio": ratio,
-                "regression": _is_regression(name, old, new, tolerance, default),
+                "flag": _flag(name, old, new, tolerance, floor),
             }
         )
-    return entries
-
-
-def diff_records(
-    a: Dict[str, Any], b: Dict[str, Any], *, tolerance: float = 0.10
-) -> Dict[str, Any]:
-    """Compare two history records (older ``a`` vs newer ``b``).
-
-    For run records: per-stage wall seconds from the span trees plus
-    metric gauges.  For bench records: the numeric payload fields.  A
-    value that moved in the *bad* direction (direction inferred from
-    the name: times/memory up, throughput/speedup down) by more than
-    ``tolerance`` (relative) is flagged as a regression.
-    """
-    entries: List[Dict[str, Any]] = []
-    kind_a = str(a.get("schema", ""))
-    if kind_a == "history:run":
-        report_a, report_b = a.get("record") or {}, b.get("record") or {}
-        walls_a = flatten_span_walls(report_a.get("spans") or {})
-        walls_b = flatten_span_walls(report_b.get("spans") or {})
-        entries += _compare("stage wall_s", walls_a, walls_b, tolerance, default="lower")
-        gauges_a = _numeric_items((report_a.get("metrics") or {}).get("gauges"))
-        gauges_b = _numeric_items((report_b.get("metrics") or {}).get("gauges"))
-        entries += _compare("gauge", gauges_a, gauges_b, tolerance)
-    else:
-        entries += _compare(
-            "bench",
-            _numeric_items(a.get("record")),
-            _numeric_items(b.get("record")),
-            tolerance,
-        )
     return {
-        "a": {k: a.get(k) for k in ("seq", "run_id", "name", "created", "git_sha")},
-        "b": {k: b.get(k) for k in ("seq", "run_id", "name", "created", "git_sha")},
         "tolerance": tolerance,
+        "floor": floor,
         "entries": entries,
-        "regressions": [e["name"] for e in entries if e["regression"]],
+        "flagged": [e["name"] for e in entries if e["flag"]],
     }
 
 
 def render_diff(diff: Dict[str, Any]) -> str:
     """Terminal-friendly rendering of a :func:`diff_records` result."""
-    a, b = diff["a"], diff["b"]
-    lines = [
-        f"history diff: #{a.get('seq')} ({a.get('git_sha') or '-'}) -> "
-        f"#{b.get('seq')} ({b.get('git_sha') or '-'})",
-        f"{'section':<14} {'name':<40} {'a':>12} {'b':>12} {'delta':>12}  flag",
-    ]
+
+    def cell(value: Optional[float]) -> str:
+        return "-" if value is None else f"{value:.6g}"
+
+    lines = [f"{'section':<8} {'name':<44} {'a':>12} {'b':>12}  flag"]
     for entry in diff["entries"]:
-        flag = "REGRESSION" if entry["regression"] else ""
         lines.append(
-            f"{entry['section']:<14} {entry['name'][:40]:<40} "
-            f"{entry['a']:>12.6g} {entry['b']:>12.6g} {entry['delta']:>+12.6g}  {flag}"
+            f"{entry['section']:<8} {entry['name'][:44]:<44} "
+            f"{cell(entry['a']):>12} {cell(entry['b']):>12}  {(entry['flag'] or '').upper()}"
         )
-    if diff["regressions"]:
+    policy = f"timings/memory up to {1.0 + diff['tolerance']:g}x"
+    if diff["floor"]:
+        policy += f" or +{diff['floor']:g}"
+    if diff["flagged"]:
         lines.append(
-            f"{len(diff['regressions'])} regression(s) beyond "
-            f"{diff['tolerance']:.0%}: " + ", ".join(diff["regressions"])
+            f"{len(diff['flagged'])} flagged ({policy}, everything else equal): "
+            + ", ".join(diff["flagged"])
         )
     else:
-        lines.append(f"no regressions beyond {diff['tolerance']:.0%}")
+        lines.append(f"nothing flagged ({policy}, everything else equal)")
     return "\n".join(lines) + "\n"

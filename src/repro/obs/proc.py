@@ -8,7 +8,10 @@ gauges in the active metrics registry:
 
 * ``proc.peak_rss_mb`` — this process's lifetime peak RSS;
 * ``proc.peak_rss_children_mb`` — the peak RSS across waited-for child
-  processes (the process-backend executor workers), when nonzero.
+  processes, recorded only when the run forked executor workers (its
+  ``executor.forked_workers`` gauge is set): a serial run's only
+  child is the environment probe's ``git`` call, whose memory says
+  nothing about the run.
 
 ``ru_maxrss`` is a *lifetime* high-water mark, so the gauge answers
 "how much memory did this run need" only when the process did little
@@ -67,16 +70,16 @@ def record_peak_rss(registry: Optional[MetricsRegistry] = None) -> float:
     """Record the peak-RSS gauges into ``registry`` (default: the active one).
 
     Returns the recorded ``proc.peak_rss_mb`` value so callers can log
-    it.  The children gauge is only written when a child has actually
-    been waited for (nonzero), keeping single-process reports free of a
-    meaningless zero row.
+    it.  The children gauge is only written when the registry records
+    forked executor workers and a child has been waited for, keeping
+    serial reports free of a row that measures no worker.
     """
     reg = registry if registry is not None else metrics()
     peak = peak_rss_mb()
     if peak > 0:
         reg.gauge_set("proc.peak_rss_mb", peak)
     children = peak_rss_children_mb()
-    if children > 0:
+    if children > 0 and reg.gauge_value("executor.forked_workers", 0.0):
         reg.gauge_set("proc.peak_rss_children_mb", children)
     return peak
 

@@ -235,6 +235,10 @@ class ProcessExecutor(Executor):
 
         ctx = multiprocessing.get_context("fork")
         n_workers = min(self.n_jobs, max(len(chunks), 1))
+        # Tells the run report that its children's peak RSS is workers'.
+        reg = _obs.metrics()
+        most = max(n_workers, reg.gauge_value("executor.forked_workers", 0.0))
+        reg.gauge_set("executor.forked_workers", most)
         with ctx.Pool(
             processes=n_workers,
             initializer=_pool_init,

@@ -17,6 +17,7 @@ from typing import Union
 import numpy as np
 
 from ..core.prominent import analysis_from_artifact, analysis_to_artifact
+from ..obs import span
 from .engine import StreamingCharacterization
 
 PathLike = Union[str, Path]
@@ -47,14 +48,16 @@ def save_streaming_result(result: StreamingCharacterization, path: PathLike) -> 
         replay_sweeps=result.replay_sweeps,
         spool_bytes=result.spool_bytes,
     )
-    write_artifact(path, arrays, schema=STREAMING_SCHEMA, meta=meta)
+    with span("io.artifact", schema=STREAMING_SCHEMA, op="save"):
+        write_artifact(path, arrays, schema=STREAMING_SCHEMA, meta=meta)
 
 
 def load_streaming_result(path: PathLike) -> StreamingCharacterization:
     """Read a streaming characterization written by :func:`save_streaming_result`."""
     from ..io.artifacts import read_artifact
 
-    arrays, meta = read_artifact(path, schema=STREAMING_SCHEMA)
+    with span("io.artifact", schema=STREAMING_SCHEMA, op="load"):
+        arrays, meta = read_artifact(path, schema=STREAMING_SCHEMA)
     n_components, explained, clustering, prominent = analysis_from_artifact(
         arrays, meta
     )

@@ -17,10 +17,15 @@ import numpy as np
 import pytest
 
 from repro.config import AnalysisConfig
-from repro.core import build_dataset, run_characterization
+from repro.core import (
+    build_dataset,
+    characterize_to_file,
+    load_characterization,
+    run_characterization,
+)
 from repro.io import StageCheckpoint
 from repro.io.artifacts import HEADER_KEY
-from repro.obs import observe
+from repro.obs import build_report, ledger_row, observe
 from repro.suites import get_suite
 
 from ..io.faults import env_with_src, sigkill_rc, truncate_file
@@ -45,6 +50,18 @@ def _assert_same_result(a, b):
     if a.ga_result is not None or b.ga_result is not None:
         assert np.array_equal(a.ga_result.mask, b.ga_result.mask)
         assert a.ga_result.fitness == b.ga_result.fitness
+
+
+def test_a_characterize_to_file_report_carries_io_spans(tmp_path):
+    benches = list(get_suite("BMW").benchmarks)[:2]
+    with observe(run_id="io") as ob:
+        characterize_to_file(benches, CFG, tmp_path / "out.npz")
+        load_characterization(tmp_path / "out.npz")
+    spans = ledger_row(build_report(ob))["spans"]
+    # Three stages, each a load that misses and a save.
+    assert spans["io.checkpoint"]["count"] == 6
+    # The characterization's save and its load.
+    assert spans["io.artifact"]["count"] == 2
 
 
 class TestInProcessResume:

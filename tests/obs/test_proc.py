@@ -9,12 +9,14 @@ import pytest
 from repro.obs import (
     MetricsRegistry,
     build_report,
+    load_report,
     observe,
     peak_rss_mb,
     record_peak_rss,
     validate_report,
 )
 from repro.obs.proc import _maxrss_to_mb, peak_rss_children_mb
+from repro.parallel import fork_available
 
 
 def test_peak_rss_mb_is_positive_and_plausible():
@@ -88,13 +90,48 @@ def test_children_peak_counts_waited_for_children():
 
 def test_record_peak_rss_includes_children_gauge_after_wait():
     registry = MetricsRegistry()
+    registry.gauge_set("executor.forked_workers", 2)
     subprocess.run([sys.executable, "-c", "pass"], check=True)
     record_peak_rss(registry)
     gauges = registry.snapshot()["gauges"]
-    # A child has been waited for, so the children gauge must be
-    # present (nonzero lifetime high-water mark) alongside self.
+    # The run forked workers and a child has been waited for, so the
+    # children gauge must be present (nonzero lifetime high-water
+    # mark) alongside self.
     assert gauges["proc.peak_rss_mb"] > 0
     assert gauges.get("proc.peak_rss_children_mb", 0.0) > 0
+
+
+def test_a_waited_for_child_that_is_no_worker_records_no_children_gauge():
+    # A serial run's only child is the environment probe's git call.
+    registry = MetricsRegistry()
+    subprocess.run([sys.executable, "-c", "pass"], check=True)
+    record_peak_rss(registry)
+    assert "proc.peak_rss_children_mb" not in registry.snapshot()["gauges"]
+
+
+def _tiny_report(tmp_path, name, *flags):
+    from repro.cli import main
+
+    report = tmp_path / f"{name}.json"
+    argv = ["characterize", str(tmp_path / f"{name}.npz"), "--preset", "tiny"]
+    argv += ["--suite", "BMW", "--no-ga", "--run-report", str(report), *flags]
+    assert main(argv) == 0
+    return load_report(report)
+
+
+def test_serial_report_has_no_children_gauge(tmp_path, capsys):
+    gauges = _tiny_report(tmp_path, "serial")["metrics"]["gauges"]
+    assert "proc.peak_rss_children_mb" not in gauges
+    assert "executor.forked_workers" not in gauges
+
+
+@pytest.mark.skipif(not fork_available(), reason="no fork")
+def test_process_backend_report_has_children_gauge(tmp_path, capsys):
+    gauges = _tiny_report(
+        tmp_path, "process", "--n-jobs", "2", "--parallel-backend", "process"
+    )["metrics"]["gauges"]
+    assert gauges["executor.forked_workers"] == 2
+    assert gauges["proc.peak_rss_children_mb"] > 0
 
 
 def test_children_gauge_absent_when_no_child_memory(monkeypatch):

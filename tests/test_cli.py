@@ -326,18 +326,21 @@ def test_characterize_history_records_and_runs_commands(tmp_path, capsys):
     assert main(["runs", "list", "--history-dir", str(history)]) == 0
     out = capsys.readouterr().out
     assert "seq" in out and "git" in out and "wall" in out  # table header
-    data_rows = [ln for ln in out.splitlines() if " run " in f" {ln} "]
-    assert len(data_rows) == 2
+    from repro.obs import HistoryStore
+
+    run_ids = [e["run_id"] for e in HistoryStore(history).records()]
+    assert len(run_ids) == 2
+    assert all(run_id in out for run_id in run_ids)
     assert main(["runs", "show", "latest", "--history-dir", str(history)]) == 0
     out = capsys.readouterr().out
     assert "run report" in out
 
-    # Two records in the store: diff prints per-stage wall deltas.
+    # Two records in the store: diff prints every ledger value.
     assert main(["runs", "diff", "--history-dir", str(history)]) == 0
     out = capsys.readouterr().out
     assert "history diff" in out
-    assert "stage wall_s" in out and "kmeans" in out
-    assert "delta" in out
+    assert "kmeans.wall_s" in out and "kmeans.count" in out
+    assert "pca.explained_variance" in out
 
 
 def test_runs_list_empty_store(tmp_path, capsys):
@@ -367,7 +370,7 @@ def test_runs_diff_fail_on_regression(tmp_path, capsys):
         doc = build_report(ob)
 
         def pin(node):
-            node["wall_s"] = kmeans_wall if node["name"] == "kmeans" else 1.0
+            node["wall_s"] = node["cpu_s"] = kmeans_wall if node["name"] == "kmeans" else 1.0
             for child in node.get("children") or []:
                 pin(child)
 
@@ -409,6 +412,24 @@ def test_runs_diff_fail_on_regression(tmp_path, capsys):
         == 0
     )
     capsys.readouterr()
+
+
+def test_runs_diff_fails_on_a_changed_answer(tmp_path, capsys):
+    from repro.obs import HistoryStore, Observation, build_report
+
+    store = HistoryStore(tmp_path / "h")
+    for coverage in (0.88, 0.91):  # moved the "good" way: still changed
+        ob = Observation(run_id=f"c{coverage}")
+        ob.metrics.gauge_set("prominent.coverage", coverage)
+        doc = build_report(ob)
+        doc["spans"]["wall_s"] = doc["spans"]["cpu_s"] = 1.0
+        doc["metrics"]["gauges"]["proc.peak_rss_mb"] = 50.0
+        store.append_run(doc)
+    argv = ["runs", "diff", "--history-dir", str(tmp_path / "h"), "--tolerance", "5.0"]
+    assert main(argv) == 0
+    assert main(argv + ["--fail-on-regression"]) == 1
+    out = capsys.readouterr().out
+    assert "CHANGED" in out and "prominent.coverage" in out
 
 
 def test_telemetry_flags_leave_results_bit_identical(tmp_path, capsys):
