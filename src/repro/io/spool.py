@@ -5,22 +5,21 @@ over the same :class:`~repro.core.SamplingPlan` — PCA statistics,
 Lloyd refinement passes, scoring — and without help each sweep
 regenerates synthetic traces and re-runs the fused MICA meters from
 scratch.  The spool turns every sweep after the first into disk reads:
-the cold sweep appends each batch's float64 rows to an on-disk store,
-and later sweeps replay the rows as zero-copy slices of one read-only
-``np.memmap``.  Raw bytes round-trip exactly, so replayed arrays are
-bit-identical to freshly computed ones and every bit-identity pin on
-the streaming path holds unchanged.
+the cold sweep appends each batch's float64 feature rows to an on-disk
+store, and later sweeps replay the rows as zero-copy slices of one
+read-only ``np.memmap``.  Raw bytes round-trip exactly, so replayed
+arrays are bit-identical to freshly computed ones and every
+bit-identity pin on the streaming path holds unchanged.
 
 A spool is scratch for one run: it lives in a directory the run owns
 (the engine's temporary directory) and replays only what the same
 :class:`FeatureSpool` object sealed.  Rows are reused across runs
 through :class:`~repro.io.FeatureBlockCache`, never through a spool.
-One spool holds independent *kinds* (``"raw"`` feature rows,
-``"proj"`` projected points), each one file ``spool_<kind>.bin``: the
-row-major float64 payload, written append-only to a private temporary
-file and published with ``os.replace`` when sealed, so a new payload
-never truncates a file that a live replay still maps.  The seal keeps
-the row/column counts and the payload's SHA-256 in memory.
+It holds one payload, the file ``spool.bin``: the row-major float64
+rows, written append-only to a private temporary file and published
+with ``os.replace`` when sealed, so a new payload never truncates a
+file that a live replay still maps.  The seal keeps the row/column
+counts and the payload's SHA-256 in memory.
 
 Replays verify the payload against that digest before yielding
 anything, every pass — so truncation or bit rot at any point between
@@ -37,7 +36,7 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,34 +54,37 @@ __all__ = ["FeatureSpool", "SpoolWriter"]
 
 
 def _digest_memmap(mm: np.memmap) -> str:
-    """SHA-256 over a payload memmap, chunked to keep residency bounded."""
+    """SHA-256 over a payload memmap, chunked to keep residency bounded.
+
+    Each chunk is hashed through the buffer protocol, never copied into
+    a ``bytes`` object, so a replay allocates nothing that grows with
+    the payload."""
     h = hashlib.sha256()
     flat = mm.reshape(-1).view(np.uint8) if mm.size else mm.view(np.uint8)
     for start in range(0, flat.size, _HASH_CHUNK):
-        h.update(flat[start : start + _HASH_CHUNK].tobytes())
+        h.update(flat[start : start + _HASH_CHUNK])
     return h.hexdigest()
 
 
 class SpoolWriter:
-    """Append-only writer for one spool kind; publish-on-seal.
+    """Append-only writer for the spool's payload; publish-on-seal.
 
     Rows accumulate in a private temporary file next to the
     destination; :meth:`seal` publishes the payload with
     ``os.replace`` and records its digest in the spool.  Anything
     short of a seal — exception, abandoned sweep — leaves only the
     temporary file, which no replay will ever look at.  Creating a
-    writer forgets any earlier seal of its kind.
+    writer forgets any earlier seal.
     """
 
-    def __init__(self, spool: "FeatureSpool", kind: str, n_rows: int, n_cols: int):
-        spool._seals.pop(kind, None)
+    def __init__(self, spool: "FeatureSpool", n_rows: int, n_cols: int):
+        spool._seal = None
         self._spool = spool
-        self.kind = kind
         self.n_rows = n_rows
         self.n_cols = n_cols
         self._written = 0
         self._hash = hashlib.sha256()
-        dest = spool.data_path(kind)
+        dest = spool.data_path()
         dest.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(dest.parent), prefix=dest.name + ".", suffix=".tmp")
         self._tmp = tmp
@@ -95,7 +97,7 @@ class SpoolWriter:
             raise ValueError(f"expected (n, {self.n_cols}) rows, got {rows.shape}")
         if self._written + len(rows) > self.n_rows:
             raise ValueError(
-                f"spool {self.kind!r} overflow: {self._written + len(rows)} rows "
+                f"spool overflow: {self._written + len(rows)} rows "
                 f"> planned {self.n_rows}"
             )
         raw = rows.tobytes()
@@ -104,27 +106,26 @@ class SpoolWriter:
         self._written += len(rows)
 
     def seal(self) -> None:
-        """Publish the payload; the spool can replay this kind."""
+        """Publish the payload; the spool can replay it."""
         if self._handle is None:
             raise RuntimeError("spool writer already closed")
         if self._written != self.n_rows:
             self.abandon()
             raise ValueError(
-                f"spool {self.kind!r} sealed short: {self._written} of {self.n_rows} rows"
+                f"spool sealed short: {self._written} of {self.n_rows} rows"
             )
         handle, self._handle = self._handle, None
         handle.close()
-        dest = self._spool.data_path(self.kind)
+        dest = self._spool.data_path()
         os.replace(self._tmp, dest)
-        self._spool._seals[self.kind] = (self.n_rows, self.n_cols, self._hash.hexdigest())
+        self._spool._seal = (self.n_rows, self.n_cols, self._hash.hexdigest())
         nbytes = self.n_rows * self.n_cols * 8
         metrics().counter_add("spool.bytes", float(nbytes))
         self._spool._bytes_written += nbytes
         log.info(
-            "spooled %d x %d %s rows (%.1f MB) to %s",
+            "spooled %d x %d rows (%.1f MB) to %s",
             self.n_rows,
             self.n_cols,
-            self.kind,
             nbytes / 1e6,
             dest,
         )
@@ -154,36 +155,33 @@ class FeatureSpool:
 
     def __init__(self, root: PathLike):
         self.root = Path(root)
-        #: ``{kind: (n_rows, n_cols, sha256)}`` of each payload sealed here.
-        self._seals: Dict[str, Tuple[int, int, str]] = {}
+        #: ``(n_rows, n_cols, sha256)`` of the payload sealed here, if any.
+        self._seal: Optional[Tuple[int, int, str]] = None
         self._bytes_written = 0
 
-    def data_path(self, kind: str) -> Path:
-        return self.root / f"spool_{kind}.bin"
+    def data_path(self) -> Path:
+        return self.root / "spool.bin"
 
     @property
     def bytes_written(self) -> int:
         """Payload bytes sealed by this spool."""
         return self._bytes_written
 
-    def writer(self, kind: str, n_rows: int, n_cols: int) -> SpoolWriter:
+    def writer(self, n_rows: int, n_cols: int) -> SpoolWriter:
         """A writer for one cold sweep of ``n_rows x n_cols`` rows."""
-        return SpoolWriter(self, kind, n_rows, n_cols)
+        return SpoolWriter(self, n_rows, n_cols)
 
-    def _quarantine(self, kind: str, reason: str) -> None:
-        self._seals.pop(kind, None)
+    def _quarantine(self, reason: str) -> None:
+        self._seal = None
         metrics().counter_add("spool.quarantined", 1)
-        dest = quarantine(self.data_path(kind))
+        dest = quarantine(self.data_path())
         log.warning(
-            "spool %r failed verification (%s); quarantined %s — recomputing",
-            kind,
+            "spool failed verification (%s); quarantined %s — recomputing",
             reason,
             dest.name if dest is not None else "nothing (already gone)",
         )
 
-    def open_replay(
-        self, kind: str, n_cols: int
-    ) -> Optional[Tuple[np.memmap, int]]:
+    def open_replay(self, n_cols: int) -> Optional[Tuple[np.memmap, int]]:
         """Verify and map a sealed spool; ``(memmap, n_rows)`` or None.
 
         Verification runs on *every* open — one sequential pass hashing
@@ -193,34 +191,31 @@ class FeatureSpool:
         engine.  On any failure the payload is quarantined and None is
         returned; the caller recomputes.
         """
-        seal = self._seals.get(kind)
-        if seal is None:
+        if self._seal is None:
             return None
-        n_rows, sealed_cols, digest = seal
+        n_rows, sealed_cols, digest = self._seal
         if sealed_cols != n_cols:
-            self._quarantine(kind, f"sealed with {sealed_cols} columns, not {n_cols}")
+            self._quarantine(f"sealed with {sealed_cols} columns, not {n_cols}")
             return None
-        data_path = self.data_path(kind)
+        data_path = self.data_path()
         expected_bytes = n_rows * n_cols * 8
         try:
             actual_bytes = data_path.stat().st_size
         except OSError:
-            self._quarantine(kind, "payload missing")
+            self._quarantine("payload missing")
             return None
         if actual_bytes != expected_bytes:
-            self._quarantine(
-                kind, f"payload is {actual_bytes} bytes, expected {expected_bytes}"
-            )
+            self._quarantine(f"payload is {actual_bytes} bytes, expected {expected_bytes}")
             return None
         mm = np.memmap(data_path, dtype=np.float64, mode="r", shape=(n_rows, n_cols))
         if _digest_memmap(mm) != digest:
             del mm
-            self._quarantine(kind, "payload checksum mismatch")
+            self._quarantine("payload checksum mismatch")
             return None
         return mm, n_rows
 
     def replay(
-        self, kind: str, n_cols: int, batch_rows: int
+        self, n_cols: int, batch_rows: int
     ) -> Optional[Iterator[Tuple[int, np.ndarray]]]:
         """Zero-copy batch iterator over a sealed spool, or None on a miss.
 
@@ -229,7 +224,7 @@ class FeatureSpool:
         recorded sweep's batching — the payload is one contiguous
         matrix, so any slicing reproduces the same rows bit-for-bit.
         """
-        opened = self.open_replay(kind, n_cols)
+        opened = self.open_replay(n_cols)
         if opened is None:
             return None
         mm, n_rows = opened

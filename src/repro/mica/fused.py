@@ -876,8 +876,10 @@ def _fused_ppm(
     base_gid[iv_sorted[new_iv]] = gid_sorted[new_iv]
     pc_local = gid - base_gid[iv_b]
 
-    g_hist = _segmented_global_histories(outcomes, iv_b)
-    l_hist = local_histories(gid, outcomes)
+    # Global history is per interval: iv_b is sorted, so it is the
+    # local history keyed by interval.  ``order`` is gid's stable sort.
+    g_hist = local_histories(iv_b, outcomes)
+    l_hist = local_histories(gid, outcomes, order=order)
 
     iv_bits = max(1, int(m - 1).bit_length())
     pcl_bits = max(1, int(max(int(nb.max()) - 1, 1)).bit_length())
@@ -930,21 +932,3 @@ def _per_interval_ppm(
         for name, col in rates.items():
             out[name][j] = col[0]
     return out
-
-
-def _segmented_global_histories(outcomes: np.ndarray, iv_b: np.ndarray) -> np.ndarray:
-    """Per-interval 12-bit global history before each branch.
-
-    Bit ``k`` of ``history[i]`` is the outcome of branch ``i - 1 - k``
-    when that branch belongs to the same interval — each interval's
-    predictor starts with empty history.
-    """
-    n = len(outcomes)
-    hist = np.zeros(n, dtype=np.int64)
-    bits = outcomes.astype(np.int64)
-    for k in range(_HISTORY_BITS):
-        if k + 1 >= n:
-            break
-        same = iv_b[k + 1:] == iv_b[: n - k - 1]
-        hist[k + 1:] |= np.where(same, bits[: n - k - 1] << k, 0)
-    return hist

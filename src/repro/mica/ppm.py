@@ -76,14 +76,19 @@ _LENGTH_BITS = 3
 _SCAN_BLOCK = 8
 
 
-def local_histories(pc_ids: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+def local_histories(
+    pc_ids: np.ndarray, outcomes: np.ndarray, order: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Vectorized 12-bit per-address history before each branch.
 
     Bit ``k`` of ``history[i]`` is the outcome of the ``k + 1``-th
     previous branch with the same ``pc_id`` (bit 0 is the most recent).
+    ``order``, when the caller has it, must be
+    ``np.argsort(pc_ids, kind="stable")``.
     """
     n = len(outcomes)
-    order = np.argsort(pc_ids, kind="stable")
+    if order is None:
+        order = np.argsort(pc_ids, kind="stable")
     sorted_ids = pc_ids[order]
     sorted_bits = outcomes[order].astype(np.int64)
     hist_sorted = np.zeros(n, dtype=np.int64)

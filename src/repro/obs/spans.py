@@ -42,7 +42,11 @@ events, and so the metrics they carry, under the caller's current
 span, exactly once per task, in submission order.  A serial,
 threaded, and forked run therefore log the same spans.  Dropped
 events are logged as one ``events.dropped`` event, so a report folded
-from the log says ``partial: true`` and how many were lost.
+from the log says ``partial: true`` and how many were lost.  The
+streaming prefetch producer (:func:`repro.parallel.prefetch_iter`)
+takes the same path, one ``task`` per batch, merged as the consumer
+takes the batch, so no thread logs into an observation it does not
+own.
 
 The *current* observation resolves thread-locally first and then
 globally: :func:`observe` (main thread, long-lived) sets both, while
@@ -53,7 +57,6 @@ knows collection is on.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 import uuid
@@ -155,12 +158,12 @@ class EventFold:
     (:func:`repro.obs.live.summarize_events`) and
     :attr:`Observation.root` are views of this fold.
 
-    Spans fold into :attr:`root` with one stack per thread: the
-    observing thread's (key ``None``) starts at the root; another
-    thread's starts at the span the observing thread has open when that
-    thread's first span opens, which is where it hangs.  Spans of two
-    threads that interleave in the log therefore never nest into each
-    other.  ``run.end``'s clocks become the root's (:meth:`clock`).
+    Spans fold into :attr:`root` by log order: a ``span.open`` hangs
+    under the innermost span still open.  Only the observing thread
+    logs, so that order is the nesting.  A ``thread`` field, which
+    older logs carry on the prefetch producer's spans, is ignored:
+    those spans nest by order too.  ``run.end``'s clocks become the
+    root's (:meth:`clock`).
     """
 
     def __init__(self, root_name: str = "run", run_id: Optional[str] = None) -> None:
@@ -183,8 +186,9 @@ class EventFold:
         self.stages: List[Dict[str, Any]] = []
         self.dropped = 0
         self._clocked = False
-        self._stacks: Dict[Optional[str], List[Span]] = {None: [self.root]}
-        self._opened: Dict[Optional[str], List[Optional[float]]] = {None: [None]}
+        #: Open spans, outermost first, and their open timestamps.
+        self._stack: List[Span] = [self.root]
+        self._opened: List[Optional[float]] = [None]
 
     def feed(self, event: Dict[str, Any]) -> None:
         """Fold one event."""
@@ -200,22 +204,16 @@ class EventFold:
         if self.run_id is None and event.get("run_id"):
             self.run_id = event["run_id"]
         if etype == "span.open":
-            thread = event.get("thread")
-            stack = self._stacks.get(thread)
-            if stack is None:
-                stack = self._stacks[thread] = [self._stacks[None][-1]]
-                self._opened[thread] = [None]
+            stack = self._stack
             node = Span(str(event.get("span", "?")), dict(event.get("attrs") or {}))
             stack[-1].children.append(node)
             stack.append(node)
-            self._opened[thread].append(ts)
+            self._opened.append(ts)
         elif etype == "span.close":
-            thread = event.get("thread")
-            stack = self._stacks.get(thread, [])
+            stack = self._stack
             name = str(event.get("span", "?"))
-            # Close the thread's innermost open span with this name; a
-            # thread's spans close in LIFO order, so scanning from the
-            # top of its stack is exact.
+            # Close the innermost open span with this name; spans close
+            # in LIFO order, so scanning from the top is exact.
             for i in range(len(stack) - 1, 0, -1):
                 if stack[i].name == name:
                     node = stack[i]
@@ -225,7 +223,7 @@ class EventFold:
                     if isinstance(attrs, dict):
                         node.attrs.update(attrs)
                     del stack[i]
-                    del self._opened[thread][i]
+                    del self._opened[i]
                     break
             fold_metrics(self.counters, self.gauges, event.get("metrics"))
         elif etype == "metric":
@@ -254,9 +252,8 @@ class EventFold:
         self._clocked = True
 
     def open_spans(self) -> List[Span]:
-        """Spans opened but not closed: the observing thread's first,
-        outermost first, then each other thread's."""
-        return [node for stack in self._stacks.values() for node in stack[1:]]
+        """Spans opened but not closed, outermost first."""
+        return self._stack[1:]
 
     def close_open(self) -> bool:
         """Flag every still-open span ``partial``; whether there were any.
@@ -269,37 +266,25 @@ class EventFold:
         """
         if not self._clocked and self.first_ts is not None:
             self.root.wall_s = max(0.0, self.last_ts - self.first_ts)
-        for thread, stack in self._stacks.items():
-            for node, opened in zip(stack[1:], self._opened[thread][1:]):
-                node.attrs.setdefault("partial", True)
-                if node.wall_s == 0.0 and opened is not None and self.last_ts is not None:
-                    node.wall_s = max(0.0, self.last_ts - opened)
+        for node, opened in zip(self._stack[1:], self._opened[1:]):
+            node.attrs.setdefault("partial", True)
+            if node.wall_s == 0.0 and opened is not None and self.last_ts is not None:
+                node.wall_s = max(0.0, self.last_ts - opened)
         return bool(self.open_spans())
-
-
-class _ThreadState:
-    """Per-thread span bookkeeping: the thread's tag and open-span count."""
-
-    __slots__ = ("tag", "depth")
-
-    def __init__(self, tag: Optional[str]) -> None:
-        self.tag = tag
-        self.depth = 0
 
 
 class _ActiveSpan:
     """Context manager logging one span's open and close events."""
 
-    __slots__ = ("_ob", "_span", "_state", "_depth", "_wall0", "_cpu0")
+    __slots__ = ("_ob", "_span", "_depth", "_wall0", "_cpu0")
 
     def __init__(self, ob: "Observation", node: Span) -> None:
         self._ob = ob
         self._span = node
 
     def __enter__(self) -> Span:
-        state = self._state = self._ob._thread()
-        state.depth += 1
-        self._depth = state.depth
+        self._ob._depth += 1
+        self._depth = self._ob._depth
         self._log({"type": "span.open", "attrs": dict(self._span.attrs)})
         self._cpu0 = time.process_time()
         self._wall0 = time.perf_counter()
@@ -311,7 +296,7 @@ class _ActiveSpan:
         node.cpu_s = time.process_time() - self._cpu0
         if exc_type is not None:
             node.attrs.setdefault("error", exc_type.__name__)
-        self._state.depth -= 1
+        self._ob._depth -= 1
         self._log(
             {
                 "type": "span.close",
@@ -327,8 +312,6 @@ class _ActiveSpan:
         event["ts"] = time.time()
         event["span"] = self._span.name
         event["depth"] = self._depth
-        if self._state.tag is not None:
-            event["thread"] = self._state.tag
         self._ob._record(event, take)
 
 
@@ -403,31 +386,13 @@ class Observation:
         self.cpu_s = 0.0
         self._finished = False
         self._max_events = max_events
-        self._kept_depth: Dict[Optional[str], int] = {}
+        self._kept_depth = 0
+        #: Spans open now; only the thread that owns the observation logs.
+        self._depth = 0
         self._lock = threading.Lock()
-        self._owner = threading.get_ident()
-        self._main = _ThreadState(None)
-        self._foreign = threading.local()
-        self._thread_ids = itertools.count(1)
         self._estimators: Dict[str, ProgressEstimator] = {}
         self._wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
-
-    def _thread(self) -> _ThreadState:
-        """The calling thread's tag and open-span count.
-
-        Span events of this observation's own thread carry no tag.
-        Another thread (the streaming prefetch producer) gets a tag
-        unique within the observation, fixed on its first span, which
-        :class:`EventFold` keys that thread's stack by.
-        """
-        if threading.get_ident() == self._owner:
-            return self._main
-        state = getattr(self._foreign, "state", None)
-        if state is None:
-            name = threading.current_thread().name
-            state = self._foreign.state = _ThreadState(f"{name}#{next(self._thread_ids)}")
-        return state
 
     def _record(self, event: Dict[str, Any], take: bool = False) -> None:
         # One lock orders the log and the bus alike, so the written
@@ -456,17 +421,16 @@ class Observation:
     def _admit(self, event: Dict[str, Any]) -> bool:
         """Whether a bounded log keeps ``event``: its first ``max_events``
         events, then only ``metric`` events and the ``span.close`` of
-        each span whose open it kept (the kept opens still open on a
-        thread are its depths ``1..kept``).  It overshoots by at most the
-        open depth plus one ``metric`` per snapshot, and a span opened
-        past the bound is dropped whole."""
+        each span whose open it kept (the kept opens still open are its
+        depths ``1..kept``).  It overshoots by at most the open depth
+        plus one ``metric`` per snapshot, and a span opened past the
+        bound is dropped whole."""
         full = len(self.events) >= self._max_events
-        thread, etype = event.get("thread"), event.get("type")
-        kept = self._kept_depth.get(thread, 0)
+        etype = event.get("type")
         if etype == "span.open" and not full:
-            self._kept_depth[thread] = kept + 1
-        elif etype == "span.close" and (not full or event.get("depth", 0) <= kept):
-            self._kept_depth[thread] = kept - 1
+            self._kept_depth += 1
+        elif etype == "span.close" and (not full or event.get("depth", 0) <= self._kept_depth):
+            self._kept_depth -= 1
             return True
         return not full or etype == "metric"
 
@@ -541,23 +505,19 @@ class Observation:
     def merge_snapshot(self, snap: "Snapshot | Observation") -> None:
         """Replay a worker's events, and so its metrics, under the current span.
 
-        Callers (the executor) invoke this exactly once per completed
-        task, in submission order, so counter totals and the log are
+        Callers (the executor, the prefetch consumer) invoke this
+        exactly once per completed task, in submission order, so counter totals and the log are
         deterministic for any backend or worker count.  The worker's
-        span events are re-based onto the calling thread: its tag, and
-        depths counted from the caller's open spans.  Worker timestamps
-        are kept.
+        span depths are re-based onto the caller's open spans.  Worker
+        timestamps are kept.
         """
         if isinstance(snap, Observation):
             snap = snap.snapshot()
-        state = self._thread()
         if snap.events_dropped:
             self.emit("events.dropped", count=snap.events_dropped)
         for event in snap.events:
             if event.get("type") in ("span.open", "span.close"):
-                event = dict(event, depth=event.get("depth", 0) + state.depth)
-                if state.tag is not None:
-                    event.setdefault("thread", state.tag)
+                event = dict(event, depth=event.get("depth", 0) + self._depth)
             self._record(event)
 
 

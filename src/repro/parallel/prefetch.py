@@ -14,6 +14,12 @@ The contract mirrors the executor layer's determinism guarantees:
 * **ordered handoff** — a single producer filling a FIFO queue cannot
   reorder batches, so the consumer sees exactly the sequence the bare
   iterator would have produced;
+* **one log** — when an observation is active, the producer runs each
+  ``next()`` inside :class:`repro.obs.capture`, as an executor task
+  does, and the consumer merges that ``task`` (label ``prefetch i``)
+  with :meth:`~repro.obs.Observation.merge_snapshot` as it takes the
+  item, so the producer's spans and counters reach the log in item
+  order, under the consumer's current span;
 * **bounded memory** — at most ``depth`` finished batches wait in the
   queue (plus the one being produced and the one being consumed), so
   an ``O(batch)`` working set stays ``O(batch)``;
@@ -29,11 +35,13 @@ no thread.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import queue
 import threading
 from typing import Iterable, Iterator, TypeVar
 
-from ..obs import metrics
+from ..obs import spans as _obs
 
 T = TypeVar("T")
 
@@ -44,6 +52,14 @@ _POLL_SECONDS = 0.05
 _DONE = object()
 
 __all__ = ["prefetch_iter"]
+
+
+def _step(iterator: Iterator[T]) -> tuple:
+    """One ``next()`` as a tagged queue entry."""
+    try:
+        return ("item", next(iterator))
+    except StopIteration:
+        return (_DONE, None)
 
 
 def prefetch_iter(iterable: Iterable[T], depth: int) -> Iterator[T]:
@@ -59,6 +75,8 @@ def prefetch_iter(iterable: Iterable[T], depth: int) -> Iterator[T]:
         yield from iterable
         return
 
+    iterator = iter(iterable)
+    parent = _obs.current()
     q: "queue.Queue" = queue.Queue(maxsize=depth)
     cancelled = threading.Event()
 
@@ -74,24 +92,28 @@ def prefetch_iter(iterable: Iterable[T], depth: int) -> Iterator[T]:
 
     def _produce() -> None:
         # Every queue entry is tagged, so payload items that happen to
-        # be tuples can never be mistaken for control messages.
-        try:
-            produced = 0
-            for item in iterable:
-                if not _put(("item", item)):
-                    return
-                produced += 1
-            metrics().counter_add("prefetch.batches", float(produced))
-            _put((_DONE, None))
-        except BaseException as exc:  # noqa: BLE001 - relayed to the consumer
-            _put(("error", exc))
+        # be tuples can never be mistaken for control messages.  Its
+        # third field is the step's telemetry (None when unobserved).
+        for index in itertools.count():
+            task = None if parent is None else _obs.capture(f"prefetch {index}")
+            try:
+                with task or contextlib.nullcontext():
+                    tag, value = _step(iterator)
+            except BaseException as exc:  # noqa: BLE001 - relayed to the consumer
+                tag, value = "error", exc
+            snap = None if task is None else task.observation.snapshot()
+            if not _put((tag, value, snap)) or tag != "item":
+                return
 
     worker = threading.Thread(target=_produce, name="repro-prefetch", daemon=True)
     worker.start()
     try:
-        while True:
-            tag, value = q.get()
+        for taken in itertools.count():
+            tag, value, snap = q.get()
+            if snap is not None:
+                parent.merge_snapshot(snap)
             if tag is _DONE:
+                _obs.metrics().counter_add("prefetch.batches", float(taken))
                 return
             if tag == "error":
                 raise value

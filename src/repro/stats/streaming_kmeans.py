@@ -18,7 +18,7 @@ sees in batches:
 * :class:`FrozenScorer` — one pass with frozen centers that streams
   labels, SSE, counts and representatives.
 
-Discipline shared with the exact path (:mod:`repro.stats.kmeans`):
+Discipline shared with the exact path (:mod:`repro.stats.clustering`):
 
 * assignment and farthest-point selection reuse the exact engine's
   kernels (:func:`assign_points`, :func:`farthest_rows`), and center
@@ -30,7 +30,7 @@ Discipline shared with the exact path (:mod:`repro.stats.kmeans`):
   the streamed SSE and cluster counts.
 
 Each restart's initial rows come from
-:func:`repro.stats.kmeans.restart_init_rows`, the batch path's own
+:func:`repro.stats.clustering.restart_init_rows`, the batch path's own
 draw; best-BIC selection is the caller's
 (:mod:`repro.streaming.engine`), and the approximation gap is
 test-pinned in ``tests/streaming``.
@@ -181,7 +181,7 @@ class FrozenScorer:
     running SSE, per-cluster counts, full label vector, and the
     per-cluster representative — the member row nearest its center,
     ties toward the lowest global row, matching the exact path's
-    :meth:`~repro.stats.kmeans.Clustering.representatives`.
+    :meth:`~repro.stats.clustering.Clustering.representatives`.
 
     The label vector is the one deliberately ``O(n)`` output (int64
     per row); everything downstream of the paper's methodology needs

@@ -27,14 +27,13 @@ which ever holds the full feature matrix:
 (under ``TMPDIR``), removed when the run ends: the first sweep
 generates traces and runs the fused MICA meters — one batch produced
 ahead of consumption — while teeing the rows to a memory-mapped store;
-every later sweep replays them zero-copy and bit-identical.  Once the
-projector is frozen, the first projected sweep spools the
-rescaled-space points too, so refinement/scoring/drift skip even the
-per-pass transform.  Pass accounting: exactly **one** featurization
-sweep and one transform sweep happen per run, out of
-``2 + refinement passes`` sweeps in all, the scoring/drift sweep
-being fused into one.  A spool that fails verification is quarantined
-and that sweep recomputes — results are bit-identical down every path.
+every later sweep replays them zero-copy and bit-identical, and once
+the projector is frozen, refinement/scoring/drift transform the
+replayed rows batch by batch.  Pass accounting: exactly **one**
+featurization sweep happens per run, out of ``2 + refinement passes``
+sweeps in all, the scoring/drift sweep being fused into one.  A spool
+that fails verification is quarantined and that sweep recomputes —
+results are bit-identical down every path.
 Rows outlive the run only through the optional ``feature_cache``
 (:class:`~repro.io.FeatureBlockCache`): a rerun with a warm cache
 still makes its one featurizing sweep, but every interval is a block
@@ -75,7 +74,7 @@ from ..stats import (
     StreamingLloyd,
     StreamingProjector,
 )
-from ..stats.kmeans import restart_init_rows
+from ..stats.clustering import restart_init_rows
 from ..suites import Benchmark
 from ..synth.rng import generator
 from .source import BatchSource
@@ -101,7 +100,7 @@ class StreamingCharacterization:
         prominent: prominent-phase selection over the streamed labels.
         batch_intervals: rows per streamed batch.
         featurize_sweeps: sweeps that built raw rows rather than
-            replaying the spool (1 per run, one more each time the raw
+            replaying the spool (1 per run, one more each time the
             spool fails verification); a warm ``feature_cache`` serves
             such a sweep's intervals without generating any trace.
         replay_sweeps: sweeps served zero-copy from the spool.

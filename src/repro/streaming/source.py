@@ -13,9 +13,9 @@ run-scoped :class:`repro.io.FeatureSpool`:
   MICA meter.
 * **projected sweeps** (:meth:`projected_batches`) — once the
   :class:`~repro.stats.StreamingProjector` is frozen after the PCA
-  pass, the first projected sweep transforms (replayed) raw rows and
-  spools the points; refinement, scoring and drift passes after that
-  skip the per-pass ``projector.transform`` entirely.
+  pass, each refinement, scoring and drift sweep is a raw sweep with
+  every batch put through ``projector.transform``, so the spool holds
+  one payload, the feature rows.
 
 A corrupt or truncated spool is quarantined on verification failure
 and that sweep recomputes, with identical results.  A featurizing
@@ -27,7 +27,7 @@ reports and the pass-count benchmark gates.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -35,20 +35,14 @@ from ..config import AnalysisConfig
 from ..core.dataset import FeatureBatch, SamplingPlan, iter_feature_batches
 from ..io.spool import FeatureSpool
 from ..mica import N_FEATURES
-from ..obs import get_logger, metrics
+from ..obs import metrics
 from ..parallel import prefetch_iter
 from ..stats import StreamingProjector
-
-log = get_logger(__name__)
-
-#: Spool kind names for the two row spaces.
-RAW_KIND = "raw"
-PROJECTED_KIND = "proj"
 
 #: Batches produced ahead of consumption on a featurizing sweep.
 PREFETCH_DEPTH = 1
 
-__all__ = ["BatchSource", "PROJECTED_KIND", "RAW_KIND"]
+__all__ = ["BatchSource"]
 
 
 class BatchSource:
@@ -57,7 +51,7 @@ class BatchSource:
     Args:
         plan: the fixed row layout all sweeps iterate over.
         config: supplies ``batch_intervals``.
-        spool: the run's batch store the first sweep of each kind fills.
+        spool: the run's batch store the first sweep fills.
         feature_cache: optional per-interval
             :class:`~repro.io.FeatureBlockCache` used on featurizing
             sweeps (orthogonal to the spool: blocks persist single
@@ -104,16 +98,6 @@ class BatchSource:
             interval_indices=indices,
         )
 
-    def _replay(self, kind: str, n_cols: int) -> Optional[Iterator[Tuple[int, np.ndarray]]]:
-        replay = self.spool.replay(kind, n_cols, self.config.batch_intervals)
-        reg = metrics()
-        if replay is None:
-            reg.counter_add("spool.misses", 1)
-        else:
-            self.replay_sweeps += 1
-            reg.counter_add("spool.hits", 1)
-        return replay
-
     def raw_batches(self) -> Iterator[FeatureBatch]:
         """One sweep of raw feature rows: replay if spooled, else compute.
 
@@ -123,17 +107,21 @@ class BatchSource:
         completes, so an abandoned or crashed sweep leaves nothing
         replayable behind.
         """
-        replay = self._replay(RAW_KIND, N_FEATURES)
+        replay = self.spool.replay(N_FEATURES, self.config.batch_intervals)
+        reg = metrics()
         if replay is not None:
+            self.replay_sweeps += 1
+            reg.counter_add("spool.hits", 1)
             for start, rows in replay:
                 yield self._batch(start, rows)
             return
+        reg.counter_add("spool.misses", 1)
         self.featurize_sweeps += 1
         produced = prefetch_iter(
             iter_feature_batches(self.plan, self.config, feature_cache=self.feature_cache),
             PREFETCH_DEPTH,
         )
-        writer = self.spool.writer(RAW_KIND, self.n_rows, N_FEATURES)
+        writer = self.spool.writer(self.n_rows, N_FEATURES)
         try:
             for batch in produced:
                 writer.append(batch.features)
@@ -145,26 +133,10 @@ class BatchSource:
     def projected_batches(
         self, projector: StreamingProjector
     ) -> Iterator[Tuple[int, np.ndarray]]:
-        """One sweep of rescaled-PCA-space points as ``(start, points)``.
-
-        The first projected sweep transforms the (usually replayed) raw
-        rows and spools the points; later sweeps replay them directly
-        and never touch the projector.
-        """
-        d = projector.n_components
-        replay = self._replay(PROJECTED_KIND, d)
-        if replay is not None:
-            yield from replay
-            return
-        writer = self.spool.writer(PROJECTED_KIND, self.n_rows, d)
-        try:
-            for batch in self.raw_batches():
-                points = projector.transform(batch.features)
-                writer.append(points)
-                yield batch.start, points
-            writer.seal()
-        finally:
-            writer.abandon()  # a no-op once sealed
+        """One sweep of rescaled-PCA-space points as ``(start, points)``:
+        a raw sweep (:meth:`raw_batches`) through ``projector.transform``."""
+        for batch in self.raw_batches():
+            yield batch.start, projector.transform(batch.features)
 
     @property
     def spool_bytes(self) -> int:

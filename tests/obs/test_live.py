@@ -29,6 +29,7 @@ from repro.obs import (
     validate_report,
     watch,
 )
+from repro.streaming import run_streaming_characterization
 from repro.suites import SUITE_INT2000, get_suite
 
 
@@ -237,66 +238,69 @@ def test_report_from_events_keeps_recorded_durations():
     assert node["attrs"]["k"] == 8
 
 
-def _names(node):
-    return (node["name"], [_names(child) for child in node["children"]])
-
-
-def test_report_from_events_folds_each_thread_under_its_base():
-    # A producer thread's spans interleave with the observing thread's:
-    # in event order the producer's "synth.generate" opens before the
-    # observing thread's "pca" and closes while "pca" is still open.
-    # Folded by order alone, "pca" would nest inside "synth.generate";
-    # per thread, both hang under "streaming", as in the live tree.
-    producer_open, pca_open, producer_done = (threading.Event() for _ in range(3))
-    errors = []
-
-    def produce():
-        try:
-            with span("synth.generate"):
-                producer_open.set()
-                assert pca_open.wait(10)
-                with span("inner"):
-                    pass
-            producer_done.set()
-        except Exception as exc:  # relayed to the assertion below
-            errors.append(exc)
-
+def test_streaming_producer_spans_arrive_in_batch_order():
+    # The prefetch producer logs each batch into its own ``task``, which
+    # the consumer merges as it takes the batch: every producer span
+    # sits in a task under streaming.pca, tasks in batch order, each
+    # before the progress event of its batch, and no event is tagged
+    # with a thread.
+    config = AnalysisConfig.tiny().replace(batch_intervals=4)
+    benches = list(get_suite("BMW").benchmarks[:3])
     observed = {}
 
     def work(ob):
-        with span("streaming"):
-            worker = threading.Thread(target=produce, name="producer")
-            worker.start()
-            assert producer_open.wait(10)
-            with span("pca"):
-                pca_open.set()
-                assert producer_done.wait(10)
-            worker.join(10)
-        observed.update(ob=ob, worker=worker)
+        observed["result"] = run_streaming_characterization(benches, config)
 
     events = _recorded("r6", work)
-    ob, worker = observed["ob"], observed["worker"]
-    assert errors == [] and not worker.is_alive()
-    spans = [(e["type"], e["span"], e.get("thread")) for e in events if "span" in e]
-    assert spans == [
-        ("span.open", "streaming", None),
-        ("span.open", "synth.generate", "producer#1"),
-        ("span.open", "pca", None),
-        ("span.open", "inner", "producer#1"),
-        ("span.close", "inner", "producer#1"),
-        ("span.close", "synth.generate", "producer#1"),
-        ("span.close", "pca", None),
-        ("span.close", "streaming", None),
+    n = len(observed["result"])
+    batches = -(-n // config.batch_intervals)
+    assert batches >= 3
+    assert not [e for e in events if "thread" in e]
+
+    order = []
+    for e in events:
+        if e["type"] == "span.close" and e["span"] == "task":
+            order.append(e["attrs"]["label"])
+        elif e["type"] == "progress" and e["stage"] == "streaming.pca":
+            order.append(e["done"])
+    expected = []
+    for i in range(batches):
+        expected += [f"prefetch {i}", min((i + 1) * config.batch_intervals, n)]
+    # The last step finds the stream exhausted; it is a task too.
+    assert order == expected + [f"prefetch {batches}"]
+
+    doc = report_from_events(events)
+    assert validate_report(doc) == [] and "partial" not in doc
+    pca = next(c for c in doc["spans"]["children"] if c["name"] == "streaming.pca")
+    assert [c["name"] for c in pca["children"]] == ["task"] * (batches + 1)
+    generated = [
+        child["name"] for task in pca["children"] for child in task["children"]
+    ]
+    assert generated and set(generated) == {"synth.generate"}
+
+
+def test_a_log_with_thread_tags_still_folds():
+    # Logs written while the prefetch producer logged from its own
+    # thread tagged its spans with ``thread``; the fold ignores the tag
+    # and nests them by order, here "pca" inside "synth.generate".
+    def ev(etype, name, depth, **fields):
+        return {"type": etype, "span": name, "depth": depth, "ts": 1.0, **fields}
+
+    tag = {"thread": "repro-prefetch#1"}
+    events = [
+        ev("span.open", "streaming", 1),
+        ev("span.open", "synth.generate", 2, **tag),
+        ev("span.open", "pca", 2),
+        ev("span.close", "synth.generate", 2, wall_s=0.5, **tag),
+        ev("span.close", "pca", 2, wall_s=0.25),
+        ev("span.close", "streaming", 1, wall_s=1.0),
     ]
     doc = report_from_events(events)
     assert validate_report(doc) == []
-    assert "partial" not in doc
-    expected = (
-        "run",
-        [("streaming", [("synth.generate", [("inner", [])]), ("pca", [])])],
-    )
-    assert _names(doc["spans"]) == expected
-    assert _names(ob.root.to_dict()) == expected
+    (streaming,) = doc["spans"]["children"]
+    (generate,) = streaming["children"]
+    assert generate["name"] == "synth.generate" and generate["wall_s"] == 0.5
+    assert [(c["name"], c["wall_s"]) for c in generate["children"]] == [("pca", 0.25)]
 
 
 class _HandshakeStream:

@@ -5,7 +5,8 @@ JSONL its bus wrote must be the same document, key for key: the span
 tree — names, nesting (executor ``task`` nodes and their labels
 included), attrs, and every duration, the root's included — metrics,
 config, environment, run id and creation time, on every executor
-backend.  A worker whose bounded log overflows must show up
+backend and for a streaming run, whose prefetch producer logs through
+the same ``task`` merge.  A worker whose bounded log overflows must show up
 as a partial report with the drop count, keep its ``task`` node, and
 never hang a span under one that was not its parent.
 """
@@ -29,6 +30,7 @@ from repro.obs import (
 )
 from repro.obs.events import MAX_WORKER_EVENTS
 from repro.parallel import SerialExecutor, fork_available, get_executor
+from repro.streaming import run_streaming_characterization
 from repro.suites import get_suite
 
 BACKENDS = [
@@ -71,16 +73,21 @@ def _observed(run):
     return live, report_from_events(events)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS + [pytest.param("streaming", id="streaming")])
 def test_live_report_equals_the_fold_of_its_log(backend):
     config = AnalysisConfig.tiny().replace(
-        n_jobs=1 if backend == "serial" else 2, parallel_backend=backend
+        n_jobs=1 if backend in ("serial", "streaming") else 2,
+        parallel_backend="serial" if backend == "streaming" else backend,
     )
     benches = list(get_suite("BMW").benchmarks[:3]) + list(
         get_suite("BioPerf").benchmarks[:3]
     )
 
     def run():
+        if backend == "streaming":
+            # The prefetch producer's tasks are merged into the log.
+            run_streaming_characterization(benches, config)
+            return
         dataset = build_dataset(benches, config)
         run_characterization(dataset, config, select_key=True)
 
@@ -89,7 +96,8 @@ def test_live_report_equals_the_fold_of_its_log(backend):
     assert "partial" not in live and "partial" not in folded
     assert _shape(live["spans"]) == _shape(folded["spans"])
     labels = [n["attrs"]["label"] for n in _walk(live["spans"]) if n["name"] == "task"]
-    assert [b.key for b in benches] == labels[: len(benches)]
+    first = ["prefetch 0"] if backend == "streaming" else [b.key for b in benches]
+    assert labels[: len(first)] == first
     for key in live.keys() | folded.keys():
         assert live.get(key) == folded.get(key), key
     assert live == folded

@@ -137,18 +137,21 @@ def test_capture_isolates_and_merges_under_current_span():
 
 
 def test_other_thread_spans_keep_their_own_stack():
-    # A producer thread holds a span open while the observing thread
-    # opens and closes its own; neither may pop the other's span.
+    # A producer thread holds a span open in its own capture while the
+    # observing thread opens and closes its own; neither pops the
+    # other's span, and the producer's task hangs where it is merged.
     opened, release = threading.Event(), threading.Event()
-    errors = []
+    errors, snaps = [], []
 
     def produce():
         try:
-            with span("synth.generate"):
-                opened.set()
-                release.wait(timeout=10)
-                with span("inner"):
-                    pass
+            with capture("producer") as log:
+                with span("synth.generate"):
+                    opened.set()
+                    release.wait(timeout=10)
+                    with span("inner"):
+                        pass
+            snaps.append(log.snapshot())
         except Exception as exc:  # relayed to the assertion below
             errors.append(exc)
 
@@ -161,14 +164,19 @@ def test_other_thread_spans_keep_their_own_stack():
                 pass
             release.set()
             worker.join(timeout=10)
+            ob.merge_snapshot(snaps[0])
         with span("after"):
             pass
     assert not worker.is_alive()
     assert errors == []
     pca = ob.root.children[0]
-    assert [c.name for c in pca.children] == ["synth.generate", "main.step"]
-    assert [c.name for c in pca.children[0].children] == ["inner"]
+    assert [c.name for c in pca.children] == ["main.step", "task"]
+    task = pca.children[1]
+    assert task.attrs["label"] == "producer"
+    assert [c.name for c in task.children] == ["synth.generate"]
+    assert [c.name for c in task.children[0].children] == ["inner"]
     assert [c.name for c in ob.root.children] == ["streaming.pca", "after"]
+    assert not [e for e in ob.events if "thread" in e]
 
 
 def test_snapshot_pickles():

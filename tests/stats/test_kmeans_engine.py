@@ -8,7 +8,6 @@ Hypothesis drives randomized point sets through both paths; directed
 cases pin the degenerate inputs and the reseeding order.
 """
 
-import importlib
 from unittest import mock
 
 import numpy as np
@@ -16,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import observe
-from repro.stats import kmeans
-from repro.stats.kmeans import Clustering
+from repro.stats import clustering, kmeans
+from repro.stats.clustering import Clustering
 from repro.stats.kmeans_engine import (
     EngineStats,
     assign_points,
@@ -28,9 +27,6 @@ from repro.stats.kmeans_engine import (
 )
 from repro.synth import generator
 from tests.stats.oracle import lloyd_reference
-
-#: The module, not the ``repro.stats.kmeans`` function that shadows it.
-kmeans_module = importlib.import_module("repro.stats.kmeans")
 
 SETTINGS = dict(max_examples=30, deadline=None)
 
@@ -55,7 +51,7 @@ def kmeans_on(engine, *args, **kwargs):
     """
     if engine == "accelerated":
         return kmeans(*args, **kwargs)
-    with mock.patch.object(kmeans_module, "lloyd_accelerated", lloyd_reference):
+    with mock.patch.object(clustering, "lloyd_accelerated", lloyd_reference):
         return kmeans(*args, **kwargs)
 
 

@@ -20,7 +20,6 @@ from repro.io import FeatureBlockCache
 from repro.io.spool import FeatureSpool
 from repro.obs import observe
 from repro.streaming import run_streaming_characterization
-from repro.streaming.source import RAW_KIND
 from repro.suites import SUITE_INT2000, get_suite
 
 from ..io.faults import bit_flip
@@ -51,7 +50,7 @@ def baseline(cfg, benches):
 def forced_miss():
     """Make every spool replay miss, as a failed verification does."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FeatureSpool, "open_replay", lambda self, kind, n_cols: None)
+        mp.setattr(FeatureSpool, "open_replay", lambda self, n_cols: None)
         yield
 
 
@@ -149,11 +148,11 @@ def test_mid_run_corruption_quarantines_and_recomputes(
     real_open = FeatureSpool.open_replay
     flipped = []
 
-    def corrupting(self, kind, n_cols):
-        if kind == RAW_KIND and not flipped and self.data_path(kind).exists():
-            bit_flip(self.data_path(kind), offset=321)
+    def corrupting(self, n_cols):
+        if not flipped and self.data_path().exists():
+            bit_flip(self.data_path(), offset=321)
             flipped.append(True)
-        return real_open(self, kind, n_cols)
+        return real_open(self, n_cols)
 
     monkeypatch.setattr(FeatureSpool, "open_replay", corrupting)
     with observe() as ob:
@@ -194,7 +193,7 @@ def test_spool_counters(cfg, benches):
     with observe() as ob:
         run_streaming_characterization(benches, cfg)
     m = ob.metrics
-    assert m.counter_value("spool.misses") == 2  # one cold sweep per kind
+    assert m.counter_value("spool.misses") == 1  # the one cold sweep
     assert m.counter_value("spool.hits") >= 2
     assert m.counter_value("spool.bytes") > 0
     assert m.counter_value("spool.quarantined") == 0
