@@ -4,10 +4,10 @@ The benches run the methodology at **paper scale** by default (all 77
 benchmarks, 100 sampled intervals each, k = 300, 100 prominent phases,
 12 key characteristics).  The characterization goes through
 :func:`repro.core.characterize_to_file` into ``benchmarks/.cache``:
-its stage checkpoints let a later session resume every stage instead
-of recomputing, and the feature blocks under
-``benchmarks/.cache/feature_blocks`` let a changed analysis parameter
-re-cluster without re-featurizing.  Each bench then regenerates one of
+its stage checkpoints let a later session resume the analysis and GA
+stages instead of recomputing, and the feature blocks under
+``benchmarks/.cache/feature_blocks`` hold the featurized rows, so a
+later session or a changed analysis parameter never re-featurizes.  Each bench then regenerates one of
 the paper's tables/figures into ``benchmarks/output`` and asserts its
 headline shape.
 

@@ -26,10 +26,8 @@ from .core import (
     WorkloadDataset,
     build_dataset,
     load_characterization,
-    load_dataset,
     run_characterization,
     save_characterization,
-    save_dataset,
 )
 from .suites import all_benchmarks, all_suites, get_benchmark, get_suite
 
@@ -47,8 +45,6 @@ __all__ = [
     "get_benchmark",
     "get_suite",
     "load_characterization",
-    "load_dataset",
     "run_characterization",
     "save_characterization",
-    "save_dataset",
 ]

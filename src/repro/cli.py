@@ -119,12 +119,13 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     )
     if config.streaming:
         return _characterize_streaming(args, config, benches, feature_cache, run_id)
-    # Stage-level crash safety lives in characterize_to_file: dataset ->
-    # analysis -> GA each land atomically in <output>.stages/ as they
-    # complete.  With --resume (the default) a re-run of a killed
-    # invocation picks up from the last finished stage; --no-resume
-    # recomputes every stage but still writes checkpoints, so the
-    # *next* run can resume.  Service workers share this exact path.
+    # Crash safety lives in characterize_to_file: each benchmark's rows
+    # land in feature blocks as it finishes, and the analysis and GA
+    # stages land atomically in <output>.stages/.  A re-run of a killed
+    # invocation featurizes only what is missing; with --resume (the
+    # default) it also loads the finished stages, while --no-resume
+    # recomputes them but still writes checkpoints, so the *next* run
+    # can resume.  Service workers share this exact path.
     print(f"characterizing {len(benches)} benchmarks at preset {args.preset!r}...")
     with _recorded_run(args, config, run_id, len(benches)) as run:
         with run.observing():
@@ -158,8 +159,8 @@ def _characterize_streaming(
 ) -> int:
     """The ``--streaming`` branch: bounded-memory engine, own artifact.
 
-    Streaming never holds the matrix, so there is no dataset stage to
-    checkpoint.  The engine featurizes exactly once and replays every
+    Streaming never holds the matrix and writes no stage checkpoints.
+    The engine featurizes exactly once and replays every
     later pass from its memory-mapped spool, a per-run temporary
     directory; ``--feature-cache`` carries rows across runs.
     """
@@ -552,7 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-benchmark feature-block cache directory, the one "
         "store that carries featurized rows across runs (batch and "
         "--streaming alike); reruns only characterize intervals no "
-        "earlier run has touched",
+        "earlier run has touched.  Without it a batch run keeps its "
+        "rows in <output>.stages/feature_blocks/, which only a rerun "
+        "into the same output reads",
     )
     p.add_argument(
         "--streaming",
@@ -576,11 +579,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="resume from the stage checkpoints in <output>.stages/ "
-        "left by a killed or completed run with the same configuration "
-        "(--no-resume recomputes every stage; checkpoints are still "
-        "written either way). Results are bit-identical with or "
-        "without resume.",
+        help="resume the analysis and GA stages from the checkpoints in "
+        "<output>.stages/ left by a killed or completed run with the "
+        "same configuration (--no-resume recomputes them; checkpoints "
+        "are still written either way).  Featurized rows always come "
+        "from the feature blocks, resume or not.  Results are "
+        "bit-identical with or without resume.",
     )
     p.set_defaults(func=_cmd_characterize)
 

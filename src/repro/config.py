@@ -178,28 +178,12 @@ class AnalysisConfig:
         blob = json.dumps(relevant, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    def cache_key(self) -> str:
-        """A stable hash of the fields that affect the feature matrix.
-
-        Only featurization-relevant fields participate, so changing e.g.
-        the cluster count does not invalidate a cached feature matrix.
-        """
-        relevant = {
-            "interval_instructions": self.interval_instructions,
-            "intervals_per_benchmark": self.intervals_per_benchmark,
-            "ilp_sample_instructions": self.ilp_sample_instructions,
-            "ppm_sample_branches": self.ppm_sample_branches,
-            "seed": self.seed,
-        }
-        blob = json.dumps(relevant, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
     def full_key(self) -> str:
         """A stable hash of *every* field.
 
-        Used to key cached full characterizations (clustering + GA),
-        which depend on the analysis parameters as well as the
-        featurization parameters.  Execution knobs (``n_jobs``,
+        Keys the analysis/GA stage checkpoints and service jobs, which
+        depend on the analysis parameters as well as the featurization
+        parameters.  Execution knobs (``n_jobs``,
         ``parallel_backend``) are excluded: they change how fast the
         answer arrives, never what it is.
         """

@@ -14,14 +14,7 @@ from .pipeline import (
     run_characterization,
 )
 from .prominent import ProminentPhases, select_prominent_phases
-from .results import (
-    dataset_arrays,
-    dataset_from_arrays,
-    load_characterization,
-    load_dataset,
-    save_characterization,
-    save_dataset,
-)
+from .results import load_characterization, save_characterization
 from .sampling import sample_interval_indices
 
 __all__ = [
@@ -34,13 +27,9 @@ __all__ = [
     "build_sampling_plan",
     "characterize_to_file",
     "iter_feature_batches",
-    "dataset_arrays",
-    "dataset_from_arrays",
     "load_characterization",
-    "load_dataset",
     "run_characterization",
     "sample_interval_indices",
     "save_characterization",
-    "save_dataset",
     "select_prominent_phases",
 ]

@@ -194,7 +194,9 @@ def build_dataset(
             :class:`~repro.io.FeatureBlockCache`.  Cached per-interval
             vectors are loaded before dispatch (workers inherit them via
             the payload), only uncached intervals are characterized, and
-            newly computed vectors are merged back into the blocks.
+            each benchmark's newly computed vectors are merged back into
+            its block as soon as it finishes (in the parent, in
+            benchmark order).
 
     Returns:
         The assembled :class:`WorkloadDataset`.
@@ -210,6 +212,10 @@ def build_dataset(
 
     def report(i: int, result) -> None:
         n_unique, fresh = result[1], result[2]
+        # Store each benchmark as it finishes, so a build killed midway
+        # resumes from the benchmarks it completed.
+        if feature_cache is not None and fresh:
+            feature_cache.store(benchmarks[i].key, config, fresh)
         log.info(
             "characterized %s: %d unique intervals (%d computed)",
             benchmarks[i].key,
@@ -230,10 +236,6 @@ def build_dataset(
             labels=[b.key for b in benchmarks],
             on_result=report,
         )
-    if feature_cache is not None:
-        for bench, (_, _, fresh) in zip(benchmarks, blocks):
-            if fresh:
-                feature_cache.store(bench.key, config, fresh)
     suites, names, indices = plan.provenance()
     return WorkloadDataset(
         features=np.vstack([rows for rows, _, _ in blocks]),

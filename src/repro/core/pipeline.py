@@ -23,10 +23,10 @@ import numpy as np
 
 from ..config import AnalysisConfig
 from ..ga import DistanceCorrelationFitness, GAResult, select_features
-from ..io.artifacts import StageCheckpoint, artifact_lock
-from ..io.feature_blocks import FeatureBlockCache
+from ..io.artifacts import StageCheckpoint, artifact_lock, maybe_crash
+from ..io.feature_blocks import FeatureBlockCache, feature_block_dir
 from ..mica import N_FEATURES, feature_names
-from ..obs import emit_progress, get_logger, metrics, span
+from ..obs import emit_event, emit_progress, get_logger, metrics, span
 from ..stats import Clustering, fit_pca, kmeans
 from ..suites import Benchmark
 from ..synth.rng import generator
@@ -238,10 +238,6 @@ def run_characterization(
     )
 
 
-#: Arrays the dataset stage checkpoint must carry to be resumable.
-DATASET_STAGE_ARRAYS = ("features", "suites", "benchmarks", "interval_indices")
-
-
 def characterize_to_file(
     benchmarks: Sequence[Benchmark],
     config: AnalysisConfig,
@@ -257,17 +253,22 @@ def characterize_to_file(
 
     The one way a characterization is persisted: the ``characterize``
     CLI, the service workers and the benchmark harness all call this.
-    Each completed stage (dataset → analysis → GA) lands atomically in
-    ``<output>.stages/`` keyed by ``suite_tag`` + the config's full
-    key; with ``resume`` (the default) a re-run of a killed invocation
-    — by the same process, a retry, or *a different worker* — picks up
-    from the last finished stage, bit-identically, because every stage
-    draws from its own seeded RNG stream.
+    Featurized rows go to feature blocks as each benchmark finishes:
+    ``feature_cache`` when given, else a run-scoped store in
+    ``<output>.stages/feature_blocks/``.  The analysis and GA stages
+    land atomically in ``<output>.stages/`` keyed by ``suite_tag`` +
+    the config's full key.  A re-run of a killed invocation — by the
+    same process, a retry, or *a different worker* — rebuilds the
+    dataset from the blocks, featurizing only the benchmarks the kill
+    left unfinished, and with ``resume`` (the default) loads the
+    finished stages; the result is bit-identical either way, because
+    every stage draws from its own seeded RNG stream.
 
     The stage sequence runs under ``artifact_lock(output)``, so
-    concurrent callers on the same output build once: a caller that
-    waited for the lock finds every stage checkpointed and resumes
-    them all (with ``resume=False`` it recomputes instead).
+    concurrent callers on the same output featurize once: a caller
+    that waited for the lock finds every row in the blocks and every
+    stage checkpointed (with ``resume=False`` it recomputes the stages,
+    never the rows).
 
     Args:
         benchmarks: the workloads to characterize.
@@ -275,10 +276,11 @@ def characterize_to_file(
         output: destination ``.npz``; written atomically at the end.
         suite_tag: encodes the benchmark selection into the stage key
             so checkpoints from a different selection never resume.
-        resume: load completed stage checkpoints instead of recomputing
-            (checkpoints are written either way).
+        resume: load completed analysis/GA checkpoints instead of
+            recomputing them (checkpoints are written either way).
         select_key: run the GA key-characteristic stage.
-        feature_cache: optional per-benchmark feature-block cache.
+        feature_cache: the feature-block store rows go through; the
+            default is scoped to ``output``.
         span_attrs: extra attributes for the root ``characterize`` span
             (the CLI passes the preset name; workers pass the job id).
 
@@ -287,20 +289,19 @@ def characterize_to_file(
         ``output``).
     """
     # Lazy import: repro.core.results imports this module at its top.
-    from .results import dataset_arrays, dataset_from_arrays, save_characterization
+    from .results import save_characterization
 
     stage_root = Path(f"{output}.stages")
     run_key = f"{suite_tag}_{config.full_key()}"
     checkpoint = StageCheckpoint(stage_root, run_key, resume=resume)
+    if feature_cache is None:
+        feature_cache = FeatureBlockCache(feature_block_dir(stage_root))
     with artifact_lock(output):
         with span("characterize", benchmarks=len(benchmarks), **(span_attrs or {})):
-            loaded = checkpoint.load("dataset", require_arrays=DATASET_STAGE_ARRAYS)
-            if loaded is not None:
-                dataset = dataset_from_arrays(loaded[0])
-                log.info("resumed dataset stage from %s", checkpoint.path("dataset"))
-            else:
-                dataset = build_dataset(benchmarks, config, feature_cache=feature_cache)
-                checkpoint.save("dataset", dataset_arrays(dataset))
+            dataset = build_dataset(benchmarks, config, feature_cache=feature_cache)
+            # Every row is in the blocks now: the dataset stage is done.
+            emit_event("stage", stage="dataset", action="completed")
+            maybe_crash("dataset")
             result = run_characterization(
                 dataset, config, select_key=select_key, checkpoint=checkpoint
             )

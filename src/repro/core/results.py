@@ -1,7 +1,7 @@
-"""Persistence for datasets and characterizations.
+"""Persistence for characterizations.
 
 Paper-scale featurization takes minutes; analyses and benchmarks reuse
-a cached run.  Everything round-trips through a single ``.npz`` file
+a saved run.  A characterization round-trips through a single ``.npz`` file
 written via the crash-safe artifact store (:mod:`repro.io.artifacts`):
 writes are atomic and checksummed, loads are verified, and files
 written before the store existed still load through the legacy path.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Dict, Union
+from typing import Union
 
 import numpy as np
 
@@ -24,60 +24,11 @@ PathLike = Union[str, Path]
 
 log = get_logger(__name__)
 
-#: Artifact schema names for the two persisted result kinds.
-DATASET_SCHEMA = "dataset"
+#: Artifact schema name of a persisted characterization.
 CHARACTERIZATION_SCHEMA = "characterization"
 
 #: Header meta keys a characterization cannot be reconstructed without.
 _REQUIRED_CHARACTERIZATION_META = ANALYSIS_META + ("key_characteristics",)
-
-
-def dataset_arrays(dataset: WorkloadDataset) -> Dict[str, np.ndarray]:
-    """A dataset's persisted array set (shared by caches and checkpoints)."""
-    return {
-        "features": dataset.features,
-        "suites": dataset.suites.astype(str),
-        "benchmarks": dataset.benchmarks.astype(str),
-        "interval_indices": dataset.interval_indices,
-    }
-
-
-def dataset_from_arrays(arrays: Dict[str, np.ndarray]) -> WorkloadDataset:
-    """Rebuild a dataset from its persisted arrays.
-
-    Raises :class:`repro.io.artifacts.CorruptArtifact` when the array
-    set is incomplete or inconsistent, so cache layers can quarantine.
-    """
-    from ..io.artifacts import CorruptArtifact  # local import to avoid cycles
-
-    try:
-        return WorkloadDataset(
-            features=arrays["features"],
-            suites=arrays["suites"],
-            benchmarks=arrays["benchmarks"],
-            interval_indices=arrays["interval_indices"],
-        )
-    except (KeyError, ValueError) as exc:
-        raise CorruptArtifact(f"malformed dataset arrays ({exc})") from exc
-
-
-def save_dataset(dataset: WorkloadDataset, path: PathLike) -> None:
-    """Atomically write a dataset to ``path`` (checksummed npz)."""
-    from ..io.artifacts import write_artifact
-
-    write_artifact(path, dataset_arrays(dataset), schema=DATASET_SCHEMA)
-
-
-def load_dataset(path: PathLike) -> WorkloadDataset:
-    """Read and verify a dataset written by :func:`save_dataset`.
-
-    Raises :class:`repro.io.artifacts.ArtifactError` on corruption or
-    schema mismatch; pre-store plain ``.npz`` files load unverified.
-    """
-    from ..io.artifacts import read_artifact
-
-    arrays, _ = read_artifact(path, schema=DATASET_SCHEMA)
-    return dataset_from_arrays(arrays)
 
 
 def save_characterization(result: PhaseCharacterization, path: PathLike) -> None:
@@ -99,7 +50,15 @@ def save_characterization(result: PhaseCharacterization, path: PathLike) -> None
     if result.ga_result is not None:
         meta["ga_fitness"] = result.ga_result.fitness
         meta["ga_history"] = [float(h) for h in result.ga_result.history]
-    arrays = {**dataset_arrays(result.dataset), "space": result.space, **analysis}
+    dataset = result.dataset
+    arrays = {
+        "features": dataset.features,
+        "suites": dataset.suites.astype(str),
+        "benchmarks": dataset.benchmarks.astype(str),
+        "interval_indices": dataset.interval_indices,
+        "space": result.space,
+        **analysis,
+    }
     with span("io.artifact", schema=CHARACTERIZATION_SCHEMA, op="save"):
         write_artifact(path, arrays, schema=CHARACTERIZATION_SCHEMA, meta=meta)
 
@@ -129,8 +88,13 @@ def load_characterization(path: PathLike) -> PhaseCharacterization:
         raise CorruptArtifact(
             f"{path}: characterization meta missing {', '.join(missing)}"
         )
-    dataset = dataset_from_arrays(arrays)
     try:
+        dataset = WorkloadDataset(
+            features=arrays["features"],
+            suites=arrays["suites"],
+            benchmarks=arrays["benchmarks"],
+            interval_indices=arrays["interval_indices"],
+        )
         n_components, explained, clustering, prominent = analysis_from_artifact(
             arrays, meta
         )

@@ -1,7 +1,7 @@
 """Crash-safe artifact store: atomic, verified, lockable ``.npz`` files.
 
-Every dataset, characterization, feature block and pipeline stage
-checkpoint in the repo persists through this module.  It provides four
+Every characterization, feature block and pipeline stage checkpoint
+in the repo persists through this module.  It provides four
 guarantees the bare ``np.savez`` + ``path.exists()`` pattern cannot:
 
 * **Atomic publication** — :func:`write_artifact` writes to a temporary
@@ -28,7 +28,7 @@ guarantees the bare ``np.savez`` + ``path.exists()`` pattern cannot:
   instead of racing the write.
 
 :class:`StageCheckpoint` composes the primitives into stage-level
-resume for the ``characterize`` pipeline (dataset → analysis → GA).
+resume for the ``characterize`` pipeline's analysis and GA stages.
 Protocol details and the quarantine layout live in docs/robustness.md.
 """
 
@@ -113,7 +113,7 @@ def _array_digest(arr: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(str(arr.dtype).encode())
     h.update(repr(arr.shape).encode())
-    h.update(arr.tobytes())
+    h.update(arr)  # the contiguous buffer itself, not a bytes copy
     return h.hexdigest()
 
 
@@ -144,9 +144,8 @@ def write_artifact(
     Args:
         path: destination; parent directories are created.
         arrays: named payload arrays (``__artifact__`` is reserved).
-        schema: payload schema name (``"dataset"``,
-            ``"characterization"``, ``"feature_block"``, ``"stage:*"``);
-            verified on load.
+        schema: payload schema name (``"characterization"``,
+            ``"feature_block"``, ``"stage:*"``, ...); verified on load.
         meta: JSON-serializable metadata stored in the header.
         version: header format version.
     """
@@ -573,7 +572,9 @@ def maybe_crash(point: str) -> None:
 
     Test-only hook behind an env var: the fault-injection suite and the
     CI crash/resume smoke job use it to die deterministically right
-    after a stage checkpoint lands on disk.  A no-op in normal runs.
+    after a stage completes: its checkpoint is on disk (``analysis``,
+    ``ga``), or its rows are in the feature blocks (``dataset``).  A
+    no-op in normal runs.
     """
     if os.environ.get("REPRO_FAULT_SIGKILL_AFTER") == point:
         log.warning("fault injection: SIGKILL after %r", point)
@@ -587,8 +588,8 @@ def maybe_crash(point: str) -> None:
 class StageCheckpoint:
     """Stage-level checkpoint store for one ``characterize`` run.
 
-    Each completed pipeline stage (``dataset``, ``analysis``, ``ga``)
-    is persisted as its own verified artifact under ``root``, named
+    Each completed analysis stage (``analysis``, ``ga``) is persisted
+    as its own verified artifact under ``root``, named
     ``stage_<stage>_<run_key>.npz``.  ``run_key`` must encode everything
     that determines the run's results (config full key + benchmark
     selection), so stages from a different configuration can never be

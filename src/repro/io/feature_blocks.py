@@ -1,15 +1,20 @@
-"""Granular per-benchmark feature-block cache.
+"""Granular per-benchmark feature-block store.
 
-The dataset stage checkpoint of :func:`repro.core.characterize_to_file`
-is whole-run and keyed by the full configuration: any config change
-misses it and re-featurizes all benchmarks.  Feature blocks cache at
-the finest level that is still config-stable — one
-**(benchmark, interval index) -> 69-vector** entry, keyed by
-:meth:`AnalysisConfig.featurization_key` (the subset of the config that
-determines a single interval's vector).  Runs that vary analysis-side
-parameters, the sampling seed, or the interval count therefore reuse
-every interval they have characterized before and compute only the
-genuinely new ones.
+Feature blocks are where featurized rows live.  One entry is one
+**(benchmark, interval index) -> 69-vector**, keyed by
+:meth:`AnalysisConfig.featurization_key` (the subset of the config
+that determines a single interval's vector) — the granularity at which
+the methodology characterizes each sampled interval exactly once.
+Runs that vary analysis-side parameters, the sampling seed, or the
+interval count therefore reuse every interval they have characterized
+before and compute only the genuinely new ones.
+
+Two stores use this layout.  ``--feature-cache DIR`` is the one that
+carries rows across runs (batch and streaming alike).  Without it,
+:func:`repro.core.characterize_to_file` keeps a run-scoped store in
+``<output>.stages/feature_blocks/``: each benchmark's rows land there
+as it finishes, so a killed, failed or repeated run rebuilds its
+dataset from the blocks and featurizes only what is missing.
 
 Layout: one ``.npz`` per benchmark per featurization key, holding the
 sorted interval indices and the matching vector rows.  Blocks are

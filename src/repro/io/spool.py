@@ -100,9 +100,9 @@ class SpoolWriter:
                 f"spool overflow: {self._written + len(rows)} rows "
                 f"> planned {self.n_rows}"
             )
-        raw = rows.tobytes()
-        self._handle.write(raw)
-        self._hash.update(raw)
+        # The contiguous buffer itself: no bytes copy of the batch.
+        self._handle.write(rows)
+        self._hash.update(rows)
         self._written += len(rows)
 
     def seal(self) -> None:

@@ -108,7 +108,7 @@ def render_live(state: Dict[str, Any], *, truncated: bool = False) -> str:
         done = ", ".join(
             f"{s['stage']}({s['action']})" for s in state["stages"][-6:]
         )
-        lines.append(f"  stage checkpoints: {done}")
+        lines.append(f"  stages: {done}")
     return "\n".join(lines) + "\n"
 
 

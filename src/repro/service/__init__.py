@@ -9,7 +9,8 @@ The composition layer over everything the substrate PRs built:
 * :mod:`repro.service.worker` — N sharded worker processes drain the
   queue by running the characterize pipeline with ``--resume``
   semantics; a SIGKILL'd worker's job is reclaimed by another worker
-  and resumed from its stage checkpoints, bit-identically.
+  and resumed from its feature blocks and stage checkpoints,
+  bit-identically.
 * :mod:`repro.service.api` / :mod:`repro.service.server` — a
   stdlib-only HTTP/JSON front end (``repro serve``): submit jobs, poll
   status/progress (backed by the telemetry event log), stream the

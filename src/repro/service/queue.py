@@ -23,13 +23,13 @@ transaction lock (:func:`repro.io.artifacts.artifact_lock` on
 job leaves a ``running`` record whose owner pid is dead (or whose
 lease has expired, for owners on another host); the next
 :meth:`JobQueue.claim` reclaims it with a bumped attempt counter, and
-the pipeline's stage checkpoints make the re-run resume bit-identically
-instead of starting over.
+the pipeline's feature blocks and stage checkpoints make the re-run
+resume bit-identically instead of starting over.
 
-The queue also keeps the *build ledger* (``artifacts/builds.jsonl``):
-one appended line per actual pipeline execution, the counting hook the
-dedup and single-flight tests (and the CI service-smoke job) assert
-against.
+:meth:`JobQueue.builds` is the *build ledger*: one entry per actual
+pipeline execution, read from the ``run.start`` event that opens each
+attempt's event log — the counting hook the dedup and single-flight
+tests (and the CI service-smoke job) assert against.
 """
 
 from __future__ import annotations
@@ -357,41 +357,24 @@ class JobQueue:
 
     # -- the build ledger --------------------------------------------------
 
-    def _builds_path(self) -> Path:
-        return self.root / "artifacts" / "builds.jsonl"
-
-    def record_build(self, job_id: str, attempt: int, worker: str) -> None:
-        """Append one line to the build ledger: a pipeline actually ran.
-
-        Dedup'd submissions, cache hits, and single-flight waiters never
-        land here — the ledger counts real featurize/cluster executions,
-        which is what the one-build acceptance tests assert on.
-        """
-        path = self._builds_path()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(
-            {"job": job_id, "attempt": attempt, "worker": worker, "ts": time.time()}
-        )
-        # One small O_APPEND write is atomic on POSIX: concurrent
-        # workers never interleave bytes within a line.
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-        metrics().counter_add("service.builds", 1)
-
     def builds(self) -> List[Dict[str, Any]]:
-        """The build ledger, oldest first."""
-        path = self._builds_path()
-        if not path.exists():
-            return []
+        """The build ledger, oldest first: one entry per pipeline execution.
+
+        A view of the event logs: every build attempt opens
+        ``jobs/<job_id>/events-a<attempt>.jsonl`` with ``run.start``
+        before the pipeline runs, and a cache hit writes none.  Each
+        entry is ``{job, attempt, worker, ts}`` from that event.
+        """
         out = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        for path in (self.root / "jobs").glob("*/events-a*.jsonl"):
             try:
-                out.append(json.loads(line))
-            except ValueError:
+                with open(path, encoding="utf-8") as handle:
+                    start = json.loads(handle.readline())
+            except (OSError, ValueError):
                 continue
+            if isinstance(start, dict) and start.get("type") == "run.start":
+                out.append({key: start.get(key) for key in ("job", "attempt", "worker", "ts")})
+        out.sort(key=lambda b: b["ts"])
         return out
 
     # -- stats -------------------------------------------------------------

@@ -8,16 +8,19 @@ the same job twice.
 
 Crash resilience comes from composition, not new machinery: each
 attempt runs :func:`repro.core.characterize_to_file` against the job's
-deterministic artifact path, so the stage checkpoints of a SIGKILL'd
-attempt sit exactly where the next attempt's ``resume=True`` looks.
-The reclaiming worker (same queue, different process) picks up from
-the last finished stage and produces a bit-identical artifact, because
-every stage draws from its own seeded RNG stream.
+deterministic artifact path, so the feature blocks and stage
+checkpoints of a SIGKILL'd attempt sit exactly where the next attempt
+looks.  The reclaiming worker (same queue, different process)
+featurizes only what the kill left unfinished, resumes the finished
+stages and produces a bit-identical artifact, because every stage
+draws from its own seeded RNG stream.
 
 Each attempt gets a job-scoped run id (``<job_id>.a<attempt>``) and
 streams telemetry to ``jobs/<job_id>/events-a<attempt>.jsonl`` — the
 file the HTTP API's progress and event endpoints read while the job
-runs, and ``repro report --from-events`` can post-mortem after a kill.
+runs, ``repro report --from-events`` can post-mortem after a kill,
+and whose ``run.start`` is the attempt's build-ledger entry
+(:meth:`JobQueue.builds`).
 """
 
 from __future__ import annotations
@@ -136,11 +139,11 @@ class Worker:
             log.exception("job %s carries an unusable payload", job_id)
             self.queue.fail(job_id, self.name, f"{type(exc).__name__}: {exc}")
             return False
-        # The build ledger line lands *before* the pipeline runs: a
-        # worker SIGKILL'd mid-build has still consumed its attempt, so
+        # The event log's run.start is this attempt's build-ledger
+        # entry, and it lands *before* the pipeline runs: a worker
+        # SIGKILL'd mid-build has still consumed its attempt, so
         # "exactly one build" in the dedup tests means one *successful*
         # pipeline execution plus any killed prefixes the test injected.
-        self.queue.record_build(job_id, attempt, self.name)
         try:
             with obs.recorded_run(
                 f"{job_id}.a{attempt}",

@@ -7,10 +7,8 @@ from repro.config import AnalysisConfig
 from repro.core import (
     build_dataset,
     load_characterization,
-    load_dataset,
     run_characterization,
     save_characterization,
-    save_dataset,
 )
 from repro.suites import get_suite
 
@@ -28,16 +26,6 @@ def dataset(cfg):
 @pytest.fixture(scope="module")
 def result(dataset, cfg):
     return run_characterization(dataset, cfg, select_key=True)
-
-
-def test_dataset_round_trip(dataset, tmp_path):
-    path = tmp_path / "ds.npz"
-    save_dataset(dataset, path)
-    loaded = load_dataset(path)
-    assert np.array_equal(loaded.features, dataset.features)
-    assert list(loaded.suites) == list(dataset.suites)
-    assert list(loaded.benchmarks) == list(dataset.benchmarks)
-    assert np.array_equal(loaded.interval_indices, dataset.interval_indices)
 
 
 def test_characterization_round_trip(result, tmp_path):

@@ -19,6 +19,7 @@ import pytest
 from repro.config import AnalysisConfig
 from repro.core import (
     build_dataset,
+    build_sampling_plan,
     characterize_to_file,
     load_characterization,
     run_characterization,
@@ -58,8 +59,9 @@ def test_a_characterize_to_file_report_carries_io_spans(tmp_path):
         characterize_to_file(benches, CFG, tmp_path / "out.npz")
         load_characterization(tmp_path / "out.npz")
     spans = ledger_row(build_report(ob))["spans"]
-    # Three stages, each a load that misses and a save.
-    assert spans["io.checkpoint"]["count"] == 6
+    # The analysis and GA stages, each a load that misses and a save;
+    # the rows went to feature blocks, not a dataset checkpoint.
+    assert spans["io.checkpoint"]["count"] == 4
     # The characterization's save and its load.
     assert spans["io.artifact"]["count"] == 2
 
@@ -125,7 +127,9 @@ class TestInProcessResume:
         assert not cp.path("ga").exists()
 
 
-def _characterize(out: Path, *, kill_after: str = "", resume: bool = True) -> int:
+def _characterize(
+    out: Path, *, kill_after: str = "", resume: bool = True, report: Path = None
+) -> int:
     cmd = [
         sys.executable,
         "-m",
@@ -139,11 +143,17 @@ def _characterize(out: Path, *, kill_after: str = "", resume: bool = True) -> in
     ]
     if not resume:
         cmd.append("--no-resume")
+    if report is not None:
+        cmd += ["--run-report", str(report)]
     extra = {"REPRO_FAULT_SIGKILL_AFTER": kill_after} if kill_after else {}
     proc = subprocess.run(
         cmd, env=env_with_src(**extra), capture_output=True, text=True, timeout=600
     )
     return proc.returncode
+
+
+def _counters(report: Path) -> dict:
+    return json.loads(report.read_text())["metrics"]["counters"]
 
 
 def _npz_payload(path: Path) -> dict:
@@ -173,20 +183,72 @@ def test_sigkill_at_stage_boundary_then_resume_is_bit_identical(
     assert _characterize(crashed, kill_after=kill_stage) == sigkill_rc()
     assert not crashed.exists()  # died before the final artifact landed
     stage_dir = tmp_path / "crashed.npz.stages"
-    assert any(stage_dir.glob(f"stage_{kill_stage}_*.npz"))
+    # Every row is in the run-scoped feature blocks, and no dataset
+    # stage file is written.
+    assert any((stage_dir / "feature_blocks").glob("block_*.npz"))
+    assert not list(tmp_path.rglob("stage_dataset_*"))
+    if kill_stage != "dataset":
+        assert any(stage_dir.glob(f"stage_{kill_stage}_*.npz"))
 
-    assert _characterize(crashed) == 0  # --resume is the default
+    report = tmp_path / "resumed-report.json"
+    assert _characterize(crashed, report=report) == 0  # --resume is the default
     _assert_bit_identical(clean, crashed)
+    counters = _counters(report)
+    assert counters["dataset.intervals_characterized"] == 0
+    assert counters["feature_blocks.interval_hits"] > 0
 
 
 def test_resume_of_completed_run_is_bit_identical(tmp_path):
     out = tmp_path / "out.npz"
     assert _characterize(out) == 0
     first = _npz_payload(out)
-    assert _characterize(out) == 0  # short-circuits through all stages
+    report = tmp_path / "rerun-report.json"
+    assert _characterize(out, report=report) == 0  # short-circuits through all stages
     second = _npz_payload(out)
     for k in first:
         assert np.array_equal(first[k], second[k])
+    assert _counters(report)["dataset.intervals_characterized"] == 0
+
+
+class TestFailedBuildResume:
+    """A build that dies midway keeps the benchmarks it finished."""
+
+    N_BENCHMARKS = 4
+    FAILING = 2  # the third benchmark's meters raise
+
+    def _benches(self):
+        return list(get_suite("BMW").benchmarks)[: self.N_BENCHMARKS]
+
+    def test_rerun_characterizes_only_unfinished_benchmarks(self, tmp_path, monkeypatch):
+        benches = self._benches()
+        config = CFG.replace(n_jobs=1, parallel_backend="serial")
+        clean = tmp_path / "clean.npz"
+        characterize_to_file(benches, config, clean)
+
+        import repro.core.dataset as dataset_module
+
+        real_batch = dataset_module._featurize_batch
+
+        def failing_batch(bench, chunk, cfg, ws):
+            if bench.key == benches[self.FAILING].key:
+                raise RuntimeError("meters failed")
+            return real_batch(bench, chunk, cfg, ws)
+
+        out = tmp_path / "out.npz"
+        with monkeypatch.context() as patch:
+            patch.setattr(dataset_module, "_featurize_batch", failing_batch)
+            with pytest.raises(Exception, match="meters failed"):
+                characterize_to_file(benches, config, out)
+        assert not out.exists()
+
+        with observe(run_id="rerun") as ob:
+            characterize_to_file(benches, config, out)
+        counters = ob.metrics.snapshot()["counters"]
+        plan = build_sampling_plan(benches, config)
+        unfinished = sum(len(np.unique(p)) for p in plan.picks[self.FAILING :])
+        assert counters["dataset.intervals_characterized"] == unfinished
+        assert counters["feature_blocks.interval_hits"] > 0
+        _assert_bit_identical(clean, out)
 
 
 def test_no_resume_ignores_poisoned_stage_key_space(tmp_path):

@@ -1,5 +1,6 @@
 """Unit tests for the crash-safe artifact store."""
 
+import hashlib
 import json
 import threading
 import time
@@ -88,6 +89,26 @@ class TestWriteRead:
         )
         with pytest.raises(A.CorruptArtifact):
             A.read_artifact(path, schema="t")
+
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.array(["BMW", "BioPerf"]),
+            np.arange(6, dtype=np.int64).reshape(2, 3),
+            np.eye(3)[:, ::2],
+            np.array([True, False, True]),
+        ],
+        ids=["unicode", "int64", "float64-strided", "bool"],
+    )
+    def test_digest_is_over_the_array_bytes(self, value):
+        # Hashing the buffer in place must give the digest of a bytes
+        # copy, so artifacts written either way verify alike.
+        expected = hashlib.sha256()
+        expected.update(str(value.dtype).encode())
+        expected.update(repr(value.shape).encode())
+        expected.update(value.tobytes())
+        assert A._array_digest(value) == expected.hexdigest()
 
 
 class TestLegacy:

@@ -1,8 +1,9 @@
 """Tests for the two reuse layers under ``characterize_to_file``.
 
-Stage checkpoints (keyed by the full config) resume a whole run; feature
-blocks (keyed by the featurization config) survive an analysis-parameter
-change, so re-clustering never re-featurizes.
+Stage checkpoints (keyed by the full config) resume the analysis and GA
+stages; feature blocks (keyed by the featurization config) hold the rows
+and survive an analysis-parameter change, so re-clustering never
+re-featurizes.
 """
 
 import numpy as np
@@ -37,8 +38,9 @@ def test_miss_builds_both_cache_layers(cfg, benches, tmp_path):
     )
     assert out.exists()
     checkpoint = StageCheckpoint(f"{out}.stages", f"c1_{cfg.full_key()}")
-    assert checkpoint.path("dataset").exists()
     assert checkpoint.path("analysis").exists()
+    # The rows live in the blocks only: no dataset stage file.
+    assert not checkpoint.path("dataset").exists()
     # The feature-block layer is filled too, so re-clustering with
     # different analysis params would skip featurization.
     assert len(list(feature_block_dir(tmp_path).glob("block_*.npz"))) == 3
@@ -58,7 +60,6 @@ def test_full_key_differs_from_cache_key(cfg):
     # checkpoints miss) but not featurization_key (so feature blocks hit).
     other = cfg.replace(n_clusters=cfg.n_clusters + 1)
     assert cfg.full_key() != other.full_key()
-    assert cfg.cache_key() == other.cache_key()
     assert cfg.featurization_key() == other.featurization_key()
 
 

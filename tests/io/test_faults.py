@@ -53,7 +53,9 @@ class TestCorruptCacheEntries:
     def test_truncated_dataset_entry_quarantined_and_rebuilt(self, tmp_path, benches):
         out = tmp_path / "t.npz"
         first = characterize_to_file(benches, CFG, out, suite_tag="t", select_key=False)
-        path = _stage(out, "t", CFG, "dataset")
+        # The dataset's entries are the run-scoped feature blocks.
+        blocks = FeatureBlockCache(feature_block_dir(f"{out}.stages"))
+        path = blocks.path(benches[0].key, CFG)
         truncate_file(path)
         with observe(run_id="f") as ob:
             again = characterize_to_file(
@@ -63,10 +65,11 @@ class TestCorruptCacheEntries:
         counters = ob.metrics.snapshot()["counters"]
         assert counters["artifact_cache.corrupt"] == 1
         assert counters["artifact_cache.quarantined"] == 1
-        assert counters["checkpoint.stage_writes"] == 1  # only the dataset
+        assert counters["feature_blocks.stores"] == 1  # only the damaged block
+        assert "checkpoint.stage_writes" not in counters
         assert list(path.parent.glob(path.name + ".corrupt-*"))
-        # The rebuilt checkpoint is valid again.
-        read_artifact(path, schema="stage:dataset")
+        # The rebuilt block is valid again.
+        read_artifact(path, schema="feature_block")
 
     def test_bit_flipped_characterization_entry_rebuilt(self, tmp_path, benches):
         out = tmp_path / "t.npz"
@@ -86,7 +89,7 @@ class TestCorruptCacheEntries:
         first = characterize_to_file(
             benches, cfg, out, suite_tag=backend, select_key=False, feature_cache=blocks
         )
-        truncate_file(_stage(out, backend, cfg, "dataset"), keep=0.3)
+        truncate_file(_stage(out, backend, cfg, "analysis"), keep=0.3)
         truncate_file(blocks.path(benches[0].key, cfg), keep=0.3)
         again = characterize_to_file(
             benches, cfg, out, suite_tag=backend, select_key=False, feature_cache=blocks
@@ -108,7 +111,7 @@ class TestSelectKeyContract:
         assert full.key_characteristics
         assert load_characterization(out).ga_result is not None
         counters = ob.metrics.snapshot()["counters"]
-        assert counters["checkpoint.stage_hits"] == 2  # dataset + analysis
+        assert counters["checkpoint.stage_hits"] == 1  # analysis
         assert counters["checkpoint.stage_writes"] == 1  # the missing GA stage
 
     def test_ga_full_entry_serves_no_ga_requests(self, tmp_path, benches):
@@ -121,30 +124,31 @@ class TestSelectKeyContract:
         assert np.array_equal(full.clustering.labels, hit.clustering.labels)
         assert hit.ga_result is None
         counters = ob.metrics.snapshot()["counters"]
-        assert counters["checkpoint.stage_hits"] == 2
+        assert counters["checkpoint.stage_hits"] == 1  # analysis
         assert "checkpoint.stage_writes" not in counters
 
 
 class TestFeatureBlockForwarding:
     def test_use_feature_blocks_false_is_forwarded(self, tmp_path, benches):
-        with observe(run_id="nofb") as ob:
-            characterize_to_file(
-                benches, CFG, tmp_path / "nofb.npz", suite_tag="nofb", select_key=False
-            )
+        out = tmp_path / "nofb.npz"
+        characterize_to_file(benches, CFG, out, suite_tag="nofb", select_key=False)
+        # Without a cache the rows go to the run-scoped store only.
         assert not feature_block_dir(tmp_path).exists()
-        counters = ob.metrics.snapshot()["counters"]
-        assert not [name for name in counters if name.startswith("feature_blocks.")]
+        assert any(feature_block_dir(f"{out}.stages").glob("block_*.npz"))
 
     def test_use_feature_blocks_default_populates_blocks(self, tmp_path, benches):
+        out = tmp_path / "fb.npz"
         characterize_to_file(
             benches,
             CFG,
-            tmp_path / "fb.npz",
+            out,
             suite_tag="fb",
             select_key=False,
             feature_cache=FeatureBlockCache(feature_block_dir(tmp_path)),
         )
         assert any(feature_block_dir(tmp_path).glob("block_*.npz"))
+        # The caller's cache replaces the run-scoped store.
+        assert not feature_block_dir(f"{out}.stages").exists()
 
 
 class TestGaMetaValidation:
@@ -169,8 +173,9 @@ class TestGaMetaValidation:
 
 
 _SINGLE_FLIGHT_DRIVER = """
-import sys, time
+import os, sys, time
 from pathlib import Path
+import repro.core.dataset as dataset
 import repro.core.pipeline as pipeline
 from repro.config import AnalysisConfig
 from repro.obs import observe
@@ -178,14 +183,19 @@ from repro.suites import get_suite
 
 out, log_path, go = Path(sys.argv[1]), Path(sys.argv[2]), Path(sys.argv[3])
 real_build = pipeline.build_dataset
+real_meters = dataset.characterize_intervals
 
-def counting_build(*args, **kwargs):
-    with open(log_path, "a") as fh:
-        fh.write("build\\n")
+def slow_build(*args, **kwargs):
     time.sleep(0.5)  # hold the build open so the racer arrives mid-build
     return real_build(*args, **kwargs)
 
-pipeline.build_dataset = counting_build
+def logged_meters(*args, **kwargs):
+    with open(log_path, "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    return real_meters(*args, **kwargs)
+
+pipeline.build_dataset = slow_build
+dataset.characterize_intervals = logged_meters
 print("READY", flush=True)
 while not go.exists():
     time.sleep(0.001)
@@ -193,8 +203,10 @@ cfg = AnalysisConfig.tiny()
 benches = list(get_suite("BMW").benchmarks)[:2]
 with observe(run_id="sf") as ob:
     result = pipeline.characterize_to_file(benches, cfg, out, suite_tag="sf")
-hits = int(ob.metrics.snapshot()["counters"].get("checkpoint.stage_hits", 0))
-print(len(result.dataset), result.clustering.bic, hits)
+counters = ob.metrics.snapshot()["counters"]
+hits = int(counters.get("checkpoint.stage_hits", 0))
+characterized = int(counters["dataset.intervals_characterized"])
+print(len(result.dataset), result.clustering.bic, hits, characterized)
 """
 
 
@@ -235,10 +247,13 @@ class TestConcurrency:
         assert all(p.returncode == 0 for p in procs), outs
         results = sorted(out.split() for out, _ in outs)
         assert results[0][:2] == results[1][:2]  # both saw the same result
-        # One built all three stages; the other resumed all three.
-        assert sorted(int(r[2]) for r in results) == [0, 3]
-        builds = log_path.read_text().splitlines()
-        assert builds == ["build"], f"expected exactly one build, got {builds}"
+        # One built both stages; the other resumed both.
+        assert sorted(int(r[2]) for r in results) == [0, 2]
+        # One featurized every row; the other read them all from the blocks.
+        characterized = sorted(int(r[3]) for r in results)
+        assert characterized[0] == 0 and characterized[1] > 0, characterized
+        featurizers = set(log_path.read_text().splitlines())
+        assert len(featurizers) == 1, f"expected one featurizing process, got {featurizers}"
 
     def test_lock_holder_death_releases_flock(self, tmp_path, benches, monkeypatch):
         out = tmp_path / "lh.npz"

@@ -6,7 +6,8 @@ import os
 import pytest
 
 from repro.config import AnalysisConfig
-from repro.service import JobQueue, job_id_for
+from repro.obs import recorded_run
+from repro.service import JobQueue, events_path, job_id_for
 from repro.service.queue import config_fields, suite_tag
 
 CFG = AnalysisConfig.tiny()
@@ -162,12 +163,30 @@ class TestCompletionAndLedger:
         assert done.result["sha256"] == "ab"
         assert done.owner is None
 
-    def test_build_ledger_counts_builds(self, queue):
+    def test_build_ledger_counts_builds(self, queue, tmp_path):
         assert queue.builds() == []
-        queue.record_build("job-1", 1, "w1")
-        queue.record_build("job-1", 2, "w2")
+        # Each attempt's event log opens with run.start; that is its entry.
+        for attempt, worker in ((1, "w1"), (2, "w2")):
+            with recorded_run(
+                f"job-1.a{attempt}",
+                command="service.characterize",
+                config=CFG,
+                events=events_path(tmp_path / "svc", "job-1", attempt),
+                job="job-1",
+                attempt=attempt,
+                worker=worker,
+            ) as run:
+                with run.observing():
+                    pass
+        # A log cut before its first line (a kill) is no entry.
+        events_path(tmp_path / "svc", "job-2", 1).parent.mkdir(parents=True)
+        events_path(tmp_path / "svc", "job-2", 1).write_text("")
         builds = queue.builds()
-        assert [b["attempt"] for b in builds] == [1, 2]
+        assert [(b["job"], b["attempt"], b["worker"]) for b in builds] == [
+            ("job-1", 1, "w1"),
+            ("job-1", 2, "w2"),
+        ]
+        assert builds[0]["ts"] <= builds[1]["ts"]
         assert queue.stats()["builds"] == 2
 
     def test_stats_counts_by_state(self, queue):

@@ -141,10 +141,12 @@ class TestSigkillResume:
     def test_killed_worker_job_resumes_bit_identically(self, root, tmp_path):
         """A SIGKILL'd worker's job is reclaimed and resumed, not restarted.
 
-        Worker 1 dies right after the dataset stage checkpoint lands
-        (fault injection).  Worker 2 reclaims the abandoned running job,
-        resumes from the checkpoint, and the finished artifact is
-        bit-identical to a clean single-shot build of the same job.
+        Worker 1 dies right after the dataset stage completes, with
+        every row in the job's feature blocks (fault injection).
+        Worker 2 reclaims the abandoned running job, rebuilds the
+        dataset from the blocks without featurizing, and the finished
+        artifact is bit-identical to a clean single-shot build of the
+        same job.
         """
         queue = JobQueue(root)
         view, _ = queue.submit(suites=SUITES, config=CFG)
@@ -160,9 +162,10 @@ class TestSigkillResume:
         assert abandoned.state == "running"  # the kill left it claimed
         artifact = artifact_path(root, view.job_id)
         assert not artifact.exists()
-        # The dataset stage checkpoint survived the kill.
+        # The featurized rows survived the kill in the run-scoped blocks.
         stage_dir = artifact.parent / (artifact.name + ".stages")
-        assert any(stage_dir.glob("stage_dataset_*.npz"))
+        assert any((stage_dir / "feature_blocks").glob("block_*.npz"))
+        assert not list(stage_dir.glob("stage_dataset_*"))
 
         rescued = subprocess.run(
             [sys.executable, "-c", _WORKER_CODE, str(root), "rescuer"],
@@ -197,7 +200,11 @@ class TestSigkillResume:
         assert "run.end" in events_path(root, view.job_id, 2).read_text()
         # The killed log keeps the counters of every span that closed
         # before the kill, as /jobs/<id>/progress serves them: all the
-        # rows the rescuer resumed from the dataset checkpoint.
+        # rows the rescuer read back from the feature blocks.
         killed_log, _ = read_events(events_path(root, view.job_id, 1))
         killed = summarize_events(killed_log)["counters"]
         assert killed.get("dataset.rows") == done.result["n_intervals"]
+        rescue_log, _ = read_events(events_path(root, view.job_id, 2))
+        rescue = summarize_events(rescue_log)["counters"]
+        assert rescue["dataset.intervals_characterized"] == 0
+        assert rescue["feature_blocks.interval_hits"] > 0

@@ -56,16 +56,6 @@ def test_ppm_sample_branches_bounded():
         AnalysisConfig(ppm_sample_branches=2**20 + 1)
 
 
-def test_cache_key_is_stable():
-    assert AnalysisConfig.paper().cache_key() == AnalysisConfig.paper().cache_key()
-
-
-def test_cache_key_sensitive_to_seed():
-    a = AnalysisConfig.tiny()
-    b = a.replace(seed=a.seed + 1)
-    assert a.cache_key() != b.cache_key()
-
-
 def test_execution_knobs_excluded_from_full_key():
     base = AnalysisConfig.tiny()
     assert base.full_key() == base.replace(parallel_backend="thread").full_key()
@@ -74,11 +64,11 @@ def test_execution_knobs_excluded_from_full_key():
 
 #: Keys of the shipped presets, pinned so that adding or removing a
 #: config field never silently re-keys caches or service jobs:
-#: (featurization_key, cache_key, full_key, streaming full_key).
+#: (featurization_key, full_key, streaming full_key).
 PRESET_KEYS = {
-    "paper": ("658f7106c9b48813", "8af55aebd11a2172", "89d81047990c39c1", "1031bc859caa955b"),
-    "small": ("dd2bfffecd6e6456", "95304307cba30310", "1d0155b7cf319b23", "659bb4ea5de6ea4c"),
-    "tiny": ("8ea73473e268587a", "88cb6f5dcca2bf84", "382159e812001f87", "b47cc1b5466e2295"),
+    "paper": ("658f7106c9b48813", "89d81047990c39c1", "1031bc859caa955b"),
+    "small": ("dd2bfffecd6e6456", "1d0155b7cf319b23", "659bb4ea5de6ea4c"),
+    "tiny": ("8ea73473e268587a", "382159e812001f87", "b47cc1b5466e2295"),
 }
 
 
@@ -87,7 +77,6 @@ def test_preset_keys_pinned(preset):
     config = getattr(AnalysisConfig, preset)()
     assert (
         config.featurization_key(),
-        config.cache_key(),
         config.full_key(),
         config.replace(streaming=True).full_key(),
     ) == PRESET_KEYS[preset]
