@@ -3,8 +3,8 @@
 Paper-scale featurization takes minutes; analyses and benchmarks reuse
 a saved run.  A characterization round-trips through a single ``.npz`` file
 written via the crash-safe artifact store (:mod:`repro.io.artifacts`):
-writes are atomic and checksummed, loads are verified, and files
-written before the store existed still load through the legacy path.
+writes are atomic and checksummed, and loads are verified: a file
+without the store's header raises ``SchemaMismatch``.
 """
 
 from __future__ import annotations

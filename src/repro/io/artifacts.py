@@ -20,12 +20,11 @@ guarantees the bare ``np.savez`` + ``path.exists()`` pattern cannot:
   and the ``artifact_cache.corrupt`` / ``artifact_cache.quarantined``
   counters record the event.
 * **Single-flight builds** — :func:`artifact_lock` serializes
-  cross-process construction of one artifact with an advisory lock:
-  ``fcntl.flock`` where available (the kernel releases it when the
-  holder dies, even by SIGKILL), or an exclusive-create pidfile with
-  stale-lock takeover elsewhere.  Concurrent builders of one artifact
-  (a ``characterize_to_file`` output, a feature-block merge) serialize
-  instead of racing the write.
+  cross-process construction of one artifact with an ``fcntl.flock``
+  advisory lock, which the kernel releases when the holder dies, even
+  by SIGKILL.  Concurrent builders of one artifact (a
+  ``characterize_to_file`` output, a feature-block merge) serialize
+  instead of racing the write.  The store is POSIX-only.
 
 :class:`StageCheckpoint` composes the primitives into stage-level
 resume for the ``characterize`` pipeline's analysis and GA stages.
@@ -34,6 +33,7 @@ Protocol details and the quarantine layout live in docs/robustness.md.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import hashlib
 import os
@@ -50,12 +50,6 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Unio
 import numpy as np
 
 from ..obs import emit_event, get_logger, metrics, span
-from ..obs.proc import pid_alive
-
-try:  # POSIX advisory locks; absent on some platforms
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
 
 PathLike = Union[str, Path]
 Arrays = Dict[str, np.ndarray]
@@ -96,7 +90,7 @@ class CorruptArtifact(ArtifactError):
 
 
 class SchemaMismatch(ArtifactError):
-    """The file is intact but carries the wrong schema or version."""
+    """The file is intact but has no artifact header, or the wrong schema or version."""
 
 
 class LockTimeout(ArtifactError, TimeoutError):
@@ -189,22 +183,17 @@ def read_artifact(
     *,
     schema: str,
     version: int = ARTIFACT_VERSION,
-    allow_legacy: bool = True,
 ) -> Tuple[Arrays, Meta]:
     """Load and verify an artifact, returning ``(arrays, meta)``.
 
-    With ``allow_legacy`` (the default), a headerless plain ``.npz``
-    written before the artifact store existed is accepted unverified:
-    its arrays are returned as-is and a legacy ``meta`` member (the
-    JSON blob old characterizations carried) is parsed into the meta
-    dict.  Pass ``allow_legacy=False`` for artifacts that can only ever
-    have been produced by :func:`write_artifact` (stage checkpoints).
+    Only files written by :func:`write_artifact` load: a plain ``.npz``
+    without an artifact header is a :class:`SchemaMismatch`.
 
     Raises:
         CorruptArtifact: unreadable npz, missing arrays, or checksum
             mismatch.
-        SchemaMismatch: intact file with the wrong schema/version, or
-            headerless when ``allow_legacy=False``.
+        SchemaMismatch: intact file with no artifact header, or with
+            the wrong schema/version.
     """
     path = Path(path)
     try:
@@ -214,17 +203,7 @@ def read_artifact(
         raise CorruptArtifact(f"{path}: unreadable npz ({exc!r})") from exc
     header_raw = arrays.pop(HEADER_KEY, None)
     if header_raw is None:
-        if not allow_legacy:
-            raise SchemaMismatch(f"{path}: missing artifact header")
-        meta: Meta = {}
-        legacy_meta = arrays.pop("meta", None)
-        if legacy_meta is not None:
-            try:
-                meta = json.loads(str(legacy_meta))
-            except ValueError as exc:
-                raise CorruptArtifact(f"{path}: unparseable legacy meta ({exc})") from exc
-        metrics().counter_add("artifact_cache.legacy_loads", 1)
-        return arrays, meta
+        raise SchemaMismatch(f"{path}: missing artifact header")
     try:
         header = json.loads(str(header_raw))
     except ValueError as exc:
@@ -307,8 +286,8 @@ def lock_path_for(path: PathLike) -> Path:
     """The lock file guarding one artifact path.
 
     Locks live in a ``.locks/`` subdirectory next to the artifact, so
-    the residue an flock backend leaves behind (see :class:`_FlockLock`)
-    never pollutes artifact-directory listings.
+    the lock files left behind (see :func:`artifact_lock`) never
+    pollute artifact-directory listings.
     """
     path = Path(path)
     return path.parent / ".locks" / (path.name + ".lock")
@@ -318,25 +297,32 @@ def _owner_stamp() -> Dict[str, Any]:
     return {"pid": os.getpid(), "host": socket.gethostname(), "time": time.time()}
 
 
-class _FlockLock:
-    """``fcntl.flock`` exclusive lock on a sidecar lock file.
+@contextmanager
+def artifact_lock(
+    path: PathLike,
+    *,
+    timeout: float = 3600.0,
+    poll: float = 0.05,
+) -> Iterator[None]:
+    """Cross-process ``fcntl.flock`` lock guarding the artifact at ``path``.
 
     The kernel drops the lock when the holding process exits — however
     it exits — so a SIGKILLed builder never wedges later runs; no stale
     detection is needed.  The lock file itself is never unlinked
     (unlink + flock re-creation races would let two holders coexist);
-    an empty ``.lock`` file at rest is expected residue.
+    a ``.lock`` file at rest is expected residue.
+
+    Args:
+        path: the artifact being built; the lock file is
+            :func:`lock_path_for` ``(path)``.
+        timeout: seconds to wait before raising :class:`LockTimeout`.
+        poll: seconds between acquisition attempts while contended.
     """
-
-    def __init__(self, lock_path: Path, timeout: float, poll: float):
-        self.lock_path = lock_path
-        self.timeout = timeout
-        self.poll = poll
-        self._fd: Optional[int] = None
-
-    def acquire(self) -> None:
-        fd = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o644)
-        deadline = time.monotonic() + self.timeout
+    lock_path = lock_path_for(path)
+    lock_path.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        deadline = time.monotonic() + timeout
         waited = False
         while True:
             try:
@@ -346,221 +332,23 @@ class _FlockLock:
                 if not waited:
                     waited = True
                     metrics().counter_add("artifact_cache.lock_waits", 1)
-                    log.info("waiting for lock %s", self.lock_path)
+                    log.info("waiting for lock %s", lock_path)
                 if time.monotonic() >= deadline:
-                    os.close(fd)
                     raise LockTimeout(
-                        f"{self.lock_path}: lock not acquired within {self.timeout:.0f}s"
+                        f"{lock_path}: lock not acquired within {timeout:.0f}s"
                     )
-                time.sleep(self.poll)
-        self._fd = fd
+                time.sleep(poll)
         try:
             os.ftruncate(fd, 0)
             os.write(fd, json.dumps(_owner_stamp()).encode())
         except OSError:  # pragma: no cover - stamp is advisory
             pass
-
-    def release(self) -> None:
-        if self._fd is None:
-            return
         try:
-            fcntl.flock(self._fd, fcntl.LOCK_UN)
+            yield
         finally:
-            os.close(self._fd)
-            self._fd = None
-
-
-class _PidFileLock:
-    """Exclusive-create pidfile lock with stale-lock takeover.
-
-    Portable fallback for platforms without ``fcntl``.  A lock is
-    considered stale — and taken over, bumping the
-    ``artifact_cache.stale_locks`` counter — when its recorded owner
-    pid is dead on this host, or the file has not been touched for
-    ``stale_after`` seconds.
-
-    Takeover discipline (the unlink + re-create scheme this replaces
-    let *every* waiter that had judged the lock stale proceed, so two
-    stealers both "won" and single-flight silently became N-flight):
-
-    1. A stealer never unlinks the lock file.  It writes its own stamp
-       to a sibling temp file, re-reads the lock immediately before
-       publishing, requires the content to still be the exact stale
-       stamp it judged, and takes over with one atomic ``os.replace``.
-       A rival that won first has already changed the content, so the
-       re-read aborts the steal.
-    2. Every acquisition — clean create or takeover — is confirmed by
-       read-back: after a short settle, the lock must still hold *our*
-       uniquely-nonced stamp.  If a rival replaced it in the remaining
-       re-read→replace window, exactly one of us reads back its own
-       stamp (the last replace wins); the loser bumps
-       ``artifact_cache.lock_steal_races`` and goes back to waiting.
-    3. Release only unlinks the file while it still holds our stamp, so
-       a holder that lost a (mis)takeover never deletes the new owner's
-       lock out from under it.
-
-    With only create/read/replace primitives a perfect mutex is not
-    constructible (that is what ``flock`` is for); the read-back makes
-    the double-holder schedule require two context switches inside a
-    millisecond-scale window instead of any interleaving at all, and a
-    lost race is detected rather than silent.
-    """
-
-    #: Seconds to let rival replaces land before trusting the read-back.
-    _SETTLE = 0.005
-
-    def __init__(self, lock_path: Path, timeout: float, poll: float, stale_after: float):
-        self.lock_path = lock_path
-        self.timeout = timeout
-        self.poll = poll
-        self.stale_after = stale_after
-        self._held = False
-        self._stamp: Optional[Dict[str, Any]] = None
-
-    def _read_owner(self) -> Optional[Dict[str, Any]]:
-        """The lock file's current stamp, ``{}`` if unparseable, None if gone."""
-        try:
-            raw = self.lock_path.read_text()
-        except OSError:
-            return None
-        try:
-            owner = json.loads(raw) if raw.strip() else {}
-        except ValueError:
-            owner = {}
-        return owner if isinstance(owner, dict) else {}
-
-    def acquire(self) -> None:
-        deadline = time.monotonic() + self.timeout
-        waited = False
-        while True:
-            self._stamp = dict(
-                _owner_stamp(), nonce=f"{os.getpid()}.{time.monotonic_ns()}"
-            )
-            acquired = False
-            try:
-                fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-            except FileExistsError:
-                acquired = self._steal_if_stale()
-            else:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(self._stamp, handle)
-                acquired = True
-            if acquired:
-                time.sleep(self._SETTLE)
-                if self._read_owner() == self._stamp:
-                    self._held = True
-                    return
-                metrics().counter_add("artifact_cache.lock_steal_races", 1)
-                log.warning(
-                    "lost %s to a concurrent takeover after acquiring; backing off",
-                    self.lock_path,
-                )
-            if not waited:
-                waited = True
-                metrics().counter_add("artifact_cache.lock_waits", 1)
-                log.info("waiting for lock %s", self.lock_path)
-            if time.monotonic() >= deadline:
-                raise LockTimeout(
-                    f"{self.lock_path}: lock not acquired within {self.timeout:.0f}s"
-                )
-            time.sleep(self.poll)
-
-    def _steal_if_stale(self) -> bool:
-        """Try to take over a stale lock; True means "probably ours now"."""
-        owner = self._read_owner()
-        if owner is None:
-            return False  # vanished underneath us; retry the create path
-        stale = False
-        pid = owner.get("pid")
-        if pid is not None and owner.get("host") == socket.gethostname():
-            stale = not pid_alive(pid)
-        if not stale:
-            try:
-                age = time.time() - self.lock_path.stat().st_mtime
-            except OSError:
-                return False  # vanished; retry the create path
-            stale = age > self.stale_after
-        if not stale:
-            return False
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.lock_path.parent), prefix=self.lock_path.name + ".", suffix=".steal"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(self._stamp, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            # Last-moment re-read: only replace while the lock still
-            # carries the stale stamp we decided on.  A rival stealer
-            # (or a fresh legitimate holder) has already changed it.
-            if self._read_owner() != owner:
-                return False
-            os.replace(tmp, self.lock_path)
-            tmp = None
-        except OSError:  # pragma: no cover - fs error mid-steal
-            return False
-        finally:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:  # pragma: no cover - already gone
-                    pass
-        metrics().counter_add("artifact_cache.stale_locks", 1)
-        log.warning("took over stale lock %s (owner %s)", self.lock_path, owner)
-        return True
-
-    def release(self) -> None:
-        if not self._held:
-            return
-        self._held = False
-        owner = self._read_owner()
-        if owner != self._stamp:
-            log.warning(
-                "lock %s no longer ours at release (taken over as stale?); "
-                "leaving it to its new owner",
-                self.lock_path,
-            )
-            return
-        try:
-            os.unlink(self.lock_path)
-        except OSError:  # pragma: no cover - already stolen or cleaned
-            pass
-
-
-@contextmanager
-def artifact_lock(
-    path: PathLike,
-    *,
-    timeout: float = 3600.0,
-    poll: float = 0.05,
-    stale_after: float = 300.0,
-) -> Iterator[None]:
-    """Cross-process advisory lock guarding the artifact at ``path``.
-
-    Lock selection: ``fcntl.flock`` on POSIX, pidfile with stale
-    takeover elsewhere; ``REPRO_ARTIFACT_LOCK=pidfile`` forces the
-    fallback (used by the fault-injection tests).
-
-    Args:
-        path: the artifact being built; the lock file is ``<path>.lock``.
-        timeout: seconds to wait before raising :class:`LockTimeout`.
-        poll: seconds between acquisition attempts while contended.
-        stale_after: pidfile age beyond which a lock with an
-            unverifiable owner is taken over (ignored under flock —
-            the kernel already releases a dead holder's lock).
-    """
-    lock_path = lock_path_for(path)
-    lock_path.parent.mkdir(parents=True, exist_ok=True)
-    backend = os.environ.get("REPRO_ARTIFACT_LOCK", "auto")
-    if fcntl is not None and backend != "pidfile":
-        lock = _FlockLock(lock_path, timeout, poll)
-    else:
-        lock = _PidFileLock(lock_path, timeout, poll, stale_after)
-    lock.acquire()
-    try:
-        yield
+            fcntl.flock(fd, fcntl.LOCK_UN)
     finally:
-        lock.release()
+        os.close(fd)
 
 
 # --------------------------------------------------------------------------
@@ -629,7 +417,7 @@ class StageCheckpoint:
         with span("io.checkpoint", stage=stage, op="load"):
             loaded = load_or_quarantine(
                 path,
-                lambda p: read_artifact(p, schema=f"stage:{stage}", allow_legacy=False),
+                lambda p: read_artifact(p, schema=f"stage:{stage}"),
                 kind=f"stage checkpoint {stage!r}",
             )
         if loaded is None:

@@ -37,9 +37,9 @@ from ..config import AnalysisConfig
 from ..mica import N_FEATURES
 from ..obs import get_logger, metrics
 from .artifacts import (
+    CorruptArtifact,
     artifact_lock,
     load_or_quarantine,
-    quarantine,
     read_artifact,
     write_artifact,
 )
@@ -54,6 +54,21 @@ FEATURE_BLOCK_SCHEMA = "feature_block"
 #: Seconds :meth:`FeatureBlockCache.store` waits for another process's
 #: merge into the same block.
 LOCK_TIMEOUT_S = 600.0
+
+
+def _read_block(path: Path) -> Dict[int, np.ndarray]:
+    """Read and shape-check one block file; raises ``ArtifactError``."""
+    arrays, _ = read_artifact(path, schema=FEATURE_BLOCK_SCHEMA)
+    indices = arrays.get("indices")
+    vectors = arrays.get("vectors")
+    if (
+        indices is None
+        or vectors is None
+        or vectors.ndim != 2
+        or vectors.shape != (len(indices), N_FEATURES)
+    ):
+        raise CorruptArtifact(f"{path}: malformed feature block")
+    return {int(idx): vectors[j] for j, idx in enumerate(indices)}
 
 
 def feature_block_dir(cache_dir: PathLike) -> Path:
@@ -79,33 +94,14 @@ class FeatureBlockCache:
         malformed block is quarantined and treated as a miss (it will
         be rebuilt by the next store).
         """
-        path = self.path(benchmark_key, config)
-        reg = metrics()
         loaded = load_or_quarantine(
-            path,
-            lambda p: read_artifact(p, schema=FEATURE_BLOCK_SCHEMA),
-            kind="feature block",
+            self.path(benchmark_key, config), _read_block, kind="feature block"
         )
         if loaded is None:
-            reg.counter_add("feature_blocks.block_misses", 1)
+            metrics().counter_add("feature_blocks.block_misses", 1)
             return {}
-        arrays, _ = loaded
-        indices = arrays.get("indices")
-        vectors = arrays.get("vectors")
-        if (
-            indices is None
-            or vectors is None
-            or vectors.ndim != 2
-            or vectors.shape != (len(indices), N_FEATURES)
-        ):
-            log.warning("malformed feature block %s quarantined; treated as a miss", path)
-            reg.counter_add("artifact_cache.corrupt", 1)
-            if quarantine(path) is not None:
-                reg.counter_add("artifact_cache.quarantined", 1)
-            reg.counter_add("feature_blocks.block_misses", 1)
-            return {}
-        reg.counter_add("feature_blocks.block_hits", 1)
-        return {int(idx): vectors[j] for j, idx in enumerate(indices)}
+        metrics().counter_add("feature_blocks.block_hits", 1)
+        return loaded
 
     def store(
         self,
@@ -125,7 +121,9 @@ class FeatureBlockCache:
         path = self.path(benchmark_key, config)
         path.parent.mkdir(parents=True, exist_ok=True)
         with artifact_lock(path, timeout=LOCK_TIMEOUT_S):
-            merged = self.load(benchmark_key, config)
+            # Read through _read_block, not load: the merge is not a
+            # lookup, so it counts no block hit or miss.
+            merged = load_or_quarantine(path, _read_block, kind="feature block") or {}
             merged.update(
                 {int(k): np.asarray(v, dtype=np.float64) for k, v in entries.items()}
             )

@@ -15,7 +15,6 @@ from .opcodes import (
     op_class_names,
 )
 from .trace import Trace, concat
-from .intervals import interval_count, iter_interval_bounds, split_intervals
 
 __all__ = [
     "CONTROL_OPS",
@@ -29,10 +28,7 @@ __all__ = [
     "OpClass",
     "Trace",
     "concat",
-    "interval_count",
     "is_control_op",
     "is_memory_op",
-    "iter_interval_bounds",
     "op_class_names",
-    "split_intervals",
 ]

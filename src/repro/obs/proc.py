@@ -20,24 +20,16 @@ are written.  :func:`repro.obs.build_report` records the gauges just
 before snapshotting, so memory joins wall/CPU in every ``--run-report``
 document without any caller changes.
 
-On platforms without the ``resource`` module (Windows), the reader
-returns ``0.0`` and the gauges are simply absent from reports.
-
 :func:`pid_alive` is the one liveness check for a recorded pid: a
-stale artifact lock's owner, a running job's worker, an event log's
-writer.
+running job's worker, an event log's writer.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import sys
 from typing import Optional
-
-try:  # pragma: no cover - resource is always present on POSIX
-    import resource
-except ImportError:  # pragma: no cover - Windows
-    resource = None  # type: ignore[assignment]
 
 from .metrics import MetricsRegistry
 from .spans import metrics
@@ -53,16 +45,12 @@ def _maxrss_to_mb(maxrss: float) -> float:
 
 
 def peak_rss_mb() -> float:
-    """This process's lifetime peak resident set size, in MiB (0 if unknown)."""
-    if resource is None:  # pragma: no cover - Windows
-        return 0.0
+    """This process's lifetime peak resident set size, in MiB."""
     return _maxrss_to_mb(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def peak_rss_children_mb() -> float:
-    """Peak RSS across waited-for children, in MiB (0 if none or unknown)."""
-    if resource is None:  # pragma: no cover - Windows
-        return 0.0
+    """Peak RSS across waited-for children, in MiB (0 if none)."""
     return _maxrss_to_mb(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
@@ -76,8 +64,7 @@ def record_peak_rss(registry: Optional[MetricsRegistry] = None) -> float:
     """
     reg = registry if registry is not None else metrics()
     peak = peak_rss_mb()
-    if peak > 0:
-        reg.gauge_set("proc.peak_rss_mb", peak)
+    reg.gauge_set("proc.peak_rss_mb", peak)
     children = peak_rss_children_mb()
     if children > 0 and reg.gauge_value("executor.forked_workers", 0.0):
         reg.gauge_set("proc.peak_rss_children_mb", children)

@@ -10,7 +10,7 @@ process workers through the fork pool's inherited memory: it is never
 pickled, and pages the workers only read are never copied.
 """
 
-from .chunking import chunk_bounds, chunk_items
+from .chunking import chunk_bounds
 from .executor import (
     BACKENDS,
     Executor,
@@ -23,7 +23,7 @@ from .executor import (
     get_executor,
 )
 from .prefetch import prefetch_iter
-from .seeding import generator_from_seed, task_generator, task_seed, task_seeds
+from .seeding import generator_from_seed, task_seed, task_seeds
 
 __all__ = [
     "BACKENDS",
@@ -33,13 +33,11 @@ __all__ = [
     "ThreadExecutor",
     "WorkerError",
     "chunk_bounds",
-    "chunk_items",
     "effective_n_jobs",
     "fork_available",
     "generator_from_seed",
     "get_executor",
     "prefetch_iter",
-    "task_generator",
     "task_seed",
     "task_seeds",
 ]

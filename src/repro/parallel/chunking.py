@@ -8,9 +8,7 @@ differs.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, TypeVar
-
-T = TypeVar("T")
+from typing import List, Tuple
 
 
 def chunk_bounds(
@@ -50,11 +48,3 @@ def chunk_bounds(
         bounds.append((start, stop))
         start = stop
     return bounds
-
-
-def chunk_items(items: Sequence[T], *, chunk_size: int) -> List[List[T]]:
-    """Group ``items`` into ordered chunks of ``chunk_size``."""
-    return [
-        list(items[start:stop])
-        for start, stop in chunk_bounds(len(items), chunk_size=chunk_size)
-    ]

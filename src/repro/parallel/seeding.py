@@ -36,11 +36,6 @@ def task_seeds(stream: str, root: int, n_tasks: int) -> List[int]:
     return [task_seed(stream, root, i) for i in range(n_tasks)]
 
 
-def task_generator(stream: str, root: int, index: int) -> np.random.Generator:
-    """A fresh PCG64 generator for task ``index`` of a fan-out stream."""
-    return np.random.Generator(np.random.PCG64(task_seed(stream, root, index)))
-
-
 def generator_from_seed(seed: int) -> np.random.Generator:
     """Rebuild a task generator from a seed produced by :func:`task_seed`."""
     return np.random.Generator(np.random.PCG64(seed))

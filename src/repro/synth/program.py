@@ -9,7 +9,7 @@ the same trace regardless of which other intervals were generated.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..isa import Trace
 from .phases import PhaseSchedule
@@ -96,22 +96,3 @@ class SyntheticProgram:
                 f"generated {filled} instructions, expected {interval_instructions}"
             )
         return out
-
-    def iter_interval_traces(
-        self, indices: Iterable[int], interval_instructions: int
-    ) -> Iterator[Trace]:
-        """Lazily generate the traces of the given intervals, in order.
-
-        Each trace is freshly allocated when the consumer advances, so
-        a consumer that drops each trace before the next holds one
-        interval trace at a time.  (Featurization does not come through
-        here: it synthesizes a whole fused batch into a reused
-        :class:`~repro.mica.workspace.Workspace`, one
-        ``interval_trace(..., out=)`` call per interval.)
-        Each yielded trace is bit-identical to
-        ``interval_trace(index, interval_instructions)`` — intervals
-        are seeded independently, so generation order and grouping
-        cannot change their content.
-        """
-        for index in indices:
-            yield self.interval_trace(int(index), interval_instructions)

@@ -1,5 +1,7 @@
 """Tests for result persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core import (
     run_characterization,
     save_characterization,
 )
+from repro.io.artifacts import HEADER_KEY, SchemaMismatch
 from repro.suites import get_suite
 
 
@@ -44,6 +47,20 @@ def test_characterization_round_trip(result, tmp_path):
     assert loaded.ga_result.fitness == pytest.approx(result.ga_result.fitness)
     assert loaded.n_components == result.n_components
     assert loaded.explained_variance == pytest.approx(result.explained_variance)
+
+
+def test_headerless_file_rejected(result, tmp_path):
+    # The same arrays and meta as a plain np.savez, without the artifact
+    # header, are not trusted.
+    path = tmp_path / "char.npz"
+    save_characterization(result, path)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    header = json.loads(str(arrays.pop(HEADER_KEY)))
+    plain = tmp_path / "plain.npz"
+    np.savez(plain, **arrays, meta=np.array(json.dumps(header["meta"])))
+    with pytest.raises(SchemaMismatch):
+        load_characterization(plain)
 
 
 def test_round_trip_without_ga(dataset, cfg, tmp_path):

@@ -88,7 +88,7 @@ with artifact_lock(sys.argv[1], timeout=60):
 """
 
 
-def spawn_lock_holder(target: Path, backend: str = "auto") -> subprocess.Popen:
+def spawn_lock_holder(target: Path) -> subprocess.Popen:
     """Start a subprocess holding ``artifact_lock(target)``.
 
     Blocks until the child confirms acquisition.  Kill it with
@@ -96,7 +96,7 @@ def spawn_lock_holder(target: Path, backend: str = "auto") -> subprocess.Popen:
     """
     proc = subprocess.Popen(
         [sys.executable, "-c", _HOLDER_CODE, str(target)],
-        env=env_with_src(REPRO_ARTIFACT_LOCK=backend),
+        env=env_with_src(),
         stdout=subprocess.PIPE,
         text=True,
     )
@@ -107,80 +107,12 @@ def spawn_lock_holder(target: Path, backend: str = "auto") -> subprocess.Popen:
     return proc
 
 
-_TAKEOVER_RACER_CODE = """
-import os, sys, time
-from repro.io.artifacts import artifact_lock
-
-target, ledger, go, name = sys.argv[1:5]
-print("READY", flush=True)
-while not os.path.exists(go):
-    time.sleep(0.001)
-with artifact_lock(target, timeout=60, poll=0.002, stale_after=0.1):
-    with open(ledger, "a") as fh:
-        fh.write(f"enter {name}\\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    time.sleep(0.05)
-    with open(ledger, "a") as fh:
-        fh.write(f"exit {name}\\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-print("DONE", flush=True)
-"""
-
-
-def spawn_takeover_racers(
-    target: Path, ledger: Path, go: Path, n: int = 2
-) -> "list[subprocess.Popen]":
-    """Start ``n`` pidfile-backend waiters racing to take over one lock.
-
-    Each process blocks until the ``go`` file appears (the start
-    barrier), then tries ``artifact_lock(target)`` with a short
-    ``stale_after`` — point them at a pre-staled lock file and they all
-    judge it stale together, which is exactly the schedule where the
-    old unlink-based takeover let several "winners" through.  Inside
-    the lock each appends ``enter <name>`` / ``exit <name>`` lines to
-    ``ledger``; mutual exclusion holds iff the lines strictly
-    alternate.
-    """
-    procs = []
-    for i in range(n):
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-c",
-                _TAKEOVER_RACER_CODE,
-                str(target),
-                str(ledger),
-                str(go),
-                f"r{i}",
-            ],
-            env=env_with_src(REPRO_ARTIFACT_LOCK="pidfile"),
-            stdout=subprocess.PIPE,
-            text=True,
-        )
-        line = proc.stdout.readline()
-        if line.strip() != "READY":
-            for p in procs + [proc]:
-                p.kill()
-            raise RuntimeError(f"takeover racer failed to start: {line!r}")
-        procs.append(proc)
-    return procs
-
-
 def kill_process(proc: subprocess.Popen) -> None:
     """SIGKILL a subprocess and reap it."""
     proc.kill()
     proc.wait()
     if proc.stdout is not None:
         proc.stdout.close()
-
-
-def dead_pid() -> int:
-    """A pid guaranteed not to be alive (a reaped child's)."""
-    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
-                           capture_output=True, text=True)
-    return int(child.stdout.strip())
 
 
 def sigkill_rc() -> int:

@@ -11,7 +11,7 @@ import pytest
 from repro.io import artifacts as A
 from repro.obs import observe
 
-from .faults import bit_flip, crash_writer, dead_pid, sigkill_rc, truncate_file
+from .faults import bit_flip, crash_writer, sigkill_rc, truncate_file
 
 
 @pytest.fixture
@@ -112,18 +112,11 @@ class TestWriteRead:
 
 
 class TestLegacy:
-    def test_headerless_npz_loads_as_legacy(self, tmp_path):
-        path = tmp_path / "legacy.npz"
-        np.savez(path, a=np.arange(4), meta=np.array(json.dumps({"n": 7})))
-        arrays, meta = A.read_artifact(path, schema="t")
-        assert np.array_equal(arrays["a"], np.arange(4))
-        assert meta == {"n": 7}
-
     def test_headerless_rejected_when_legacy_disallowed(self, tmp_path):
         path = tmp_path / "legacy.npz"
         np.savez(path, a=np.arange(4))
         with pytest.raises(A.SchemaMismatch):
-            A.read_artifact(path, schema="t", allow_legacy=False)
+            A.read_artifact(path, schema="t")
 
 
 class TestQuarantine:
@@ -194,9 +187,8 @@ class TestLocking:
         lp = A.lock_path_for(tmp_path / "x.npz")
         assert lp == tmp_path / ".locks" / "x.npz.lock"
 
-    @pytest.mark.parametrize("backend", ["auto", "pidfile"])
-    def test_mutual_exclusion_across_threads(self, tmp_path, monkeypatch, backend):
-        monkeypatch.setenv("REPRO_ARTIFACT_LOCK", backend)
+    @pytest.mark.parametrize("backend", ["auto"])  # flock; keeps the test id
+    def test_mutual_exclusion_across_threads(self, tmp_path, backend):
         target = tmp_path / "x.npz"
         active = []
         overlaps = []
@@ -216,143 +208,14 @@ class TestLocking:
             t.join()
         assert not overlaps
 
-    def test_pidfile_timeout(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_LOCK", "pidfile")
+    def test_timeout_while_held(self, tmp_path):
         target = tmp_path / "x.npz"
-        lock_path = A.lock_path_for(target)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        # A live-owner lock (our own pid) that never goes away.
-        lock_path.write_text(
-            json.dumps({"pid": __import__("os").getpid(),
-                        "host": __import__("socket").gethostname(),
-                        "time": time.time()})
-        )
-        with pytest.raises(A.LockTimeout):
-            with A.artifact_lock(target, timeout=0.3, poll=0.02):
-                pass
-
-    def test_pidfile_stale_dead_owner_taken_over(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_LOCK", "pidfile")
-        target = tmp_path / "x.npz"
-        lock_path = A.lock_path_for(target)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        lock_path.write_text(
-            json.dumps({"pid": dead_pid(),
-                        "host": __import__("socket").gethostname(),
-                        "time": 0})
-        )
-        with observe(run_id="stale") as ob:
-            with A.artifact_lock(target, timeout=5):
-                pass
-        assert ob.metrics.snapshot()["counters"]["artifact_cache.stale_locks"] >= 1
-
-    def test_pidfile_unparseable_old_lock_taken_over(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_LOCK", "pidfile")
-        target = tmp_path / "x.npz"
-        lock_path = A.lock_path_for(target)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        lock_path.write_text("garbage")
-        old = time.time() - 10_000
-        __import__("os").utime(lock_path, (old, old))
-        with A.artifact_lock(target, timeout=5, stale_after=60):
-            pass
-
-    def _stale_lock(self, tmp_path):
-        import os
-
-        lock_path = A.lock_path_for(tmp_path / "x.npz")
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        lock_path.write_text(
-            json.dumps({"pid": dead_pid(),
-                        "host": __import__("socket").gethostname(),
-                        "time": 0})
-        )
-        os.utime(lock_path, (0, 0))
-        return lock_path
-
-    def test_pidfile_takeover_replaces_never_unlinks(self, tmp_path, monkeypatch):
-        """A stealer must swap the stale stamp atomically, not unlink it.
-
-        The old unlink + re-create takeover had a window with no lock
-        file at all, during which a second stealer could also "win" —
-        and its unlink could delete the first winner's fresh lock.
-        """
-        import os
-
-        lock_path = self._stale_lock(tmp_path)
-        unlinked = []
-        real_unlink = os.unlink
-
-        def spying_unlink(path, *args, **kwargs):
-            unlinked.append(str(path))
-            return real_unlink(path, *args, **kwargs)
-
-        monkeypatch.setattr(A.os, "unlink", spying_unlink)
-        lock = A._PidFileLock(lock_path, timeout=5, poll=0.01, stale_after=60)
-        lock.acquire()
-        assert str(lock_path) not in unlinked  # takeover was a replace
-        assert json.loads(lock_path.read_text()) == lock._stamp
-        lock.release()  # normal release does unlink our own file
-        assert str(lock_path) in unlinked
-
-    def test_pidfile_second_stealer_aborts_on_changed_content(self, tmp_path):
-        """Once one waiter takes a stale lock over, a rival must back off.
-
-        The rival re-reads immediately before publishing and finds the
-        winner's fresh stamp instead of the stale one it judged, so its
-        takeover aborts instead of clobbering the winner.
-        """
-        lock_path = self._stale_lock(tmp_path)
-        winner = A._PidFileLock(lock_path, timeout=5, poll=0.01, stale_after=60)
-        rival = A._PidFileLock(lock_path, timeout=5, poll=0.01, stale_after=60)
-        winner.acquire()
-        rival._stamp = {"pid": 1, "host": "h", "time": 0, "nonce": "rival"}
-        assert rival._steal_if_stale() is False
-        assert json.loads(lock_path.read_text()) == winner._stamp
-        winner.release()
-        assert not lock_path.exists()
-
-    def test_pidfile_readback_detects_lost_takeover(self, tmp_path, monkeypatch):
-        """A clobbered acquisition is detected, counted, and retried.
-
-        Simulate a rival replacing the lock inside the settle window:
-        the read-back sees a foreign stamp, the acquirer backs off
-        (bumping ``lock_steal_races``) and, with the rival alive and
-        fresh, times out instead of proceeding as a second holder.
-        """
-        lock_path = self._stale_lock(tmp_path)
-        rival_stamp = {"pid": __import__("os").getpid(),
-                       "host": __import__("socket").gethostname(),
-                       "time": time.time(), "nonce": "rival"}
-        real_sleep = time.sleep
-
-        def clobbering_sleep(seconds):
-            # The settle sleep: the rival's replace lands right here.
-            if json.loads(lock_path.read_text()).get("nonce") != "rival":
-                lock_path.write_text(json.dumps(rival_stamp))
-            real_sleep(min(seconds, 0.001))
-
-        monkeypatch.setattr(A.time, "sleep", clobbering_sleep)
-        lock = A._PidFileLock(lock_path, timeout=0.3, poll=0.01, stale_after=60)
-        with observe(run_id="race") as ob:
-            with pytest.raises(A.LockTimeout):
-                lock.acquire()
-        counters = ob.metrics.snapshot()["counters"]
-        assert counters["artifact_cache.lock_steal_races"] >= 1
-        assert not lock._held
-        # The rival's lock survived the loser's exit untouched.
-        assert json.loads(lock_path.read_text()) == rival_stamp
-
-    def test_pidfile_release_leaves_foreign_lock_alone(self, tmp_path):
-        """A holder whose lock was taken over must not unlink the new owner's."""
-        lock_path = A.lock_path_for(tmp_path / "x.npz")
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        lock = A._PidFileLock(lock_path, timeout=5, poll=0.01, stale_after=60)
-        lock.acquire()
-        foreign = {"pid": 1, "host": "elsewhere", "time": time.time(), "nonce": "f"}
-        lock_path.write_text(json.dumps(foreign))  # taken over while held
-        lock.release()
-        assert json.loads(lock_path.read_text()) == foreign
+        with A.artifact_lock(target):
+            with observe(run_id="held") as ob:
+                with pytest.raises(A.LockTimeout):
+                    with A.artifact_lock(target, timeout=0.1, poll=0.01):
+                        pass
+        assert ob.metrics.snapshot()["counters"]["artifact_cache.lock_waits"] == 1
 
 
 class TestStageCheckpoint:

@@ -28,11 +28,9 @@ from repro.suites import get_suite
 
 from .faults import (
     bit_flip,
-    dead_pid,
     env_with_src,
     kill_process,
     spawn_lock_holder,
-    spawn_takeover_racers,
     truncate_file,
 )
 
@@ -218,10 +216,10 @@ def _bounded_lock(monkeypatch, timeout):
 
 
 class TestConcurrency:
-    @pytest.mark.parametrize("lock_backend", ["auto", "pidfile"])
+    @pytest.mark.parametrize("lock_backend", ["auto"])  # flock; keeps the test id
     def test_two_processes_build_exactly_once(self, tmp_path, lock_backend):
         log_path = tmp_path / "builds.log"
-        env = env_with_src(REPRO_ARTIFACT_LOCK=lock_backend)
+        env = env_with_src()
         procs = [
             subprocess.Popen(
                 [
@@ -257,7 +255,7 @@ class TestConcurrency:
 
     def test_lock_holder_death_releases_flock(self, tmp_path, benches, monkeypatch):
         out = tmp_path / "lh.npz"
-        holder = spawn_lock_holder(out, backend="auto")
+        holder = spawn_lock_holder(out)
         kill_process(holder)
         _bounded_lock(monkeypatch, 10)
         # The kernel released the dead holder's flock: the build proceeds.
@@ -265,60 +263,3 @@ class TestConcurrency:
             benches, CFG, out, suite_tag="lh", select_key=False
         )
         assert len(result.dataset) == 2 * CFG.intervals_per_benchmark
-
-    def test_dead_pidfile_holder_taken_over(self, tmp_path, benches, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_LOCK", "pidfile")
-        out = tmp_path / "lh2.npz"
-        holder = spawn_lock_holder(out, backend="pidfile")
-        kill_process(holder)
-        _bounded_lock(monkeypatch, 30)
-        # The pidfile survives its dead owner; takeover is by pid probe.
-        result = characterize_to_file(
-            benches, CFG, out, suite_tag="lh2", select_key=False
-        )
-        assert len(result.dataset) == 2 * CFG.intervals_per_benchmark
-
-    def test_stale_takeover_race_admits_one_holder_at_a_time(self, tmp_path):
-        """Racing waiters on one stale pidfile lock stay mutually exclusive.
-
-        All racers judge the pre-staled lock stale at the same barrier
-        release — the schedule where the old unlink + re-create takeover
-        let two waiters both proceed.  The replace-based takeover with
-        read-back verification must admit exactly one at a time: the
-        enter/exit ledger lines have to strictly alternate.
-        """
-        import json as _json
-        import os as _os
-        import socket as _socket
-        import time as _time
-
-        from repro.io.artifacts import lock_path_for
-
-        target = tmp_path / "raced.npz"
-        lock_path = lock_path_for(target)
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        lock_path.write_text(
-            _json.dumps(
-                {"pid": dead_pid(), "host": _socket.gethostname(), "time": 0}
-            )
-        )
-        old = _time.time() - 3_600
-        _os.utime(lock_path, (old, old))
-        ledger = tmp_path / "ledger.log"
-        go = tmp_path / "GO"
-        procs = spawn_takeover_racers(target, ledger, go, n=3)
-        go.write_text("go")
-        outs = [p.communicate(timeout=120) for p in procs]
-        assert all(p.returncode == 0 for p in procs), outs
-        lines = ledger.read_text().splitlines()
-        assert len(lines) == 6, lines
-        inside = None
-        for line in lines:
-            action, name = line.split()
-            if action == "enter":
-                assert inside is None, f"{name} entered while {inside} held: {lines}"
-                inside = name
-            else:
-                assert inside == name, lines
-                inside = None
-        assert inside is None

@@ -8,6 +8,7 @@ from repro.config import AnalysisConfig
 from repro.core import build_dataset
 from repro.io import FeatureBlockCache, feature_block_dir
 from repro.mica import N_FEATURES
+from repro.obs import observe
 from repro.suites import all_benchmarks
 
 CFG = AnalysisConfig.tiny()
@@ -102,6 +103,15 @@ class TestBuildDatasetWithCache:
 
     def _benches(self):
         return all_benchmarks()[: self.BENCHES]
+
+    def test_cold_build_counts_one_miss_and_one_store_per_benchmark(self, cache):
+        # The store's merge re-reads the block without counting a lookup.
+        with observe(run_id="cold") as ob:
+            build_dataset(self._benches(), CFG, feature_cache=cache)
+        counters = ob.metrics.snapshot()["counters"]
+        assert counters["feature_blocks.block_misses"] == self.BENCHES
+        assert counters["feature_blocks.stores"] == self.BENCHES
+        assert "feature_blocks.block_hits" not in counters
 
     def test_warm_rerun_refeaturizes_nothing(self, cache, counting):
         benches = self._benches()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel import chunk_bounds, chunk_items
+from repro.parallel import chunk_bounds
 
 
 def test_balanced_split_covers_range():
@@ -42,11 +42,3 @@ def test_rejects_bad_arguments():
         chunk_bounds(5)
     with pytest.raises(ValueError):
         chunk_bounds(5, n_chunks=2, chunk_size=2)
-
-
-def test_chunk_items_preserves_order():
-    assert chunk_items(list("abcdefg"), chunk_size=3) == [
-        ["a", "b", "c"],
-        ["d", "e", "f"],
-        ["g"],
-    ]

@@ -87,24 +87,3 @@ def test_rejects_bad_interval_count():
 
 def test_repr_mentions_name(program):
     assert "two-phase" in repr(program)
-
-
-def test_iter_interval_traces_matches_random_access(program):
-    indices = np.array([3, 0, 7, 3, 9])
-    streamed = list(program.iter_interval_traces(indices, 500))
-    assert len(streamed) == len(indices)
-    for idx, trace in zip(indices, streamed):
-        expected = program.interval_trace(int(idx), 500)
-        assert len(trace) == 500
-        np.testing.assert_array_equal(trace.op, expected.op)
-        np.testing.assert_array_equal(trace.addr, expected.addr)
-        np.testing.assert_array_equal(trace.pc, expected.pc)
-        np.testing.assert_array_equal(trace.taken, expected.taken)
-
-
-def test_iter_interval_traces_is_lazy(program):
-    iterator = program.iter_interval_traces(np.array([0, 99999]), 100)
-    first = next(iterator)  # bad index not touched yet
-    assert len(first) == 100
-    with pytest.raises(ValueError):
-        next(iterator)
