@@ -23,7 +23,7 @@ import numpy as np
 from repro.config import AnalysisConfig
 from repro.core import build_dataset, run_characterization
 from repro.io import format_table
-from repro.parallel import effective_n_jobs, fork_available, get_executor
+from repro.parallel import effective_n_jobs
 from repro.stats import kmeans
 from repro.suites import all_benchmarks
 from repro.synth.rng import generator
@@ -51,12 +51,11 @@ def bench_parallel_dataset_build(report):
     benches = all_benchmarks()
 
     serial_ds, serial_s = _timed(
-        lambda: build_dataset(benches, config, executor=get_executor("serial", 1))
+        lambda: build_dataset(benches, config.replace(n_jobs=1))
     )
-    backend = "process" if fork_available() else "thread"
     parallel_ds, parallel_s = _timed(
         lambda: build_dataset(
-            benches, config.replace(n_jobs=N_JOBS, parallel_backend=backend)
+            benches, config.replace(n_jobs=N_JOBS, parallel_backend="process")
         )
     )
 
@@ -66,12 +65,12 @@ def bench_parallel_dataset_build(report):
 
     rows = [
         ["dataset build", "serial", 1, f"{serial_s:.2f}", "1.00x"],
-        ["dataset build", backend, N_JOBS, f"{parallel_s:.2f}", f"{speedup:.2f}x"],
+        ["dataset build", "process", N_JOBS, f"{parallel_s:.2f}", f"{speedup:.2f}x"],
     ]
     text = format_table(["stage", "backend", "n_jobs", "seconds", "speedup"], rows)
     text += (
         f"\n{len(benches)} benchmarks, {len(serial_ds)} intervals, "
-        f"{os.cpu_count()} cores; results bit-identical\n"
+        f"{len(os.sched_getaffinity(0))} usable CPUs; results bit-identical\n"
     )
     report("parallel_scaling_dataset.txt", text)
     print("\n" + text)
@@ -101,8 +100,7 @@ def bench_parallel_kmeans_restarts(report):
         )
 
     serial_c, serial_s = _timed(lambda: run(1, "serial"))
-    backend = "process" if fork_available() else "thread"
-    parallel_c, parallel_s = _timed(lambda: run(N_JOBS, backend))
+    parallel_c, parallel_s = _timed(lambda: run(N_JOBS, "process"))
 
     assert serial_c.bic == parallel_c.bic
     assert np.array_equal(serial_c.labels, parallel_c.labels)
@@ -110,7 +108,7 @@ def bench_parallel_kmeans_restarts(report):
 
     rows = [
         ["kmeans restarts", "serial", 1, f"{serial_s:.2f}", "1.00x"],
-        ["kmeans restarts", backend, N_JOBS, f"{parallel_s:.2f}", f"{speedup:.2f}x"],
+        ["kmeans restarts", "process", N_JOBS, f"{parallel_s:.2f}", f"{speedup:.2f}x"],
     ]
     text = format_table(["stage", "backend", "n_jobs", "seconds", "speedup"], rows)
     text += (

@@ -44,7 +44,7 @@ from typing import List, Optional, Sequence
 from . import obs
 from .config import AnalysisConfig
 from .core import characterize_to_file, load_characterization
-from .io import format_table
+from .io import ArtifactError, LockTimeout, format_table
 from .mica import FEATURES
 from .suites import SUITE_ORDER, all_benchmarks, all_suites, get_suite
 
@@ -538,13 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="parallel workers for dataset build and k-means restarts "
-        "(-1 = all cores; default: preset value, serial)",
+        "(-1 = every CPU this process may run on; default: preset value, "
+        "serial)",
     )
     p.add_argument(
         "--parallel-backend",
-        choices=("auto", "serial", "thread", "process"),
         default=None,
-        help="executor backend for --n-jobs > 1 (default: auto)",
+        metavar="{auto,serial,process}",
+        help="executor backend for --n-jobs > 1: auto and process fan out "
+        "through the fork pool, serial runs in-process (default: auto)",
     )
     p.add_argument(
         "--feature-cache",
@@ -768,7 +770,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ArtifactError as exc:
+        # A damaged or foreign input file is the user's to replace, not
+        # a crash: one line naming it, no traceback.
+        hint = "" if isinstance(exc, LockTimeout) else " (regenerate it)"
+        print(f"repro: {exc}{hint}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

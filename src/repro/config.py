@@ -45,9 +45,11 @@ class AnalysisConfig:
     worker count, so neither participates in cache keys):
 
     * ``n_jobs`` — parallel workers for dataset build and k-means
-      restarts; ``-1`` means all cores, ``1`` means serial.
-    * ``parallel_backend`` — ``auto`` | ``serial`` | ``thread`` |
-      ``process`` (see :mod:`repro.parallel`).
+      restarts; ``-1`` means every CPU this process may use, ``1``
+      means serial.
+    * ``parallel_backend`` — ``auto`` | ``serial`` | ``process``;
+      ``auto`` and ``process`` both fan out through the fork pool
+      (see :mod:`repro.parallel`).
 
     Two further knobs select the *streaming* analysis path
     (:mod:`repro.streaming`).  Unlike the execution knobs they change
@@ -99,11 +101,9 @@ class AnalysisConfig:
         if not 0 < self.n_key_characteristics <= 69:
             raise ValueError("n_key_characteristics must be in (0, 69]")
         if self.n_jobs != -1 and self.n_jobs < 1:
-            raise ValueError("n_jobs must be -1 (all cores) or >= 1")
-        if self.parallel_backend not in ("auto", "serial", "thread", "process"):
-            raise ValueError(
-                "parallel_backend must be one of auto, serial, thread, process"
-            )
+            raise ValueError("n_jobs must be -1 (all usable CPUs) or >= 1")
+        if self.parallel_backend not in ("auto", "serial", "process"):
+            raise ValueError("parallel_backend must be one of auto, serial, process")
         if self.batch_intervals < 1:
             raise ValueError("batch_intervals must be >= 1")
         if self.ppm_sample_branches > 2**20:

@@ -18,7 +18,7 @@ from ..config import AnalysisConfig
 from ..mica import N_FEATURES, batch_slices, characterize_intervals
 from ..mica.workspace import Workspace, thread_workspace
 from ..obs import emit_progress, get_logger, metrics, span
-from ..parallel import Executor, get_executor
+from ..parallel import get_executor
 from ..suites import Benchmark
 from .sampling import sample_interval_indices
 
@@ -162,7 +162,6 @@ def build_dataset(
     config: AnalysisConfig,
     *,
     counts: Optional[Dict[str, int]] = None,
-    executor: Optional[Executor] = None,
     feature_cache=None,
 ) -> WorkloadDataset:
     """Sample and characterize intervals for the given benchmarks.
@@ -177,7 +176,7 @@ def build_dataset(
     Benchmarks are independent (each draws its randomness from its own
     keyed stream), so they fan out across ``config.n_jobs`` workers; the
     assembled dataset is bit-identical to a serial build for any worker
-    count or backend.  One INFO log line per benchmark reports progress,
+    count.  One INFO log line per benchmark reports progress,
     always in benchmark order.
 
     Args:
@@ -188,8 +187,6 @@ def build_dataset(
             benchmark key (``suite/name``).  Used by the interval-
             sampling ablation to weight benchmarks by their dynamic
             length instead of equally.
-        executor: override the executor built from ``config`` (used by
-            the scaling bench to pin a backend).
         feature_cache: optional
             :class:`~repro.io.FeatureBlockCache`.  Cached per-interval
             vectors are loaded before dispatch (workers inherit them via
@@ -202,8 +199,7 @@ def build_dataset(
         The assembled :class:`WorkloadDataset`.
     """
     plan = build_sampling_plan(benchmarks, config, counts=counts)
-    if executor is None:
-        executor = get_executor(config.parallel_backend, config.n_jobs)
+    executor = get_executor(config.parallel_backend, config.n_jobs)
     cached_blocks = None
     if feature_cache is not None:
         cached_blocks = {

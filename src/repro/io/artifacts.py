@@ -38,7 +38,6 @@ import json
 import hashlib
 import os
 import signal
-import socket
 import tempfile
 import time
 import zipfile
@@ -293,10 +292,6 @@ def lock_path_for(path: PathLike) -> Path:
     return path.parent / ".locks" / (path.name + ".lock")
 
 
-def _owner_stamp() -> Dict[str, Any]:
-    return {"pid": os.getpid(), "host": socket.gethostname(), "time": time.time()}
-
-
 @contextmanager
 def artifact_lock(
     path: PathLike,
@@ -338,11 +333,6 @@ def artifact_lock(
                         f"{lock_path}: lock not acquired within {timeout:.0f}s"
                     )
                 time.sleep(poll)
-        try:
-            os.ftruncate(fd, 0)
-            os.write(fd, json.dumps(_owner_stamp()).encode())
-        except OSError:  # pragma: no cover - stamp is advisory
-            pass
         try:
             yield
         finally:

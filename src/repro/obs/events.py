@@ -29,7 +29,7 @@ later: the log on disk *is* the live state.
 log, which carries its metrics, is appended to the parent's log (and so
 to the bus) once per task, in submission order
 (:meth:`repro.obs.Observation.merge_snapshot`), so the stream is the
-same for the serial, thread, and process backends.
+same in-process and through the fork pool.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ observation; while none is installed, :func:`span` returns a shared
 no-op context manager and :func:`metrics` a shared no-op registry, so
 instrumented library code pays a dictionary lookup and nothing else.
 
-**Executors.**  Worker tasks (threads or forked processes) run inside
+**Executors.**  Worker tasks (in-process or forked) run inside
 :func:`capture`: an isolated observation whose log holds a ``task``
 span (attribute ``label``) around the task and keeps its first
 :data:`~repro.obs.events.MAX_WORKER_EVENTS` events plus the closes of
@@ -39,8 +39,8 @@ close takes no metrics: the ``task`` close carries them).
 Its :class:`Snapshot` — events and drop count — travels back with
 the task result, and :meth:`Observation.merge_snapshot` replays the
 events, and so the metrics they carry, under the caller's current
-span, exactly once per task, in submission order.  A serial,
-threaded, and forked run therefore log the same spans.  Dropped
+span, exactly once per task, in submission order.  An in-process
+and a forked run therefore log the same spans.  Dropped
 events are logged as one ``events.dropped`` event, so a report folded
 from the log says ``partial: true`` and how many were lost.  The
 streaming prefetch producer (:func:`repro.parallel.prefetch_iter`)
@@ -568,8 +568,8 @@ class observe:
     """Install an observation as current for a ``with`` block.
 
     Sets both the thread-local and the global slot (restoring the
-    previous values on exit), so executor workers — pool threads and
-    forked processes alike — see that collection is on.  Yields the
+    previous values on exit), so forked executor workers and the
+    prefetch producer thread see that collection is on.  Yields the
     :class:`Observation` for building a run report.
     """
 

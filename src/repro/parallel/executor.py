@@ -1,6 +1,6 @@
-"""Executor abstraction: serial, thread and process backends.
+"""Executor: ordered fan-out, in-process or through a fork pool.
 
-All backends share one contract, :meth:`Executor.map`:
+:meth:`Executor.map` has one contract at any worker count:
 
 * the callable is applied as ``fn(payload, task)`` for each task;
 * results come back **in submission order**, whatever the completion
@@ -11,41 +11,34 @@ All backends share one contract, :meth:`Executor.map`:
 * the large shared state goes in ``payload``; tasks themselves should
   be small (indices, seeds).
 
-The process backend uses a ``fork`` pool so the payload — benchmark
-registries, feature matrices — reaches workers through inherited
-memory rather than pickling.  Where ``fork`` is unavailable (or
-``multiprocessing`` itself is broken), :func:`get_executor` degrades
-gracefully: ``process`` falls back to serial execution and ``auto``
-picks threads, so callers never have to special-case the platform.
+At ``n_jobs == 1`` tasks run in-process, one after another.  Otherwise
+they run in a ``fork`` pool, one task per dispatch, so the payload —
+benchmark registries, feature matrices — reaches workers through
+inherited memory rather than pickling.
 
 When an observation is active (:func:`repro.obs.active`), every task
 runs inside :class:`repro.obs.capture` — an isolated worker-side event
 log, carrying the task's metrics, that travels back with the task
 result — and :meth:`Executor.map` replays each task's events under the
 caller's current span **exactly once**, in submission order.  The
-logged spans and all counter totals are therefore identical for any
-backend or worker count; a failed chunk's surviving tasks are merged once too
-(never re-merged on the error path), and nothing is emitted at all
-when observation is off.
+logged spans and all counter totals are therefore identical at any
+worker count; the tasks before a failed one are merged once too (never
+re-merged on the error path), and nothing is emitted at all when
+observation is off.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import spans as _obs
-from .chunking import chunk_bounds
-
-#: Recognised backend names, in the order we document them.
-BACKENDS = ("auto", "serial", "thread", "process")
 
 TaskFn = Callable[[Any, Any], Any]
 #: One task bundled with its human-readable label.
 _LabeledTask = Tuple[Any, str]
-#: Worker outcome: ("ok", result) or ("err", label, message, traceback).
+#: Worker outcome: ("ok", result[, worker]) or ("err", label, message, traceback).
 _Outcome = Tuple[Any, ...]
 
 
@@ -69,7 +62,7 @@ def _run_one(fn: TaskFn, payload: Any, task: Any, label: str) -> _Outcome:
             # Log the task's events, which carry its metrics, into an
             # isolated worker observation that rides back with the
             # result and is merged (once) by Executor.map in submission
-            # order.  Same-process backends hand over the live object;
+            # order.  In-process tasks hand over the live object;
             # crossing the fork boundary pickles it into a Snapshot.
             with _obs.capture(label) as worker:
                 result = fn(payload, task)
@@ -77,16 +70,6 @@ def _run_one(fn: TaskFn, payload: Any, task: Any, label: str) -> _Outcome:
         return ("ok", fn(payload, task))
     except Exception as exc:
         return ("err", label, f"{type(exc).__name__}: {exc}", traceback.format_exc())
-
-
-def _run_chunk(fn: TaskFn, payload: Any, chunk: Sequence[_LabeledTask]) -> List[_Outcome]:
-    outcomes = []
-    for task, label in chunk:
-        outcome = _run_one(fn, payload, task, label)
-        outcomes.append(outcome)
-        if outcome[0] == "err":
-            break  # remaining tasks in the chunk would be discarded anyway
-    return outcomes
 
 
 # Worker-side state for the fork pool: set in the parent immediately
@@ -99,15 +82,19 @@ def _pool_init(state: Tuple[TaskFn, Any]) -> None:
     _POOL_STATE = state
 
 
-def _pool_run_chunk(chunk: Sequence[_LabeledTask]) -> List[_Outcome]:
+def _pool_run_one(labeled: _LabeledTask) -> _Outcome:
     fn, payload = _POOL_STATE
-    return _run_chunk(fn, payload, chunk)
+    return _run_one(fn, payload, *labeled)
 
 
 class Executor:
-    """Ordered fan-out over a fixed worker budget."""
+    """Ordered fan-out over a fixed worker budget.
 
-    backend = "serial"
+    The ``(fn, payload)`` pair reaches forked workers through inherited
+    memory, so neither needs to be picklable; tasks and results cross
+    the process boundary and must pickle (indices, seeds, numpy arrays
+    all qualify).
+    """
 
     def __init__(self, n_jobs: int = 1) -> None:
         if n_jobs < 1:
@@ -121,20 +108,16 @@ class Executor:
         *,
         payload: Any = None,
         labels: Optional[Sequence[str]] = None,
-        chunk_size: int = 1,
         on_result: Optional[Callable[[int, Any], None]] = None,
     ) -> List[Any]:
         """Apply ``fn(payload, task)`` to every task, preserving order.
 
         Args:
-            fn: a module-level callable (so the process backend can
-                resolve it in workers).
+            fn: a module-level callable.
             tasks: the work items; materialized up front.
             payload: shared state passed to every call.
             labels: per-task labels for error reporting; defaults to
                 ``"task {i}"``.
-            chunk_size: tasks handed to a worker per dispatch; raise it
-                when individual tasks are tiny relative to IPC cost.
             on_result: optional callback invoked as ``on_result(i,
                 result)`` in task order as ordered results arrive (for
                 progress reporting).
@@ -153,118 +136,64 @@ class Executor:
             labels = [str(label) for label in labels]
         if len(labels) != len(tasks):
             raise ValueError("labels length must match tasks length")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         if not tasks:
             return []
-        labeled = list(zip(tasks, labels))
-        chunks = [
-            labeled[start:stop]
-            for start, stop in chunk_bounds(len(labeled), chunk_size=chunk_size)
-        ]
         results: List[Any] = []
         parent = _obs.current()
-        for outcomes in self._imap_chunks(fn, payload, chunks):
-            for outcome in outcomes:
-                if outcome[0] == "err":
-                    _, label, message, details = outcome
-                    raise WorkerError(label, message, details)
-                results.append(outcome[1])
-                if parent is not None:
-                    # A 3-tuple carries the worker's telemetry; replay
-                    # it under the caller's current span here — and
-                    # only here — so each task's events and metrics
-                    # count exactly once.  The task's heartbeat follows
-                    # it, so a failed chunk's tail never beats.
-                    if len(outcome) == 3:
-                        parent.merge_snapshot(outcome[2])
-                    parent.emit(
-                        "heartbeat",
-                        label=labels[len(results) - 1],
-                        completed=len(results),
-                        total=len(tasks),
-                    )
-                if on_result is not None:
-                    on_result(len(results) - 1, outcome[1])
+        for outcome in self._outcomes(fn, payload, list(zip(tasks, labels))):
+            if outcome[0] == "err":
+                _, label, message, details = outcome
+                raise WorkerError(label, message, details)
+            results.append(outcome[1])
+            if parent is not None:
+                # A 3-tuple carries the worker's telemetry; replay it
+                # under the caller's current span here — and only
+                # here — so each task's events and metrics count
+                # exactly once.  The task's heartbeat follows it, so
+                # the tasks after a failure never beat.
+                if len(outcome) == 3:
+                    parent.merge_snapshot(outcome[2])
+                parent.emit(
+                    "heartbeat",
+                    label=labels[len(results) - 1],
+                    completed=len(results),
+                    total=len(tasks),
+                )
+            if on_result is not None:
+                on_result(len(results) - 1, outcome[1])
         return results
 
-    def _imap_chunks(
-        self, fn: TaskFn, payload: Any, chunks: Sequence[Sequence[_LabeledTask]]
-    ) -> Iterator[List[_Outcome]]:
-        raise NotImplementedError
+    def _outcomes(
+        self, fn: TaskFn, payload: Any, labeled: Sequence[_LabeledTask]
+    ) -> Iterator[_Outcome]:
+        if self.n_jobs == 1:
+            for task, label in labeled:
+                yield _run_one(fn, payload, task, label)
+            return
+        import multiprocessing  # here, so a serial run never loads it
 
-
-class SerialExecutor(Executor):
-    """In-process, one task at a time; the reference semantics."""
-
-    backend = "serial"
-
-    def __init__(self) -> None:
-        super().__init__(n_jobs=1)
-
-    def _imap_chunks(self, fn, payload, chunks):
-        for chunk in chunks:
-            yield _run_chunk(fn, payload, chunk)
-
-
-class ThreadExecutor(Executor):
-    """Thread pool; useful when tasks release the GIL or block on IO."""
-
-    backend = "thread"
-
-    def _imap_chunks(self, fn, payload, chunks):
-        with ThreadPoolExecutor(max_workers=self.n_jobs) as pool:
-            futures = [pool.submit(_run_chunk, fn, payload, chunk) for chunk in chunks]
-            for future in futures:
-                yield future.result()
-
-
-class ProcessExecutor(Executor):
-    """Fork-based process pool; the true-parallelism backend.
-
-    The ``(fn, payload)`` pair reaches workers through fork-inherited
-    memory, so neither needs to be picklable; tasks and results cross
-    the process boundary and must pickle (indices, seeds, numpy arrays
-    all qualify).
-    """
-
-    backend = "process"
-
-    def _imap_chunks(self, fn, payload, chunks):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        n_workers = min(self.n_jobs, max(len(chunks), 1))
+        n_workers = min(self.n_jobs, len(labeled))
         # Tells the run report that its children's peak RSS is workers'.
         reg = _obs.metrics()
         most = max(n_workers, reg.gauge_value("executor.forked_workers", 0.0))
         reg.gauge_set("executor.forked_workers", most)
-        with ctx.Pool(
+        with multiprocessing.get_context("fork").Pool(
             processes=n_workers,
             initializer=_pool_init,
             initargs=((fn, payload),),
         ) as pool:
-            for outcomes in pool.imap(_pool_run_chunk, chunks):
-                yield outcomes
-
-
-def fork_available() -> bool:
-    """Whether a fork-based process pool can be created on this platform."""
-    try:
-        import multiprocessing
-
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:
-        return False
+            yield from pool.imap(_pool_run_one, labeled)
 
 
 def effective_n_jobs(n_jobs: Optional[int]) -> int:
     """Resolve an ``n_jobs`` knob to a concrete worker count.
 
-    ``None`` and ``-1`` mean "all cores"; positive values pass through.
+    ``None`` and ``-1`` mean every CPU this process may run on (its
+    affinity mask, not the machine's core count); positive values pass
+    through.
     """
     if n_jobs is None or n_jobs == -1:
-        return os.cpu_count() or 1
+        return len(os.sched_getaffinity(0))
     if n_jobs < 1:
         raise ValueError("n_jobs must be -1 or >= 1")
     return n_jobs
@@ -273,19 +202,12 @@ def effective_n_jobs(n_jobs: Optional[int]) -> int:
 def get_executor(backend: str = "auto", n_jobs: Optional[int] = 1) -> Executor:
     """Build the executor for a backend name and worker count.
 
-    ``auto`` picks processes when fork is available, threads otherwise.
-    ``process`` without fork support degrades to serial execution (the
-    graceful fallback), as does any backend at ``n_jobs=1``.
+    ``serial`` (or one job) runs tasks in-process; ``auto`` and
+    ``process`` fan them out through the fork pool.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r} (choose from {BACKENDS})")
+    if backend not in ("auto", "serial", "process"):
+        raise ValueError(
+            f"unknown backend {backend!r} (choose from auto, serial, process)"
+        )
     n_jobs = effective_n_jobs(n_jobs)
-    if backend == "auto":
-        backend = "process" if fork_available() else "thread"
-    if n_jobs == 1 or backend == "serial":
-        return SerialExecutor()
-    if backend == "process":
-        if not fork_available():
-            return SerialExecutor()
-        return ProcessExecutor(n_jobs)
-    return ThreadExecutor(n_jobs)
+    return Executor(1 if backend == "serial" else n_jobs)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..obs import active as obs_active
 from ..obs import emit_progress, metrics, span
-from ..parallel import Executor, generator_from_seed, get_executor, task_seeds
+from ..parallel import generator_from_seed, get_executor, task_seeds
 from .bic import kmeans_bic
 from .distance import distances_to
 from .kmeans_engine import EngineStats, assigned_sq_distances, lloyd_accelerated
@@ -138,7 +138,6 @@ def kmeans(
     rng: np.random.Generator,
     n_jobs: int = 1,
     backend: str = "auto",
-    executor: Optional[Executor] = None,
 ) -> Clustering:
     """Cluster ``points`` into ``k`` clusters, keeping the best-BIC run.
 
@@ -151,7 +150,6 @@ def kmeans(
             per-restart seed streams.
         n_jobs: workers to fan the restarts across (1 = serial).
         backend: executor backend for the fan-out.
-        executor: override the executor built from ``backend``/``n_jobs``.
 
     Returns:
         The :class:`Clustering` with the highest BIC score (ties broken
@@ -167,9 +165,7 @@ def kmeans(
         raise ValueError("max_iter must be >= 1")
     k = min(k, len(points))
     init_rows = restart_init_rows(rng, len(points), k, restarts)
-    if executor is None:
-        executor = get_executor(backend, n_jobs)
-    runs = executor.map(
+    runs = get_executor(backend, n_jobs).map(
         _run_restart,
         init_rows,
         payload=(points, max_iter),

@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import AnalysisConfig
 from repro.core import build_dataset, run_characterization
-from repro.parallel import WorkerError, fork_available, get_executor
+from repro.parallel import WorkerError
 from repro.suites import Benchmark, get_suite
 
 
@@ -39,10 +39,8 @@ def _assert_same_dataset(a, b):
     assert np.array_equal(a.interval_indices, b.interval_indices)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_dataset_identical_across_worker_counts(benches, cfg, serial_dataset, backend):
-    if backend == "process" and not fork_available():
-        pytest.skip("no fork")
     parallel = build_dataset(
         benches, cfg.replace(n_jobs=4, parallel_backend=backend)
     )
@@ -50,8 +48,6 @@ def test_dataset_identical_across_worker_counts(benches, cfg, serial_dataset, ba
 
 
 def test_characterization_identical_at_n_jobs_4(benches, cfg, serial_dataset):
-    if not fork_available():
-        pytest.skip("no fork")
     serial = run_characterization(
         serial_dataset, cfg.replace(n_jobs=1), select_key=False
     )
@@ -71,7 +67,7 @@ def test_characterization_identical_at_n_jobs_4(benches, cfg, serial_dataset):
 
 def test_progress_reports_in_benchmark_order(benches, cfg, caplog):
     with caplog.at_level(logging.INFO, logger="repro.core.dataset"):
-        build_dataset(benches, cfg.replace(n_jobs=2, parallel_backend="thread"))
+        build_dataset(benches, cfg.replace(n_jobs=2, parallel_backend="process"))
     messages = [
         r.getMessage() for r in caplog.records if r.name == "repro.core.dataset"
     ]
@@ -84,18 +80,15 @@ def _raising_schedule(seed):
     raise RuntimeError("synthetic schedule failure")
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_crashed_worker_surfaces_benchmark_name(cfg, backend):
-    if backend == "process" and not fork_available():
-        pytest.skip("no fork")
     bad = Benchmark(
         suite="BMW",
         name="explodes",
         n_intervals=4,
         schedule_factory=_raising_schedule,
     )
-    executor = get_executor(backend, 2)
     with pytest.raises(WorkerError) as err:
-        build_dataset([bad], cfg, executor=executor)
+        build_dataset([bad], cfg.replace(n_jobs=2, parallel_backend=backend))
     assert err.value.label == "BMW/explodes"
     assert "synthetic schedule failure" in str(err.value)

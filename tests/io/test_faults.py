@@ -79,7 +79,7 @@ class TestCorruptCacheEntries:
         assert list(path.parent.glob(path.name + ".corrupt-*"))
         read_artifact(path, schema="stage:analysis")
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_rebuild_after_corruption_across_backends(self, tmp_path, benches, backend):
         cfg = CFG.replace(parallel_backend=backend, n_jobs=2)
         blocks = FeatureBlockCache(feature_block_dir(tmp_path))

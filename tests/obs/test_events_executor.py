@@ -4,8 +4,8 @@ Worker tasks never touch the sink; their events log into a bounded
 worker log, ride back inside the telemetry snapshot, and replay into
 the parent's log and bus at the single merge point.  The resulting stream must
 be identical — strictly monotonic seqs, task events in submission
-order — for the serial, thread, and process backends, and a failed
-task's events must be discarded with its snapshot.
+order — in-process and through the fork pool, and a failed task's
+events must be discarded with its snapshot.
 """
 
 import io
@@ -15,22 +15,11 @@ import pytest
 
 from repro.config import AnalysisConfig
 from repro.obs import emit_event, observe, recorded_run, span
-from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    WorkerError,
-    fork_available,
-)
+from repro.parallel import Executor, WorkerError
 
 BACKENDS = [
-    pytest.param(SerialExecutor(), id="serial"),
-    pytest.param(ThreadExecutor(3), id="thread"),
-    pytest.param(
-        ProcessExecutor(3),
-        id="process",
-        marks=pytest.mark.skipif(not fork_available(), reason="no fork"),
-    ),
+    pytest.param(Executor(1), id="serial"),
+    pytest.param(Executor(3), id="process"),
 ]
 
 
@@ -88,7 +77,7 @@ def test_heartbeats_count_completed_tasks_in_order(executor):
 
 @pytest.mark.parametrize("executor", BACKENDS)
 def test_stream_is_identical_across_backends(executor):
-    events = _run(executor, _task, 4, chunk_size=2)
+    events = _run(executor, _task, 4)
     shape = [
         (e["type"], e.get("span"), e.get("index"))
         for e in events
@@ -116,11 +105,11 @@ def test_failed_task_events_are_discarded(executor):
     with pytest.raises(WorkerError):
         with _recording(handle) as run:
             with run.observing():
-                executor.map(_failing, range(4), chunk_size=4)
+                executor.map(_failing, range(4))
     events = [json.loads(line) for line in handle.getvalue().splitlines()]
     markers = [e["index"] for e in events if e["type"] == "marker"]
-    # Tasks before the failure in the chunk replayed once each; the
-    # failing task's buffer died with its snapshot.
+    # Tasks before the failure replayed once each; the failing task's
+    # buffer died with its snapshot, and later tasks never merge.
     assert markers == [0, 1]
     assert events[-1]["type"] == "run.end" and events[-1]["ok"] is False
 

@@ -3,28 +3,17 @@
 The executor contract under an active observation: every task's spans
 and metrics come back with its result and are merged under the caller's
 current span exactly once, in submission order — so counter totals and
-the span tree are identical for serial, thread, and process backends.
+the span tree are identical in-process and through the fork pool.
 """
 
 import pytest
 
 from repro.obs import metrics, observe, span
-from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    WorkerError,
-    fork_available,
-)
+from repro.parallel import Executor, WorkerError
 
 BACKENDS = [
-    pytest.param(SerialExecutor(), id="serial"),
-    pytest.param(ThreadExecutor(3), id="thread"),
-    pytest.param(
-        ProcessExecutor(3),
-        id="process",
-        marks=pytest.mark.skipif(not fork_available(), reason="no fork"),
-    ),
+    pytest.param(Executor(1), id="serial"),
+    pytest.param(Executor(3), id="process"),
 ]
 
 
@@ -70,7 +59,7 @@ def test_worker_spans_merge_in_submission_order(executor):
 @pytest.mark.parametrize("executor", BACKENDS)
 def test_worker_metrics_counted_exactly_once(executor):
     with observe() as ob:
-        executor.map(_task, range(8), chunk_size=3)
+        executor.map(_task, range(8))
     assert ob.metrics.counter_value("tasks_done") == 8
     assert ob.metrics.counter_value("weights") == sum(range(8))
 
@@ -79,7 +68,7 @@ def test_worker_metrics_counted_exactly_once(executor):
 def test_same_tree_and_totals_across_backends(executor):
     with observe() as ob:
         with span("fanout"):
-            executor.map(_task, range(6), chunk_size=2)
+            executor.map(_task, range(6))
     names = [
         (child.name, tuple(g.name for g in child.children))
         for child in ob.root.children[0].children
@@ -92,9 +81,9 @@ def test_same_tree_and_totals_across_backends(executor):
 def test_failed_task_aborts_without_double_merge(executor):
     with observe() as ob:
         with pytest.raises(WorkerError):
-            executor.map(_failing, range(4), chunk_size=4)
-    # Tasks before the failure in the failing chunk merged once each;
-    # the failed task's telemetry is discarded with its chunk.
+            executor.map(_failing, range(4))
+    # Tasks before the failure merged once each; the failed task's
+    # telemetry is discarded, and later tasks never merge.
     assert ob.metrics.counter_value("attempted") == 2
 
 
@@ -109,7 +98,7 @@ def test_serial_tasks_do_not_leak_into_parent_stack():
     # inline (serial) execution builds the same tree as a pool would.
     with observe() as ob:
         with span("outer"):
-            SerialExecutor().map(_task, range(2))
+            Executor(1).map(_task, range(2))
             with span("sibling"):
                 pass
     outer = ob.root.children[0]

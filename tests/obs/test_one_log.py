@@ -29,18 +29,13 @@ from repro.obs import (
     validate_report,
 )
 from repro.obs.events import MAX_WORKER_EVENTS
-from repro.parallel import SerialExecutor, fork_available, get_executor
+from repro.parallel import Executor, get_executor
 from repro.streaming import run_streaming_characterization
 from repro.suites import get_suite
 
 BACKENDS = [
     pytest.param("serial", id="serial"),
-    pytest.param("thread", id="thread"),
-    pytest.param(
-        "process",
-        id="process",
-        marks=pytest.mark.skipif(not fork_available(), reason="no fork"),
-    ),
+    pytest.param("process", id="process"),
 ]
 
 
@@ -145,7 +140,7 @@ def test_an_overflowing_worker_still_adds_its_exact_counters(backend):
     # Each step logs two events, so the later steps' spans are dropped
     # whole; their counters stay pending for the task's close.
     steps = MAX_WORKER_EVENTS
-    executor = SerialExecutor() if backend == "serial" else get_executor(backend, 2)
+    executor = get_executor(backend, 2)
     with observe() as ob:
         executor.map(_counted, range(2), payload=steps)
         fold = ob.fold()
@@ -168,9 +163,7 @@ def test_an_overflowing_worker_makes_the_report_partial(backend):
     # MAX_WORKER_EVENTS + overflow events.  Its log keeps the first
     # MAX_WORKER_EVENTS and both closes, so overflow - 2 ticks drop.
     ticks = MAX_WORKER_EVENTS + overflow - 4
-    executor = (
-        SerialExecutor() if backend == "serial" else get_executor(backend, 2)
-    )
+    executor = get_executor(backend, 2)
 
     def run():
         with span("fanout"):
@@ -199,7 +192,7 @@ def _late_child(payload, i):
 def test_a_span_opened_past_the_bound_is_dropped_whole():
     def run():
         with span("fanout"):
-            SerialExecutor().map(_late_child, range(1))
+            Executor(1).map(_late_child, range(1))
 
     live, folded = _observed(run)
     for doc in (live, folded):

@@ -16,7 +16,6 @@ from repro.obs import (
     validate_report,
 )
 from repro.obs.proc import _maxrss_to_mb, peak_rss_children_mb
-from repro.parallel import fork_available
 
 
 def test_peak_rss_mb_is_positive_and_plausible():
@@ -125,7 +124,6 @@ def test_serial_report_has_no_children_gauge(tmp_path, capsys):
     assert "executor.forked_workers" not in gauges
 
 
-@pytest.mark.skipif(not fork_available(), reason="no fork")
 def test_process_backend_report_has_children_gauge(tmp_path, capsys):
     gauges = _tiny_report(
         tmp_path, "process", "--n-jobs", "2", "--parallel-backend", "process"

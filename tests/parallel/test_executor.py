@@ -1,17 +1,10 @@
-"""Tests for the executor backends: ordering, errors, fallback."""
+"""Tests for the executor: ordering, errors, backend selection."""
+
+import os
 
 import pytest
 
-from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    WorkerError,
-    effective_n_jobs,
-    fork_available,
-    get_executor,
-)
-from repro.parallel import executor as executor_module
+from repro.parallel import Executor, WorkerError, effective_n_jobs, get_executor
 
 
 def _square(payload, task):
@@ -24,26 +17,16 @@ def _fail_on_three(payload, task):
     return task
 
 
+# In-process (one job) and the fork pool, under their long-standing ids.
 ALL_BACKENDS = [
-    SerialExecutor(),
-    ThreadExecutor(n_jobs=4),
-    pytest.param(
-        ProcessExecutor(n_jobs=4),
-        marks=pytest.mark.skipif(not fork_available(), reason="no fork"),
-    ),
+    pytest.param(Executor(1), id="ex0"),
+    pytest.param(Executor(4), id="ex2"),
 ]
 
 
 @pytest.mark.parametrize("ex", ALL_BACKENDS)
 def test_map_preserves_submission_order(ex):
     assert ex.map(_square, range(20), payload=2) == [2 * i * i for i in range(20)]
-
-
-@pytest.mark.parametrize("ex", ALL_BACKENDS)
-@pytest.mark.parametrize("chunk_size", [1, 3, 50])
-def test_chunked_map_reassembles_in_order(ex, chunk_size):
-    out = ex.map(_square, range(10), payload=1, chunk_size=chunk_size)
-    assert out == [i * i for i in range(10)]
 
 
 @pytest.mark.parametrize("ex", ALL_BACKENDS)
@@ -70,37 +53,24 @@ def test_empty_task_list(ex):
 
 def test_map_rejects_mismatched_labels():
     with pytest.raises(ValueError):
-        SerialExecutor().map(_square, range(3), payload=1, labels=["only-one"])
-
-
-def test_map_rejects_bad_chunk_size():
-    with pytest.raises(ValueError):
-        SerialExecutor().map(_square, range(3), payload=1, chunk_size=0)
+        Executor(1).map(_square, range(3), payload=1, labels=["only-one"])
 
 
 def test_n_jobs_one_is_always_serial():
-    for backend in ("auto", "serial", "thread", "process"):
-        assert isinstance(get_executor(backend, 1), SerialExecutor)
+    for backend in ("auto", "serial", "process"):
+        assert get_executor(backend, 1).n_jobs == 1
 
 
 def test_backend_selection():
-    assert isinstance(get_executor("serial", 8), SerialExecutor)
-    assert isinstance(get_executor("thread", 8), ThreadExecutor)
-    if fork_available():
-        assert isinstance(get_executor("process", 8), ProcessExecutor)
-        assert isinstance(get_executor("auto", 8), ProcessExecutor)
-
-
-def test_process_backend_falls_back_to_serial_without_fork(monkeypatch):
-    monkeypatch.setattr(executor_module, "fork_available", lambda: False)
-    assert isinstance(executor_module.get_executor("process", 8), SerialExecutor)
-    # "auto" degrades to threads, which still parallelize without fork.
-    assert isinstance(executor_module.get_executor("auto", 8), ThreadExecutor)
+    assert get_executor("serial", 8).n_jobs == 1
+    assert get_executor("process", 8).n_jobs == 8
+    assert get_executor("auto", 8).n_jobs == 8
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        get_executor("gpu", 2)
+    for backend in ("gpu", "thread"):
+        with pytest.raises(ValueError):
+            get_executor(backend, 2)
 
 
 def test_effective_n_jobs():
@@ -113,19 +83,18 @@ def test_effective_n_jobs():
         effective_n_jobs(-2)
 
 
+def test_all_jobs_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert effective_n_jobs(-1) == 1
+    assert get_executor("auto", -1).n_jobs == 1
+
+
 def test_executor_rejects_bad_worker_count():
     with pytest.raises(ValueError):
-        ThreadExecutor(n_jobs=0)
+        Executor(n_jobs=0)
 
 
-def test_thread_results_match_serial():
-    serial = SerialExecutor().map(_square, range(50), payload=3)
-    threaded = ThreadExecutor(n_jobs=4).map(_square, range(50), payload=3, chunk_size=7)
-    assert serial == threaded
-
-
-@pytest.mark.skipif(not fork_available(), reason="no fork")
 def test_process_results_match_serial():
-    serial = SerialExecutor().map(_square, range(50), payload=3)
-    forked = ProcessExecutor(n_jobs=4).map(_square, range(50), payload=3, chunk_size=7)
+    serial = Executor(1).map(_square, range(50), payload=3)
+    forked = Executor(4).map(_square, range(50), payload=3)
     assert serial == forked

@@ -1,16 +1,12 @@
 """Process-backend restarts read the points through the fork-inherited payload."""
 
 import numpy as np
-import pytest
 
-from repro.parallel import fork_available
 from repro.stats import kmeans
 from repro.synth import generator
 
 
 def test_process_fanout_reads_shared_payload():
-    if not fork_available():
-        pytest.skip("no fork")
     rng = np.random.default_rng(12)
     points = rng.normal(size=(300, 4))
     serial = kmeans(points, 6, restarts=4, rng=generator("shm", 1))

@@ -28,7 +28,7 @@ class TestIdentity:
         assert job_id_for(None, CFG) == f"all-{CFG.full_key()}"
 
     def test_execution_knobs_do_not_change_job_identity(self):
-        loud = CFG.replace(n_jobs=8, parallel_backend="thread")
+        loud = CFG.replace(n_jobs=8, parallel_backend="process")
         assert job_id_for(["BMW"], loud) == job_id_for(["BMW"], CFG)
         assert "n_jobs" not in config_fields(loud)
 

@@ -118,10 +118,10 @@ def test_restart_count_does_not_perturb_shared_restarts(blobs):
 
 def test_parallel_restarts_match_serial(blobs):
     serial = kmeans(blobs, 4, restarts=6, rng=generator("km", 22))
-    threaded = kmeans(
-        blobs, 4, restarts=6, rng=generator("km", 22), n_jobs=3, backend="thread"
+    forked = kmeans(
+        blobs, 4, restarts=6, rng=generator("km", 22), n_jobs=3, backend="process"
     )
-    assert serial.bic == threaded.bic
-    assert np.array_equal(serial.labels, threaded.labels)
-    assert np.array_equal(serial.centers, threaded.centers)
-    assert serial.n_iter == threaded.n_iter
+    assert serial.bic == forked.bic
+    assert np.array_equal(serial.labels, forked.labels)
+    assert np.array_equal(serial.centers, forked.centers)
+    assert serial.n_iter == forked.n_iter

@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -53,6 +60,29 @@ def test_characterize_reports_summary(tmp_path, capsys):
 def test_characterize_rejects_unknown_preset(tmp_path):
     with pytest.raises(SystemExit):
         main(["characterize", str(tmp_path / "x.npz"), "--preset", "gigantic"])
+
+
+def test_bad_artifact_is_one_line_error(tmp_path):
+    headerless = tmp_path / "plain.npz"
+    np.savez(headerless, features=np.zeros(3))
+    junk = tmp_path / "junk.npz"
+    junk.write_bytes(b"not a zip archive")
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    for path, reason in [
+        (headerless, "missing artifact header"),
+        (junk, "unreadable npz"),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "compare", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"repro: {path}: {reason}")
+        assert done.stderr.rstrip().endswith("(regenerate it)")
+        assert done.stderr.count("\n") == 1
 
 
 def test_compare_prints_suite_table(characterization_file, capsys):

@@ -47,6 +47,8 @@ def test_validation_rejects_bad_values():
         AnalysisConfig(n_key_characteristics=0)
     with pytest.raises(ValueError):
         AnalysisConfig(n_key_characteristics=100)
+    with pytest.raises(ValueError, match="must be one of auto, serial, process"):
+        AnalysisConfig(parallel_backend="thread")
 
 
 def test_ppm_sample_branches_bounded():
@@ -58,7 +60,7 @@ def test_ppm_sample_branches_bounded():
 
 def test_execution_knobs_excluded_from_full_key():
     base = AnalysisConfig.tiny()
-    assert base.full_key() == base.replace(parallel_backend="thread").full_key()
+    assert base.full_key() == base.replace(parallel_backend="process").full_key()
     assert base.full_key() == base.replace(n_jobs=4).full_key()
 
 
