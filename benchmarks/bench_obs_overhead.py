@@ -7,9 +7,9 @@ wall-clock delta.
 
 The enabled path is the *full* telemetry stack, not just spans and
 metrics: the run is recorded as ``repro characterize --telemetry``
-records it (:class:`repro.obs.recorded_run`), streaming
-span/progress/heartbeat events line-by-line (flushed per line) to a
-real file on disk.  The 2% bound therefore covers the worst
+records it (:class:`repro.obs.recorded_run`), streaming span,
+progress, stage and metric events line-by-line (flushed per line) to
+a real file on disk.  The 2% bound therefore covers the worst
 observability configuration a user can turn on.
 
 The tiny preset is forced regardless of ``REPRO_BENCH_PRESET``: it is

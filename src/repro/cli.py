@@ -23,8 +23,8 @@ metrics, config digest — as one JSON document (see
 docs/observability.md).
 
 Live telemetry: ``characterize --telemetry PATH|-`` streams ordered
-JSONL events (spans, progress/ETA, heartbeats, stage checkpoints,
-metric deltas) to a sink while the run executes; ``repro watch PATH``
+JSONL events (spans, progress, stage checkpoints, metric deltas) to
+a file while the run executes; ``repro watch PATH``
 follows the log and ``repro report --from-events PATH`` reconstructs a
 (partial) run report from one — including after a SIGKILL.
 ``--history-dir DIR`` appends the completed run report to the
@@ -35,6 +35,7 @@ cross-run regression detection.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import time
@@ -518,9 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         default=None,
         metavar="PATH",
-        help="stream ordered JSONL telemetry events (spans, progress/ETA, "
-        "heartbeats, stage checkpoints, metric deltas) to PATH while the "
-        "run executes ('-' for stdout); follow it live with "
+        help="stream ordered JSONL telemetry events (spans, progress, "
+        "stage checkpoints, metric deltas) to PATH while the run executes "
+        "('-' for stdout); follow it live with "
         "'repro watch PATH', reconstruct a report from it with "
         "'repro report --from-events PATH'",
     )
@@ -731,9 +732,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = runs_sub.add_parser(sub_name, help=sub_help)
         sp.add_argument(
             "--history-dir",
-            default=None,
+            default=os.environ.get("REPRO_HISTORY_DIR")
+            or os.path.expanduser("~/.repro/history"),
             metavar="DIR",
-            help="history store root (default: $REPRO_HISTORY_DIR or "
+            help="history store root (default: $REPRO_HISTORY_DIR, else "
             "~/.repro/history)",
         )
         sp.set_defaults(func=sub_func)

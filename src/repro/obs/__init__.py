@@ -6,11 +6,11 @@ The pipeline's window into itself.  Four pieces, stdlib-only:
   :mod:`repro.obs.events`) — hierarchical wall/CPU timings
   (``with span("kmeans.restart", restart=3): ...``) logged as open and
   close events into the observation's one event log, together with
-  the run's ``run.start`` and ``run.end`` and its stage, progress,
-  heartbeat and metric events.  Worker-side events, and with them the
-  worker's metrics, travel back with task results and are replayed
-  under the parent span exactly once, in submission order.  An
-  attached :class:`EventBus` writes the same log live as JSONL.
+  the run's ``run.start`` and ``run.end`` and its stage, progress and
+  metric events, each fact logged once.  Worker-side events, and with
+  them the worker's metrics, travel back with task results and are
+  replayed under the parent span exactly once, in submission order.
+  An attached :class:`EventBus` writes the same log live as JSONL.
 * **Metrics** (:mod:`repro.obs.metrics`) — a thread-safe registry of
   counters and gauges absorbing the signals the pipeline computes
   anyway (k-means skipped-row ratio, GA fitness-cache hit rate,
@@ -46,8 +46,6 @@ from .bench import emit_bench
 from .events import (
     EVENT_SCHEMA_VERSION,
     EventBus,
-    JsonlSink,
-    ProgressEstimator,
     emit_event,
     emit_progress,
     read_events,
@@ -55,7 +53,6 @@ from .events import (
 from .history import (
     HISTORY_SCHEMA_VERSION,
     HistoryStore,
-    default_history_dir,
     diff_records,
     ledger_row,
     render_diff,
@@ -110,11 +107,9 @@ __all__ = [
     "EventBus",
     "HistoryStore",
     "JsonFormatter",
-    "JsonlSink",
     "MetricsRegistry",
     "NoopMetricsRegistry",
     "Observation",
-    "ProgressEstimator",
     "RunIdFilter",
     "Snapshot",
     "Span",
@@ -123,7 +118,6 @@ __all__ = [
     "capture",
     "configure_logging",
     "current",
-    "default_history_dir",
     "diff_records",
     "emit_bench",
     "emit_event",

@@ -2,30 +2,33 @@
 
 An observation (:class:`repro.obs.Observation`) records a run as one
 ordered event log: ``run.start``, span open/close, stage checkpoints,
-progress updates, worker heartbeats, metric deltas and ``run.end``.
-The log is the only record of the run — the run report, ``repro
-watch`` and ``repro report --from-events`` are all views of one fold
-over it (:class:`repro.obs.spans.EventFold`).  An attached
-:class:`EventBus` writes each event as a JSON line to a sink the moment
-it is logged, so the log in memory and the JSONL on disk are the same
-sequence — ``repro characterize --telemetry PATH`` attaches one,
-``repro watch PATH`` follows it, and ``repro report --from-events
-PATH`` reconstructs a (partial) run report from whatever made it to
-disk.
+progress updates, metric deltas and ``run.end``.  Each fact is logged
+once: an executor task's label is its ``task`` span's close, and a
+``progress`` event carries only ``stage``, ``done`` and ``total`` —
+the fraction, elapsed time and ETA are derived by the fold.  The log
+is the only record of the run — the run report, ``repro watch`` and
+``repro report --from-events`` are all views of one fold over it
+(:class:`repro.obs.spans.EventFold`).  An attached :class:`EventBus`
+writes each event as a JSON line the moment it is logged, so the log
+in memory and the JSONL on disk are the same sequence — ``repro
+characterize --telemetry PATH`` attaches one, ``repro watch PATH``
+follows it, and ``repro report --from-events PATH`` reconstructs a
+(partial) run report from whatever made it to disk.
 
 **Event schema** (version :data:`EVENT_SCHEMA_VERSION`, one JSON object
 per line).  Every event carries ``ts`` (unix time) and ``type``; the
 bus adds ``v`` (schema version), ``seq`` (strictly monotonic) and
 ``run_id``.  The fields of each type are tabled in
 ``docs/observability.md`` ("Event schema"); the one
-reader of all of them is :class:`repro.obs.spans.EventFold`.
+reader of all of them is :class:`repro.obs.spans.EventFold`, which
+also folds version 1 logs.
 
-**Crash tolerance.**  The sink flushes after every line, so a
+**Crash tolerance.**  The bus flushes after every line, so a
 SIGKILL'd run leaves a parseable prefix (at worst one truncated final
 line, which :func:`read_events` tolerates).  Nothing is buffered for
 later: the log on disk *is* the live state.
 
-**Workers.**  Executor tasks never write to the sink: a task's bounded
+**Workers.**  Executor tasks never write to the bus: a task's bounded
 log, which carries its metrics, is appended to the parent's log (and so
 to the bus) once per task, in submission order
 (:meth:`repro.obs.Observation.merge_snapshot`), so the stream is the
@@ -37,23 +40,22 @@ from __future__ import annotations
 import json
 import sys
 import threading
-import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
     "EventBus",
-    "JsonlSink",
-    "ProgressEstimator",
     "emit_event",
     "emit_progress",
     "read_events",
 ]
 
 #: Bump when the event layout changes incompatibly (mirrors the
-#: run-report ``SCHEMA_VERSION`` discipline).
-EVENT_SCHEMA_VERSION = 1
+#: run-report ``SCHEMA_VERSION`` discipline).  Version 2 dropped the
+#: per-task event that repeated each ``task`` close, and the fields
+#: ``progress`` events derived from ``done``, ``total`` and ``ts``.
+EVENT_SCHEMA_VERSION = 2
 
 #: Events a worker task's log keeps before later ones are dropped
 #: (closes of kept spans and ``metric`` events excepted; the drop is
@@ -72,15 +74,20 @@ def _json_default(value: Any) -> Any:
 _encode = json.JSONEncoder(default=_json_default).encode
 
 
-class JsonlSink:
-    """Line-per-event JSON sink over a path or ``-`` (stdout).
+class EventBus:
+    """Thread-safe JSONL writer of one run's event log.
 
-    Every line is flushed as soon as it is written — the crash-
-    tolerance contract — so a reader (or a post-mortem) always sees a
-    valid prefix of the stream.
+    ``target`` is a path (its directory is created), ``-`` for stdout,
+    or an open text stream (borrowed: :meth:`close` leaves it open).
+    An :class:`repro.obs.Observation` with the bus attached passes every
+    event it logs to :meth:`write`, which adds the envelope — ``v``,
+    the next ``seq`` and ``run_id`` — and writes and flushes the line
+    under one lock, so the stream is strictly monotonic and a reader
+    (or a post-mortem) always sees a valid prefix of it.
     """
 
-    def __init__(self, target: Union[PathLike, TextIO]) -> None:
+    def __init__(self, target: Union[PathLike, TextIO], run_id: str) -> None:
+        self.run_id = run_id
         self._owns = False
         if hasattr(target, "write"):
             self._fh: TextIO = target  # type: ignore[assignment]
@@ -91,67 +98,6 @@ class JsonlSink:
             path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(path, "w", encoding="utf-8")
             self._owns = True
-
-    def write_event(self, event: Dict[str, Any]) -> None:
-        self._fh.write(_encode(event) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._owns:
-            try:
-                self._fh.close()
-            except OSError:  # pragma: no cover - best-effort close
-                pass
-
-
-class ProgressEstimator:
-    """Fraction-complete and ETA for one stage's unit stream.
-
-    The totals come from quantities the pipeline already knows before
-    the stage starts — benchmarks in the sampling plan, k-means restart
-    count, streamed-batch ledger — so the estimate needs no model: with
-    ``done`` of ``total`` units finished in ``elapsed`` seconds, the
-    remaining ``total - done`` units cost ``elapsed * (total - done) /
-    done`` more.
-    """
-
-    def __init__(self, stage: str, total: int, *, clock=time.monotonic) -> None:
-        self.stage = stage
-        self.total = max(int(total), 0)
-        self.done = 0
-        self._clock = clock
-        self._start = clock()
-
-    def update(self, done: int) -> Dict[str, Any]:
-        """Advance to ``done`` finished units; returns the progress fields."""
-        self.done = max(0, min(int(done), self.total) if self.total else int(done))
-        elapsed = self._clock() - self._start
-        fraction = (self.done / self.total) if self.total else 0.0
-        eta: Optional[float] = None
-        if self.done > 0 and self.total:
-            eta = elapsed * (self.total - self.done) / self.done
-        return {
-            "stage": self.stage,
-            "done": self.done,
-            "total": self.total,
-            "fraction": round(fraction, 6),
-            "elapsed_s": round(elapsed, 6),
-            "eta_s": round(eta, 6) if eta is not None else None,
-        }
-
-
-class EventBus:
-    """Thread-safe JSONL writer of one run's event log.
-
-    An :class:`repro.obs.Observation` with the bus attached passes every
-    event it logs to :meth:`write`, which adds the envelope — ``v``,
-    the next ``seq`` and ``run_id`` — and writes the line under one
-    lock, so the stream is strictly monotonic.
-    """
-
-    def __init__(self, sink: JsonlSink, run_id: str) -> None:
-        self.sink = sink
-        self.run_id = run_id
         self._lock = threading.Lock()
         self._seq = 0
         self._closed = False
@@ -168,14 +114,22 @@ class EventBus:
                 return None
             line = {"v": EVENT_SCHEMA_VERSION, "seq": self._seq, "run_id": self.run_id, **event}
             self._seq += 1
-            self.sink.write_event(line)
+            self._fh.write(_encode(line) + "\n")
+            self._fh.flush()
             return line
 
     def close(self) -> None:
-        """Close the sink; later writes are dropped.  Idempotent."""
+        """Close the target if the bus opened it; later writes are
+        dropped.  Idempotent."""
         with self._lock:
+            if self._closed:
+                return
             self._closed = True
-        self.sink.close()
+            if self._owns:
+                try:
+                    self._fh.close()
+                except OSError:  # pragma: no cover - best-effort close
+                    pass
 
 
 # --- emitting from library code ------------------------------------------
@@ -195,12 +149,11 @@ def emit_event(type: str, **fields: Any) -> None:
 
 
 def emit_progress(stage: str, done: int, total: int) -> None:
-    """Log a ``progress`` event for ``stage`` (no-op when inert)."""
-    from .spans import current
-
-    ob = current()
-    if ob is not None:
-        ob.progress(stage, done, total)
+    """Log a ``progress`` event: ``done`` of ``total`` units of ``stage``
+    are finished (no-op when inert).  ``total`` may change between
+    calls (the streamed-batch ledger refines it); the fold derives the
+    fraction, elapsed time and ETA."""
+    emit_event("progress", stage=stage, done=int(done), total=int(total))
 
 
 # --- reading --------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The run-history store and the one comparer of run reports.
 
-A :class:`HistoryStore` is an append-only directory (``--history-dir``,
-default ``~/.repro/history`` or ``$REPRO_HISTORY_DIR``) where every
-completed run report lands as one checksummed JSON record, stamped with
+A :class:`HistoryStore` is an append-only directory (``repro
+characterize --history-dir``) where every completed run report lands
+as one checksummed JSON record, stamped with
 the git SHA, a wall-clock timestamp, and a monotonic sequence number
 allocated under the artifact store's cross-process advisory lock.
-``repro runs list|show|diff`` reads it back.
+``repro runs list|show|diff`` reads it back (from ``--history-dir``,
+default ``$REPRO_HISTORY_DIR``, else ``~/.repro/history``).
 
 A run report compares through its *ledger row*
 (:func:`ledger_row`): per span name the summed ``wall_s`` and
@@ -40,16 +41,13 @@ longer read; its sequence numbers are still never reused.
 
 from __future__ import annotations
 
-import os
 import re
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 __all__ = [
     "HISTORY_SCHEMA_VERSION",
     "HistoryStore",
-    "default_history_dir",
     "diff_records",
     "ledger_row",
     "render_diff",
@@ -60,59 +58,16 @@ PathLike = Union[str, Path]
 #: The record envelope version (:data:`repro.io.records.RECORD_SCHEMA_VERSION`).
 HISTORY_SCHEMA_VERSION = 1
 
-#: Environment override for the store root (CI jobs, tests).
-ENV_HISTORY_DIR = "REPRO_HISTORY_DIR"
-
-
-#: Cached headless fallback: one temp dir per process, not per call,
-#: so every record of the run lands in the same store.
-_FALLBACK_HISTORY_DIR: Optional[Path] = None
-
-
-def default_history_dir() -> Path:
-    """``$REPRO_HISTORY_DIR`` when set, else ``~/.repro/history``.
-
-    Headless environments (CI containers, service workers dropped into
-    a scrubbed env) may have no usable home: ``$HOME`` unset or
-    pointing nowhere makes ``Path.home()`` raise or yield an unwritable
-    root.  Rather than crash the run at the *history append* — the very
-    last step — fall back to a per-process temporary directory and say
-    so once at WARNING, so the records still land somewhere inspectable.
-    """
-    env = os.environ.get(ENV_HISTORY_DIR)
-    if env:
-        return Path(env)
-    try:
-        home = Path.home()
-        if str(home) and home.is_dir():
-            return home / ".repro" / "history"
-    except (RuntimeError, OSError):
-        pass
-    global _FALLBACK_HISTORY_DIR
-    if _FALLBACK_HISTORY_DIR is None:
-        _FALLBACK_HISTORY_DIR = Path(tempfile.mkdtemp(prefix="repro-history-"))
-        # Lazy import: repro.obs.log is a sibling; binding at call time
-        # keeps this module import-order agnostic.
-        from .log import get_logger
-
-        get_logger(__name__).warning(
-            "no usable home directory ($HOME unset or missing); recording "
-            "run history in temporary %s — set %s for a durable store",
-            _FALLBACK_HISTORY_DIR,
-            ENV_HISTORY_DIR,
-        )
-    return _FALLBACK_HISTORY_DIR
-
 
 class HistoryStore:
     """Append-only, checksummed store of completed run reports."""
 
-    def __init__(self, root: Optional[PathLike] = None) -> None:
+    def __init__(self, root: PathLike) -> None:
         # Lazy import: repro.io imports from repro.obs at module scope,
         # and this module is part of repro.obs.
         from ..io.records import RecordLog
 
-        self.root = Path(root) if root is not None else default_history_dir()
+        self.root = Path(root)
         self._log = RecordLog(self.root, schema="history:run", prefix="run", directory="runs")
 
     def append_run(self, report: Dict[str, Any]) -> Path:

@@ -6,8 +6,8 @@ This module follows that prefix:
 
 * :func:`summarize_events` — the run's current state as a view of the
   same fold as the run report (:class:`repro.obs.spans.EventFold`):
-  per-stage progress/ETA, the latest heartbeat, which spans are still
-  open, stage checkpoints, counter totals.
+  per-stage progress/ETA, the last finished task, which spans are
+  still open, stage checkpoints, counter totals.
 * :func:`render_live` — one terminal-friendly snapshot of that state
   (what ``repro watch PATH`` prints each refresh).
 * :func:`watch` — re-read and render the log until the run ends.
@@ -53,7 +53,7 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         "pid": pid if isinstance(pid, int) else None,  # the writer's
         "events": fold.events,
         "progress": fold.progress,  # stage -> latest progress fields
-        "heartbeat": fold.heartbeat,  # latest heartbeat fields
+        "last_task": fold.last_task,  # label of the newest closed task span
         "open_spans": [node.name for node in fold.open_spans()],  # outermost first
         "stages": fold.stages,  # stage checkpoint events, in order
         "counters": fold.counters,  # totals the closed spans carried so far
@@ -96,12 +96,8 @@ def render_live(state: Dict[str, Any], *, truncated: bool = False) -> str:
             f"{prog.get('done', 0)}/{prog.get('total', 0)} "
             f"({100 * fraction:5.1f}%)  eta {_fmt_eta(prog.get('eta_s'))}"
         )
-    beat = state.get("heartbeat")
-    if beat is not None:
-        lines.append(
-            f"  last heartbeat: {beat.get('label')} "
-            f"({beat.get('completed')}/{beat.get('total')} tasks)"
-        )
+    if state.get("last_task") is not None:
+        lines.append(f"  last task: {state['last_task']}")
     if state["open_spans"] and state["ended"] is None:
         lines.append("  open spans: " + " > ".join(state["open_spans"]))
     if state["stages"]:

@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Optional, TextIO, Union
 
-from .events import EventBus, JsonlSink
+from .events import EventBus
 from .report import _environment
 from .spans import Observation
 from .spans import observe as _observe
@@ -72,7 +72,7 @@ class recorded_run:
         if not self._observe:
             return nullcontext()
         if self._events is not None:
-            self._bus = EventBus(JsonlSink(self._events), self.run_id)
+            self._bus = EventBus(self._events, self.run_id)
         context = _observe(run_id=self.run_id, emitter=self._bus)
         self.observation = context.observation
         self.observation.emit(

@@ -9,8 +9,8 @@ manager returned by :func:`span`.
 **One record.**  An :class:`Observation` keeps one in-memory event log.
 A span logs a ``span.open`` event when it starts and a ``span.close``
 event, with its durations and final attributes, when it ends; the
-run's ``run.start`` and ``run.end``, stage, progress, heartbeat and
-metric events go into the same log.  Nothing else is recorded while
+run's ``run.start`` and ``run.end``, stage, progress and metric
+events go into the same log.  Nothing else is recorded while
 the run executes: the close also carries, as ``metrics``, what no
 earlier event carried (:mod:`repro.obs.metrics`), so a log read
 mid-run or left by a killed run has every closed span's counters.
@@ -62,7 +62,7 @@ import time
 import uuid
 from typing import Any, Dict, List, NamedTuple, Optional
 
-from .events import MAX_WORKER_EVENTS, ProgressEstimator
+from .events import MAX_WORKER_EVENTS
 from .metrics import NOOP_REGISTRY, MetricsRegistry, fold_metrics
 
 __all__ = [
@@ -164,6 +164,13 @@ class EventFold:
     older logs carry on the prefetch producer's spans, is ignored:
     those spans nest by order too.  ``run.end``'s clocks become the
     root's (:meth:`clock`).
+
+    Each fact is logged once and derived here: the newest closed
+    ``task`` span's label is :attr:`last_task`, and a stage's progress
+    fraction, elapsed time (from its first ``progress`` event) and ETA
+    come from its logged ``done``, ``total`` and ``ts``.  Version 1
+    logs fold too: the per-task event they also logged is ignored like
+    any unknown type, and their logged progress fields are recomputed.
     """
 
     def __init__(self, root_name: str = "run", run_id: Optional[str] = None) -> None:
@@ -179,13 +186,15 @@ class EventFold:
         #: Counter totals (summed deltas) and last gauge values.
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
-        #: Latest progress fields per stage; latest heartbeat; stage
-        #: checkpoints in order; events dropped by worker logs.
+        #: Latest progress fields per stage; the newest closed task's
+        #: label; stage checkpoints in order; events dropped by worker logs.
         self.progress: Dict[str, Dict[str, Any]] = {}
-        self.heartbeat: Optional[Dict[str, Any]] = None
+        self.last_task: Optional[str] = None
         self.stages: List[Dict[str, Any]] = []
         self.dropped = 0
         self._clocked = False
+        #: Each stage's first progress timestamp: its clock's start.
+        self._progress_start: Dict[str, Optional[float]] = {}
         #: Open spans, outermost first, and their open timestamps.
         self._stack: List[Span] = [self.root]
         self._opened: List[Optional[float]] = [None]
@@ -224,16 +233,14 @@ class EventFold:
                         node.attrs.update(attrs)
                     del stack[i]
                     del self._opened[i]
+                    if name == "task":
+                        self.last_task = node.attrs.get("label")
                     break
             fold_metrics(self.counters, self.gauges, event.get("metrics"))
         elif etype == "metric":
             fold_metrics(self.counters, self.gauges, event)
         elif etype == "progress":
-            self.progress[str(event.get("stage", "?"))] = {
-                k: event.get(k) for k in ("done", "total", "fraction", "elapsed_s", "eta_s")
-            }
-        elif etype == "heartbeat":
-            self.heartbeat = {k: event.get(k) for k in ("label", "completed", "total", "ts")}
+            self._fold_progress(str(event.get("stage", "?")), event, ts)
         elif etype == "stage":
             self.stages.append({"stage": event.get("stage"), "action": event.get("action")})
         elif etype == "events.dropped":
@@ -245,6 +252,24 @@ class EventFold:
             clocks = (event.get("wall_s"), event.get("cpu_s"))
             if all(isinstance(c, (int, float)) for c in clocks):
                 self.clock(*clocks)
+
+    def _fold_progress(self, stage: str, event: Dict[str, Any], ts: Optional[float]) -> None:
+        # With ``done`` of ``total`` units finished ``elapsed`` seconds
+        # after the stage's first report, the remaining units cost
+        # ``elapsed * (total - done) / done`` more.
+        total = max(int(event.get("total") or 0), 0)
+        done = int(event.get("done") or 0)
+        done = max(0, min(done, total) if total else done)
+        start = self._progress_start.setdefault(stage, ts)
+        elapsed = ts - start if ts is not None and start is not None else 0.0
+        eta = elapsed * (total - done) / done if done > 0 and total else None
+        self.progress[stage] = {
+            "done": done,
+            "total": total,
+            "fraction": round(done / total, 6) if total else 0.0,
+            "elapsed_s": round(elapsed, 6),
+            "eta_s": round(eta, 6) if eta is not None else None,
+        }
 
     def clock(self, wall_s: float, cpu_s: float) -> None:
         """Set the run's clocks: the root span's durations."""
@@ -390,7 +415,6 @@ class Observation:
         #: Spans open now; only the thread that owns the observation logs.
         self._depth = 0
         self._lock = threading.Lock()
-        self._estimators: Dict[str, ProgressEstimator] = {}
         self._wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
 
@@ -441,20 +465,6 @@ class Observation:
     def span(self, name: str, **attrs: Any) -> _ActiveSpan:
         """A context manager timing ``name`` under the current span."""
         return _ActiveSpan(self, Span(name, {k: _json_safe(v) for k, v in attrs.items()}))
-
-    def progress(self, stage: str, done: int, total: int) -> None:
-        """Log a ``progress`` event with fraction and ETA for ``stage``.
-
-        The first call for a stage starts its clock; ``total`` may be
-        updated by later calls (the streamed-batch ledger refines it).
-        """
-        with self._lock:
-            estimator = self._estimators.get(stage)
-            if estimator is None:
-                estimator = self._estimators[stage] = ProgressEstimator(stage, total)
-            else:
-                estimator.total = int(total)
-        self.emit("progress", **estimator.update(done))
 
     def emit_metric_deltas(self) -> None:
         """Log what is pending as one ``metric`` event, if anything is.

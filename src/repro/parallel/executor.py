@@ -24,7 +24,9 @@ caller's current span **exactly once**, in submission order.  The
 logged spans and all counter totals are therefore identical at any
 worker count; the tasks before a failed one are merged once too (never
 re-merged on the error path), and nothing is emitted at all when
-observation is off.
+observation is off.  A task's completion is logged once, as its
+``task`` span's close (attribute ``label``); callers that know a
+stage's total report ``progress`` from ``on_result``.
 """
 
 from __future__ import annotations
@@ -145,20 +147,12 @@ class Executor:
                 _, label, message, details = outcome
                 raise WorkerError(label, message, details)
             results.append(outcome[1])
-            if parent is not None:
+            if parent is not None and len(outcome) == 3:
                 # A 3-tuple carries the worker's telemetry; replay it
                 # under the caller's current span here — and only
                 # here — so each task's events and metrics count
-                # exactly once.  The task's heartbeat follows it, so
-                # the tasks after a failure never beat.
-                if len(outcome) == 3:
-                    parent.merge_snapshot(outcome[2])
-                parent.emit(
-                    "heartbeat",
-                    label=labels[len(results) - 1],
-                    completed=len(results),
-                    total=len(tasks),
-                )
+                # exactly once.
+                parent.merge_snapshot(outcome[2])
             if on_result is not None:
                 on_result(len(results) - 1, outcome[1])
         return results

@@ -1,10 +1,10 @@
-"""BENCH emission: line format, registry gauges, defensive report writes."""
+"""BENCH emission: line format and report writes."""
 
 import json
 
 import pytest
 
-from repro.obs import emit_bench, observe
+from repro.obs import emit_bench
 
 
 def test_emit_bench_line_and_payload():
@@ -15,19 +15,6 @@ def test_emit_bench_line_and_payload():
     assert lines[0].startswith("BENCH ")
     parsed = json.loads(lines[0][len("BENCH "):])
     assert parsed == {"bench": "demo", "speedup": 2.5, "ok": True}
-
-
-def test_emit_bench_folds_numeric_fields_into_gauges():
-    with observe(run_id="bench-gauges") as ob:
-        emit_bench(
-            "demo",
-            {"speedup": 2.5, "ok": True, "label": "not-a-number"},
-            echo=lambda _: None,
-        )
-        gauges = ob.metrics.snapshot()["gauges"]
-    assert gauges["bench.demo.speedup"] == 2.5
-    assert gauges["bench.demo.ok"] == 1.0
-    assert "bench.demo.label" not in gauges
 
 
 def test_emit_bench_writes_report(tmp_path):
@@ -42,23 +29,9 @@ def test_emit_bench_writes_report(tmp_path):
     assert stable == written
 
 
-def test_emit_bench_recreates_missing_output_dir(tmp_path):
-    # The report writer targets a directory that was wiped between
-    # runs; emit_bench must recreate it and retry instead of losing
-    # the result.
-    out = tmp_path / "output"
-
-    def report(name, text):
-        (out / name).write_text(text)
-
-    emit_bench("demo", {"speedup": 2.0}, report=report, echo=lambda _: None)
-    assert json.loads((out / "demo.json").read_text())["speedup"] == 2.0
-    assert json.loads((out / "BENCH_demo.json").read_text())["speedup"] == 2.0
-
-
 def test_emit_bench_propagates_non_directory_errors():
     def report(name, text):
-        raise FileNotFoundError()  # no filename to recreate from
+        raise FileNotFoundError()  # a failing writer is not swallowed
 
     with pytest.raises(FileNotFoundError):
         emit_bench("demo", {"x": 1}, report=report, echo=lambda _: None)

@@ -9,9 +9,7 @@ import pytest
 from repro.obs import (
     EVENT_SCHEMA_VERSION,
     EventBus,
-    JsonlSink,
     Observation,
-    ProgressEstimator,
     Snapshot,
     emit_event,
     emit_progress,
@@ -19,12 +17,13 @@ from repro.obs import (
     read_events,
     report_from_events,
     span,
+    summarize_events,
 )
 
 
 def _bus(run_id="r1"):
     handle = io.StringIO()
-    return EventBus(JsonlSink(handle), run_id), handle
+    return EventBus(handle, run_id), handle
 
 
 def _lines(handle):
@@ -71,7 +70,7 @@ def test_emit_after_close_is_dropped():
 
 def test_every_line_is_flushed_as_written(tmp_path):
     path = tmp_path / "events.jsonl"
-    bus = EventBus(JsonlSink(path), "r2")
+    bus = EventBus(path, "r2")
     bus.write({"type": "first"})
     # Without closing the bus (the SIGKILL scenario), the line must
     # already be on disk and parseable.
@@ -102,27 +101,6 @@ def test_read_events_missing_file_is_empty_not_an_error(tmp_path):
     assert events == [] and truncated is False
 
 
-def test_progress_estimator_eta_is_linear_extrapolation():
-    ticks = iter([0.0, 10.0])
-    estimator = ProgressEstimator("mica", 4, clock=lambda: next(ticks))
-    fields = estimator.update(1)
-    # 1 of 4 units in 10s -> 30s for the remaining 3.
-    assert fields["fraction"] == 0.25
-    assert fields["elapsed_s"] == 10.0
-    assert fields["eta_s"] == 30.0
-
-
-def test_progress_estimator_no_eta_before_first_unit():
-    estimator = ProgressEstimator("mica", 4)
-    assert estimator.update(0)["eta_s"] is None
-
-
-def test_progress_estimator_clamps_done_to_total():
-    estimator = ProgressEstimator("mica", 3)
-    assert estimator.update(7)["done"] == 3
-    assert estimator.update(7)["fraction"] == 1.0
-
-
 def test_bus_progress_tracks_one_estimator_per_stage():
     bus, handle = _bus()
     with observe(emitter=bus):
@@ -135,7 +113,47 @@ def test_bus_progress_tracks_one_estimator_per_stage():
         ("kmeans", 2, 10),
         ("mica", 4, 4),
     ]
-    assert events[-1]["fraction"] == 1.0
+    # Each event logs what the caller knows and nothing derived.
+    assert {frozenset(e) for e in events} == {
+        frozenset({"v", "seq", "run_id", "ts", "type", "stage", "done", "total"})
+    }
+    progress = summarize_events(events)["progress"]
+    assert progress["mica"]["fraction"] == 1.0
+    assert progress["kmeans"]["fraction"] == 0.2
+
+
+def _progress(ts, stage, done, total):
+    return {"ts": ts, "type": "progress", "stage": stage, "done": done, "total": total}
+
+
+def test_the_fold_derives_fraction_elapsed_and_eta():
+    # A log holds only stage, done and total; the fold derives the rest
+    # per stage: done clamped to total, elapsed from the stage's first
+    # report, ETA extrapolated linearly, each rounded to 6 places.
+    events = [
+        _progress(100.0, "mica", 0, 4),
+        _progress(101.0, "kmeans", 0, 3),
+        _progress(110.0, "mica", 1, 4),
+        _progress(104.0, "kmeans", 7, 3),
+        _progress(50.0, "ga", 0, 3),
+        _progress(51.0, "ga", 2, 3),
+        _progress(20.0, "dataset.build", 0, 5),
+    ]
+    progress = summarize_events(events)["progress"]
+    # 1 of 4 units in 10s -> 30s for the remaining 3.
+    assert progress["mica"] == {
+        "done": 1, "total": 4, "fraction": 0.25, "elapsed_s": 10.0, "eta_s": 30.0
+    }
+    assert progress["kmeans"] == {
+        "done": 3, "total": 3, "fraction": 1.0, "elapsed_s": 3.0, "eta_s": 0.0
+    }
+    assert progress["ga"] == {
+        "done": 2, "total": 3, "fraction": 0.666667, "elapsed_s": 1.0, "eta_s": 0.5
+    }
+    # No ETA before the first unit.
+    assert progress["dataset.build"] == {
+        "done": 0, "total": 5, "fraction": 0.0, "elapsed_s": 0.0, "eta_s": None
+    }
 
 
 def test_bus_progress_total_can_be_refined():
@@ -143,7 +161,9 @@ def test_bus_progress_total_can_be_refined():
     with observe(emitter=bus):
         emit_progress("streaming.pca", 10, 100)
         emit_progress("streaming.pca", 20, 120)  # the batch ledger grew
-    assert _lines(handle)[-1]["total"] == 120
+    events = _lines(handle)
+    assert events[-1]["total"] == 120
+    assert summarize_events(events)["progress"]["streaming.pca"]["fraction"] == 0.166667
 
 
 def test_event_buffer_is_bounded_and_counts_drops():
@@ -233,12 +253,13 @@ def test_emit_helpers_route_to_the_active_emitter():
         emit_progress("dataset.build", 1, 3)
     events = _lines(handle)
     assert [e["type"] for e in events] == ["stage", "progress"]
-    assert events[1]["fraction"] == pytest.approx(1 / 3, abs=1e-6)
+    fraction = summarize_events(events)["progress"]["dataset.build"]["fraction"]
+    assert fraction == pytest.approx(1 / 3, abs=1e-6)
 
 
 def test_sink_does_not_close_borrowed_handles():
-    handle = io.StringIO()
-    sink = JsonlSink(handle)
-    sink.write_event({"type": "x"})
-    sink.close()
+    bus, handle = _bus()
+    bus.write({"type": "x"})
+    bus.close()
+    bus.close()  # idempotent
     assert not handle.closed  # borrowed, not owned

@@ -64,18 +64,6 @@ def test_worker_events_replay_in_submission_order(executor):
 
 
 @pytest.mark.parametrize("executor", BACKENDS)
-def test_heartbeats_count_completed_tasks_in_order(executor):
-    events = _run(executor, _task, 4)
-    beats = [e for e in events if e["type"] == "heartbeat"]
-    assert [(e["label"], e["completed"], e["total"]) for e in beats] == [
-        ("t0", 1, 4),
-        ("t1", 2, 4),
-        ("t2", 3, 4),
-        ("t3", 4, 4),
-    ]
-
-
-@pytest.mark.parametrize("executor", BACKENDS)
 def test_stream_is_identical_across_backends(executor):
     events = _run(executor, _task, 4)
     shape = [

@@ -7,7 +7,6 @@ from repro.obs import (
     HistoryStore,
     Observation,
     build_report,
-    default_history_dir,
     diff_records,
     emit_bench,
     ledger_row,
@@ -137,51 +136,6 @@ def test_emit_bench_without_env_stays_out_of_history(tmp_path, monkeypatch, caps
     emit_bench("tiny_probe", {"speedup": 3.0})
     capsys.readouterr()
     assert not (tmp_path / ".repro" / "history").exists()
-
-
-def test_default_history_dir_prefers_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path))
-    assert default_history_dir() == tmp_path
-    monkeypatch.delenv("REPRO_HISTORY_DIR")
-    assert default_history_dir().name == "history"
-
-
-def test_default_history_dir_headless_falls_back_to_tempdir(
-    tmp_path, monkeypatch, caplog
-):
-    """No usable home (scrubbed $HOME): warn once, use one temp dir.
-
-    Regression: ``Path.home()`` in a headless container either raises
-    or yields a directory that does not exist, and the history append —
-    the last step of a finished run — crashed on it.  The store must
-    instead land in a per-process temporary directory, announced at
-    WARNING exactly once, and stay *stable* across calls so every
-    record of the run ends up in the same place.
-    """
-    import logging
-
-    from repro.obs import history as H
-
-    # Scrub every path Path.home() consults, plus our own override.
-    for var in ("HOME", "USERPROFILE", "HOMEDRIVE", "HOMEPATH", "REPRO_HISTORY_DIR"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(
-        "pathlib.Path.home",
-        classmethod(lambda cls: (_ for _ in ()).throw(RuntimeError("no home"))),
-    )
-    monkeypatch.setattr(H, "_FALLBACK_HISTORY_DIR", None)
-    with caplog.at_level(logging.WARNING, logger="repro.obs.history"):
-        first = default_history_dir()
-    assert first.is_dir()
-    assert "repro-history-" in first.name
-    warned = [r for r in caplog.records if "no usable home" in r.getMessage()]
-    assert len(warned) == 1
-    assert default_history_dir() == first  # cached: one store per process
-    # And it actually works as a store root.
-    HistoryStore(first).append_run(_report())
-    # A later $HOME restoration is irrelevant while the env override wins.
-    monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path))
-    assert default_history_dir() == tmp_path
 
 
 def test_ledger_row_sums_repeated_span_names():

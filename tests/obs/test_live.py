@@ -13,11 +13,11 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.config import AnalysisConfig
 from repro.core import build_dataset, run_characterization
 from repro.obs import (
     EventBus,
-    JsonlSink,
     emit_progress,
     missing_stages,
     read_events,
@@ -29,6 +29,7 @@ from repro.obs import (
     validate_report,
     watch,
 )
+from repro.parallel import Executor
 from repro.streaming import run_streaming_characterization
 from repro.suites import SUITE_INT2000, get_suite
 
@@ -44,6 +45,10 @@ def _recorded(run_id, work, **fields):
     return [json.loads(line) for line in handle.getvalue().splitlines()]
 
 
+def _task(payload, i):
+    return i
+
+
 def _small_run(ob):
     with span("characterize"):
         with span("pca"):
@@ -51,7 +56,7 @@ def _small_run(ob):
     ob.metrics.counter_add("dataset.rows", 64)
     ob.emit_metric_deltas()
     emit_progress("kmeans", 5, 10)
-    ob.emit("heartbeat", label="BMW/face", completed=3, total=5)
+    Executor(1).map(_task, range(2), labels=["BMW/sift", "BMW/face"])
 
 
 def _events_for_small_run():
@@ -71,7 +76,7 @@ def test_summarize_folds_events_into_state():
     assert state["ended"] is not None and state["ok"] is True
     assert state["open_spans"] == []
     assert state["progress"]["kmeans"]["done"] == 5
-    assert state["heartbeat"]["label"] == "BMW/face"
+    assert state["last_task"] == "BMW/face"
     assert state["counters"]["dataset.rows"] == 64
 
 
@@ -95,16 +100,67 @@ def test_render_live_statuses():
     assert "mid-line" in truncated
 
 
-def test_render_live_shows_progress_and_heartbeat():
+def test_render_live_shows_progress_and_last_task():
     text = render_live(summarize_events(_events_for_small_run()))
-    assert "kmeans" in text and "5/10" in text
+    assert "kmeans" in text and "5/10" in text and "50.0%" in text
     assert "eta" in text
-    assert "BMW/face" in text and "3/5 tasks" in text
+    assert "last task: BMW/face" in text
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2], ids=["serial", "process"])
+def test_watch_names_the_last_finished_task(tmp_path, n_jobs):
+    path = tmp_path / "events.jsonl"
+    labels = ["BMW/face", "BMW/sift", "BioPerf/hmmer"]
+    with recorded_run(
+        "rt", command="characterize", config=AnalysisConfig.tiny(), events=path
+    ) as run:
+        with run.observing():
+            Executor(n_jobs).map(_task, range(3), labels=labels)
+    frames = []
+    assert watch(path, once=True, echo=frames.append) == 0
+    assert "last task: BioPerf/hmmer" in frames[0]
+
+
+def test_a_v1_log_with_heartbeats_still_folds_and_renders(tmp_path, capsys):
+    # Version 1 logs carried a heartbeat per merged task and logged
+    # progress fractions; the fold ignores the one and recomputes the
+    # other from done, total and ts.
+    v1 = [
+        {"type": "run.start", "command": "characterize", "preset": "tiny"},
+        {"type": "progress", "stage": "dataset.build", "done": 1, "total": 4,
+         "fraction": 0.25, "elapsed_s": 0.0, "eta_s": 0.0, "ts": 10.0},
+        {"type": "span.open", "span": "task", "depth": 1, "attrs": {"label": "BMW/face"}},
+        {"type": "span.close", "span": "task", "depth": 1, "wall_s": 1.0, "cpu_s": 1.0,
+         "attrs": {"label": "BMW/face"}},
+        {"type": "heartbeat", "label": "BMW/face", "completed": 2, "total": 4},
+        {"type": "progress", "stage": "dataset.build", "done": 2, "total": 4,
+         "fraction": 0.9, "elapsed_s": 99.0, "eta_s": 99.0, "ts": 12.0},
+    ]
+    path = tmp_path / "v1.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"ts": 11.0, **event, "v": 1, "seq": i, "run_id": "old"}) + "\n"
+            for i, event in enumerate(v1)
+        )
+    )
+    events, _ = read_events(path)
+    state = summarize_events(events)
+    assert state["progress"]["dataset.build"] == {
+        "done": 2, "total": 4, "fraction": 0.5, "elapsed_s": 2.0, "eta_s": 2.0
+    }
+    assert state["last_task"] == "BMW/face"
+    assert validate_report(report_from_events(events)) == []
+
+    assert main(["watch", str(path), "--once"]) == 0
+    out = capsys.readouterr().out
+    assert "run old" in out and "running" in out
+    assert "2/4 ( 50.0%)  eta 00:02" in out
+    assert "last task: BMW/face" in out
 
 
 def test_watch_once_renders_and_returns_zero(tmp_path, capsys):
     path = tmp_path / "events.jsonl"
-    bus = EventBus(JsonlSink(path), "r2")
+    bus = EventBus(path, "r2")
     _write(bus, "run.start", command="characterize")
     _write(bus, "span.open", span="characterize", depth=1)
     assert watch(path, once=True) == 0
@@ -115,7 +171,7 @@ def test_watch_once_renders_and_returns_zero(tmp_path, capsys):
 
 def test_watch_returns_when_the_run_ends(tmp_path):
     path = tmp_path / "events.jsonl"
-    bus = EventBus(JsonlSink(path), "r3")
+    bus = EventBus(path, "r3")
     _write(bus, "tick")
     frames = []
     sleeps = []
@@ -134,7 +190,7 @@ def test_watch_gives_up_on_a_stale_log(tmp_path):
     # No pid in the log (legacy writer): quiet polls are the only
     # liveness signal, so the watch still gives up after 10 of them.
     path = tmp_path / "events.jsonl"
-    bus = EventBus(JsonlSink(path), "r4")
+    bus = EventBus(path, "r4")
     _write(bus, "tick")
     frames = []
     assert watch(path, echo=frames.append, sleep=lambda _s: None) == 1
@@ -161,7 +217,7 @@ def test_watch_keeps_following_a_slow_writer_that_is_alive(tmp_path):
     import os
 
     path = tmp_path / "events.jsonl"
-    bus = EventBus(JsonlSink(path), "r5")
+    bus = EventBus(path, "r5")
     _write(bus, "run.start", command="characterize", pid=os.getpid())
     frames = []
     polls = [0]
@@ -190,7 +246,7 @@ def test_watch_gives_up_when_the_writer_pid_is_dead(tmp_path):
         ).stdout.strip()
     )
     path = tmp_path / "events.jsonl"
-    bus = EventBus(JsonlSink(path), "r6")
+    bus = EventBus(path, "r6")
     _write(bus, "run.start", command="characterize", pid=gone)
     frames = []
     assert watch(path, echo=frames.append, sleep=lambda _s: None) == 1
@@ -226,7 +282,7 @@ def test_report_from_events_marks_killed_spans_partial():
 
 def test_report_from_events_keeps_recorded_durations():
     buffer = io.StringIO()
-    bus = EventBus(JsonlSink(buffer), "r5")
+    bus = EventBus(buffer, "r5")
     _write(bus, "span.open", span="kmeans", depth=1)
     _write(bus, "span.close", span="kmeans", depth=1, wall_s=1.5, cpu_s=0.5, attrs={"k": 8})
     _write(bus, "run.end", ok=True)

@@ -379,6 +379,15 @@ def test_runs_list_empty_store(tmp_path, capsys):
     assert "no records in" in out
 
 
+def test_runs_list_reads_repro_history_dir(tmp_path, monkeypatch, capsys):
+    from repro.obs import HistoryStore, Observation, build_report
+
+    HistoryStore(tmp_path / "h").append_run(build_report(Observation(run_id="envrun")))
+    monkeypatch.setenv("REPRO_HISTORY_DIR", str(tmp_path / "h"))
+    assert main(["runs", "list"]) == 0
+    assert "envrun" in capsys.readouterr().out
+
+
 def test_runs_diff_needs_two_records(tmp_path, capsys):
     from repro.obs import HistoryStore, Observation, build_report
 
